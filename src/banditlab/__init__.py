@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .attention import (AttentionParams, RewardStats, exploration_rate,
                         exploration_rates, softmax_attention)
-from .core import Policy, RngState, RoundRecord, argmax_tiebreak, as_context, round_rng
+from .core import Policy, argmax_tiebreak, as_context, round_rng
 from .env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                   SyntheticHybridEnv, load_classification_csv, load_news_csv,
                   replay_step, synthetic_hybrid, two_class_bumps)
@@ -16,16 +16,14 @@ from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       regret_series, robustness_std, sublinearity_exponent)
 from .policies import (LNUCBTA, PolicyConfig, ScoreBreakdown, UCB, BetaThompson,
                        EpsilonGreedy, KLUCB, KnnKLUCB, KnnUCB, LinThompson,
-                       RandomPolicy, enhanced_variant, lin_knn_ucb, linucb,
-                       make_policy)
+                       RandomPolicy, lin_knn_ucb, linucb, make_policy)
 from .runner import Cell, EnvSpec, execute_cells, run_cell, run_policy
 
 __all__ = [
     "__version__",
     "AttentionParams", "RewardStats", "exploration_rate", "exploration_rates",
     "softmax_attention",
-    "Policy", "RngState", "RoundRecord", "argmax_tiebreak", "as_context",
-    "round_rng",
+    "Policy", "argmax_tiebreak", "as_context", "round_rng",
     "ClassificationBanditEnv", "DataError", "ReplayLogEnv",
     "SyntheticHybridEnv", "load_classification_csv", "load_news_csv",
     "replay_step", "synthetic_hybrid", "two_class_bumps",
@@ -37,6 +35,6 @@ __all__ = [
     "robustness_std", "sublinearity_exponent",
     "LNUCBTA", "PolicyConfig", "ScoreBreakdown", "UCB", "BetaThompson",
     "EpsilonGreedy", "KLUCB", "KnnKLUCB", "KnnUCB", "LinThompson",
-    "RandomPolicy", "enhanced_variant", "lin_knn_ucb", "linucb", "make_policy",
+    "RandomPolicy", "lin_knn_ucb", "linucb", "make_policy",
     "Cell", "EnvSpec", "execute_cells", "run_cell", "run_policy",
 ]

@@ -17,6 +17,7 @@ from . import __version__
 from .env import DataError
 from .metrics import (AggregateResult, DiagnosticsParams, aggregate,
                       regret_bound_curve)
+from .policies import POLICY_PARAM_KEYS
 from .runner import Cell, EnvSpec, build_env, execute_cells, run_cell
 
 RESULT_COLUMNS = ["round", "cumulative_reward", "mean_reward", "cumulative_regret"]
@@ -26,33 +27,6 @@ AGGREGATE_COLUMNS = [
     "final_mean_reward_mean", "final_mean_reward_std", "final_regret_mean",
     "final_regret_std", "runtime_s_mean",
 ]
-
-# Parameters each policy id accepts; shared flags are filtered through this.
-POLICY_PARAM_KEYS = {
-    "lnucb-ta": {"lam", "alpha0", "kappa", "theta_min", "theta_max", "gamma_cov",
-                 "variance_scale", "floor_alpha_at_zero", "tie_break",
-                 "store_capacity", "use_attention", "use_knn", "adaptive_k"},
-    "linucb": {"alpha", "lam", "tie_break"},
-    "lin-knn-ucb": {"alpha", "lam", "theta_max", "tie_break", "store_capacity",
-                    "variance_scale"},
-    "ucb": {"rho", "tie_break"},
-    "kl-ucb": {"c", "tie_break"},
-    "eps-greedy": {"eps", "tie_break"},
-    "beta-thompson": {"prior_a", "prior_b", "tie_break"},
-    "linthompson": {"v", "lam", "tie_break"},
-    "knn-ucb": {"rho", "theta_min", "theta_max", "variance_scale",
-                "store_capacity", "tie_break"},
-    "knn-kl-ucb": {"c", "theta_min", "theta_max", "variance_scale",
-                   "store_capacity", "tie_break"},
-    "random": set(),
-    "enhanced-eps-greedy": {"eps", "gamma_sm", "theta_min", "theta_max",
-                            "variance_scale", "store_capacity", "tie_break"},
-    "enhanced-beta-thompson": {"prior_a", "prior_b", "gamma_sm", "theta_min",
-                               "theta_max", "variance_scale", "store_capacity",
-                               "tie_break"},
-    "enhanced-linthompson": {"v", "lam", "gamma_sm", "theta_min", "theta_max",
-                             "variance_scale", "store_capacity", "tie_break"},
-}
 
 
 class CliError(Exception):
@@ -218,6 +192,18 @@ def _filter_params(policy_id: str, params: Dict) -> Dict:
     return {k: v for k, v in params.items() if k in allowed}
 
 
+def _reject_unaccepted(names, policies: List[tuple], flag: str) -> None:
+    """Reject shared parameter names that none of the policies accepts.
+
+    Each policy gets only the shared names it accepts, so a name no policy
+    accepts (a misspelling) would otherwise be dropped without a word.
+    """
+    accepted = set().union(*(POLICY_PARAM_KEYS[pid] for pid, _ in policies))
+    unknown = sorted(set(names) - accepted)
+    if unknown:
+        raise CliError(f"no selected policy accepts {flag} {', '.join(unknown)}")
+
+
 def _read_config(path: Optional[str]):
     cp = configparser.ConfigParser()
     # Keep option case as written; the default folds "T" into "t".
@@ -285,12 +271,16 @@ def _collect_policies(args, cp) -> List[tuple]:
             continue
         pid = section[len("policy:"):].strip()
         params = {k: coerce_value(v) for k, v in cp.items(section)}
+        unknown = sorted(set(params) - set(_filter_params(pid, params)))
+        if unknown:
+            raise CliError(f"[{section}]: unknown {pid} parameters: {unknown}")
         params.update(_filter_params(pid, shared))
-        policies.append((pid, _filter_params(pid, {**params})))
+        policies.append((pid, params))
     for pid in args.policy or []:
         policies.append((pid, _filter_params(pid, shared)))
     if not policies:
         raise CliError("no policy given (use --policy or a [policy:*] section)")
+    _reject_unaccepted(shared, policies, "--param")
     return policies
 
 
@@ -394,6 +384,7 @@ def cmd_sweep(args) -> int:
     if cp.has_section("sweep"):
         grid_items = [f"{k}={v}" for k, v in cp.items("sweep")] + grid_items
     grid = parse_grid(grid_items)
+    _reject_unaccepted(grid, policies, "--grid")
     seeds = parse_seeds(str(opts.get("seeds", "0")))
     T = int(opts.get("T", 1000))
     jobs = int(opts.get("jobs", 1))

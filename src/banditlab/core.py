@@ -2,12 +2,9 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
-
-RNG_ALGORITHM = "pcg64"
 
 
 def as_context(values, dim: Optional[int] = None) -> np.ndarray:
@@ -27,48 +24,6 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"context dimension {x.shape[0]} != expected {dim}")
     return x
-
-
-@dataclass(frozen=True)
-class RewardSample:
-    """One observed reward and the round it arrived in."""
-
-    value: float
-    round: int
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("reward must be finite")
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
-
-
-@dataclass
-class RoundRecord:
-    """One interaction: context, chosen arm, realized reward, optional per-arm scores."""
-
-    round: int
-    context: np.ndarray
-    chosen_arm: int
-    reward: float
-    per_arm_scores: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
-        if not np.isfinite(self.reward):
-            raise ValueError("reward must be finite")
-
-
-@dataclass(frozen=True)
-class RngState:
-    """Seed plus generator identifier; same seed gives the same stream everywhere."""
-
-    seed: int
-    algorithm: str = RNG_ALGORITHM
-
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
 
 
 def round_rng(seed: int, round: int) -> np.random.Generator:
@@ -146,7 +101,3 @@ class Policy(ABC):
         if not 0 <= arm < self.n_arms:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         return arm
-
-    def describe(self) -> dict:
-        """Parameter echo for run metadata."""
-        return {"policy": self.name}

@@ -10,6 +10,9 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 
+ENV_STREAM_SALT = 1  # entropy tag for the per-run context/noise stream
+
+
 class DataError(ValueError):
     """Structured load failure; the message names the offending row."""
 
@@ -59,6 +62,13 @@ class ClassificationBanditEnv:
     def __len__(self) -> int:
         return self.contexts.shape[0]
 
+    def episode(self, seed: int, T: int) -> "ClassificationBanditEnv":
+        """Rows are read in the env's shuffled order, so a run needs no state."""
+        return self
+
+    def exhausted(self, t: int) -> bool:
+        return t >= len(self)
+
     def context(self, t: int) -> np.ndarray:
         return self.contexts[t]
 
@@ -107,6 +117,7 @@ def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
     """Load a numeric-feature CSV, map label classes to arms, normalize, shuffle."""
     features = []
     labels_raw = []
+    lines = []  # file line of each kept row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader, start=1):
@@ -132,6 +143,7 @@ def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
                 raise DataError(f"row {i}: no feature columns")
             features.append(feats)
             labels_raw.append(label.strip())
+            lines.append(i)
     if not features:
         raise DataError("empty dataset")
     widths = {len(f) for f in features}
@@ -139,11 +151,11 @@ def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
         raise DataError("inconsistent column counts across rows")
     X = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(X)):
-        row = int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0]) + 1
+        row = lines[int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])]
         raise DataError(f"row {row}: non-finite feature")
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0).any():
-        row = int(np.flatnonzero(norms == 0)[0]) + 1
+        row = lines[int(np.flatnonzero(norms == 0)[0])]
         raise DataError(f"row {row}: zero feature vector")
     seen = {}
     labels = np.empty(len(labels_raw), dtype=np.int64)
@@ -185,9 +197,34 @@ class ReplayLogEnv:
     def __len__(self) -> int:
         return self.arms.shape[0]
 
+    def episode(self, seed: int, T: int) -> "_ReplayEpisode":
+        return _ReplayEpisode(self)
+
     def metadata(self) -> dict:
         return {"kind": "replay", "rows": len(self), "dim": self.dim,
                 "n_arms": self.n_arms}
+
+
+class _ReplayEpisode:
+    """One pass over a replay log; the cursor moves just past each match.
+
+    A round's context is the log row at the cursor; the run ends when the
+    cursor reaches the end of the log or a scan finds no match.
+    """
+
+    def __init__(self, env: ReplayLogEnv):
+        self.env = env
+        self.cursor = 0
+
+    def exhausted(self, t: int) -> bool:
+        return self.cursor >= len(self.env)
+
+    def context(self, t: int) -> np.ndarray:
+        return self.env.contexts[self.cursor]
+
+    def feedback(self, t: int, arm: int) -> RoundFeedback:
+        fb, self.cursor = replay_step(self.env, arm, self.cursor)
+        return fb
 
 
 def load_news_csv(path) -> ReplayLogEnv:
@@ -195,6 +232,7 @@ def load_news_csv(path) -> ReplayLogEnv:
     arms = []
     clicks = []
     contexts = []
+    lines = []  # file line of each kept row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader, start=1):
@@ -206,18 +244,24 @@ def load_news_csv(path) -> ReplayLogEnv:
                 vals = [float(c) for c in row]
             except ValueError:
                 raise DataError(f"row {i}: non-numeric value") from None
-            arm = int(vals[0])
-            if arm < 1 or arm > 10 or arm != vals[0]:
+            if not 1 <= vals[0] <= 10 or vals[0] != int(vals[0]):
                 raise DataError(f"row {i}: arm id {vals[0]} outside 1..10")
+            arm = int(vals[0])
             click = vals[1]
             if click not in (0.0, 1.0):
                 raise DataError(f"row {i}: click {click} not in {{0, 1}}")
             arms.append(arm - 1)
             clicks.append(click)
             contexts.append(vals[2:])
+            lines.append(i)
     if not arms:
         raise DataError("empty dataset")
-    return ReplayLogEnv(np.asarray(arms), np.asarray(clicks), np.asarray(contexts))
+    contexts = np.asarray(contexts)
+    finite = np.isfinite(contexts).all(axis=1)
+    if not finite.all():
+        row = lines[int(np.flatnonzero(~finite)[0])]
+        raise DataError(f"row {row}: non-finite feature")
+    return ReplayLogEnv(np.asarray(arms), np.asarray(clicks), contexts)
 
 
 def replay_step(env: ReplayLogEnv, chosen_arm: int, cursor: int):
@@ -260,6 +304,17 @@ class HybridStream:
 
     def __len__(self) -> int:
         return self.contexts.shape[0]
+
+    def exhausted(self, t: int) -> bool:
+        return t >= len(self)
+
+    def context(self, t: int) -> np.ndarray:
+        return self.contexts[t]
+
+    def feedback(self, t: int, arm: int) -> RoundFeedback:
+        return RoundFeedback(
+            reward=float(self.realized[t, arm]),
+            oracle_reward=float(self.realized[t, self.oracle_arm[t]]))
 
 
 class SyntheticHybridEnv:
@@ -352,6 +407,10 @@ class SyntheticHybridEnv:
             dist = np.linalg.norm(self.bump_centers - x, axis=2)
             out = out + (self.bump_values * (dist < self.radius)).sum(axis=1)
         return out
+
+    def episode(self, seed: int, T: int) -> HybridStream:
+        """The run's T rounds, drawn from a stream keyed by the run seed."""
+        return self.play_batch(np.random.default_rng([seed, ENV_STREAM_SALT]), T)
 
     def play(self, rng: np.random.Generator) -> HybridRound:
         idx = int(rng.choice(self.CONTEXT_CLUSTERS, p=self.cluster_probs))

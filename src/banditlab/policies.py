@@ -1,9 +1,10 @@
 """LNUCB-TA and the baseline bandit algorithms behind one policy interface."""
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -87,11 +88,10 @@ class ScoreTable:
 
 @dataclass
 class ArmModel:
-    """Per-arm state bundle: ridge regression, neighbor store, pull count."""
+    """Per-arm state bundle: ridge regression and neighbor store."""
 
     ridge: RidgeState
     neighbors: NeighborStore
-    pulls: int = 0
 
 
 def _zero_table(scores: np.ndarray) -> ScoreTable:
@@ -132,14 +132,10 @@ class LNUCBTA(TablePolicy):
         self._attention = AttentionParams(config.alpha0, config.kappa)
         self._mu_stack = np.zeros((n_arms, dim))
         self._inv_stack = np.stack([a.ridge.sigma_inv.copy() for a in self.arms])
-        self._round_counter = 0
         # (context bytes, KnnBatch) of the last scoring pass.  The stores
         # change only in update(), which consumes and clears it, so a match
         # on the context is exactly what a fresh query would return.
         self._last_knn: Optional[tuple] = None
-
-    def _k_for_arm(self, arm: int) -> int:
-        return self.bank.k_for(arm)
 
     def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
         x = as_context(x, self.dim)
@@ -192,59 +188,31 @@ class LNUCBTA(TablePolicy):
         self._inv_stack[arm] = model.ridge.sigma_inv
         if self.config.use_knn:
             self.bank.add(arm, x, reward)
-        model.pulls += 1
         self.stats.record(arm, reward)
-        self._round_counter += 1
-
-    def describe(self) -> dict:
-        cfg = self.config
-        return {
-            "policy": self.name, "lam": cfg.lam, "alpha0": cfg.alpha0,
-            "kappa": cfg.kappa, "theta_min": cfg.theta_min,
-            "theta_max": cfg.theta_max, "gamma_cov": cfg.gamma_cov,
-            "variance_scale": cfg.variance_scale,
-            "floor_alpha_at_zero": cfg.floor_alpha_at_zero,
-            "tie_break": cfg.tie_break, "store_capacity": cfg.store_capacity,
-            "use_attention": cfg.use_attention, "use_knn": cfg.use_knn,
-            "adaptive_k": cfg.adaptive_k,
-        }
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
-           seed: int = 0, **kw) -> LNUCBTA:
+           seed: int = 0, tie_break: str = "lowest-index") -> LNUCBTA:
     """Disjoint LinUCB: the hybrid rule with a fixed alpha and no k-NN term."""
-    cfg = PolicyConfig(lam=lam, alpha0=alpha, use_attention=False,
-                       use_knn=False, adaptive_k=False, **kw)
+    cfg = PolicyConfig(lam=lam, alpha0=alpha, tie_break=tie_break,
+                       use_attention=False, use_knn=False, adaptive_k=False)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "linucb"
     return p
 
 
 def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
-                theta_max: int = 5, seed: int = 0, **kw) -> LNUCBTA:
+                theta_max: int = 5, variance_scale: float = 1.0,
+                store_capacity: Optional[int] = None, seed: int = 0,
+                tie_break: str = "lowest-index") -> LNUCBTA:
     """Plain linear + k-NN combination: fixed alpha, fixed k = theta_max."""
     cfg = PolicyConfig(lam=lam, alpha0=alpha, theta_max=theta_max,
-                       use_attention=False, use_knn=True, adaptive_k=False, **kw)
+                       variance_scale=variance_scale,
+                       store_capacity=store_capacity, tie_break=tie_break,
+                       use_attention=False, use_knn=True, adaptive_k=False)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "lin-knn-ucb"
     return p
-
-
-class _MeanTracker:
-    """Empirical per-arm means with unpulled arms read as 0."""
-
-    def __init__(self, n_arms: int):
-        self.stats = RewardStats(n_arms)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self.stats.per_arm_count
-
-    def means(self) -> np.ndarray:
-        return self.stats.local_means()
-
-    def record(self, arm: int, reward: float) -> None:
-        self.stats.record(arm, reward)
 
 
 class UCB(TablePolicy):
@@ -258,23 +226,20 @@ class UCB(TablePolicy):
         if not (np.isfinite(rho) and rho >= 0):
             raise ValueError("rho must be >= 0")
         self.rho = float(rho)
-        self._tracker = _MeanTracker(n_arms)
+        self.stats = RewardStats(n_arms)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        counts = self._tracker.counts
+        counts = self.stats.per_arm_count
         out = np.full(self.n_arms, np.inf)
         pulled = counts > 0
         if pulled.any():
             lt = math.log(max(round + 1, 1))
-            out[pulled] = self._tracker.means()[pulled] + self.rho * np.sqrt(
+            out[pulled] = self.stats.local_means()[pulled] + self.rho * np.sqrt(
                 lt / counts[pulled])
         return out
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._tracker.record(self._check_arm(arm), reward)
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "rho": self.rho}
+        self.stats.record(self._check_arm(arm), reward)
 
 
 def bernoulli_kl(p: float, q: float) -> float:
@@ -318,11 +283,11 @@ class KLUCB(TablePolicy):
         if not (np.isfinite(c) and c >= 0):
             raise ValueError("c must be >= 0")
         self.c = float(c)
-        self._tracker = _MeanTracker(n_arms)
+        self.stats = RewardStats(n_arms)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        counts = self._tracker.counts
-        means = self._tracker.means()
+        counts = self.stats.per_arm_count
+        means = self.stats.local_means()
         lt = math.log(max(round + 1, 1))
         out = np.full(self.n_arms, np.inf)
         for a in range(self.n_arms):
@@ -331,10 +296,7 @@ class KLUCB(TablePolicy):
         return out
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._tracker.record(self._check_arm(arm), reward)
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "c": self.c}
+        self.stats.record(self._check_arm(arm), reward)
 
 
 class EpsilonGreedy(TablePolicy):
@@ -348,10 +310,10 @@ class EpsilonGreedy(TablePolicy):
         if not (np.isfinite(eps) and 0.0 <= eps <= 1.0):
             raise ValueError("eps must be in [0, 1]")
         self.eps = float(eps)
-        self._tracker = _MeanTracker(n_arms)
+        self.stats = RewardStats(n_arms)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        return self._tracker.means()
+        return self.stats.local_means()
 
     def select(self, x: np.ndarray, round: int) -> int:
         x = as_context(x, self.dim)
@@ -361,10 +323,7 @@ class EpsilonGreedy(TablePolicy):
         return argmax_tiebreak(self.scores(x, round), self.tie_break, rng)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._tracker.record(self._check_arm(arm), reward)
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "eps": self.eps}
+        self.stats.record(self._check_arm(arm), reward)
 
 
 class BetaThompson(TablePolicy):
@@ -393,12 +352,33 @@ class BetaThompson(TablePolicy):
         self._succ[arm] += r
         self._fail[arm] += 1.0 - r
 
-    def describe(self) -> dict:
-        return {"policy": self.name, "prior_a": self.prior_a,
-                "prior_b": self.prior_b}
+
+class _RidgeDraws:
+    """Per-arm ridge posteriors and their Cholesky-factored Gaussian draws.
+
+    Shared by the linear Thompson policies; each arm's factor of Sigma^-1 is
+    computed lazily and dropped when that arm's ridge state changes.
+    """
+
+    def _init_ridges(self, v: float, lam: float) -> None:
+        if not (np.isfinite(v) and v >= 0):
+            raise ValueError("v must be >= 0")
+        self.v = float(v)
+        self.ridge = [RidgeState(self.dim, lam) for _ in range(self.n_arms)]
+        self._chol = [None] * self.n_arms
+
+    def _noise(self, rng: np.random.Generator, arm: int) -> np.ndarray:
+        """chol(Sigma^-1) @ z for the arm's next standard-normal draw z."""
+        if self._chol[arm] is None:
+            self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
+        return self._chol[arm] @ rng.standard_normal(self.dim)
+
+    def _fold(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.ridge[arm].update(x, float(reward), 0.0)
+        self._chol[arm] = None
 
 
-class LinThompson(TablePolicy):
+class LinThompson(TablePolicy, _RidgeDraws):
     """Disjoint linear Thompson sampling: score x . mu_tilde, mu_tilde ~ N(mu_hat, v^2 Sigma^-1)."""
 
     name = "linthompson"
@@ -406,38 +386,21 @@ class LinThompson(TablePolicy):
     def __init__(self, n_arms: int, dim: int, v: float = 1.0, lam: float = 1.0,
                  seed: int = 0, tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(v) and v >= 0):
-            raise ValueError("v must be >= 0")
-        self.v = float(v)
-        self.ridge = [RidgeState(dim, lam) for _ in range(n_arms)]
-        self._chol = [None] * n_arms
-
-    def _chol_inv(self, arm: int) -> np.ndarray:
-        if self._chol[arm] is None:
-            self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
-        return self._chol[arm]
-
-    def _sampled_mus(self, round: int) -> np.ndarray:
-        rng = round_rng(self.seed, round)
-        out = np.empty((self.n_arms, self.dim))
-        for a in range(self.n_arms):
-            z = rng.standard_normal(self.dim)
-            out[a] = self.ridge[a].mu_hat + self.v * (self._chol_inv(a) @ z)
-        return out
+        self._init_ridges(v, lam)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         x = as_context(x, self.dim)
-        return self._sampled_mus(round) @ x
+        rng = round_rng(self.seed, round)
+        out = np.empty((self.n_arms, self.dim))
+        for a in range(self.n_arms):
+            out[a] = self.ridge[a].mu_hat + self.v * self._noise(rng, a)
+        return out @ x
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         arm = self._check_arm(arm)
         if not np.isfinite(reward):
             raise ValueError("reward must be finite")
-        self.ridge[arm].update(x, float(reward), 0.0)
-        self._chol[arm] = None
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "v": self.v, "lam": self.ridge[0].lam}
+        self._fold(arm, x, reward)
 
 
 class _KnnBank:
@@ -522,19 +485,18 @@ class KnnUCB(TablePolicy):
         arm = self._check_arm(arm)
         self.bank.add(arm, as_context(x, self.dim), float(reward))
 
-    def describe(self) -> dict:
-        return {"policy": self.name, "rho": self.rho,
-                "theta_min": self.bank.theta_min,
-                "theta_max": self.bank.theta_max}
-
 
 class KnnKLUCB(KnnUCB):
     """Neighbor-mean KL-UCB: Bernoulli-KL upper bound with the neighbor count as evidence."""
 
     name = "knn-kl-ucb"
 
-    def __init__(self, n_arms: int, dim: int, c: float = 1.0, **kw):
-        super().__init__(n_arms, dim, rho=0.0, **kw)
+    def __init__(self, n_arms: int, dim: int, c: float = 1.0, theta_min: int = 1,
+                 theta_max: int = 5, variance_scale: float = 1.0,
+                 store_capacity: Optional[int] = None, seed: int = 0,
+                 tie_break: str = "lowest-index"):
+        super().__init__(n_arms, dim, 0.0, theta_min, theta_max, variance_scale,
+                         store_capacity, seed, tie_break)
         if not (np.isfinite(c) and c >= 0):
             raise ValueError("c must be >= 0")
         self.c = float(c)
@@ -548,11 +510,6 @@ class KnnKLUCB(KnnUCB):
             out[a] = klucb_upper(float(batch.score[a]),
                                  self.c * lt / int(batch.k_used[a]))
         return out
-
-    def describe(self) -> dict:
-        return {"policy": self.name, "c": self.c,
-                "theta_min": self.bank.theta_min,
-                "theta_max": self.bank.theta_max}
 
 
 class RandomPolicy(TablePolicy):
@@ -568,9 +525,6 @@ class RandomPolicy(TablePolicy):
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         self._check_arm(arm)
-
-    def describe(self) -> dict:
-        return {"policy": self.name}
 
 
 class _EnhancedBase(TablePolicy):
@@ -640,9 +594,6 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
         arm = self._check_arm(arm)
         self._record(arm, as_context(x, self.dim), float(reward))
 
-    def describe(self) -> dict:
-        return {"policy": self.name, "eps": self.eps, "gamma_sm": self.gamma_sm}
-
 
 class EnhancedBetaThompson(_EnhancedBase):
     """Thompson sampling whose posterior draw is attention-scaled and knn-shifted.
@@ -680,12 +631,8 @@ class EnhancedBetaThompson(_EnhancedBase):
         self._fail[arm] += 1.0 - r
         self._record(arm, as_context(x, self.dim), float(reward))
 
-    def describe(self) -> dict:
-        return {"policy": self.name, "prior_a": self.prior_a,
-                "prior_b": self.prior_b, "gamma_sm": self.gamma_sm}
 
-
-class EnhancedLinThompson(_EnhancedBase):
+class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
     """Linear Thompson sampling with attention-scaled draws and knn shift."""
 
     name = "enhanced-linthompson"
@@ -693,11 +640,7 @@ class EnhancedLinThompson(_EnhancedBase):
     def __init__(self, n_arms: int, dim: int, v: float = 1.0, lam: float = 1.0,
                  **kw):
         super().__init__(n_arms, dim, **kw)
-        if not (np.isfinite(v) and v >= 0):
-            raise ValueError("v must be >= 0")
-        self.v = float(v)
-        self.ridge = [RidgeState(dim, lam) for _ in range(n_arms)]
-        self._chol = [None] * n_arms
+        self._init_ridges(v, lam)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         x = as_context(x, self.dim)
@@ -705,72 +648,74 @@ class EnhancedLinThompson(_EnhancedBase):
         w = self.attention_weights() * self.n_arms
         out = np.empty(self.n_arms)
         for a in range(self.n_arms):
-            if self._chol[a] is None:
-                self._chol[a] = np.linalg.cholesky(self.ridge[a].sigma_inv)
-            z = rng.standard_normal(self.dim)
             mean = self.ridge[a].predict(x)
-            draw = mean + self.v * float(x @ (self._chol[a] @ z))
+            draw = mean + self.v * float(x @ self._noise(rng, a))
             out[a] = mean + (draw - mean) * w[a]
         return out + self.knn_vector(x)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         arm = self._check_arm(arm)
         x = as_context(x, self.dim)
-        self.ridge[arm].update(x, float(reward), 0.0)
-        self._chol[arm] = None
+        self._fold(arm, x, reward)
         self._record(arm, x, float(reward))
 
-    def describe(self) -> dict:
-        return {"policy": self.name, "v": self.v, "gamma_sm": self.gamma_sm}
+
+def _lnucb_ta(n_arms: int, dim: int, seed: int = 0, **config) -> LNUCBTA:
+    """The hybrid policy built from PolicyConfig keywords."""
+    return LNUCBTA(n_arms, dim, PolicyConfig(**config), seed)
 
 
-def enhanced_variant(base: str, n_arms: int, dim: int, seed: int = 0, **params):
-    """Construct an attention-and-knn augmented baseline by base id."""
-    table = {
-        "beta-thompson": EnhancedBetaThompson,
-        "eps-greedy": EnhancedEpsilonGreedy,
-        "linthompson": EnhancedLinThompson,
-    }
-    if base not in table:
-        raise ValueError(f"unknown enhanced base {base!r}")
-    return table[base](n_arms, dim, seed=seed, **params)
+# Policy id -> factory(n_arms, dim, seed=..., **params).  Each id's accepted
+# parameters are derived from its factory by _param_keys.
+POLICIES: Dict[str, Callable[..., Policy]] = {
+    "lnucb-ta": _lnucb_ta,
+    "linucb": linucb,
+    "lin-knn-ucb": lin_knn_ucb,
+    "ucb": UCB,
+    "kl-ucb": KLUCB,
+    "eps-greedy": EpsilonGreedy,
+    "beta-thompson": BetaThompson,
+    "linthompson": LinThompson,
+    "knn-ucb": KnnUCB,
+    "knn-kl-ucb": KnnKLUCB,
+    "random": RandomPolicy,
+    "enhanced-eps-greedy": EnhancedEpsilonGreedy,
+    "enhanced-beta-thompson": EnhancedBetaThompson,
+    "enhanced-linthompson": EnhancedLinThompson,
+}
 
 
-_CONFIG_KEYS = ("lam", "alpha0", "kappa", "theta_min", "theta_max", "gamma_cov",
-                "variance_scale", "floor_alpha_at_zero", "tie_break",
-                "store_capacity", "use_attention", "use_knn", "adaptive_k")
+def _param_keys(factory: Callable[..., Policy]) -> frozenset:
+    """Keyword names a factory accepts besides n_arms, dim and seed.
+
+    A class whose __init__ takes **kw hands them to its base class, so the
+    walk follows the MRO to the first __init__ without **kw.  The hybrid's
+    keywords are the PolicyConfig fields.
+    """
+    if factory is _lnucb_ta:
+        return frozenset(f.name for f in fields(PolicyConfig))
+    inits = ([c.__init__ for c in factory.__mro__ if "__init__" in vars(c)]
+             if isinstance(factory, type) else [factory])
+    keys = set()
+    for init in inits:
+        params = inspect.signature(init).parameters.values()
+        keys.update(p.name for p in params
+                    if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY))
+        if all(p.kind is not p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(keys - {"self", "n_arms", "dim", "seed"})
+
+
+POLICY_PARAM_KEYS = {pid: _param_keys(f) for pid, f in POLICIES.items()}
 
 
 def make_policy(policy_id: str, n_arms: int, dim: int, seed: int = 0,
                 **params) -> Policy:
     """Build a policy by its canonical id with keyword parameters."""
     pid = policy_id.lower()
-    if pid == "lnucb-ta":
-        unknown = set(params) - set(_CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown lnucb-ta parameters: {sorted(unknown)}")
-        return LNUCBTA(n_arms, dim, PolicyConfig(**params), seed)
-    if pid == "linucb":
-        return linucb(n_arms, dim, seed=seed, **params)
-    if pid == "lin-knn-ucb":
-        return lin_knn_ucb(n_arms, dim, seed=seed, **params)
-    if pid == "ucb":
-        return UCB(n_arms, dim, seed=seed, **params)
-    if pid == "kl-ucb":
-        return KLUCB(n_arms, dim, seed=seed, **params)
-    if pid == "eps-greedy":
-        return EpsilonGreedy(n_arms, dim, seed=seed, **params)
-    if pid == "beta-thompson":
-        return BetaThompson(n_arms, dim, seed=seed, **params)
-    if pid == "linthompson":
-        return LinThompson(n_arms, dim, seed=seed, **params)
-    if pid == "knn-ucb":
-        return KnnUCB(n_arms, dim, seed=seed, **params)
-    if pid == "knn-kl-ucb":
-        return KnnKLUCB(n_arms, dim, seed=seed, **params)
-    if pid == "random":
-        return RandomPolicy(n_arms, dim, seed=seed)
-    if pid.startswith("enhanced-"):
-        return enhanced_variant(pid[len("enhanced-"):], n_arms, dim, seed=seed,
-                                **params)
-    raise ValueError(f"unknown policy id {policy_id!r}")
+    if pid not in POLICIES:
+        raise ValueError(f"unknown policy id {policy_id!r}")
+    unknown = set(params) - POLICY_PARAM_KEYS[pid]
+    if unknown:
+        raise ValueError(f"unknown {pid} parameters: {sorted(unknown)}")
+    return POLICIES[pid](n_arms, dim, seed=seed, **params)

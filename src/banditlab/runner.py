@@ -3,19 +3,14 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .core import Policy
-from .env import (ClassificationBanditEnv, ReplayLogEnv, SyntheticHybridEnv,
-                  load_classification_csv, load_news_csv, replay_step,
+from .env import (DataError, load_classification_csv, load_news_csv,
                   synthetic_hybrid)
 from .metrics import RunResult
 from .policies import make_policy
-
-ENV_STREAM_SALT = 1  # entropy tag for the per-run context/noise stream
 
 
 @dataclass(frozen=True)
@@ -121,73 +116,46 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
                params_label: str = "default"):
     """Drive one policy through one environment for up to T rounds.
 
+    ``env.episode(seed, T)`` gives the run's rounds: ``exhausted(t)``,
+    ``context(t)`` and ``feedback(t, arm)``, whose ``step_consumed`` is
+    False when the round never happened and whose ``oracle_reward`` is set
+    when the env knows the best arm's reward.
+
     Returns (RunResult, trace_rows); trace_rows is None unless requested.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    t0 = time.perf_counter()
-    rewards: List[float] = []
-    oracle: Optional[List[float]] = None
-    trace_rows: Optional[List[TraceRow]] = [] if trace else None
-
-    def note_trace(t: int, x, arm: int) -> None:
-        table = policy.score_table(x, t)
-        row = table.row(arm)
-        trace_rows.append(TraceRow(round=t, chosen_arm=arm, linear=row.linear,
-                                   knn=row.knn, alpha=row.alpha,
-                                   width=row.width, ucb=row.ucb))
-
-    if isinstance(env, SyntheticHybridEnv):
-        oracle = []
-        rng = np.random.default_rng([seed, ENV_STREAM_SALT])
-        stream = env.play_batch(rng, T)
-        for t in range(T):
-            x = stream.contexts[t]
-            arm = policy.select(x, t)
-            if trace:
-                note_trace(t, x, arm)
-            r = float(stream.realized[t, arm])
-            policy.update(arm, x, r)
-            rewards.append(r)
-            oracle.append(float(stream.realized[t, stream.oracle_arm[t]]))
-        matched = T
-    elif isinstance(env, ClassificationBanditEnv):
-        oracle = []
-        horizon = min(T, len(env))
-        for t in range(horizon):
-            x = env.context(t)
-            arm = policy.select(x, t)
-            if trace:
-                note_trace(t, x, arm)
-            fb = env.feedback(t, arm)
-            policy.update(arm, x, fb.reward)
-            rewards.append(fb.reward)
-            oracle.append(fb.oracle_reward)
-        matched = horizon
-    elif isinstance(env, ReplayLogEnv):
-        cursor = 0
-        t = 0
-        while t < T and cursor < len(env):
-            x = env.contexts[cursor]
-            arm = policy.select(x, t)
-            fb, cursor = replay_step(env, arm, cursor)
-            if not fb.step_consumed:
-                break
-            if trace:
-                note_trace(t, x, arm)
-            policy.update(arm, x, fb.reward)
-            rewards.append(fb.reward)
-            t += 1
-        matched = t
-    else:
+    if not hasattr(env, "episode"):
         raise TypeError(f"unsupported environment {type(env).__name__}")
+    t0 = time.perf_counter()
+    episode = env.episode(seed, T)
+    rewards: List[float] = []
+    oracle: List[float] = []
+    trace_rows: Optional[List[TraceRow]] = [] if trace else None
+    t = 0
+    while t < T and not episode.exhausted(t):
+        x = episode.context(t)
+        arm = policy.select(x, t)
+        fb = episode.feedback(t, arm)
+        if not fb.step_consumed:
+            break
+        if trace:
+            row = policy.score_table(x, t).row(arm)
+            trace_rows.append(TraceRow(round=t, chosen_arm=arm, linear=row.linear,
+                                       knn=row.knn, alpha=row.alpha,
+                                       width=row.width, ucb=row.ucb))
+        policy.update(arm, x, fb.reward)
+        rewards.append(fb.reward)
+        if fb.oracle_reward is not None:
+            oracle.append(fb.oracle_reward)
+        t += 1
 
     if not rewards:
-        raise RuntimeError("no rounds executed (no replay matches?)")
+        raise DataError("no rounds executed (no replay matches?)")
     runtime = time.perf_counter() - t0
     result = RunResult.from_rewards(policy.name, params_label, seed, rewards,
-                                    oracle_rewards=oracle,
-                                    matched_steps=matched, runtime_s=runtime)
+                                    oracle_rewards=oracle or None,
+                                    matched_steps=t, runtime_s=runtime)
     return result, trace_rows
 
 

@@ -291,6 +291,49 @@ class TestErrorPaths:
         assert rc == 2
         assert not (tmp_path / "o").exists()
 
+    def test_misspelled_param_in_policy_section(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.ini"
+        cfg.write_text("[policy:linucb]\nalph = 0.5\n")
+        rc = cli_main(["run", "--config", str(cfg), "--T", "5", "--seeds", "0",
+                       "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert "'alph'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--policy", "linucb", "--param", "alpah=0.1"],
+        ["sweep", "--policy", "linucb", "--grid", "alpah=0.1,0.5"],
+        ["compare", "--policy", "linucb", "--policy", "ucb",
+         "--param", "alpah=0.1"],
+    ])
+    def test_param_no_selected_policy_accepts(self, tmp_path, capsys, argv):
+        rc = cli_main(argv + ["--T", "5", "--seeds", "0",
+                              "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert "alpah" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_shared_param_goes_only_to_policies_accepting_it(self, tmp_path):
+        out = tmp_path / "o"
+        rc = cli_main(["compare", "--policy", "linucb", "--policy",
+                       "eps-greedy", "--param", "eps=0.2", "--T", "10",
+                       "--seeds", "0", "--out", str(out)] + SYN)
+        assert rc == 0
+        assert sorted(p.name for p in (out / "runs").glob("*.csv")) == [
+            "eps-greedy__eps=0.2__s0.csv", "linucb__default__s0.csv"]
+
+    def test_replay_without_matches(self, tmp_path, capsys):
+        # Every logged row shows arm id 10; ucb's first pick is arm id 1.
+        data = tmp_path / "news.csv"
+        data.write_text("".join("10,1," + ",".join(["0.1"] * 100) + "\n"
+                                for _ in range(5)))
+        rc = cli_main(["run", "--env", "news", "--data", str(data),
+                       "--policy", "ucb", "--T", "5", "--seeds", "0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "no rounds executed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_experiment_option_in_config(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[experiment]\nwarp = 9\n\n[policy:random]\n")

@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from banditlab.core import (Policy, RewardSample, RngState, RoundRecord,
-                            argmax_tiebreak, as_context, round_rng)
+from banditlab.core import Policy, argmax_tiebreak, as_context, round_rng
 
 
 class TestAsContext:
@@ -47,10 +46,6 @@ class TestRoundRng:
         b = round_rng(4, 17).uniform(size=5)
         assert not np.array_equal(a, b)
 
-    def test_rng_state_reproduces(self):
-        assert (RngState(9).generator().uniform()
-                == RngState(9).generator().uniform())
-
 
 class TestArgmaxTiebreak:
     def test_lowest_index_on_tie(self):
@@ -80,21 +75,6 @@ class TestArgmaxTiebreak:
     def test_unknown_rule_rejected(self):
         with pytest.raises(ValueError, match="tie_break"):
             argmax_tiebreak(np.array([1.0]), "coin-flip")
-
-
-class TestRecords:
-    def test_reward_sample_validation(self):
-        with pytest.raises(ValueError):
-            RewardSample(value=float("nan"), round=0)
-        with pytest.raises(ValueError):
-            RewardSample(value=1.0, round=-1)
-
-    def test_round_record_validation(self):
-        with pytest.raises(ValueError):
-            RoundRecord(round=-1, context=np.zeros(2), chosen_arm=0, reward=0.0)
-        with pytest.raises(ValueError):
-            RoundRecord(round=0, context=np.zeros(2), chosen_arm=0,
-                        reward=float("inf"))
 
 
 class _Constant(Policy):

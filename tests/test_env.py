@@ -149,6 +149,15 @@ class TestClassificationCsv(object):
         with pytest.raises(DataError, match="row 2: non-finite"):
             load_classification_csv(p)
 
+    @pytest.mark.parametrize("bad,msg", [("0,0", "zero feature"),
+                                         ("inf,1", "non-finite")])
+    def test_bad_row_named_by_file_line(self, tmp_path, bad, msg):
+        # A header and a blank line come first: the bad row is the third
+        # data row but sits on line 5 of the file.
+        p = self.write(tmp_path, f"f1,f2,label\n1,0,a\n\n0,1,b\n{bad},a\n")
+        with pytest.raises(DataError, match=f"row 5: {msg}"):
+            load_classification_csv(p, has_header=True)
+
 
 def make_log_text(arms, clicks, seed=0):
     """102-column rows: 1-based arm id, click, 100 features."""
@@ -178,12 +187,24 @@ class TestNewsReplay:
         (lambda r: ["2.5"] + r[1:], "outside 1..10"),
         (lambda r: [r[0], "0.5"] + r[2:], "not in"),
         (lambda r: [r[0], "maybe"] + r[2:], "non-numeric"),
+        (lambda r: ["nan"] + r[1:], "outside 1..10"),
+        (lambda r: ["inf"] + r[1:], "outside 1..10"),
     ])
     def test_malformed_rows(self, tmp_path, mutate, msg):
         row = make_log_text([4], [1]).strip().split(",")
         p = tmp_path / "bad.csv"
         p.write_text(",".join(mutate(row)) + "\n")
         with pytest.raises(DataError, match=msg):
+            load_news_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_row(self, tmp_path, value):
+        rows = make_log_text([4, 2, 7], [1, 0, 0]).splitlines()
+        bad = rows[2].split(",")
+        bad[50] = value
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join([rows[0], "", rows[1], ",".join(bad)]) + "\n")
+        with pytest.raises(DataError, match="row 4: non-finite feature"):
             load_news_csv(p)
 
     def test_empty_log(self, tmp_path):

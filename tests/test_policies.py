@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from banditlab import cli
 from banditlab.core import round_rng
-from banditlab.policies import (LNUCBTA, PolicyConfig, BetaThompson,
+from banditlab.policies import (LNUCBTA, POLICY_PARAM_KEYS, PolicyConfig,
+                                BetaThompson, EnhancedBetaThompson,
+                                EnhancedEpsilonGreedy, EnhancedLinThompson,
                                 EpsilonGreedy, KLUCB, KnnKLUCB, KnnUCB,
                                 LinThompson, RandomPolicy, UCB, bernoulli_kl,
-                                enhanced_variant, klucb_upper, lin_knn_ucb,
-                                linucb, make_policy)
+                                klucb_upper, lin_knn_ucb, linucb, make_policy)
 
 
 class HandRolledHybrid:
@@ -132,7 +134,7 @@ def test_selection_and_scoring_are_pure():
         again = policy.score_table(x, 3)
         assert np.array_equal(first.ucb, again.ucb)
     assert tuple(a.neighbors.version for a in policy.arms) == versions
-    assert policy._round_counter == 1
+    assert policy.stats.per_arm_count.sum() == 1
 
 
 def test_update_without_prior_scoring_matches_memoized_path():
@@ -166,7 +168,7 @@ def test_flag_reductions():
     assert twin.name == "lin-knn-ucb"
     assert twin.config.use_knn and not twin.config.use_attention
     assert not twin.config.adaptive_k
-    assert twin._k_for_arm(0) == 4
+    assert twin.bank.k_for(0) == 4
 
 
 def test_alpha_floor_clamps_negative_rates():
@@ -188,6 +190,33 @@ def test_policy_config_validation():
             PolicyConfig(**bad)
 
 
+PINNED_PARAM_KEYS = {
+    "lnucb-ta": {"lam", "alpha0", "kappa", "theta_min", "theta_max", "gamma_cov",
+                 "variance_scale", "floor_alpha_at_zero", "tie_break",
+                 "store_capacity", "use_attention", "use_knn", "adaptive_k"},
+    "linucb": {"alpha", "lam", "tie_break"},
+    "lin-knn-ucb": {"alpha", "lam", "theta_max", "tie_break", "store_capacity",
+                    "variance_scale"},
+    "ucb": {"rho", "tie_break"},
+    "kl-ucb": {"c", "tie_break"},
+    "eps-greedy": {"eps", "tie_break"},
+    "beta-thompson": {"prior_a", "prior_b", "tie_break"},
+    "linthompson": {"v", "lam", "tie_break"},
+    "knn-ucb": {"rho", "theta_min", "theta_max", "variance_scale",
+                "store_capacity", "tie_break"},
+    "knn-kl-ucb": {"c", "theta_min", "theta_max", "variance_scale",
+                   "store_capacity", "tie_break"},
+    "random": set(),
+    "enhanced-eps-greedy": {"eps", "gamma_sm", "theta_min", "theta_max",
+                            "variance_scale", "store_capacity", "tie_break"},
+    "enhanced-beta-thompson": {"prior_a", "prior_b", "gamma_sm", "theta_min",
+                               "theta_max", "variance_scale", "store_capacity",
+                               "tie_break"},
+    "enhanced-linthompson": {"v", "lam", "gamma_sm", "theta_min", "theta_max",
+                             "variance_scale", "store_capacity", "tie_break"},
+}
+
+
 class TestMakePolicy:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="unknown policy id"):
@@ -203,18 +232,33 @@ class TestMakePolicy:
         ("beta-thompson", BetaThompson), ("linthompson", LinThompson),
         ("knn-ucb", KnnUCB), ("knn-kl-ucb", KnnKLUCB),
         ("random", RandomPolicy),
+        ("enhanced-eps-greedy", EnhancedEpsilonGreedy),
+        ("enhanced-beta-thompson", EnhancedBetaThompson),
+        ("enhanced-linthompson", EnhancedLinThompson),
     ])
     def test_constructs_each_id(self, pid, cls):
         policy = make_policy(pid, 3, 4, seed=1)
         assert isinstance(policy, cls)
-        assert policy.describe()["policy"] == pid
+        assert policy.name == pid
 
     def test_enhanced_ids(self):
         for base in ("eps-greedy", "beta-thompson", "linthompson"):
             policy = make_policy(f"enhanced-{base}", 3, 4, seed=1)
             assert policy.name == f"enhanced-{base}"
-        with pytest.raises(ValueError, match="enhanced base"):
-            enhanced_variant("ucb", 3, 4)
+        with pytest.raises(ValueError, match="unknown policy id"):
+            make_policy("enhanced-ucb", 3, 4)
+
+    def test_accepted_keys_pinned(self):
+        # Keys are derived from each factory's signature; run slugs and the
+        # CLI's shared-flag filtering depend on them staying exactly these.
+        assert POLICY_PARAM_KEYS == PINNED_PARAM_KEYS
+        assert cli.POLICY_PARAM_KEYS == PINNED_PARAM_KEYS
+
+    @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    def test_unknown_key_rejected_for_every_id(self, pid):
+        with pytest.raises(ValueError,
+                           match=rf"unknown {pid} parameters: \['alpah'\]"):
+            make_policy(pid, 3, 4, alpah=0.1)
 
 
 class TestBaselines:
@@ -310,7 +354,7 @@ class TestKlucbMath:
 
 class TestEnhancedVariants:
     def test_attention_weights_shift_with_pulls(self):
-        policy = enhanced_variant("eps-greedy", 3, 2, eps=0.2, gamma_sm=1.0)
+        policy = make_policy("enhanced-eps-greedy", 3, 2, eps=0.2, gamma_sm=1.0)
         x = np.array([1.0, 0.0])
         for _ in range(5):
             policy.update(0, x, 1.0)
@@ -321,7 +365,7 @@ class TestEnhancedVariants:
     @pytest.mark.parametrize("base", ["eps-greedy", "beta-thompson",
                                       "linthompson"])
     def test_runs_for_a_few_rounds(self, base):
-        policy = enhanced_variant(base, 3, 2, seed=0)
+        policy = make_policy(f"enhanced-{base}", 3, 2, seed=0)
         rng = np.random.default_rng(5)
         for t in range(30):
             x = rng.standard_normal(2)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from banditlab.env import ReplayLogEnv
+from banditlab.env import DataError, ReplayLogEnv
 from banditlab.policies import RandomPolicy, make_policy
 from banditlab.runner import (Cell, EnvSpec, build_env, execute_cells,
                               param_slug, run_cell, run_policy)
@@ -118,7 +118,7 @@ class TestRunPolicy:
             def select(self, x, round):
                 return 3
 
-        with pytest.raises(RuntimeError, match="no rounds"):
+        with pytest.raises(DataError, match="no rounds"):
             run_policy(env, PinnedArm(env.n_arms), 10, 0)
 
     def test_rejects_empty_horizon_and_odd_env(self):
