@@ -9,24 +9,30 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .env import DataError
-from .metrics import (AggregateResult, DiagnosticsParams, aggregate,
+from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       regret_bound_curve)
-from .policies import POLICY_PARAM_KEYS
+from .policies import POLICY_PARAM_KEYS, ScoreBreakdown
 from .runner import Cell, EnvSpec, build_env, execute_cells, run_cell
 
 RESULT_COLUMNS = ["round", "cumulative_reward", "mean_reward", "cumulative_regret"]
-TRACE_COLUMNS = ["linear", "knn", "alpha", "width", "ucb"]
+TRACE_COLUMNS = [f.name for f in fields(ScoreBreakdown)]
 AGGREGATE_COLUMNS = [
     "policy", "params", "final_cum_reward_mean", "final_cum_reward_std",
     "final_mean_reward_mean", "final_mean_reward_std", "final_regret_mean",
     "final_regret_std", "runtime_s_mean",
 ]
+FORMATS = ("csv", "json")
+# Parser destinations that are not [experiment] options.
+_NOT_OPTIONS = ("command", "func", "config", "policy", "param", "grid")
+# EnvSpec fields whose option has another name.
+_ENV_OPTIONS = {"kind": "env", "path": "data", "n_arms": "arms",
+                "bump_count": "bumps"}
 
 
 class CliError(Exception):
@@ -130,65 +136,58 @@ def result_csv_text(result, trace_rows=None) -> str:
         if has_regret:
             row.append(fmt(result.cumulative_regret[t]))
         if trace_rows is not None:
-            tr = trace_rows[t]
-            row += [fmt(tr.linear), fmt(tr.knn), fmt(tr.alpha), fmt(tr.width),
-                    fmt(tr.ucb)]
+            row += [fmt(getattr(trace_rows[t], c)) for c in TRACE_COLUMNS]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 
 
-def result_json_text(result, spec_echo: dict, env_meta: dict,
-                     fingerprint: str) -> str:
+def _json_text(spec_echo: dict, env_meta: dict, fingerprint: str,
+               **body) -> str:
+    """The JSON every output shares (version, env, fingerprint, echo) plus body."""
     payload = {
         "version": __version__,
-        "policy": result.policy_id,
-        "params": result.params,
-        "seed": result.seed,
         "env": env_meta,
         "dataset_fingerprint": fingerprint,
         "config_echo": spec_echo,
-        "summary": {
-            "horizon": result.horizon,
-            "matched_steps": result.matched_steps,
-            "final_cumulative_reward": result.final_cumulative_reward(),
-            "final_mean_reward": result.final_mean_reward(),
-            "final_regret": (result.final_regret()
-                             if result.cumulative_regret is not None else None),
-            "runtime_s": result.runtime_s,
-        },
+        **body,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def result_json_text(result, spec_echo: dict, env_meta: dict,
+                     fingerprint: str) -> str:
+    return _json_text(spec_echo, env_meta, fingerprint,
+                      policy=result.policy_id, params=result.params,
+                      seed=result.seed, summary={
+        "horizon": result.horizon,
+        "matched_steps": result.matched_steps,
+        "final_cumulative_reward": result.final_cumulative_reward(),
+        "final_mean_reward": result.final_mean_reward(),
+        "final_regret": (result.final_regret()
+                         if result.cumulative_regret is not None else None),
+        "runtime_s": result.runtime_s,
+    })
 
 
 def aggregate_csv_text(agg: AggregateResult) -> str:
     lines = [",".join(AGGREGATE_COLUMNS)]
     for r in agg.rows:
-        lines.append(",".join([
-            r.policy, f"\"{r.params}\"",
-            fmt(r.final_cum_reward_mean), fmt(r.final_cum_reward_std),
-            fmt(r.final_mean_reward_mean), fmt(r.final_mean_reward_std),
-            fmt(r.final_regret_mean), fmt(r.final_regret_std),
-            fmt(r.runtime_s_mean),
-        ]))
+        lines.append(",".join([r.policy, f"\"{r.params}\""] + [
+            fmt(getattr(r, c)) for c in AGGREGATE_COLUMNS[2:]]))
     return "\n".join(lines) + "\n"
 
 
 def aggregate_json_text(agg: AggregateResult, spec_echo: dict, env_meta: dict,
                         fingerprint: str) -> str:
-    payload = {
-        "version": __version__,
-        "env": env_meta,
-        "dataset_fingerprint": fingerprint,
-        "config_echo": spec_echo,
-        "rows": [r.__dict__ for r in agg.rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(spec_echo, env_meta, fingerprint,
+                      rows=[r.__dict__ for r in agg.rows])
 
 
 def _filter_params(policy_id: str, params: Dict) -> Dict:
     allowed = POLICY_PARAM_KEYS.get(policy_id)
     if allowed is None:
-        raise CliError(f"unknown policy id {policy_id!r}")
+        raise CliError(f"unknown policy id {policy_id!r}; valid ids: "
+                       f"{', '.join(POLICY_PARAM_KEYS)}")
     return {k: v for k, v in params.items() if k in allowed}
 
 
@@ -215,45 +214,55 @@ def _read_config(path: Optional[str]):
     return cp
 
 
+def _typed(opts: Dict, name: str, default):
+    """Option ``name`` (``default`` when not given) as the type of ``default``.
+
+    Config-file values arrive as coerce_value parsed them, so a non-number,
+    a non-integral value for an int or a non-bool for a bool is rejected
+    with a CliError naming the option instead of being coerced.
+    """
+    value = opts.get(name, default)
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise CliError(f"{name} must be true or false, got {value!r}")
+        return value
+    if isinstance(default, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CliError(f"{name} must be a number, got {value!r}")
+        if (isinstance(default, int) and isinstance(value, float)
+                and not value.is_integer()):
+            raise CliError(f"{name} must be an integer, got {value!r}")
+        return type(default)(value)
+    return None if value is None else str(value)
+
+
 def _build_env_spec(opts: Dict) -> EnvSpec:
-    kind = opts.get("env", "synthetic")
-    path = opts.get("data")
-    if kind in ("classification", "news"):
-        if not path:
-            raise CliError(f"{kind} env requires --data")
-        if not os.path.exists(path):
-            raise CliError(f"dataset path not found: {path}")
-    return EnvSpec(
-        kind=kind, path=path,
-        label_column=int(opts.get("label_column", -1)),
-        has_header=bool(opts.get("has_header", False)),
-        shuffle_seed=int(opts.get("shuffle_seed", 0)),
-        env_seed=int(opts.get("env_seed", 0)),
-        d=int(opts.get("d", 10)),
-        n_arms=int(opts.get("arms", 5)),
-        bump_count=int(opts.get("bumps", 3)),
-        noise_sigma=float(opts.get("noise_sigma", 0.05)),
-        radius=float(opts.get("radius", 0.7)),
-    )
-
-
-_EXPERIMENT_KEYS = ("env", "data", "T", "seeds", "jobs", "out", "format",
-                    "trace", "label_column", "has_header", "shuffle_seed",
-                    "env_seed", "d", "arms", "bumps", "noise_sigma", "radius")
+    """EnvSpec from the options; a field not given keeps EnvSpec's default."""
+    defaults = EnvSpec(kind="synthetic")
+    spec = EnvSpec(**{f.name: _typed(opts, _ENV_OPTIONS.get(f.name, f.name),
+                                     getattr(defaults, f.name))
+                      for f in fields(EnvSpec)})
+    if spec.kind in ("classification", "news"):
+        if not spec.path:
+            raise CliError(f"{spec.kind} env requires --data")
+        if not os.path.exists(spec.path):
+            raise CliError(f"dataset path not found: {spec.path}")
+    return spec
 
 
 def _collect_options(args, cp) -> Dict:
-    """Merge config-file [experiment] options with CLI flags; flags win."""
+    """Merge config-file [experiment] options with CLI flags; flags win.
+
+    The options are the parser's destinations other than _NOT_OPTIONS.
+    """
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_OPTIONS}
     opts: Dict = {}
     if cp.has_section("experiment"):
         for k, v in cp.items("experiment"):
-            if k not in _EXPERIMENT_KEYS:
+            if k not in flags:
                 raise CliError(f"unknown experiment option {k!r}")
             opts[k] = coerce_value(v)
-    for k in _EXPERIMENT_KEYS:
-        v = getattr(args, k, None)
-        if v is not None:
-            opts[k] = v
+    opts.update((k, v) for k, v in flags.items() if v is not None)
     return opts
 
 
@@ -284,145 +293,104 @@ def _collect_policies(args, cp) -> List[tuple]:
     return policies
 
 
-def _spec_echo(opts: Dict, policies: List[tuple], seeds: List[int],
-               T: int) -> dict:
-    return {
-        "options": {k: opts.get(k) for k in sorted(opts)},
-        "policies": [{"id": pid, "params": dict(sorted(params.items()))}
-                     for pid, params in policies],
-        "seeds": seeds,
-        "T": T,
-    }
+class Experiment:
+    """What run, compare and sweep share, from the config file plus flags."""
 
+    def __init__(self, args):
+        self.config = _read_config(args.config)
+        opts = _collect_options(args, self.config)
+        self.policies = _collect_policies(args, self.config)
+        self.seeds = parse_seeds(str(opts.get("seeds", "0")))
+        self.T = _typed(opts, "T", 1000)
+        self.jobs = _typed(opts, "jobs", 1)
+        self.trace = _typed(opts, "trace", False)
+        self.out = opts.get("out") or "results"
+        self.formats = str(opts.get("format", "csv,json")).split(",")
+        unknown = [f for f in self.formats if f not in FORMATS]
+        if unknown:
+            raise CliError(f"unknown format {', '.join(map(repr, unknown))}; "
+                           f"formats are {', '.join(FORMATS)}")
+        self.spec = _build_env_spec(opts)
+        self.echo = {
+            "options": {k: opts[k] for k in sorted(opts)},
+            "policies": [{"id": pid, "params": dict(sorted(params.items()))}
+                         for pid, params in self.policies],
+            "seeds": self.seeds,
+            "T": self.T,
+        }
 
-def _run_slug(cell: Cell) -> str:
-    return f"{cell.policy_id}__{cell.slug}__s{cell.seed}"
+    def execute(self, points: Sequence[Dict] = ({},)):
+        """Run each distinct (policy, params, seed) once, a policy taking each
+        grid point restricted to the keys it accepts; returns the aggregate
+        and the per-run outputs."""
+        cells = dict.fromkeys(
+            Cell.make(pid, {**params, **_filter_params(pid, point)}, self.T,
+                      seed)
+            for pid, params in self.policies for point in points
+            for seed in self.seeds)
+        pairs = execute_cells(self.spec, list(cells), jobs=self.jobs)
+        runs = {os.path.join("runs", f"{c.policy_id}__{c.slug}__s{c.seed}"): r
+                for c, r in pairs}
+        return aggregate([r for _, r in pairs]), runs
+
+    def write(self, outputs: Dict[str, object], trace_rows=None) -> None:
+        """Write <stem>.csv and/or <stem>.json under out for each RunResult or
+        AggregateResult; ``trace_rows`` go with run's one result."""
+        env_meta = build_env(self.spec).metadata()
+        fingerprint = _dataset_fingerprint(self.spec)
+        for stem, result in outputs.items():
+            path = os.path.join(self.out, stem)
+            run = isinstance(result, RunResult)
+            if "csv" in self.formats:
+                atomic_write_text(path + ".csv",
+                                  result_csv_text(result, trace_rows) if run
+                                  else aggregate_csv_text(result))
+            if "json" in self.formats:
+                to_json = result_json_text if run else aggregate_json_text
+                atomic_write_text(path + ".json", to_json(
+                    result, self.echo, env_meta, fingerprint))
 
 
 def cmd_run(args) -> int:
-    cp = _read_config(args.config)
-    opts = _collect_options(args, cp)
-    policies = _collect_policies(args, cp)
-    if len(policies) != 1:
+    ex = Experiment(args)
+    if len(ex.policies) != 1:
         raise CliError("run takes exactly one policy")
-    seeds = parse_seeds(str(opts.get("seeds", "0")))
-    if len(seeds) != 1:
+    if len(ex.seeds) != 1:
         raise CliError("run takes exactly one seed")
-    T = int(opts.get("T", 1000))
-    out = opts.get("out") or "results"
-    formats = str(opts.get("format", "csv,json")).split(",")
-    trace = bool(opts.get("trace", False))
-    env_spec = _build_env_spec(opts)
-    pid, params = policies[0]
-    cell = Cell.make(pid, params, T, seeds[0])
-    result, trace_rows = run_cell(env_spec, cell, trace=trace)
-    env_meta = build_env(env_spec).metadata()
-    echo = _spec_echo(opts, policies, seeds, T)
-    fingerprint = _dataset_fingerprint(env_spec)
-    if "csv" in formats:
-        atomic_write_text(os.path.join(out, "result.csv"),
-                          result_csv_text(result, trace_rows if trace else None))
-    if "json" in formats:
-        atomic_write_text(os.path.join(out, "result.json"),
-                          result_json_text(result, echo, env_meta, fingerprint))
+    pid, params = ex.policies[0]
+    cell = Cell.make(pid, params, ex.T, ex.seeds[0])
+    result, trace_rows = run_cell(ex.spec, cell, trace=ex.trace)
+    ex.write({"result": result}, trace_rows)
     return 0
-
-
-def _emit_run_artifacts(out: str, formats: Sequence[str], pairs, echo, env_meta,
-                        fingerprint) -> None:
-    for cell, result in pairs:
-        slug = _run_slug(cell)
-        if "csv" in formats:
-            atomic_write_text(os.path.join(out, "runs", slug + ".csv"),
-                              result_csv_text(result))
-        if "json" in formats:
-            atomic_write_text(os.path.join(out, "runs", slug + ".json"),
-                              result_json_text(result, echo, env_meta,
-                                               fingerprint))
 
 
 def cmd_compare(args) -> int:
-    cp = _read_config(args.config)
-    opts = _collect_options(args, cp)
-    policies = _collect_policies(args, cp)
-    seeds = parse_seeds(str(opts.get("seeds", "0")))
-    if len(policies) < 2 and len(seeds) < 2:
+    ex = Experiment(args)
+    if len(ex.policies) < 2 and len(ex.seeds) < 2:
         raise CliError("compare needs >= 2 policies or >= 2 seeds")
-    T = int(opts.get("T", 1000))
-    jobs = int(opts.get("jobs", 1))
-    out = opts.get("out") or "results"
-    formats = str(opts.get("format", "csv,json")).split(",")
-    env_spec = _build_env_spec(opts)
-    cells = [Cell.make(pid, params, T, seed)
-             for pid, params in policies for seed in seeds]
-    pairs = execute_cells(env_spec, cells, jobs=jobs)
-    agg = aggregate([r for _, r in pairs])
-    env_meta = build_env(env_spec).metadata()
-    echo = _spec_echo(opts, policies, seeds, T)
-    fingerprint = _dataset_fingerprint(env_spec)
-    if "csv" in formats:
-        atomic_write_text(os.path.join(out, "aggregate.csv"),
-                          aggregate_csv_text(agg))
-    if "json" in formats:
-        atomic_write_text(os.path.join(out, "aggregate.json"),
-                          aggregate_json_text(agg, echo, env_meta, fingerprint))
-    _emit_run_artifacts(out, formats, pairs, echo, env_meta, fingerprint)
+    agg, runs = ex.execute()
+    ex.write({"aggregate": agg, **runs})
     return 0
 
 
-def _grid_points(grid: Dict[str, list]) -> List[Dict]:
-    names = sorted(grid)
-    return [dict(zip(names, combo))
-            for combo in itertools.product(*(grid[n] for n in names))]
-
-
 def cmd_sweep(args) -> int:
-    cp = _read_config(args.config)
-    opts = _collect_options(args, cp)
-    policies = _collect_policies(args, cp)
+    ex = Experiment(args)
     grid_items = list(args.grid or [])
-    if cp.has_section("sweep"):
-        grid_items = [f"{k}={v}" for k, v in cp.items("sweep")] + grid_items
+    if ex.config.has_section("sweep"):
+        grid_items = [f"{k}={v}" for k, v in ex.config.items("sweep")] + grid_items
     grid = parse_grid(grid_items)
-    _reject_unaccepted(grid, policies, "--grid")
-    seeds = parse_seeds(str(opts.get("seeds", "0")))
-    T = int(opts.get("T", 1000))
-    jobs = int(opts.get("jobs", 1))
-    out = opts.get("out") or "results"
-    formats = str(opts.get("format", "csv,json")).split(",")
-    env_spec = _build_env_spec(opts)
-    points = _grid_points(grid)
-    cells = []
-    for pid, params in policies:
-        for point in points:
-            merged = {**params, **_filter_params(pid, point)}
-            for seed in seeds:
-                cells.append(Cell.make(pid, merged, T, seed))
-    pairs = execute_cells(env_spec, cells, jobs=jobs)
-    agg = aggregate([r for _, r in pairs])
-    env_meta = build_env(env_spec).metadata()
-    echo = _spec_echo(opts, policies, seeds, T)
-    echo["grid"] = {k: grid[k] for k in sorted(grid)}
-    fingerprint = _dataset_fingerprint(env_spec)
+    _reject_unaccepted(grid, ex.policies, "--grid")
+    names = sorted(grid)
+    ex.echo["grid"] = {k: grid[k] for k in names}
+    agg, runs = ex.execute([dict(zip(names, combo)) for combo in
+                            itertools.product(*(grid[n] for n in names))])
     # Best grid point per policy: highest mean final reward, ties to the
     # smaller parameter values.
-    best_rows = []
-    for pid, _ in policies:
-        rows = [r for r in agg.rows if r.policy == pid]
-        if not rows:
-            continue
-        rows.sort(key=lambda r: (-r.final_mean_reward_mean, r.params))
-        best_rows.append(rows[0])
-    best = AggregateResult(rows=best_rows)
-    if "csv" in formats:
-        atomic_write_text(os.path.join(out, "sweep.csv"), aggregate_csv_text(agg))
-        atomic_write_text(os.path.join(out, "best.csv"), aggregate_csv_text(best))
-    if "json" in formats:
-        atomic_write_text(os.path.join(out, "sweep.json"),
-                          aggregate_json_text(agg, echo, env_meta, fingerprint))
-        atomic_write_text(os.path.join(out, "best.json"),
-                          aggregate_json_text(best, echo, env_meta, fingerprint))
-    _emit_run_artifacts(out, formats, pairs, echo, env_meta, fingerprint)
+    best = AggregateResult(rows=[
+        min((r for r in agg.rows if r.policy == pid),
+            key=lambda r: (-r.final_mean_reward_mean, r.params))
+        for pid in dict.fromkeys(pid for pid, _ in ex.policies)])
+    ex.write({"sweep": agg, "best": best, **runs})
     return 0
 
 
@@ -430,12 +398,11 @@ def cmd_bound(args) -> int:
     params = DiagnosticsParams(sigma=args.sigma, delta=args.delta, B=args.B,
                                W=args.W, d=args.d, b=args.b,
                                u_sq_sum=args.u_sq_sum)
-    horizon = args.T if args.T is not None else 10000
-    curve = regret_bound_curve(params, horizon)
-    out = args.out or "results"
+    curve = regret_bound_curve(params, args.T)
     lines = ["round,regret_bound"]
-    lines += [f"{t + 1},{fmt(curve[t])}" for t in range(horizon)]
-    atomic_write_text(os.path.join(out, "bound.csv"), "\n".join(lines) + "\n")
+    lines += [f"{t + 1},{fmt(curve[t])}" for t in range(args.T)]
+    atomic_write_text(os.path.join(args.out, "bound.csv"),
+                      "\n".join(lines) + "\n")
     return 0
 
 
@@ -445,7 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Contextual bandit benchmark harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    for name, func, text in (("run", cmd_run, "one policy, one seed"),
+                             ("compare", cmd_compare,
+                              "aggregate policies across seeds"),
+                             ("sweep", cmd_sweep, "parameter grid search")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="INI config file; flags override it")
         p.add_argument("--env", choices=("synthetic", "classification", "news"))
         p.add_argument("--data", help="dataset path for classification/news")
@@ -460,31 +431,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", help="output formats, e.g. csv,json")
         p.add_argument("--trace", action="store_const", const=True,
                        help="emit per-round score breakdown columns")
-        p.add_argument("--env-seed", dest="env_seed", type=int)
+        p.add_argument("--env-seed", type=int)
         p.add_argument("--d", type=int, help="synthetic context dimension")
         p.add_argument("--arms", type=int, help="synthetic arm count")
-        p.add_argument("--bumps", dest="bumps", type=int,
-                       help="synthetic bump count per arm")
-        p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
+        p.add_argument("--bumps", type=int, help="synthetic bump count per arm")
+        p.add_argument("--noise-sigma", type=float)
         p.add_argument("--radius", type=float, help="synthetic bump radius")
-        p.add_argument("--label-column", dest="label_column", type=int)
-        p.add_argument("--has-header", dest="has_header", action="store_const",
-                       const=True)
-        p.add_argument("--shuffle-seed", dest="shuffle_seed", type=int)
-
-    p_run = sub.add_parser("run", help="one policy, one seed")
-    add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="aggregate policies across seeds")
-    add_common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_sweep = sub.add_parser("sweep", help="parameter grid search")
-    add_common(p_sweep)
-    p_sweep.add_argument("--grid", action="append", metavar="NAME=V1,V2",
-                         help="grid values (repeatable)")
-    p_sweep.set_defaults(func=cmd_sweep)
+        p.add_argument("--label-column", type=int)
+        p.add_argument("--has-header", action="store_const", const=True)
+        p.add_argument("--shuffle-seed", type=int)
+        p.set_defaults(func=func)
+        if name == "sweep":
+            p.add_argument("--grid", action="append", metavar="NAME=V1,V2",
+                           help="grid values (repeatable)")
 
     p_bound = sub.add_parser("bound", help="theoretical regret bound curve")
     p_bound.add_argument("--sigma", type=float, default=1.0)
@@ -494,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--d", type=int, default=1)
     p_bound.add_argument("--b", type=float, default=1.0)
     p_bound.add_argument("--u-sq-sum", dest="u_sq_sum", type=float, default=0.0)
-    p_bound.add_argument("--T", type=int, default=None)
+    p_bound.add_argument("--T", type=int, default=10000)
     p_bound.add_argument("--out", default="results")
     p_bound.set_defaults(func=cmd_bound)
     return parser
@@ -505,13 +464,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: path not found: {exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError) as exc:
+    except (CliError, ValueError, TypeError) as exc:
+        # DataError, from the dataset loaders, is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -712,10 +712,10 @@ POLICY_PARAM_KEYS = {pid: _param_keys(f) for pid, f in POLICIES.items()}
 def make_policy(policy_id: str, n_arms: int, dim: int, seed: int = 0,
                 **params) -> Policy:
     """Build a policy by its canonical id with keyword parameters."""
-    pid = policy_id.lower()
-    if pid not in POLICIES:
-        raise ValueError(f"unknown policy id {policy_id!r}")
-    unknown = set(params) - POLICY_PARAM_KEYS[pid]
+    if policy_id not in POLICIES:
+        raise ValueError(f"unknown policy id {policy_id!r}; valid ids: "
+                         f"{', '.join(POLICIES)}")
+    unknown = set(params) - POLICY_PARAM_KEYS[policy_id]
     if unknown:
-        raise ValueError(f"unknown {pid} parameters: {sorted(unknown)}")
-    return POLICIES[pid](n_arms, dim, seed=seed, **params)
+        raise ValueError(f"unknown {policy_id} parameters: {sorted(unknown)}")
+    return POLICIES[policy_id](n_arms, dim, seed=seed, **params)

@@ -10,7 +10,7 @@ from .core import Policy
 from .env import (DataError, load_classification_csv, load_news_csv,
                   synthetic_hybrid)
 from .metrics import RunResult
-from .policies import make_policy
+from .policies import ScoreBreakdown, make_policy
 
 
 @dataclass(frozen=True)
@@ -101,17 +101,6 @@ class Cell:
         return (self.policy_id, self.slug, self.seed)
 
 
-@dataclass
-class TraceRow:
-    round: int
-    chosen_arm: int
-    linear: float
-    knn: float
-    alpha: float
-    width: float
-    ucb: float
-
-
 def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
                params_label: str = "default"):
     """Drive one policy through one environment for up to T rounds.
@@ -121,7 +110,8 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
     False when the round never happened and whose ``oracle_reward`` is set
     when the env knows the best arm's reward.
 
-    Returns (RunResult, trace_rows); trace_rows is None unless requested.
+    Returns (RunResult, trace_rows); trace_rows, one ScoreBreakdown of the
+    chosen arm per round, is None unless requested.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
@@ -131,7 +121,7 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
     episode = env.episode(seed, T)
     rewards: List[float] = []
     oracle: List[float] = []
-    trace_rows: Optional[List[TraceRow]] = [] if trace else None
+    trace_rows: Optional[List[ScoreBreakdown]] = [] if trace else None
     t = 0
     while t < T and not episode.exhausted(t):
         x = episode.context(t)
@@ -140,10 +130,7 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
         if not fb.step_consumed:
             break
         if trace:
-            row = policy.score_table(x, t).row(arm)
-            trace_rows.append(TraceRow(round=t, chosen_arm=arm, linear=row.linear,
-                                       knn=row.knn, alpha=row.alpha,
-                                       width=row.width, ucb=row.ucb))
+            trace_rows.append(policy.score_table(x, t).row(arm))
         policy.update(arm, x, fb.reward)
         rewards.append(fb.reward)
         if fb.oracle_reward is not None:

@@ -1,5 +1,6 @@
 """CLI behavior: output schemas, config layering, determinism, error paths."""
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from banditlab.cli import (coerce_value, fmt, main as cli_main, parse_grid,
                            parse_seeds)
+from banditlab.policies import make_policy
 
 SYN = ["--d", "4", "--arms", "3", "--bumps", "1", "--noise-sigma", "0.05"]
 
@@ -196,6 +198,14 @@ class TestCompare:
             "linucb__default__s0.csv", "linucb__default__s1.csv",
         ]
 
+    def test_repeated_policy_runs_once(self, tmp_path):
+        out = tmp_path / "o"
+        rc = cli_main(["compare", "--policy", "linucb", "--policy", "linucb",
+                       "--T", "20", "--seeds", "0:2", "--out", str(out)] + SYN)
+        assert rc == 0
+        rows = json.loads(read(out / "aggregate.json"))["rows"]
+        assert [(r["policy"], r["n_seeds"]) for r in rows] == [("linucb", 2)]
+
     def test_needs_two_policies_or_seeds(self, tmp_path):
         rc = cli_main(["compare", "--policy", "linucb", "--T", "10",
                        "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
@@ -225,6 +235,22 @@ class TestSweep:
         a = sweep_lines[1].split('",')[1].split(",")[:-1]
         b = sweep_lines[2].split('",')[1].split(",")[:-1]
         assert a == b
+
+    def test_each_distinct_cell_runs_once(self, tmp_path):
+        # linucb does not accept eps, so both grid points give it the same
+        # cells; listing it twice adds none either.
+        out = tmp_path / "o"
+        rc = cli_main(["sweep", "--policy", "linucb", "--policy", "eps-greedy",
+                       "--policy", "linucb", "--grid", "eps=0.1,0.2",
+                       "--T", "20", "--seeds", "0:2", "--out", str(out)] + SYN)
+        assert rc == 0
+        rows = json.loads(read(out / "sweep.json"))["rows"]
+        assert [(r["policy"], r["params"], r["n_seeds"]) for r in rows] == [
+            ("eps-greedy", "eps=0.1", 2), ("eps-greedy", "eps=0.2", 2),
+            ("linucb", "default", 2)]
+        best = json.loads(read(out / "best.json"))["rows"]
+        assert [r["policy"] for r in best] == ["linucb", "eps-greedy"]
+        assert len(list((out / "runs").glob("*.csv"))) == 6
 
     def test_grid_validation(self, tmp_path):
         rc = cli_main(["sweep", "--policy", "ucb", "--grid", "rho",
@@ -334,6 +360,55 @@ class TestErrorPaths:
         assert "no rounds executed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("T = abc", "T must be a number, got 'abc'"),
+        ("T = 7.9", "T must be an integer, got 7.9"),
+        ("d = 2.5", "d must be an integer, got 2.5"),
+        ("jobs = many", "jobs must be a number"),
+        ("noise_sigma = fast", "noise_sigma must be a number"),
+        ("has_header = maybe", "has_header must be true or false"),
+        ("trace = 1", "trace must be true or false"),
+    ])
+    def test_bad_config_value_names_the_option(self, tmp_path, capsys, line,
+                                               message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[experiment]\n{line}\n\n[policy:random]\n")
+        rc = cli_main(["run", "--config", str(cfg), "--seeds", "0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_config_values_convert(self, tmp_path):
+        cfg = tmp_path / "ok.ini"
+        cfg.write_text("[experiment]\nT = 12.0\nd = 4.0\narms = 3\n"
+                       "noise_sigma = 1\n\n[policy:random]\n")
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg), "--seeds", "0",
+                         "--out", str(out)]) == 0
+        payload = json.loads(read(out / "result.json"))
+        assert payload["summary"]["horizon"] == 12
+        assert payload["config_echo"]["T"] == 12
+        assert payload["env"]["dim"] == 4
+
+    @pytest.mark.parametrize("formats", ["xml", "csv,xml", "csv,"])
+    def test_unknown_format(self, tmp_path, capsys, formats):
+        rc = cli_main(["run", "--policy", "random", "--T", "5", "--seeds", "0",
+                       "--format", formats, "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown format" in err and "csv, json" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pid", ["LinUCB", "LNUCB-TA", "linucb "])
+    def test_policy_ids_are_exact_everywhere(self, tmp_path, capsys, pid):
+        rc = cli_main(["run", "--policy", pid, "--T", "5", "--seeds", "0",
+                       "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert "valid ids: " in capsys.readouterr().err
+        with pytest.raises(ValueError, match="unknown policy id .*valid ids: "):
+            make_policy(pid, 3, 4)
+
     def test_unknown_experiment_option_in_config(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[experiment]\nwarp = 9\n\n[policy:random]\n")
@@ -350,3 +425,23 @@ def test_module_entry_point_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "bound.csv").exists()
+
+
+def test_results_do_not_depend_on_blas_thread_count(tmp_path):
+    # At d=40 the per-arm k-NN matvecs reach about 1,000 x 40, large enough
+    # for a threaded BLAS to split them.
+    argv = [sys.executable, "-m", "banditlab.cli", "compare",
+            "--policy", "lnucb-ta", "--policy", "knn-ucb", "--policy", "linucb",
+            "--param", "gamma_cov=0.05", "--T", "1500", "--seeds", "0",
+            "--d", "40", "--arms", "3"]
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        proc = subprocess.run(
+            argv + ["--out", str(out)], capture_output=True, text=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = {p.name: p.read_bytes()
+                         for p in (out / "runs").glob("*.csv")}
+    assert len(runs["1"]) == 3
+    assert runs["1"] == runs["2"]
