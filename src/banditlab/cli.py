@@ -304,6 +304,9 @@ class Experiment:
         self.T = _typed(opts, "T", 1000)
         self.jobs = _typed(opts, "jobs", 1)
         self.trace = _typed(opts, "trace", False)
+        if self.trace and args.command != "run":
+            raise CliError(f"{args.command} does not take trace (--trace or "
+                           f"trace = true); only run writes trace columns")
         self.out = opts.get("out") or "results"
         self.formats = str(opts.get("format", "csv,json")).split(",")
         unknown = [f for f in self.formats if f not in FORMATS]
@@ -430,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--format", help="output formats, e.g. csv,json")
         p.add_argument("--trace", action="store_const", const=True,
-                       help="emit per-round score breakdown columns")
+                       help="emit per-round score breakdown columns (run only)")
         p.add_argument("--env-seed", type=int)
         p.add_argument("--d", type=int, help="synthetic context dimension")
         p.add_argument("--arms", type=int, help="synthetic arm count")

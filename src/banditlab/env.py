@@ -1,6 +1,7 @@
 """Bandit environments: classification conversion, news replay, synthetic hybrid."""
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass
@@ -231,7 +232,9 @@ def load_news_csv(path) -> ReplayLogEnv:
     """Parse the 102-column news log: arm id 1..10, click 0/1, 100 features."""
     arms = []
     clicks = []
-    contexts = []
+    # Features go straight into one flat buffer: a list of per-row float
+    # lists would hold ~25 bytes of Python objects per value.
+    features = array.array("d")
     lines = []  # file line of each kept row
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -252,11 +255,11 @@ def load_news_csv(path) -> ReplayLogEnv:
                 raise DataError(f"row {i}: click {click} not in {{0, 1}}")
             arms.append(arm - 1)
             clicks.append(click)
-            contexts.append(vals[2:])
+            features.extend(vals[2:])
             lines.append(i)
     if not arms:
         raise DataError("empty dataset")
-    contexts = np.asarray(contexts)
+    contexts = np.frombuffer(features, dtype=np.float64).reshape(len(arms), 100)
     finite = np.isfinite(contexts).all(axis=1)
     if not finite.all():
         row = lines[int(np.flatnonzero(~finite)[0])]
@@ -443,9 +446,13 @@ class SyntheticHybridEnv:
         X /= np.linalg.norm(X, axis=1)[:, None]
         expected = self.base + X @ self.mu.T
         if self.bump_count > 0:
-            # (T, A, b) distances between each context and each bump center.
-            diff = X[:, None, None, :] - self.bump_centers[None, :, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=3))
+            # (T, A, b) distances between each context and each bump center,
+            # one (T, d) difference at a time rather than one (T, A, b, d) block.
+            dist = np.empty((T, self.n_arms, self.bump_count))
+            for a in range(self.n_arms):
+                for j in range(self.bump_count):
+                    diff = X - self.bump_centers[a, j]
+                    dist[:, a, j] = np.sqrt((diff * diff).sum(axis=1))
             expected = expected + ((dist < self.radius)
                                    * self.bump_values[None, :, :]).sum(axis=2)
         if self.noise_sigma > 0.0:

@@ -1,6 +1,7 @@
 """Per-arm online ridge regression: linear estimate, covariance geometry, width."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -16,14 +17,35 @@ INVERSE_DRIFT_TOL = 1e-6
 DRIFT_CHECK_EVERY = 32
 
 
-class RidgeState:
-    """Online ridge regression with a maintained inverse.
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, loaded by the first shifted ridge."""
+    # Imported here: scipy.linalg costs ~6 MB RSS that gamma_cov=0 runs never need.
+    from scipy.linalg import lapack
+    return lapack
 
-    sigma starts at lambda*I and accumulates x x^T plus an optional isotropic
-    inflation gamma_cov * e * I per update.  The inverse is kept by a rank-one
-    update on the non-inflated path and recomputed from sigma otherwise.
-    Only rank-one updates let it drift from sigma^-1, so drift is checked
-    after every DRIFT_CHECK_EVERY of them since the last recomputation.
+
+class RidgeState:
+    """Online ridge regression: sigma, b and mu_hat = sigma^-1 b.
+
+    sigma starts at lambda*I and accumulates x x^T plus an isotropic
+    inflation gamma_cov * e * I per update.  How sigma^-1 is applied depends
+    on gamma_cov, fixed at construction:
+
+    * gamma_cov = 0: every update is rank one, so the inverse is maintained
+      by Sherman-Morrison, and drift from sigma^-1 is checked after every
+      DRIFT_CHECK_EVERY updates.  Widths are one matvec, which lets a
+      policy stack its arms' inverses and score them in one product.
+    * gamma_cov > 0: the shift is not rank one, so sigma is refactored as
+      L L^T (lower Cholesky, LAPACK dpotrf; L is ``chol``) after every
+      update.  mu_hat comes from dpotrs and width^2 = ||L^-1 x||^2 from one
+      triangular solve.  Forming sigma^-1 here would cost an O(d^3) inverse
+      per update; sigma_inv is solved from L only when it is read.
+
+    At d=100 the factored path costs more than a rank-one update plus a
+    stacked product: on a 2-core VM, linucb went from 130-150 to 200-230
+    us/round when it was tried for gamma_cov = 0.  So each ridge keeps the
+    cheaper of the two.
     """
 
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0):
@@ -38,11 +60,35 @@ class RidgeState:
         self.gamma_cov = float(gamma_cov)
         self.sigma = self.lam * np.eye(self.dim)
         self._diag = np.diag_indices(self.dim)
-        self.sigma_inv = (1.0 / self.lam) * np.eye(self.dim)
         self.b = np.zeros(self.dim)
         self.mu_hat = np.zeros(self.dim)
         self.update_count = 0
-        self._rank_one_updates = 0  # since sigma_inv was last computed from sigma
+        # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
+        # lower Cholesky factor of sigma (gamma_cov > 0).
+        self._inv: Optional[np.ndarray] = None
+        self.chol: Optional[np.ndarray] = None
+        if self.gamma_cov > 0.0:
+            self._factor()
+        else:
+            self._inv = (1.0 / self.lam) * np.eye(self.dim)
+        self._rank_one_updates = 0  # since _inv was last computed from sigma
+
+    @property
+    def sigma_inv(self) -> np.ndarray:
+        """sigma^-1: the maintained inverse, or a fresh solve with the factor."""
+        if self.chol is None:
+            return self._inv
+        inv, _ = _lapack().dpotrs(self.chol, np.eye(self.dim), lower=1)
+        return inv
+
+    def _factor(self) -> None:
+        """Refactor sigma = L L^T and solve mu_hat from it."""
+        lapack = _lapack()
+        chol, info = lapack.dpotrf(self.sigma, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError("sigma is not positive definite")
+        self.chol = chol
+        self.mu_hat, _ = lapack.dpotrs(chol, self.b, lower=1)
 
     def predict(self, x) -> float:
         """Linear reward estimate mu_hat . x."""
@@ -50,12 +96,18 @@ class RidgeState:
         return float(self.mu_hat @ x)
 
     def width_sq(self, x) -> float:
-        """x^T sigma_inv x, floored at 0 against round-off."""
-        x = as_context(x, self.dim)
-        return max(float(x @ (self.sigma_inv @ x)), 0.0)
+        """x^T sigma^-1 x, floored at 0 against round-off."""
+        return self._width_sq(as_context(x, self.dim))
+
+    def _width_sq(self, x: np.ndarray) -> float:
+        """width_sq for an already validated context."""
+        if self.chol is None:
+            return max(float(x @ (self._inv @ x)), 0.0)
+        v, _ = _lapack().dtrtrs(self.chol, x, lower=1)
+        return float(v @ v)
 
     def width(self, x) -> float:
-        """Normalized width sqrt(x^T sigma_inv x)."""
+        """Normalized width sqrt(x^T sigma^-1 x)."""
         return float(np.sqrt(self.width_sq(x)))
 
     def update(self, x, residual: float, e_knn: float = 0.0) -> None:
@@ -65,25 +117,25 @@ class RidgeState:
             raise ValueError("residual must be finite")
         if not (math.isfinite(e_knn) and e_knn >= 0):
             raise ValueError("e_knn must be finite and >= 0")
-        inflate = self.gamma_cov * float(e_knn)
         self.sigma += x[:, None] * x
-        if inflate > 0.0:
-            self.sigma[self._diag] += inflate
-            self.sigma_inv = np.linalg.inv(self.sigma)
-            self._rank_one_updates = 0
-        else:
-            # Sherman-Morrison rank-one inverse update.
-            v = self.sigma_inv @ x
-            self.sigma_inv -= v[:, None] * v / (1.0 + float(x @ v))
-            self._rank_one_updates += 1
-            if self._rank_one_updates == DRIFT_CHECK_EVERY:
-                self._rank_one_updates = 0
-                drift = np.abs(self.sigma @ self.sigma_inv - np.eye(self.dim)).max()
-                if drift > INVERSE_DRIFT_TOL:
-                    self.sigma_inv = np.linalg.inv(self.sigma)
         self.b += float(residual) * x
-        self.mu_hat = self.sigma_inv @ self.b
         self.update_count += 1
+        if self.chol is not None:
+            inflate = self.gamma_cov * float(e_knn)
+            if inflate > 0.0:
+                self.sigma[self._diag] += inflate
+            self._factor()
+            return
+        # Sherman-Morrison rank-one inverse update.
+        v = self._inv @ x
+        self._inv -= v[:, None] * v / (1.0 + float(x @ v))
+        self._rank_one_updates += 1
+        if self._rank_one_updates == DRIFT_CHECK_EVERY:
+            self._rank_one_updates = 0
+            drift = np.abs(self.sigma @ self._inv - np.eye(self.dim)).max()
+            if drift > INVERSE_DRIFT_TOL:
+                self._inv = np.linalg.inv(self.sigma)
+        self.mu_hat = self._inv @ self.b
 
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))
@@ -91,10 +143,13 @@ class RidgeState:
     def copy(self) -> "RidgeState":
         out = RidgeState(self.dim, self.lam, self.gamma_cov)
         out.sigma = self.sigma.copy()
-        out.sigma_inv = self.sigma_inv.copy()
         out.b = self.b.copy()
         out.mu_hat = self.mu_hat.copy()
         out.update_count = self.update_count
+        if self.chol is None:
+            out._inv = self._inv.copy()
+        else:
+            out.chol = self.chol.copy(order="F")
         out._rank_one_updates = self._rank_one_updates
         return out
 

@@ -131,7 +131,10 @@ class LNUCBTA(TablePolicy):
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(config.alpha0, config.kappa)
         self._mu_stack = np.zeros((n_arms, dim))
-        self._inv_stack = np.stack([a.ridge.sigma_inv.copy() for a in self.arms])
+        # Ridges that keep an inverse are stacked so that one product scores
+        # every arm; factored ridges (gamma_cov > 0) are solved per arm.
+        self._inv_stack = (np.stack([a.ridge.sigma_inv.copy() for a in self.arms])
+                           if self.arms[0].ridge.chol is None else None)
         # (context bytes, KnnBatch) of the last scoring pass.  The stores
         # change only in update(), which consumes and clears it, so a match
         # on the context is exactly what a fresh query would return.
@@ -141,7 +144,10 @@ class LNUCBTA(TablePolicy):
         x = as_context(x, self.dim)
         cfg = self.config
         linear = self._mu_stack @ x
-        w2 = np.maximum((self._inv_stack @ x) @ x, 0.0)
+        if self._inv_stack is not None:
+            w2 = np.maximum((self._inv_stack @ x) @ x, 0.0)
+        else:
+            w2 = np.array([a.ridge._width_sq(x) for a in self.arms])
         width = np.sqrt(w2)
         if cfg.use_knn:
             batch = self.bank.query(x, strict_gate=True)
@@ -185,7 +191,8 @@ class LNUCBTA(TablePolicy):
             knn, u_max = float(batch.score[row]), float(batch.u_max[row])
         model.ridge.update(x, reward - knn, u_max * u_max)
         self._mu_stack[arm] = model.ridge.mu_hat
-        self._inv_stack[arm] = model.ridge.sigma_inv
+        if self._inv_stack is not None:
+            self._inv_stack[arm] = model.ridge.sigma_inv
         if self.config.use_knn:
             self.bank.add(arm, x, reward)
         self.stats.record(arm, reward)

@@ -206,6 +206,30 @@ class TestCompare:
         rows = json.loads(read(out / "aggregate.json"))["rows"]
         assert [(r["policy"], r["n_seeds"]) for r in rows] == [("linucb", 2)]
 
+    def test_trace_is_rejected(self, tmp_path, capsys):
+        rc = cli_main(["compare", "--policy", "linucb", "--policy", "random",
+                       "--T", "10", "--seeds", "0", "--trace",
+                       "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert "compare does not take trace" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unshifted_compare_does_not_load_scipy_linalg(self, tmp_path):
+        # scipy.linalg is loaded by the first shifted ridge only.
+        code = ("import sys; from banditlab.cli import main; "
+                "rc = main(sys.argv[1:]); "
+                "print(rc, 'scipy.linalg' in sys.modules)")
+        args = ["compare", "--policy", "linucb", "--policy", "lnucb-ta",
+                "--policy", "linthompson", "--T", "30", "--seeds", "0"] + SYN
+        for extra, loaded in (([], "False"), (["--param", "gamma_cov=0.05"],
+                                               "True")):
+            proc = subprocess.run(
+                [sys.executable, "-c", code] + args + extra
+                + ["--out", str(tmp_path / f"o{loaded}")],
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["0", loaded]
+
     def test_needs_two_policies_or_seeds(self, tmp_path):
         rc = cli_main(["compare", "--policy", "linucb", "--T", "10",
                        "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
@@ -251,6 +275,16 @@ class TestSweep:
         best = json.loads(read(out / "best.json"))["rows"]
         assert [r["policy"] for r in best] == ["linucb", "eps-greedy"]
         assert len(list((out / "runs").glob("*.csv"))) == 6
+
+    def test_trace_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "trace.ini"
+        cfg.write_text("[experiment]\ntrace = true\n\n[policy:eps-greedy]\n")
+        rc = cli_main(["sweep", "--config", str(cfg), "--grid", "eps=0.1,0.2",
+                       "--T", "10", "--seeds", "0",
+                       "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert "sweep does not take trace" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_grid_validation(self, tmp_path):
         rc = cli_main(["sweep", "--policy", "ucb", "--grid", "rho",

@@ -2,6 +2,7 @@
 synthetic reward generator's structural guarantees."""
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                            RoundFeedback, SyntheticHybridEnv,
@@ -207,6 +208,16 @@ class TestNewsReplay:
         with pytest.raises(DataError, match="row 4: non-finite feature"):
             load_news_csv(p)
 
+    def test_contexts_equal_a_plain_list_parse(self, tmp_path):
+        rng = np.random.default_rng(5)
+        text = make_log_text(rng.integers(1, 11, size=40).tolist(),
+                             rng.integers(0, 2, size=40).tolist())
+        p = tmp_path / "log.csv"
+        p.write_text(text)
+        plain = [[float(c) for c in line.split(",")][2:]
+                 for line in text.splitlines()]
+        assert np.array_equal(load_news_csv(p).contexts, np.asarray(plain))
+
     def test_empty_log(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("\n")
@@ -288,6 +299,34 @@ class TestSyntheticHybrid:
             assert np.allclose(one.expected, batch.expected[0], atol=1e-12)
             assert np.allclose(one.realized, batch.realized[0], atol=1e-12)
             assert one.oracle_arm == batch.oracle_arm[0]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.06])
+    def test_play_batch_equals_broadcast_formula(self, noise):
+        # The (T, A, b, d) broadcast play_batch used to build, bit for bit.
+        env = synthetic_hybrid(5, 10, 5, 3, noise)
+        T = 700
+        got = env.play_batch(np.random.default_rng(8), T)
+        rng = np.random.default_rng(8)
+        idx = rng.choice(env.CONTEXT_CLUSTERS, size=T, p=env.cluster_probs)
+        X = env.cluster_centers[idx] + env._cluster_sigma * rng.standard_normal(
+            (T, env.dim))
+        X /= np.linalg.norm(X, axis=1)[:, None]
+        diff = X[:, None, None, :] - env.bump_centers[None, :, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=3))
+        expected = env.base + X @ env.mu.T + (
+            (dist < env.radius) * env.bump_values[None, :, :]).sum(axis=2)
+        realized = expected.copy()
+        if noise > 0.0:
+            lo = -1.0 - expected.min(axis=1)
+            hi = 1.0 - expected.max(axis=1)
+            a, b = ndtr(lo / noise), ndtr(hi / noise)
+            xi = noise * ndtri(a + rng.uniform(size=T) * (b - a))
+            realized = expected + np.clip(xi, lo, hi)[:, None]
+        assert (dist < env.radius).any()
+        assert np.array_equal(got.contexts, X)
+        assert np.array_equal(got.expected, expected)
+        assert np.array_equal(got.realized, realized)
+        assert np.array_equal(got.oracle_arm, expected.argmax(axis=1))
 
     def test_bounded_rewards_and_shared_noise(self):
         env = synthetic_hybrid(1, 10, 5, 3, 0.2)

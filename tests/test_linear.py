@@ -56,7 +56,7 @@ class TestRidgeState:
         rng = np.random.default_rng(6)
         s = RidgeState(3, 1.0)
         _random_updates(s, rng, 5)
-        s.sigma_inv += 1e-3  # corrupt the maintained inverse
+        s._inv += 1e-3  # corrupt the maintained inverse
         _random_updates(s, rng, DRIFT_CHECK_EVERY - 5 - 1)
         assert np.abs(s.sigma @ s.sigma_inv - np.eye(3)).max() > 1e-6
         _random_updates(s, rng, 1)
@@ -152,6 +152,67 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     assert np.isfinite(s.mu_hat).all()
     probe = rng.standard_normal(d)
     assert s.width_sq(probe) >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    lam=st.floats(0.1, 5.0),
+    gamma=st.floats(0.01, 1.0),
+    n=st.integers(0, 40),
+    seed=st.integers(0, 10_000),
+)
+def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
+    # Shifted ridges keep L with L L^T = sigma; about a third of the
+    # updates carry e = 0 and are refactored like the others.
+    rng = np.random.default_rng(seed)
+    s = RidgeState(d, lam, gamma_cov=gamma)
+    assert s.chol is not None
+    for _ in range(n):
+        e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
+        s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
+    scale = np.abs(s.sigma).max()
+    assert np.array_equal(s.chol, np.tril(s.chol))
+    assert np.abs(s.chol @ s.chol.T - s.sigma).max() <= 1e-12 * scale
+    assert np.allclose(s.mu_hat, np.linalg.solve(s.sigma, s.b),
+                       rtol=1e-9, atol=1e-12)
+    x = rng.standard_normal(d)
+    assert s.width_sq(x) == pytest.approx(float(x @ np.linalg.solve(s.sigma, x)),
+                                          rel=1e-9, abs=1e-15)
+    assert np.allclose(s.sigma_inv, np.linalg.inv(s.sigma), rtol=1e-9,
+                       atol=1e-12)
+    c = s.copy()
+    before = (s.sigma.copy(), s.chol.copy(), s.b.copy(), s.mu_hat.copy())
+    c.update(x, 1.0, 0.5)
+    for kept, now in zip(before, (s.sigma, s.chol, s.b, s.mu_hat)):
+        assert np.array_equal(kept, now)
+    assert c.update_count == s.update_count + 1
+    assert np.abs(c.chol @ c.chol.T - c.sigma).max() <= 1e-12 * np.abs(c.sigma).max()
+
+
+class TestFactoredRidge:
+    def test_only_shifted_ridges_keep_a_factor(self):
+        assert RidgeState(3, 1.0).chol is None
+        s = RidgeState(3, 2.0, gamma_cov=0.1)
+        assert np.array_equal(s.chol, np.sqrt(2.0) * np.eye(3))
+
+    def test_sigma_inv_follows_every_update(self):
+        rng = np.random.default_rng(8)
+        s = RidgeState(4, 1.0, gamma_cov=0.3)
+        for e in (0.0, 1.5, 0.0, 0.7):
+            s.update(rng.standard_normal(4), 0.5, e)
+            assert np.allclose(s.sigma_inv @ s.sigma, np.eye(4), atol=1e-12)
+
+    def test_inflated_update_does_not_invert(self, monkeypatch):
+        s = RidgeState(3, 1.0, gamma_cov=0.2)
+
+        def no_inverse(a):
+            raise AssertionError("np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        for _ in range(40):
+            s.update(np.ones(3), 1.0, 1.0)
+        assert s.update_count == 40
 
 
 class TestConfidenceBall:

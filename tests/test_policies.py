@@ -137,6 +137,30 @@ def test_selection_and_scoring_are_pure():
     assert policy.stats.per_arm_count.sum() == 1
 
 
+@pytest.mark.parametrize("gamma_cov", [0.0, 0.05])
+def test_score_table_widths_equal_each_ridge_width(gamma_cov):
+    # Shifted ridges are scored one triangular solve per arm, exactly as
+    # RidgeState.width computes it; unshifted ones by the stacked inverses.
+    policy = LNUCBTA(3, 6, PolicyConfig(theta_max=2, gamma_cov=gamma_cov), seed=0)
+    rng = np.random.default_rng(9)
+    gram = np.zeros((3, 6, 6))
+    for t in range(60):
+        x = rng.standard_normal(6)
+        table = policy.score_table(x, t)
+        want = [a.ridge.width(x) for a in policy.arms]
+        if gamma_cov > 0:
+            assert table.width.tolist() == want
+        else:
+            assert np.allclose(table.width, want, rtol=1e-12)
+        arm = policy.select(x, t)
+        policy.update(arm, x, float(rng.uniform()))
+        gram[arm] += np.outer(x, x)
+    assert all((a.ridge.chol is not None) == (gamma_cov > 0) for a in policy.arms)
+    shift = max(float(np.trace(a.ridge.sigma - np.eye(6) - g))
+                for a, g in zip(policy.arms, gram))
+    assert (shift > 1e-9) == (gamma_cov > 0)
+
+
 def test_update_without_prior_scoring_matches_memoized_path():
     cfg = PolicyConfig(theta_min=1, theta_max=3, gamma_cov=0.2)
     scored = LNUCBTA(2, 2, cfg, seed=0)
