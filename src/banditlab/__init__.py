@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 
 from .attention import (AttentionParams, RewardStats, exploration_rate,
                         exploration_rates, softmax_attention)
-from .core import Policy, argmax_tiebreak, as_context, round_rng
+from .core import (Policy, ScoreBreakdown, argmax_tiebreak, as_context,
+                   round_rng)
 from .env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                   SyntheticHybridEnv, load_classification_csv, load_news_csv,
                   replay_step, synthetic_hybrid, two_class_bumps)
@@ -14,8 +15,8 @@ from .linear import ConfidenceBall, RidgeState, solve_batch
 from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       beta_bound, beta_formula, regret_bound_curve,
                       regret_series, robustness_std, sublinearity_exponent)
-from .policies import (LNUCBTA, PolicyConfig, ScoreBreakdown, UCB, BetaThompson,
-                       EpsilonGreedy, KLUCB, KnnKLUCB, KnnUCB, LinThompson,
+from .policies import (LNUCBTA, PolicyConfig, UCB, BetaThompson, EpsilonGreedy,
+                       KLUCB, KnnKLUCB, KnnUCB, LinThompson,
                        RandomPolicy, lin_knn_ucb, linucb, make_policy)
 from .runner import Cell, EnvSpec, execute_cells, run_cell, run_policy
 
@@ -23,7 +24,7 @@ __all__ = [
     "__version__",
     "AttentionParams", "RewardStats", "exploration_rate", "exploration_rates",
     "softmax_attention",
-    "Policy", "argmax_tiebreak", "as_context", "round_rng",
+    "Policy", "ScoreBreakdown", "argmax_tiebreak", "as_context", "round_rng",
     "ClassificationBanditEnv", "DataError", "ReplayLogEnv",
     "SyntheticHybridEnv", "load_classification_csv", "load_news_csv",
     "replay_step", "synthetic_hybrid", "two_class_bumps",
@@ -33,7 +34,7 @@ __all__ = [
     "AggregateResult", "DiagnosticsParams", "RunResult", "aggregate",
     "beta_bound", "beta_formula", "regret_bound_curve", "regret_series",
     "robustness_std", "sublinearity_exponent",
-    "LNUCBTA", "PolicyConfig", "ScoreBreakdown", "UCB", "BetaThompson",
+    "LNUCBTA", "PolicyConfig", "UCB", "BetaThompson",
     "EpsilonGreedy", "KLUCB", "KnnKLUCB", "KnnUCB", "LinThompson",
     "RandomPolicy", "lin_knn_ucb", "linucb", "make_policy",
     "Cell", "EnvSpec", "execute_cells", "run_cell", "run_policy",

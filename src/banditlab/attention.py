@@ -39,20 +39,9 @@ class RewardStats:
         self.per_arm_sum[arm] += reward
         self.per_arm_count[arm] += 1
 
-    def local_mean(self, arm: int) -> float:
-        """Mean reward of one arm; 0 when the arm was never pulled."""
-        if not 0 <= arm < self.n_arms:
-            raise ValueError(f"arm {arm} out of range")
-        c = self.per_arm_count[arm]
-        return float(self.per_arm_sum[arm] / c) if c > 0 else 0.0
-
     def local_means(self) -> np.ndarray:
         return np.divide(self.per_arm_sum, self.per_arm_count,
                          out=np.zeros(self.n_arms), where=self.per_arm_count > 0)
-
-    def global_mean(self) -> float:
-        """Mean of the per-arm means; unpulled arms contribute 0."""
-        return float(self.local_means().mean())
 
 
 def exploration_rate(params: AttentionParams, N: int, g: float, n: float) -> float:
@@ -69,11 +58,6 @@ def exploration_rates(params: AttentionParams, counts: np.ndarray, g: float,
                       local: np.ndarray) -> np.ndarray:
     """Vectorized exploration_rate across arms."""
     return params.alpha0 / (counts + 1.0) * (params.kappa * g + (1.0 - params.kappa) * local)
-
-
-def alpha_forward_difference(params: AttentionParams, N: int, g: float, n: float) -> float:
-    """exploration_rate(N+1) - exploration_rate(N); negative when the mix is positive."""
-    return exploration_rate(params, N + 1, g, n) - exploration_rate(params, N, g, n)
 
 
 def softmax_attention(counts, gamma_sm: float) -> np.ndarray:

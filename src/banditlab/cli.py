@@ -15,9 +15,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from .core import ScoreBreakdown, as_int
 from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       regret_bound_curve)
-from .policies import POLICY_PARAM_KEYS, ScoreBreakdown
+from .policies import POLICY_PARAM_KEYS
 from .runner import Cell, EnvSpec, build_env, execute_cells, run_cell
 
 RESULT_COLUMNS = ["round", "cumulative_reward", "mean_reward", "cumulative_regret"]
@@ -85,11 +86,14 @@ def coerce_value(raw: str):
 def parse_seeds(raw: str) -> List[int]:
     """Accept "7", "1,2,5", or "0:20" (half-open range)."""
     s = raw.strip()
-    if ":" in s:
-        lo, hi = s.split(":", 1)
-        out = list(range(int(lo), int(hi)))
-    else:
-        out = [int(p) for p in s.split(",") if p.strip() != ""]
+    try:
+        if ":" in s:
+            lo, hi = s.split(":", 1)
+            out = list(range(int(lo), int(hi)))
+        else:
+            out = [int(p) for p in s.split(",") if p.strip() != ""]
+    except ValueError:
+        raise CliError(f"seeds {raw!r}: use 7, 1,2,5 or 0:20 (half-open)") from None
     if not out:
         raise CliError(f"no seeds in {raw!r}")
     if any(x < 0 for x in out):
@@ -219,7 +223,7 @@ def _typed(opts: Dict, name: str, default):
 
     Config-file values arrive as coerce_value parsed them, so a non-number,
     a non-integral value for an int or a non-bool for a bool is rejected
-    with a CliError naming the option instead of being coerced.
+    with an error naming the option instead of being coerced.
     """
     value = opts.get(name, default)
     if isinstance(default, bool):
@@ -229,10 +233,7 @@ def _typed(opts: Dict, name: str, default):
     if isinstance(default, (int, float)):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise CliError(f"{name} must be a number, got {value!r}")
-        if (isinstance(default, int) and isinstance(value, float)
-                and not value.is_integer()):
-            raise CliError(f"{name} must be an integer, got {value!r}")
-        return type(default)(value)
+        return as_int(value, name) if isinstance(default, int) else float(value)
     return None if value is None else str(value)
 
 

@@ -1,7 +1,9 @@
 """Shared domain types, deterministic randomness, and the policy interface."""
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,6 +26,14 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"context dimension {x.shape[0]} != expected {dim}")
     return x
+
+
+def as_int(value, name: str) -> int:
+    """value as an int (3.0 is 3); a bool or 2.5 raises ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def round_rng(seed: int, round: int) -> np.random.Generator:
@@ -59,11 +69,43 @@ def argmax_tiebreak(
     raise ValueError(f"unknown tie_break {tie_break!r}")
 
 
+@dataclass(frozen=True)
+class ScoreBreakdown:
+    """One arm's score decomposition: ucb = linear + knn + alpha*width."""
+
+    linear: float
+    knn: float
+    alpha: float
+    width: float
+    ucb: float
+
+
+@dataclass
+class ScoreTable:
+    """Per-arm score components for one round; rows align with arm indices."""
+
+    linear: np.ndarray
+    knn: np.ndarray
+    alpha: np.ndarray
+    width: np.ndarray
+    ucb: np.ndarray
+
+    def row(self, arm: int) -> ScoreBreakdown:
+        return ScoreBreakdown(
+            linear=float(self.linear[arm]),
+            knn=float(self.knn[arm]),
+            alpha=float(self.alpha[arm]),
+            width=float(self.width[arm]),
+            ucb=float(self.ucb[arm]),
+        )
+
+
 class Policy(ABC):
     """Common interface for every bandit algorithm in this package.
 
-    ``select`` is pure with respect to policy state; ``update`` mutates only
-    the chosen arm's model plus the global reward statistics.
+    ``select`` never changes the model: repeated calls with the same
+    arguments return the same arm.  ``update`` mutates only the chosen
+    arm's model plus the global reward statistics.
     """
 
     name: str = "policy"
@@ -86,6 +128,13 @@ class Policy(ABC):
     @abstractmethod
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         """Fold one observed (arm, context, reward) into the model."""
+
+    def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
+        """Per-arm score components; a policy without a breakdown fills only ucb."""
+        scores = self.scores(x, round)
+        z = np.zeros_like(scores)
+        return ScoreTable(linear=z, knn=z.copy(), alpha=z.copy(), width=z.copy(),
+                          ucb=scores)
 
     def select(self, x: np.ndarray, round: int) -> int:
         x = as_context(x, self.dim)

@@ -60,7 +60,6 @@ class NeighborBank:
         self._start = [0] * n_arms
         self._end = [0] * n_arms
         self._last_round = [-1] * n_arms
-        self._version = [0] * n_arms
         self._all_rows = list(range(n_arms))
 
     def store(self, arm: int) -> "NeighborStore":
@@ -108,7 +107,6 @@ class NeighborBank:
         self._rewards[arm, end] = float(reward)
         self._rounds[arm, end] = int(round)
         self._start[arm], self._end[arm] = start, end + 1
-        self._version[arm] += 1
 
     def query(self, x, ks, strict: bool = True) -> "KnnBatch":
         """k-NN score of every arm for one context; arm a uses k = ks[a].
@@ -233,14 +231,12 @@ class NeighborStore:
     def __init__(self, dim: int, capacity: Optional[int] = None):
         self._bank = NeighborBank(1, dim, capacity)
         self._arm = 0
-        self._var_cache: Optional[tuple] = None
 
     @classmethod
     def _row(cls, bank: NeighborBank, arm: int) -> "NeighborStore":
         store = cls.__new__(cls)
         store._bank = bank
         store._arm = arm
-        store._var_cache = None
         return store
 
     @property
@@ -256,11 +252,6 @@ class NeighborStore:
 
     def add(self, context, reward: float, round: int) -> None:
         self._bank.add(self._arm, context, reward, round)
-
-    @property
-    def version(self) -> int:
-        """Counts mutations; lets callers cache derived quantities."""
-        return self._bank._version[self._arm]
 
     def _window(self, buf) -> np.ndarray:
         bank, arm = self._bank, self._arm
@@ -280,24 +271,14 @@ class NeighborStore:
 
 
 def reward_variance(store: NeighborStore) -> float:
-    """Population variance of stored rewards; 0 with fewer than 2 entries.
-
-    Memoized against the store version so per-round re-queries are O(1).
-    """
-    version = store.version
-    cached = store._var_cache
-    if cached is not None and cached[0] == version:
-        return cached[1]
+    """Population variance of stored rewards; 0 with fewer than 2 entries."""
     n = len(store)
     if n < 2:
-        v = 0.0
-    else:
-        r = store.rewards
-        # add.reduce(r) / n is r.mean() bit for bit, without its overhead.
-        mean = float(np.add.reduce(r) / n)
-        v = max(float(np.add.reduce(r * r) / n) - mean * mean, 0.0)
-    store._var_cache = (version, v)
-    return v
+        return 0.0
+    r = store.rewards
+    # add.reduce(r) / n is r.mean() bit for bit, without its overhead.
+    mean = float(np.add.reduce(r) / n)
+    return max(float(np.add.reduce(r * r) / n) - mean * mean, 0.0)
 
 
 def select_k(variance: float, theta_min: int, theta_max: int) -> int:

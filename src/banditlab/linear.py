@@ -62,7 +62,6 @@ class RidgeState:
         self._diag = np.diag_indices(self.dim)
         self.b = np.zeros(self.dim)
         self.mu_hat = np.zeros(self.dim)
-        self.update_count = 0
         # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
         # lower Cholesky factor of sigma (gamma_cov > 0).
         self._inv: Optional[np.ndarray] = None
@@ -119,7 +118,6 @@ class RidgeState:
             raise ValueError("e_knn must be finite and >= 0")
         self.sigma += x[:, None] * x
         self.b += float(residual) * x
-        self.update_count += 1
         if self.chol is not None:
             inflate = self.gamma_cov * float(e_knn)
             if inflate > 0.0:
@@ -139,19 +137,6 @@ class RidgeState:
 
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))
-
-    def copy(self) -> "RidgeState":
-        out = RidgeState(self.dim, self.lam, self.gamma_cov)
-        out.sigma = self.sigma.copy()
-        out.b = self.b.copy()
-        out.mu_hat = self.mu_hat.copy()
-        out.update_count = self.update_count
-        if self.chol is None:
-            out._inv = self._inv.copy()
-        else:
-            out.chol = self.chol.copy(order="F")
-        out._rank_one_updates = self._rank_one_updates
-        return out
 
 
 @dataclass

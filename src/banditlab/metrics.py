@@ -77,14 +77,16 @@ class DiagnosticsParams:
     u_sq_sum: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.B <= 0 or self.W <= 0 or self.b <= 0:
-            raise ValueError("sigma, B, W, b must be positive")
+        # Comparisons are false for nan, so each check also rejects it.
+        for name in ("sigma", "B", "W", "b"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if self.u_sq_sum < 0:
-            raise ValueError("u_sq_sum must be >= 0")
+        if not 0 <= self.u_sq_sum < math.inf:
+            raise ValueError("u_sq_sum must be >= 0 and finite")
 
 
 def beta_formula(sigma: float, d: int, T: float, B: float, W: float,
@@ -154,12 +156,6 @@ class AggregateRow:
 @dataclass
 class AggregateResult:
     rows: List[AggregateRow] = field(default_factory=list)
-
-    def row_for(self, policy: str, params: Optional[str] = None) -> AggregateRow:
-        for r in self.rows:
-            if r.policy == policy and (params is None or r.params == params):
-                return r
-        raise KeyError(f"no aggregate row for {policy!r} / {params!r}")
 
 
 def _pop_mean_std(values: Sequence[float]) -> tuple:

@@ -10,8 +10,9 @@ import numpy as np
 
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
-from .core import Policy, argmax_tiebreak, as_context, round_rng
-from .knn import KnnBatch, NeighborBank, NeighborStore, reward_variance, select_k
+from .core import (Policy, ScoreTable, argmax_tiebreak, as_context, as_int,
+                   round_rng)
+from .knn import KnnBatch, NeighborBank, knn_score, reward_variance, select_k
 from .linear import RidgeState
 
 
@@ -55,59 +56,7 @@ class PolicyConfig:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    """One arm's score decomposition: ucb = linear + knn + alpha*width."""
-
-    linear: float
-    knn: float
-    alpha: float
-    width: float
-    ucb: float
-
-
-@dataclass
-class ScoreTable:
-    """Per-arm score components for one round; rows align with arm indices."""
-
-    linear: np.ndarray
-    knn: np.ndarray
-    alpha: np.ndarray
-    width: np.ndarray
-    ucb: np.ndarray
-
-    def row(self, arm: int) -> ScoreBreakdown:
-        return ScoreBreakdown(
-            linear=float(self.linear[arm]),
-            knn=float(self.knn[arm]),
-            alpha=float(self.alpha[arm]),
-            width=float(self.width[arm]),
-            ucb=float(self.ucb[arm]),
-        )
-
-
-@dataclass
-class ArmModel:
-    """Per-arm state bundle: ridge regression and neighbor store."""
-
-    ridge: RidgeState
-    neighbors: NeighborStore
-
-
-def _zero_table(scores: np.ndarray) -> ScoreTable:
-    z = np.zeros_like(scores)
-    return ScoreTable(linear=z, knn=z.copy(), alpha=z.copy(), width=z.copy(),
-                      ucb=scores)
-
-
-class TablePolicy(Policy):
-    """Policy whose scores come with a component breakdown."""
-
-    def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
-        return _zero_table(self.scores(x, round))
-
-
-class LNUCBTA(TablePolicy):
+class LNUCBTA(Policy):
     """Hybrid linear + adaptive k-NN policy with temporal-attention exploration.
 
     Per-arm disjoint ridge regression fits the residual reward minus the k-NN
@@ -122,19 +71,19 @@ class LNUCBTA(TablePolicy):
         config = config if config is not None else PolicyConfig()
         super().__init__(n_arms, dim, seed, config.tie_break)
         self.config = config
-        self.bank = _KnnBank(n_arms, dim, config.theta_min, config.theta_max,
-                             config.variance_scale, config.store_capacity,
-                             adaptive=config.adaptive_k)
-        self.arms = [ArmModel(ridge=RidgeState(dim, config.lam, config.gamma_cov),
-                              neighbors=store)
-                     for store in self.bank.stores]
+        # A fixed k is the adaptive rule with theta_min = theta_max.
+        theta_min = config.theta_min if config.adaptive_k else config.theta_max
+        self.bank = _KnnBank(n_arms, dim, theta_min, config.theta_max,
+                             config.variance_scale, config.store_capacity)
+        self.ridges = [RidgeState(dim, config.lam, config.gamma_cov)
+                       for _ in range(n_arms)]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(config.alpha0, config.kappa)
         self._mu_stack = np.zeros((n_arms, dim))
         # Ridges that keep an inverse are stacked so that one product scores
         # every arm; factored ridges (gamma_cov > 0) are solved per arm.
-        self._inv_stack = (np.stack([a.ridge.sigma_inv.copy() for a in self.arms])
-                           if self.arms[0].ridge.chol is None else None)
+        self._inv_stack = (np.stack([r.sigma_inv.copy() for r in self.ridges])
+                           if self.ridges[0].chol is None else None)
         # (context bytes, KnnBatch) of the last scoring pass.  The stores
         # change only in update(), which consumes and clears it, so a match
         # on the context is exactly what a fresh query would return.
@@ -147,7 +96,7 @@ class LNUCBTA(TablePolicy):
         if self._inv_stack is not None:
             w2 = np.maximum((self._inv_stack @ x) @ x, 0.0)
         else:
-            w2 = np.array([a.ridge._width_sq(x) for a in self.arms])
+            w2 = np.array([r._width_sq(x) for r in self.ridges])
         width = np.sqrt(w2)
         if cfg.use_knn:
             batch = self.bank.query(x, strict_gate=True)
@@ -179,20 +128,20 @@ class LNUCBTA(TablePolicy):
         x = as_context(x, self.dim)
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
-        model = self.arms[arm]
+        ridge = self.ridges[arm]
         last, self._last_knn = self._last_knn, None
         # The residual target is frozen at the selection-round k-NN score.
         knn, u_max = 0.0, 0.0
         if self.config.use_knn:
             if last is not None and last[0] == x.tobytes():
-                batch, row = last[1], arm
+                knn, u_max = float(last[1].score[arm]), float(last[1].u_max[arm])
             else:
-                batch, row = self.bank.query_arm(arm, x), 0
-            knn, u_max = float(batch.score[row]), float(batch.u_max[row])
-        model.ridge.update(x, reward - knn, u_max * u_max)
-        self._mu_stack[arm] = model.ridge.mu_hat
+                got = knn_score(self.bank.stores[arm], x, self.bank.k_for(arm))
+                knn, u_max = got.score, got.u_max
+        ridge.update(x, reward - knn, u_max * u_max)
+        self._mu_stack[arm] = ridge.mu_hat
         if self._inv_stack is not None:
-            self._inv_stack[arm] = model.ridge.sigma_inv
+            self._inv_stack[arm] = ridge.sigma_inv
         if self.config.use_knn:
             self.bank.add(arm, x, reward)
         self.stats.record(arm, reward)
@@ -222,7 +171,7 @@ def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
     return p
 
 
-class UCB(TablePolicy):
+class UCB(Policy):
     """Classic UCB on empirical means with bonus rho * sqrt(ln t / N)."""
 
     name = "ucb"
@@ -279,7 +228,7 @@ def klucb_upper(p: float, budget: float, tol: float = 1e-9,
     return lo
 
 
-class KLUCB(TablePolicy):
+class KLUCB(Policy):
     """KL-UCB for [0, 1] rewards: index from the Bernoulli-KL upper bound."""
 
     name = "kl-ucb"
@@ -306,7 +255,7 @@ class KLUCB(TablePolicy):
         self.stats.record(self._check_arm(arm), reward)
 
 
-class EpsilonGreedy(TablePolicy):
+class EpsilonGreedy(Policy):
     """Greedy on empirical means; explores uniformly with probability eps."""
 
     name = "eps-greedy"
@@ -333,7 +282,7 @@ class EpsilonGreedy(TablePolicy):
         self.stats.record(self._check_arm(arm), reward)
 
 
-class BetaThompson(TablePolicy):
+class BetaThompson(Policy):
     """Beta-Bernoulli Thompson sampling; rewards are clipped into [0, 1]."""
 
     name = "beta-thompson"
@@ -385,7 +334,7 @@ class _RidgeDraws:
         self._chol[arm] = None
 
 
-class LinThompson(TablePolicy, _RidgeDraws):
+class LinThompson(Policy, _RidgeDraws):
     """Disjoint linear Thompson sampling: score x . mu_tilde, mu_tilde ~ N(mu_hat, v^2 Sigma^-1)."""
 
     name = "linthompson"
@@ -413,28 +362,29 @@ class LinThompson(TablePolicy, _RidgeDraws):
 class _KnnBank:
     """Per-arm neighbor stores with the variance-adaptive k of the hybrid rule.
 
-    Each arm's k is recomputed when its store changes; adaptive=False pins
-    it at theta_max.  Entries are stamped with the bank's add count.
+    Each arm's k is recomputed when its store changes; theta_min = theta_max
+    pins it there.  Entries are stamped with the bank's add count.
     """
 
     def __init__(self, n_arms: int, dim: int, theta_min: int = 1,
                  theta_max: int = 5, variance_scale: float = 1.0,
-                 store_capacity: Optional[int] = None, adaptive: bool = True):
-        if not 1 <= int(theta_min) <= int(theta_max):
+                 store_capacity: Optional[int] = None):
+        self.theta_min = as_int(theta_min, "theta_min")
+        self.theta_max = as_int(theta_max, "theta_max")
+        if not 1 <= self.theta_min <= self.theta_max:
             raise ValueError("need 1 <= theta_min <= theta_max")
         if not (np.isfinite(variance_scale) and variance_scale > 0):
             raise ValueError("variance_scale must be positive")
-        self.theta_min = int(theta_min)
-        self.theta_max = int(theta_max)
         self.variance_scale = float(variance_scale)
-        self.adaptive = adaptive
+        if store_capacity is not None:
+            store_capacity = as_int(store_capacity, "store_capacity")
         self.neighbors = NeighborBank(n_arms, dim, store_capacity)
         self.stores = [self.neighbors.store(a) for a in range(n_arms)]
         self._ks = [self._fresh_k(a) for a in range(n_arms)]
         self._counter = 0
 
     def _fresh_k(self, arm: int) -> int:
-        if not self.adaptive:
+        if self.theta_min == self.theta_max:
             return self.theta_max
         v = reward_variance(self.stores[arm]) * self.variance_scale
         return select_k(v, self.theta_min, self.theta_max)
@@ -451,17 +401,13 @@ class _KnnBank:
         return self.neighbors._query(self.neighbors._all_rows, x, float(x @ x),
                                      self._ks, strict_gate)
 
-    def query_arm(self, arm: int, x: np.ndarray) -> KnnBatch:
-        """The strictly gated pass restricted to one arm (row 0 of the result)."""
-        return self.neighbors._query([arm], x, float(x @ x), [self._ks[arm]], True)
-
     def add(self, arm: int, x: np.ndarray, reward: float) -> None:
         self.neighbors.add(arm, x, reward, self._counter)
         self._counter += 1
         self._ks[arm] = self._fresh_k(arm)
 
 
-class KnnUCB(TablePolicy):
+class KnnUCB(Policy):
     """Neighbor-mean estimate plus a distance-scaled bonus rho * u_k.
 
     Stand-in for the nonparametric UCB baseline family: the adaptive k of the
@@ -519,7 +465,7 @@ class KnnKLUCB(KnnUCB):
         return out
 
 
-class RandomPolicy(TablePolicy):
+class RandomPolicy(Policy):
     """Uniform-random arm choice; the sanity anchor for regret diagnostics."""
 
     name = "random"
@@ -534,7 +480,7 @@ class RandomPolicy(TablePolicy):
         self._check_arm(arm)
 
 
-class _EnhancedBase(TablePolicy):
+class _EnhancedBase(Policy):
     """Shared plumbing for the attention-and-knn augmented baselines.
 
     Value estimates gain the adaptive k-NN score; the base policy's

@@ -6,11 +6,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Policy
+from .core import Policy, ScoreBreakdown
 from .env import (DataError, load_classification_csv, load_news_csv,
                   synthetic_hybrid)
 from .metrics import RunResult
-from .policies import ScoreBreakdown, make_policy
+from .policies import make_policy
 
 
 @dataclass(frozen=True)

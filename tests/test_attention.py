@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from banditlab.attention import (AttentionParams, RewardStats,
-                                 alpha_forward_difference, exploration_rate,
+from banditlab.attention import (AttentionParams, RewardStats, exploration_rate,
                                  exploration_rates, softmax_attention)
+from banditlab.policies import LNUCBTA, PolicyConfig
 
 
 class TestAttentionParams:
@@ -46,27 +46,30 @@ class TestExplorationRate:
 
     def test_forward_difference_sign(self):
         p = AttentionParams(alpha0=1.0, kappa=0.5)
-        assert alpha_forward_difference(p, 4, 0.5, 0.5) < 0
-        assert alpha_forward_difference(p, 4, 0.0, 0.0) == 0.0
+
+        def step(g, n):  # alpha(N+1) - alpha(N) at N = 4
+            return exploration_rate(p, 5, g, n) - exploration_rate(p, 4, g, n)
+
+        assert step(0.5, 0.5) < 0
+        assert step(0.0, 0.0) == 0.0
         # Negative mixes flip the slope: the rate rises toward zero.
-        assert alpha_forward_difference(p, 4, -0.5, -0.5) > 0
+        assert step(-0.5, -0.5) > 0
 
 
 class TestRewardStats:
     def test_unpulled_arms_read_zero(self):
         stats = RewardStats(3)
-        assert stats.local_mean(1) == 0.0
         assert stats.local_means().tolist() == [0.0, 0.0, 0.0]
-        assert stats.global_mean() == 0.0
 
     def test_global_mean_averages_arm_means_not_rewards(self):
-        stats = RewardStats(2)
-        stats.record(0, 1.0)
-        stats.record(0, 1.0)
-        stats.record(0, 1.0)
-        stats.record(1, 0.0)
+        # With kappa = 1 the hybrid's alpha is alpha0 / (N + 1) * g.
+        policy = LNUCBTA(2, 2, PolicyConfig(alpha0=1.0, kappa=1.0), seed=0)
+        x = np.array([1.0, 0.0])
+        for arm, reward in ((0, 1.0), (0, 1.0), (0, 1.0), (1, 0.0)):
+            policy.update(arm, x, reward)
         # Pooled mean would be 0.75; the mean of per-arm means is 0.5.
-        assert stats.global_mean() == pytest.approx(0.5)
+        alpha = policy.score_table(x, 4).alpha
+        assert alpha.tolist() == pytest.approx([0.5 / 4, 0.5 / 2])
 
     def test_record_validation(self):
         stats = RewardStats(2)
@@ -82,7 +85,7 @@ class TestRewardStats:
         stats.record(1, 0.25)
         stats.record(1, 0.75)
         assert stats.per_arm_count.tolist() == [0, 2]
-        assert stats.local_mean(1) == pytest.approx(0.5)
+        assert stats.local_means()[1] == pytest.approx(0.5)
 
 
 class TestSoftmaxAttention:

@@ -60,6 +60,9 @@ class TestHelpers:
             parse_seeds("-3")
         with pytest.raises(CliError):
             parse_seeds("")
+        for bad in ("a", "1,b", "0:x", "1.5"):
+            with pytest.raises(CliError, match="seeds .*0:20"):
+                parse_seeds(bad)
 
     def test_parse_grid(self):
         grid = parse_grid(["rho=0.1,0.5", "flag=true"])
@@ -313,6 +316,17 @@ class TestBound:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--sigma", "--delta", "--B", "--W", "--b",
+                                      "--u-sq-sum"])
+    def test_rejects_non_finite_inputs(self, tmp_path, capsys, flag, value):
+        rc = cli_main(["bound", f"{flag}={value}", "--T", "5",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {name} ")
+        assert not (tmp_path / "o").exists()
+
 
 class TestErrorPaths:
     def test_unknown_policy(self, tmp_path):
@@ -411,6 +425,47 @@ class TestErrorPaths:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pid, param", [
+        ("knn-ucb", "theta_max=2.5"),
+        ("lnucb-ta", "theta_max=3.7"),
+        ("lnucb-ta", "theta_min=true"),
+        ("knn-kl-ucb", "theta_min=1.5"),
+        ("lin-knn-ucb", "store_capacity=2.5"),
+        ("enhanced-eps-greedy", "store_capacity=false"),
+    ])
+    def test_integer_policy_params_must_be_integral(self, tmp_path, capsys,
+                                                    pid, param):
+        rc = cli_main(["run", "--policy", pid, "--param", param, "--T", "5",
+                       "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        name = param.split("=")[0]
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("pid", ["knn-ucb", "lnucb-ta"])
+    def test_integral_float_policy_params_are_integers(self, tmp_path, pid):
+        outs = []
+        for value in ("3", "3.0"):
+            out = tmp_path / value
+            assert cli_main(["run", "--policy", pid, "--param",
+                             f"theta_max={value}", "--param",
+                             f"store_capacity={value}", "--T", "40",
+                             "--seeds", "0", "--out", str(out)] + SYN) == 0
+            outs.append(read(out / "result.csv"))
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_bad_seeds_name_the_option(self, tmp_path, capsys, where):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[experiment]\nseeds = a\n" if where == "config" else "")
+        argv = ["run", "--config", str(cfg), "--policy", "random", "--T", "5",
+                "--out", str(tmp_path / "o")] + SYN
+        rc = cli_main(argv + (["--seeds", "a"] if where == "flag" else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seeds 'a'" in err and "1,2,5" in err and "0:20" in err
         assert not (tmp_path / "o").exists()
 
     def test_integral_config_values_convert(self, tmp_path):

@@ -66,12 +66,6 @@ class TestNeighborStore:
         assert store.rewards.tolist() == [float(t) for t in range(33, 40)]
         assert store.rounds.tolist() == [10 * t for t in range(33, 40)]
 
-    def test_version_counts_mutations(self):
-        store = NeighborStore(1)
-        v0 = store.version
-        store.add(np.ones(1), 1.0, 0)
-        assert store.version == v0 + 1
-
 
 class TestNeighborBank:
     def test_validation(self):
@@ -114,7 +108,7 @@ class TestRewardVariance:
         for t in range(3):
             store.add(np.ones(1), float(t), t)
         first = reward_variance(store)
-        assert reward_variance(store) == first  # cached path
+        assert reward_variance(store) == first  # reading changes nothing
         store.add(np.ones(1), 10.0, 3)
         assert reward_variance(store) != first
 

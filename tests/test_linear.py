@@ -123,16 +123,6 @@ class TestRidgeState:
             bound = d * math.log(1.0 + (T * B * B + d * e_sum) / (d * lam))
             assert growth <= bound + 1e-6
 
-    def test_copy_is_independent(self):
-        rng = np.random.default_rng(5)
-        s = RidgeState(3, 1.0)
-        _random_updates(s, rng, 10)
-        c = s.copy()
-        c.update(np.ones(3), 1.0)
-        assert s.update_count == 10
-        assert c.update_count == 11
-        assert not np.array_equal(s.sigma, c.sigma)
-
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -181,13 +171,6 @@ def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
                                           rel=1e-9, abs=1e-15)
     assert np.allclose(s.sigma_inv, np.linalg.inv(s.sigma), rtol=1e-9,
                        atol=1e-12)
-    c = s.copy()
-    before = (s.sigma.copy(), s.chol.copy(), s.b.copy(), s.mu_hat.copy())
-    c.update(x, 1.0, 0.5)
-    for kept, now in zip(before, (s.sigma, s.chol, s.b, s.mu_hat)):
-        assert np.array_equal(kept, now)
-    assert c.update_count == s.update_count + 1
-    assert np.abs(c.chol @ c.chol.T - c.sigma).max() <= 1e-12 * np.abs(c.sigma).max()
 
 
 class TestFactoredRidge:
@@ -212,7 +195,7 @@ class TestFactoredRidge:
         monkeypatch.setattr(np.linalg, "inv", no_inverse)
         for _ in range(40):
             s.update(np.ones(3), 1.0, 1.0)
-        assert s.update_count == 40
+        assert np.allclose(s.sigma, 9.0 * np.eye(3) + 40.0 * np.ones((3, 3)))
 
 
 class TestConfidenceBall:

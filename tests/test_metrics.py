@@ -110,7 +110,7 @@ class TestAggregate:
         agg = aggregate(runs)
         assert [(r.policy, r.params) for r in agg.rows] == [("a", ""),
                                                             ("b", "x=1")]
-        row = agg.row_for("a")
+        row = agg.rows[0]
         assert row.n_seeds == 2
         assert row.final_cum_reward_mean == 2.0
         # Population std of finals {2, 2} and mean rewards {1.0, 1.0}.
@@ -123,7 +123,7 @@ class TestAggregate:
 
     def test_population_not_sample_std(self):
         runs = [run_of("a", "", s, [float(s)]) for s in (0, 1)]
-        row = aggregate(runs).row_for("a")
+        row = aggregate(runs).rows[0]
         # Population std of {0, 1} is 0.5; the sample version would be ~0.707.
         assert row.final_cum_reward_std == pytest.approx(0.5)
 
@@ -143,16 +143,9 @@ class TestAggregate:
     def test_nan_regret_propagates(self):
         runs = [run_of("a", "", 0, [1.0], oracle=[1.0]),
                 run_of("a", "", 1, [1.0])]  # second run has no oracle
-        row = aggregate(runs).row_for("a")
+        row = aggregate(runs).rows[0]
         assert math.isnan(row.final_regret_mean)
         assert math.isnan(row.final_regret_std)
-
-    def test_row_for_missing_key(self):
-        agg = aggregate([run_of("a", "", 0, [1.0])])
-        with pytest.raises(KeyError):
-            agg.row_for("zzz")
-        with pytest.raises(KeyError):
-            agg.row_for("a", params="y=2")
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -127,13 +127,15 @@ def test_selection_and_scoring_are_pure():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(2)
     policy.update(1, x, 0.5)
-    versions = tuple(a.neighbors.version for a in policy.arms)
+    sizes = [len(s) for s in policy.bank.stores]
+    sigmas = [r.sigma.copy() for r in policy.ridges]
     first = policy.score_table(x, 3)
     for _ in range(3):
         assert policy.select(x, 3) == policy.select(x, 3)
         again = policy.score_table(x, 3)
         assert np.array_equal(first.ucb, again.ucb)
-    assert tuple(a.neighbors.version for a in policy.arms) == versions
+    assert [len(s) for s in policy.bank.stores] == sizes == [0, 1, 0]
+    assert all(np.array_equal(r.sigma, s) for r, s in zip(policy.ridges, sigmas))
     assert policy.stats.per_arm_count.sum() == 1
 
 
@@ -147,7 +149,7 @@ def test_score_table_widths_equal_each_ridge_width(gamma_cov):
     for t in range(60):
         x = rng.standard_normal(6)
         table = policy.score_table(x, t)
-        want = [a.ridge.width(x) for a in policy.arms]
+        want = [r.width(x) for r in policy.ridges]
         if gamma_cov > 0:
             assert table.width.tolist() == want
         else:
@@ -155,26 +157,41 @@ def test_score_table_widths_equal_each_ridge_width(gamma_cov):
         arm = policy.select(x, t)
         policy.update(arm, x, float(rng.uniform()))
         gram[arm] += np.outer(x, x)
-    assert all((a.ridge.chol is not None) == (gamma_cov > 0) for a in policy.arms)
-    shift = max(float(np.trace(a.ridge.sigma - np.eye(6) - g))
-                for a, g in zip(policy.arms, gram))
+    assert all((r.chol is not None) == (gamma_cov > 0) for r in policy.ridges)
+    shift = max(float(np.trace(r.sigma - np.eye(6) - g))
+                for r, g in zip(policy.ridges, gram))
     assert (shift > 1e-9) == (gamma_cov > 0)
 
 
-def test_update_without_prior_scoring_matches_memoized_path():
-    cfg = PolicyConfig(theta_min=1, theta_max=3, gamma_cov=0.2)
+@pytest.mark.parametrize("config", [
+    dict(gamma_cov=0.2),
+    dict(gamma_cov=0.0),
+    dict(gamma_cov=0.2, store_capacity=4),
+    dict(gamma_cov=0.2, adaptive_k=False),
+], ids=["shifted", "unshifted", "capped", "fixed-k"])
+def test_update_without_prior_scoring_matches_memoized_path(config):
+    # An update with no scoring pass before it queries its arm through
+    # knn_score; the result must equal the memo of the selection pass.
+    cfg = PolicyConfig(theta_min=1, theta_max=3, variance_scale=10.0, **config)
     scored = LNUCBTA(2, 2, cfg, seed=0)
     unscored = LNUCBTA(2, 2, cfg, seed=0)
     rng = np.random.default_rng(3)
-    for t in range(20):
+    plain_b = np.zeros((2, 2))  # b with no k-NN term in the residual
+    for t in range(40):
         x = rng.standard_normal(2)
         arm = scored.select(x, t)  # populates the memo
         reward = float(rng.uniform())
+        plain_b[arm] += reward * x
         scored.update(arm, x, reward)
         unscored.update(arm, x, reward)  # fresh query path
-        for a, b in zip(scored.arms, unscored.arms):
-            assert np.array_equal(a.ridge.sigma, b.ridge.sigma)
-            assert np.array_equal(a.ridge.b, b.ridge.b)
+        for a, b in zip(scored.ridges, unscored.ridges):
+            assert np.array_equal(a.sigma, b.sigma)
+            assert np.array_equal(a.b, b.b)
+    # The k-NN term was live, and a capped store really evicted.
+    assert not np.allclose([r.b for r in scored.ridges], plain_b)
+    sizes = [len(s) for s in scored.bank.stores]
+    assert sizes == [len(s) for s in unscored.bank.stores]
+    assert (max(sizes) == 4) == ("store_capacity" in config)
 
 
 def test_flag_reductions():
