@@ -40,8 +40,8 @@ class RewardStats:
         self.per_arm_count[arm] += 1
 
     def local_means(self) -> np.ndarray:
-        return np.divide(self.per_arm_sum, self.per_arm_count,
-                         out=np.zeros(self.n_arms), where=self.per_arm_count > 0)
+        # An unpulled arm's sum is 0, so dividing it by 1 gives its 0 mean.
+        return self.per_arm_sum / np.maximum(self.per_arm_count, 1)
 
 
 def exploration_rate(params: AttentionParams, N: int, g: float, n: float) -> float:

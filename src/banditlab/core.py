@@ -21,7 +21,7 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
         x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"context must be 1-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x)):
         raise ValueError("context contains non-finite entries")
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"context dimension {x.shape[0]} != expected {dim}")
@@ -34,6 +34,13 @@ def as_int(value, name: str) -> int:
             or not float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_real(value, name: str) -> float:
+    """value as a float; a bool or a non-number raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def round_rng(seed: int, round: int) -> np.random.Generator:
@@ -60,7 +67,7 @@ def argmax_tiebreak(
     if scores.size == 0:
         raise ValueError("no arms to select from")
     if tie_break == "lowest-index":
-        return int(np.argmax(scores))
+        return int(scores.argmax())
     if tie_break == "seeded-random":
         if rng is None:
             raise ValueError("seeded-random tie-break needs an rng")
@@ -89,6 +96,13 @@ class ScoreTable:
     alpha: np.ndarray
     width: np.ndarray
     ucb: np.ndarray
+
+    @staticmethod
+    def of_ucb(scores: np.ndarray) -> "ScoreTable":
+        """The table of a policy without a breakdown: only ucb is filled."""
+        z = np.zeros_like(scores)
+        return ScoreTable(linear=z, knn=z.copy(), alpha=z.copy(), width=z.copy(),
+                          ucb=scores)
 
     def row(self, arm: int) -> ScoreBreakdown:
         return ScoreBreakdown(
@@ -125,20 +139,26 @@ class Policy(ABC):
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         """Per-arm selection scores for this context; pure."""
 
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
+        """scores() of a context select() has checked, without checking it."""
+        return self.scores(x, round)
+
     @abstractmethod
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         """Fold one observed (arm, context, reward) into the model."""
 
     def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
         """Per-arm score components; a policy without a breakdown fills only ucb."""
-        scores = self.scores(x, round)
-        z = np.zeros_like(scores)
-        return ScoreTable(linear=z, knn=z.copy(), alpha=z.copy(), width=z.copy(),
-                          ucb=scores)
+        return ScoreTable.of_ucb(self.scores(x, round))
 
     def select(self, x: np.ndarray, round: int) -> int:
         x = as_context(x, self.dim)
-        return self._choose(self.scores(x, round), round)
+        self._selected = self._scores(x, round)
+        return self._choose(self._selected, round)
+
+    def selected_table(self) -> ScoreTable:
+        """score_table() of the last select(), kept from its scoring pass."""
+        return ScoreTable.of_ucb(self._selected)
 
     def _choose(self, scores: np.ndarray, round: int) -> int:
         """The arm select() returns for these scores."""

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,17 +29,23 @@ class KnnScore:
 class NeighborBank:
     """(context, reward, round) histories of several arms in padded rows.
 
-    Arm a's entries sit oldest-first at positions [start, end) of its own
-    context array and of row a of the shared norm, reward and round arrays.
-    Every slot outside that window holds an infinite squared norm, so it
-    reads as infinitely far and one pass over the padded rows scores all
-    arms at once (see ``query``).  Rounds are strictly increasing per arm,
-    so entry order is insertion order.
+    Arm a's n entries sit oldest-first in columns [0, n) of row a of the
+    shared norm and reward arrays, and at positions [start, end) of its own
+    context and round arrays.  Every column from n on holds an infinite
+    squared norm, so it reads as infinitely far and one pass over the padded
+    rows, as wide as the longest window, scores all arms at once (see
+    ``query``).  Rounds are strictly increasing per arm, so entry order is
+    insertion order.
 
     Without a capacity the arrays double in length on growth.  With one,
-    they are twice the capacity long: a full arm drops its oldest entry by
-    moving its window start forward, and a window that reaches the end is
-    copied back to position 0, one O(capacity) copy per capacity adds.
+    the shared rows are capacity wide and a full arm drops its oldest entry
+    by shifting its row one column left, an O(capacity) move per add.  Its
+    contexts and rounds are twice the capacity long: the window start moves
+    forward, and a window that reaches the end is copied back to position 0,
+    one O(capacity * dim) copy per capacity adds.
+
+    Each row also keeps running sums of its rewards and squared rewards, so
+    the reward variance costs O(1) per add (see ``_variance``).
     """
 
     def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None):
@@ -52,14 +58,17 @@ class NeighborBank:
         self.n_arms = int(n_arms)
         self.dim = int(dim)
         self.capacity = capacity
-        width = 2 * capacity if capacity is not None else 16
-        self._ctx = [np.empty((width, dim)) for _ in range(n_arms)]
+        length = 2 * capacity if capacity is not None else 16
+        self._ctx = [np.empty((length, dim)) for _ in range(n_arms)]
+        self._rounds = [np.zeros(length, dtype=np.int64) for _ in range(n_arms)]
+        width = capacity if capacity is not None else length
         self._norm2 = np.full((n_arms, width), np.inf)
         self._rewards = np.zeros((n_arms, width))
-        self._rounds = np.zeros((n_arms, width), dtype=np.int64)
         self._start = [0] * n_arms
         self._end = [0] * n_arms
-        self._last_round = [-1] * n_arms
+        # Per row: reward sum, squared-reward sum, and the sums of their
+        # absolute running values, which bound their rounding error.
+        self._sums = [[0.0] * 4 for _ in range(n_arms)]
         self._all_rows = list(range(n_arms))
 
     def store(self, arm: int) -> "NeighborStore":
@@ -69,44 +78,71 @@ class NeighborBank:
         return NeighborStore._row(self, arm)
 
     def _grow(self, arm: int) -> None:
-        ctx = self._ctx[arm]
-        self._ctx[arm] = np.concatenate([ctx, np.empty_like(ctx)])
+        for bufs in (self._ctx, self._rounds):
+            bufs[arm] = np.concatenate([bufs[arm], np.empty_like(bufs[arm])])
         width = self._norm2.shape[1]
-        if ctx.shape[0] == width:
+        if len(self._rounds[arm]) > width:
             pad = ((0, 0), (0, width))
             self._norm2 = np.pad(self._norm2, pad, constant_values=np.inf)
             self._rewards = np.pad(self._rewards, pad)
-            self._rounds = np.pad(self._rounds, pad)
 
     def add(self, arm: int, context, reward: float, round: int) -> None:
         if not 0 <= arm < self.n_arms:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         x = as_context(context, self.dim)
+        start, end = self._start[arm], self._end[arm]
+        if round <= (self._rounds[arm][end - 1] if end > start else -1):
+            raise ValueError("rounds must be strictly increasing")
+        self._add(arm, x, reward, int(round))
+
+    def _add(self, arm: int, x: np.ndarray, reward: float, round: int) -> None:
+        """add() for a checked context and a round after the arm's last."""
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
-        if round <= self._last_round[arm]:
-            raise ValueError("rounds must be strictly increasing")
-        self._last_round[arm] = int(round)
+        reward = float(reward)
         start, end = self._start[arm], self._end[arm]
-        if self.capacity is not None and end - start == self.capacity:
+        n, sums = end - start, self._sums[arm]
+        if n == self.capacity:
             # Evict the oldest entry.
-            self._norm2[arm, start] = np.inf
-            start += 1
-        if end == self._ctx[arm].shape[0]:
+            _fold(sums, float(self._rewards[arm, 0]), -1.0)
+            for buf in (self._norm2, self._rewards):
+                buf[arm, :n - 1] = buf[arm, 1:n]
+            start, n = start + 1, n - 1
+        if end == len(self._rounds[arm]):
             if self.capacity is None:
                 self._grow(arm)
             else:
-                n = end - start
-                self._ctx[arm][:n] = self._ctx[arm][start:end]
-                for buf in (self._norm2, self._rewards, self._rounds):
-                    buf[arm, :n] = buf[arm, start:end]
-                self._norm2[arm, n:] = np.inf
+                for buf in (self._ctx[arm], self._rounds[arm]):
+                    buf[:n] = buf[start:end]
                 start, end = 0, n
         self._ctx[arm][end] = x
-        self._norm2[arm, end] = float(x @ x)
-        self._rewards[arm, end] = float(reward)
-        self._rounds[arm, end] = int(round)
+        self._rounds[arm][end] = round
+        self._norm2[arm, n] = float(x.dot(x))
+        self._rewards[arm, n] = reward
+        _fold(sums, reward, 1.0)
         self._start[arm], self._end[arm] = start, end + 1
+
+    def _variance(self, arm: int) -> Tuple[float, float]:
+        """(v, err): ``reward_variance`` of the arm's store is within err of v.
+
+        v is reward_variance's formula on the running sums.  Each running
+        sum is off by at most u times its absolute-value sum (e1, e2); each
+        sum reward_variance takes over n values is off by at most n*u times
+        their absolute sum, at most sqrt(n*T2) or T2 for T2 the exact sum of
+        squares; each side rounds four times after summing.  u = 2^-52, twice
+        the unit roundoff, absorbs second-order terms; err is doubled for
+        its own rounding.
+        """
+        n = self._end[arm] - self._start[arm]
+        if n < 2:
+            return 0.0, 0.0
+        s1, s2, e1, e2 = self._sums[arm]
+        mean, u = s1 / n, 2.0 ** -52
+        z = (s2 + u * e2) / n  # >= T2 / n
+        r1 = u * (e1 / n + n * math.sqrt(z))  # bounds the error of the mean
+        m = abs(mean) + r1
+        err = u * (e2 / n + n * z + 4 * z + 4 * m * m) + r1 * (m + abs(mean))
+        return max(s2 / n - mean * mean, 0.0), 2.0 * err
 
     def query(self, x, ks, strict: bool = True) -> "KnnBatch":
         """k-NN score of every arm for one context; arm a uses k = ks[a].
@@ -119,7 +155,7 @@ class NeighborBank:
         ks = [int(k) for k in ks]
         if len(ks) != self.n_arms or min(ks) < 1:
             raise ValueError(f"need one k >= 1 for each of {self.n_arms} arms")
-        return self._query(self._all_rows, x, float(x @ x), ks, strict)
+        return self._query(self._all_rows, x, float(x.dot(x)), ks, strict)
 
     def _query(self, arms, x: np.ndarray, xx: float, ks, strict: bool) -> "KnnBatch":
         """One k-NN pass over the given rows for already-validated input.
@@ -129,31 +165,24 @@ class NeighborBank:
         score sums rewards in that order.
         """
         n = len(arms)
-        k_used = [0] * n
-        live, rows, k_live = [], [], []  # the arms that apply
-        width, shortest = 0, math.inf
-        for i, (a, k) in enumerate(zip(arms, ks)):
-            start, end = self._start[a], self._end[a]
-            if not strict:
-                k = min(k, max(end - start, 1))
-            if end - start >= k:
-                k_used[i] = k = int(k)
-                live.append(i)
-                rows.append(a)
-                k_live.append(k)
-                width = max(width, end)
-                shortest = min(shortest, end - start)
+        sizes = [self._end[a] - self._start[a] for a in arms]
+        if not strict:
+            ks = [min(k, max(size, 1)) for k, size in zip(ks, sizes)]
+        k_used = [int(k) if size >= k else 0 for k, size in zip(ks, sizes)]
+        live = [i for i, k in enumerate(k_used) if k]  # the arms that apply
+        rows, k_live = [arms[i] for i in live], [k_used[i] for i in live]
+        sizes = [sizes[i] for i in live]
         if not live:
             return KnnBatch(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
         every = rows == self._all_rows
-        k_max = max(k_live)
+        k_max, width, shortest = max(k_live), max(sizes), min(sizes)
         # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached row norms.  Each
         # arm gets its own matvec over exactly its window: BLAS results depend
         # on the row count, and this keeps them equal to a one-store query.
         d2 = np.zeros((len(rows), width))
         for j, a in enumerate(rows):
             s, e = self._start[a], self._end[a]
-            np.dot(self._ctx[a][s:e], x, out=d2[j, s:e])
+            self._ctx[a][s:e].dot(x, out=d2[j, :e - s])
         d2 *= -2.0
         d2 += self._norm2[:, :width] if every else self._norm2[rows, :width]
         d2 += xx
@@ -163,11 +192,14 @@ class NeighborBank:
         # included, so each arm's first k in (distance, round) order are
         # among them.
         if width > k_max:
-            cut = np.partition(d2, k_max - 1, axis=1)[:, k_max - 1:k_max]
+            # The method on a copy is np.partition without its wrapper's cost.
+            cut = d2.copy()
+            cut.partition(k_max - 1, axis=1)
+            cut = cut[:, k_max - 1:k_max]
             np.minimum(cut, _FINITE_MAX, out=cut)
         else:
             cut = _FINITE_MAX
-        flat = np.flatnonzero(d2 <= cut)
+        flat = (d2 <= cut).ravel().nonzero()[0]
         row, col = np.divmod(flat, width)
         dist = d2.ravel()[flat]
         # Stable: equal distances keep column order, which is round order.
@@ -195,6 +227,14 @@ class NeighborBank:
         if len(live) < n:
             score, u_max = _spread(score, live, n), _spread(u_max, live, n)
         return KnnBatch(score, u_max, np.array(k_used))
+
+
+def _fold(sums: list, reward: float, sign: float) -> None:
+    """Add (sign 1) or remove (sign -1) a reward in a row's running sums."""
+    sums[0] += sign * reward
+    sums[1] += sign * (reward * reward)
+    sums[2] += abs(sums[0])
+    sums[3] += abs(sums[1])
 
 
 def _spread(values: np.ndarray, at: list, n: int) -> np.ndarray:
@@ -253,9 +293,9 @@ class NeighborStore:
     def add(self, context, reward: float, round: int) -> None:
         self._bank.add(self._arm, context, reward, round)
 
-    def _window(self, buf) -> np.ndarray:
+    def _window(self, bufs) -> np.ndarray:
         bank, arm = self._bank, self._arm
-        return buf[arm][bank._start[arm]:bank._end[arm]]
+        return bufs[arm][bank._start[arm]:bank._end[arm]]
 
     @property
     def contexts(self) -> np.ndarray:
@@ -263,7 +303,7 @@ class NeighborStore:
 
     @property
     def rewards(self) -> np.ndarray:
-        return self._window(self._bank._rewards)
+        return self._bank._rewards[self._arm, :len(self)]
 
     @property
     def rounds(self) -> np.ndarray:
@@ -323,7 +363,7 @@ def knn_score_bruteforce(store: NeighborStore, x, k: int) -> KnnScore:
     n = len(store)
     if n < k:
         return KnnScore.not_applied()
-    norm2 = store._window(store._bank._norm2)
+    norm2 = store._bank._norm2[store._arm, :n]
     d2 = norm2 - 2.0 * (store.contexts @ x) + float(x @ x)
     np.maximum(d2, 0.0, out=d2)
     order = np.lexsort((store.rounds, d2))

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_context
+from .core import as_context, as_real
 
 # Rebuild the maintained inverse when max|sigma @ sigma_inv - I| drifts past this.
 INVERSE_DRIFT_TOL = 1e-6
@@ -51,7 +51,7 @@ class RidgeState:
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if not (np.isfinite(lam) and lam > 0):
+        if not (np.isfinite(as_real(lam, "lam")) and lam > 0):
             raise ValueError("lambda must be positive")
         if not (np.isfinite(gamma_cov) and gamma_cov >= 0):
             raise ValueError("gamma_cov must be >= 0")
@@ -59,7 +59,6 @@ class RidgeState:
         self.lam = float(lam)
         self.gamma_cov = float(gamma_cov)
         self.sigma = self.lam * np.eye(self.dim)
-        self._diag = np.diag_indices(self.dim)
         self.b = np.zeros(self.dim)
         self.mu_hat = np.zeros(self.dim)
         # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
@@ -103,7 +102,7 @@ class RidgeState:
         if self.chol is None:
             return max(float(x @ (self._inv @ x)), 0.0)
         v, _ = _lapack().dtrtrs(self.chol, x, lower=1)
-        return float(v @ v)
+        return float(v.dot(v))
 
     def width(self, x) -> float:
         """Normalized width sqrt(x^T sigma^-1 x)."""
@@ -116,17 +115,22 @@ class RidgeState:
             raise ValueError("residual must be finite")
         if not (math.isfinite(e_knn) and e_knn >= 0):
             raise ValueError("e_knn must be finite and >= 0")
+        self._update(x, residual, e_knn)
+
+    def _update(self, x: np.ndarray, residual: float, e_knn: float) -> None:
+        """update() for a checked context, finite residual and e_knn >= 0."""
         self.sigma += x[:, None] * x
         self.b += float(residual) * x
         if self.chol is not None:
             inflate = self.gamma_cov * float(e_knn)
             if inflate > 0.0:
-                self.sigma[self._diag] += inflate
+                # sigma is C-contiguous: this steps along its diagonal in place.
+                self.sigma.reshape(-1)[::self.dim + 1] += inflate
             self._factor()
             return
         # Sherman-Morrison rank-one inverse update.
         v = self._inv @ x
-        self._inv -= v[:, None] * v / (1.0 + float(x @ v))
+        self._inv -= v[:, None] * v / (1.0 + float(x.dot(v)))
         self._rank_one_updates += 1
         if self._rank_one_updates == DRIFT_CHECK_EVERY:
             self._rank_one_updates = 0

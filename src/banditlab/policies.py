@@ -4,15 +4,15 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_context, as_int,
-                   round_rng)
-from .knn import KnnBatch, NeighborBank, knn_score, reward_variance, select_k
+                   as_real, round_rng)
+from .knn import KnnBatch, NeighborBank, reward_variance, select_k
 from .linear import RidgeState
 
 
@@ -40,13 +40,16 @@ class PolicyConfig:
     adaptive_k: bool = True
 
     def __post_init__(self):
+        for name in ("lam", "alpha0", "kappa", "gamma_cov", "variance_scale"):
+            as_real(getattr(self, name), name)
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be positive")
         if not (np.isfinite(self.alpha0) and self.alpha0 >= 0):
             raise ValueError("alpha0 must be >= 0")
         if not (np.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
             raise ValueError("kappa must be in [0, 1]")
-        if not 1 <= int(self.theta_min) <= int(self.theta_max):
+        if not (1 <= as_int(self.theta_min, "theta_min")
+                <= as_int(self.theta_max, "theta_max")):
             raise ValueError("need 1 <= theta_min <= theta_max")
         if not (np.isfinite(self.gamma_cov) and self.gamma_cov >= 0):
             raise ValueError("gamma_cov must be >= 0")
@@ -84,13 +87,13 @@ class LNUCBTA(Policy):
         # every arm; factored ridges (gamma_cov > 0) are solved per arm.
         self._inv_stack = (np.stack([r.sigma_inv.copy() for r in self.ridges])
                            if self.ridges[0].chol is None else None)
-        # (context bytes, KnnBatch) of the last scoring pass.  The stores
-        # change only in update(), which consumes and clears it, so a match
-        # on the context is exactly what a fresh query would return.
-        self._last_knn: Optional[tuple] = None
+        # (context bytes, ScoreTable, KnnBatch) of select()'s scoring pass.
+        # The stores change only in update(), which consumes and clears it,
+        # so a match on the context is exactly what a fresh query returns.
+        self._kept: Optional[tuple] = None
 
-    def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
-        x = as_context(x, self.dim)
+    def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch]]:
+        """The score table and k-NN pass for a checked context."""
         cfg = self.config
         linear = self._mu_stack @ x
         if self._inv_stack is not None:
@@ -98,30 +101,33 @@ class LNUCBTA(Policy):
         else:
             w2 = np.array([r._width_sq(x) for r in self.ridges])
         width = np.sqrt(w2)
-        if cfg.use_knn:
-            batch = self.bank.query(x, strict_gate=True)
-            self._last_knn = (x.tobytes(), batch)
-            knn = batch.score.copy()
-        else:
-            knn = np.zeros(self.n_arms)
+        batch = self.bank.query(x, strict_gate=True) if cfg.use_knn else None
+        knn = batch.score.copy() if cfg.use_knn else np.zeros(self.n_arms)
         if cfg.use_attention:
             local = self.stats.local_means()
             g = float(np.add.reduce(local) / self.n_arms)  # local.mean(), bit for bit
-            counts = self.stats.per_arm_count.astype(np.float64)
-            alpha = exploration_rates(self._attention, counts, g, local)
+            alpha = exploration_rates(self._attention, self.stats.per_arm_count,
+                                      g, local)
             if cfg.floor_alpha_at_zero:
                 np.maximum(alpha, 0.0, out=alpha)
         else:
             alpha = np.full(self.n_arms, cfg.alpha0)
         ucb = linear + knn + alpha * width
-        return ScoreTable(linear=linear, knn=knn, alpha=alpha, width=width, ucb=ucb)
+        return ScoreTable(linear=linear, knn=knn, alpha=alpha, width=width,
+                          ucb=ucb), batch
+
+    def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
+        return self._table(as_context(x, self.dim))[0]
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.score_table(x, round).ucb
 
-    def select(self, x: np.ndarray, round: int) -> int:
-        # score_table validates the context; no second check here.
-        return self._choose(self.score_table(x, round).ucb, round)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
+        self._kept = (x.tobytes(), *self._table(x))
+        return self._kept[1].ucb
+
+    def selected_table(self) -> ScoreTable:
+        return self._kept[1]
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         arm = self._check_arm(arm)
@@ -129,16 +135,14 @@ class LNUCBTA(Policy):
         if not math.isfinite(reward):
             raise ValueError("reward must be finite")
         ridge = self.ridges[arm]
-        last, self._last_knn = self._last_knn, None
+        kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score.
         knn, u_max = 0.0, 0.0
         if self.config.use_knn:
-            if last is not None and last[0] == x.tobytes():
-                knn, u_max = float(last[1].score[arm]), float(last[1].u_max[arm])
-            else:
-                got = knn_score(self.bank.stores[arm], x, self.bank.k_for(arm))
-                knn, u_max = got.score, got.u_max
-        ridge.update(x, reward - knn, u_max * u_max)
+            hit = kept is not None and kept[0] == x.tobytes()
+            batch = kept[2] if hit else self.bank.query(x, strict_gate=True)
+            knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
+        ridge._update(x, reward - knn, u_max * u_max)
         self._mu_stack[arm] = ridge.mu_hat
         if self._inv_stack is not None:
             self._inv_stack[arm] = ridge.sigma_inv
@@ -150,7 +154,7 @@ class LNUCBTA(Policy):
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
            seed: int = 0, tie_break: str = "lowest-index") -> LNUCBTA:
     """Disjoint LinUCB: the hybrid rule with a fixed alpha and no k-NN term."""
-    cfg = PolicyConfig(lam=lam, alpha0=alpha, tie_break=tie_break,
+    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), tie_break=tie_break,
                        use_attention=False, use_knn=False, adaptive_k=False)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "linucb"
@@ -162,7 +166,7 @@ def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
                 store_capacity: Optional[int] = None, seed: int = 0,
                 tie_break: str = "lowest-index") -> LNUCBTA:
     """Plain linear + k-NN combination: fixed alpha, fixed k = theta_max."""
-    cfg = PolicyConfig(lam=lam, alpha0=alpha, theta_max=theta_max,
+    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), theta_max=theta_max,
                        variance_scale=variance_scale,
                        store_capacity=store_capacity, tie_break=tie_break,
                        use_attention=False, use_knn=True, adaptive_k=False)
@@ -179,7 +183,7 @@ class UCB(Policy):
     def __init__(self, n_arms: int, dim: int = 1, rho: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(rho) and rho >= 0):
+        if not (np.isfinite(as_real(rho, "rho")) and rho >= 0):
             raise ValueError("rho must be >= 0")
         self.rho = float(rho)
         self.stats = RewardStats(n_arms)
@@ -236,7 +240,7 @@ class KLUCB(Policy):
     def __init__(self, n_arms: int, dim: int = 1, c: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(c) and c >= 0):
+        if not (np.isfinite(as_real(c, "c")) and c >= 0):
             raise ValueError("c must be >= 0")
         self.c = float(c)
         self.stats = RewardStats(n_arms)
@@ -263,7 +267,7 @@ class EpsilonGreedy(Policy):
     def __init__(self, n_arms: int, dim: int = 1, eps: float = 0.1, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(eps) and 0.0 <= eps <= 1.0):
+        if not (np.isfinite(as_real(eps, "eps")) and 0.0 <= eps <= 1.0):
             raise ValueError("eps must be in [0, 1]")
         self.eps = float(eps)
         self.stats = RewardStats(n_arms)
@@ -272,11 +276,11 @@ class EpsilonGreedy(Policy):
         return self.stats.local_means()
 
     def select(self, x: np.ndarray, round: int) -> int:
-        x = as_context(x, self.dim)
+        self._selected = self.scores(as_context(x, self.dim), round)
         rng = round_rng(self.seed, round)
         if self.eps > 0.0 and rng.uniform() < self.eps:
             return int(rng.integers(self.n_arms))
-        return argmax_tiebreak(self.scores(x, round), self.tie_break, rng)
+        return argmax_tiebreak(self._selected, self.tie_break, rng)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         self.stats.record(self._check_arm(arm), reward)
@@ -291,7 +295,7 @@ class BetaThompson(Policy):
                  prior_b: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if prior_a <= 0 or prior_b <= 0:
+        if as_real(prior_a, "prior_a") <= 0 or as_real(prior_b, "prior_b") <= 0:
             raise ValueError("Beta prior parameters must be positive")
         self.prior_a = float(prior_a)
         self.prior_b = float(prior_b)
@@ -317,7 +321,7 @@ class _RidgeDraws:
     """
 
     def _init_ridges(self, v: float, lam: float) -> None:
-        if not (np.isfinite(v) and v >= 0):
+        if not (np.isfinite(as_real(v, "v")) and v >= 0):
             raise ValueError("v must be >= 0")
         self.v = float(v)
         self.ridge = [RidgeState(self.dim, lam) for _ in range(self.n_arms)]
@@ -373,7 +377,8 @@ class _KnnBank:
         self.theta_max = as_int(theta_max, "theta_max")
         if not 1 <= self.theta_min <= self.theta_max:
             raise ValueError("need 1 <= theta_min <= theta_max")
-        if not (np.isfinite(variance_scale) and variance_scale > 0):
+        if not (np.isfinite(as_real(variance_scale, "variance_scale"))
+                and variance_scale > 0):
             raise ValueError("variance_scale must be positive")
         self.variance_scale = float(variance_scale)
         if store_capacity is not None:
@@ -386,8 +391,14 @@ class _KnnBank:
     def _fresh_k(self, arm: int) -> int:
         if self.theta_min == self.theta_max:
             return self.theta_max
-        v = reward_variance(self.stores[arm]) * self.variance_scale
-        return select_k(v, self.theta_min, self.theta_max)
+        # select_k is monotone in the variance, so equal ks at both ends of
+        # the running sums' error interval are the exact rule's k.
+        v, err = self.neighbors._variance(arm)
+        lo, hi, scale = self.theta_min, self.theta_max, self.variance_scale
+        k = select_k(max(v - err, 0.0) * scale, lo, hi)
+        if k < hi and k != select_k((v + err) * scale, lo, hi):
+            k = select_k(reward_variance(self.stores[arm]) * scale, lo, hi)
+        return k
 
     def k_for(self, arm: int) -> int:
         return self._ks[arm]
@@ -398,11 +409,11 @@ class _KnnBank:
         Baselines pass strict_gate=False to fall back to all available
         entries instead of gating.
         """
-        return self.neighbors._query(self.neighbors._all_rows, x, float(x @ x),
+        return self.neighbors._query(self.neighbors._all_rows, x, float(x.dot(x)),
                                      self._ks, strict_gate)
 
     def add(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.neighbors.add(arm, x, reward, self._counter)
+        self.neighbors._add(arm, x, reward, self._counter)
         self._counter += 1
         self._ks[arm] = self._fresh_k(arm)
 
@@ -422,14 +433,16 @@ class KnnUCB(Policy):
                  store_capacity: Optional[int] = None, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(rho) and rho >= 0):
+        if not (np.isfinite(as_real(rho, "rho")) and rho >= 0):
             raise ValueError("rho must be >= 0")
         self.rho = float(rho)
         self.bank = _KnnBank(n_arms, dim, theta_min, theta_max, variance_scale,
                              store_capacity)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+        return self._scores(as_context(x, self.dim), round)
+
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank.query(x, strict_gate=False)
         return np.where(batch.applied, batch.score + self.rho * batch.u_max,
                         np.inf)
@@ -450,12 +463,11 @@ class KnnKLUCB(KnnUCB):
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, 0.0, theta_min, theta_max, variance_scale,
                          store_capacity, seed, tie_break)
-        if not (np.isfinite(c) and c >= 0):
+        if not (np.isfinite(as_real(c, "c")) and c >= 0):
             raise ValueError("c must be >= 0")
         self.c = float(c)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank.query(x, strict_gate=False)
         lt = math.log(max(round + 1, 1))
         out = np.full(self.n_arms, np.inf)
@@ -494,12 +506,15 @@ class _EnhancedBase(Policy):
                  store_capacity: Optional[int] = None, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(gamma_sm) and gamma_sm >= 0):
+        if not (np.isfinite(as_real(gamma_sm, "gamma_sm")) and gamma_sm >= 0):
             raise ValueError("gamma_sm must be >= 0")
         self.gamma_sm = float(gamma_sm)
         self.bank = _KnnBank(n_arms, dim, theta_min, theta_max, variance_scale,
                              store_capacity)
         self.stats = RewardStats(n_arms)
+
+    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+        return self._scores(as_context(x, self.dim), round)
 
     def attention_weights(self) -> np.ndarray:
         return softmax_attention(self.stats.per_arm_count, self.gamma_sm)
@@ -523,18 +538,16 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
 
     def __init__(self, n_arms: int, dim: int, eps: float = 0.1, **kw):
         super().__init__(n_arms, dim, **kw)
-        if not (np.isfinite(eps) and 0.0 <= eps <= 1.0):
+        if not (np.isfinite(as_real(eps, "eps")) and 0.0 <= eps <= 1.0):
             raise ValueError("eps must be in [0, 1]")
         self.eps = float(eps)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.stats.local_means() + self.knn_vector(x)
 
     def select(self, x: np.ndarray, round: int) -> int:
-        x = as_context(x, self.dim)
         rng = round_rng(self.seed, round)
-        s = self.scores(x, round)
+        s = self._selected = self._scores(as_context(x, self.dim), round)
         greedy = argmax_tiebreak(s, "lowest-index")
         eps_eff = self.eps * float(self.attention_weights()[greedy])
         if eps_eff > 0.0 and rng.uniform() < eps_eff:
@@ -560,15 +573,14 @@ class EnhancedBetaThompson(_EnhancedBase):
     def __init__(self, n_arms: int, dim: int, prior_a: float = 1.0,
                  prior_b: float = 1.0, **kw):
         super().__init__(n_arms, dim, **kw)
-        if prior_a <= 0 or prior_b <= 0:
+        if as_real(prior_a, "prior_a") <= 0 or as_real(prior_b, "prior_b") <= 0:
             raise ValueError("Beta prior parameters must be positive")
         self.prior_a = float(prior_a)
         self.prior_b = float(prior_b)
         self._succ = np.zeros(n_arms)
         self._fail = np.zeros(n_arms)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         a = self.prior_a + self._succ
         b = self.prior_b + self._fail
@@ -595,8 +607,7 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
         super().__init__(n_arms, dim, **kw)
         self._init_ridges(v, lam)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         w = self.attention_weights() * self.n_arms
         out = np.empty(self.n_arms)

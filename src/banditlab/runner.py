@@ -130,7 +130,7 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
         if not fb.step_consumed:
             break
         if trace:
-            trace_rows.append(policy.score_table(x, t).row(arm))
+            trace_rows.append(policy.selected_table().row(arm))
         policy.update(arm, x, fb.reward)
         rewards.append(fb.reward)
         if fb.oracle_reward is not None:

@@ -444,6 +444,24 @@ class TestErrorPaths:
         assert f"{name} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("pid, param, message", [
+        ("lnucb-ta", "lam=abc", "lam must be a number, got 'abc'"),
+        ("knn-ucb", "rho=abc", "rho must be a number, got 'abc'"),
+        ("linucb", "alpha=abc", "alpha must be a number, got 'abc'"),
+        ("lnucb-ta", "theta_min=abc", "theta_min must be an integer, got 'abc'"),
+        ("knn-ucb", "variance_scale=abc", "variance_scale must be a number"),
+        ("linthompson", "lam=abc", "lam must be a number, got 'abc'"),
+        ("beta-thompson", "prior_a=abc", "prior_a must be a number"),
+    ])
+    def test_non_numeric_policy_params_name_the_parameter(self, tmp_path,
+                                                          capsys, pid, param,
+                                                          message):
+        rc = cli_main(["run", "--policy", pid, "--param", param, "--T", "5",
+                       "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("pid", ["knn-ucb", "lnucb-ta"])
     def test_integral_float_policy_params_are_integers(self, tmp_path, pid):
         outs = []

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditlab import policies
 from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
+from banditlab.policies import _KnnBank, make_policy
+from banditlab.runner import EnvSpec, build_env, run_policy
 
 
 def _filled_store(rng, n, d, capacity=None, duplicate_from=None):
@@ -222,3 +225,85 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
         want = knn_score_bruteforce(store, x, k)
         assert got.row(a) == want
         assert got.score[a] == want.score and got.u_max[a] == want.u_max
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.one_of(st.none(), st.integers(1, 25)),
+    thetas=st.sampled_from([(1, 2), (1, 5), (4, 5), (2, 7), (3, 3)]),
+    scale=st.sampled_from([1.0, 2.0, 4.0, 50.0]),
+    levels=st.sampled_from([(0.0, 1.0), (0.0, 0.5, 1.0), (-1.0, 0.25, 2.0),
+                            (0.1, 0.3), (0.1, 0.3, 0.7)]),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 100_000),
+)
+def test_incremental_k_equals_the_exact_rule(capacity, thetas, scale, levels,
+                                             n, seed):
+    # Rewards from a small set put the interpolated k exactly on .5
+    # boundaries (0.1 and 0.3, inexact in binary, land within rounding of
+    # one); runs up to 12x a capacity copy capped windows back often.
+    rng = np.random.default_rng(seed)
+    bank = _KnnBank(2, 2, thetas[0], thetas[1], scale, capacity)
+    for _ in range(n):
+        arm = int(rng.integers(2))
+        bank.add(arm, rng.standard_normal(2), float(rng.choice(levels)))
+        v = reward_variance(bank.stores[arm]) * scale
+        assert bank.k_for(arm) == select_k(v, *thetas)
+
+
+def test_incremental_k_falls_back_on_a_rounding_boundary(monkeypatch):
+    # Alternating 0/1 rewards give variance 0.25: 1 + 1 * (0.25 * 2) + 0.5
+    # is exactly 2, so only the exact rule can tell k = 2 from k = 1.
+    exact = []
+    monkeypatch.setattr(policies, "reward_variance",
+                        lambda store: exact.append(1) or reward_variance(store))
+    bank = _KnnBank(1, 1, 1, 2, 2.0, None)
+    for t in range(40):
+        bank.add(0, np.zeros(1), float(t % 2))
+    assert bank.k_for(0) == 2 and exact
+
+
+@pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
+def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
+    # Every round's bank pass, in both gating modes, against the full-sort
+    # oracle per arm along a real capped run.  bincount runs only on the
+    # pass's tie, short-row and mixed-k branch; both it and the common
+    # branch must have run on the way.
+    spec = EnvSpec(kind="synthetic", d=10, n_arms=5, bump_count=3,
+                   noise_sigma=0.06, env_seed=0, radius=0.7)
+    env = build_env(spec)
+    # lnucb-ta as in the suite's capped cell, so every arm fills its store.
+    params = (dict(theta_min=4, kappa=1.0, floor_alpha_at_zero=True, lam=0.1,
+                   gamma_cov=0.05) if pid == "lnucb-ta" else {})
+    policy = make_policy(pid, env.n_arms, env.dim, seed=3, store_capacity=7,
+                         variance_scale=50.0, **params)
+    bank = policy.bank.neighbors
+    passes = {"common": 0, "bincount": 0}
+    calls, bincount, query = [0], np.bincount, NeighborBank._query
+
+    def spied_bincount(*args, **kwargs):
+        calls[0] += 1
+        return bincount(*args, **kwargs)
+
+    def counted(self, arms, x, xx, ks, strict):
+        before = calls[0]
+        got = query(self, arms, x, xx, ks, strict)
+        passes["bincount" if calls[0] > before else "common"] += 1
+        return got
+
+    def checked_query(self, arms, x, xx, ks, strict):
+        if self is not bank:
+            return query(self, arms, x, xx, ks, strict)
+        for gate in (not strict, strict):  # the policy's own pass last
+            got = counted(self, arms, x, xx, ks, gate)
+            for a, k in zip(arms, ks):
+                store = self.store(a)
+                k = k if gate else min(k, max(len(store), 1))
+                assert got.row(a) == knn_score_bruteforce(store, x, k)
+        return got
+
+    monkeypatch.setattr(np, "bincount", spied_bincount)
+    monkeypatch.setattr(NeighborBank, "_query", checked_query)
+    run_policy(env, policy, 300, 3)
+    assert max(len(s) for s in policy.bank.stores) == 7
+    assert passes["common"] > 0 and passes["bincount"] > 0, passes

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from banditlab.env import DataError, ReplayLogEnv
-from banditlab.policies import RandomPolicy, make_policy
+from banditlab.knn import NeighborBank
+from banditlab.policies import POLICIES, RandomPolicy, make_policy
 from banditlab.runner import (Cell, EnvSpec, build_env, execute_cells,
                               param_slug, run_cell, run_policy)
 
@@ -86,6 +87,48 @@ class TestRunPolicy:
         for r in rows:
             assert r.ucb == pytest.approx(r.linear + r.knn
                                           + r.alpha * r.width)
+
+    @pytest.mark.parametrize("pid", sorted(POLICIES))
+    def test_traced_round_scores_once(self, pid, monkeypatch):
+        # The trace row comes from select()'s own scoring pass: one pass
+        # (and at most one k-NN query) per round, and the row equals a fresh
+        # score_table() of the selected round.
+        env = build_env(SMALL)
+        policy = make_policy(pid, env.n_arms, env.dim, seed=0)
+        passes, depth, queries = [0], [0], [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                passes[0] += depth[0] == 0  # nested calls are the same pass
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("scores", "_scores", "score_table"):
+            setattr(policy, name, counted(getattr(policy, name)))
+        query = NeighborBank._query
+
+        def counted_query(self, *args):
+            queries[0] += 1
+            return query(self, *args)
+
+        monkeypatch.setattr(NeighborBank, "_query", counted_query)
+        _, rows = run_policy(env, policy, 30, 0, trace=True)
+        assert passes[0] == 30
+        knn_ids = {"lnucb-ta", "lin-knn-ucb", "knn-ucb", "knn-kl-ucb",
+                   "enhanced-eps-greedy", "enhanced-beta-thompson",
+                   "enhanced-linthompson"}
+        assert queries[0] == (30 if pid in knn_ids else 0)
+        twin = make_policy(pid, env.n_arms, env.dim, seed=0)
+        episode = env.episode(0, 30)
+        for t, row in enumerate(rows):
+            x = episode.context(t)
+            arm = twin.select(x, t)
+            assert twin.score_table(x, t).row(arm) == row
+            twin.update(arm, x, episode.feedback(t, arm).reward)
 
     def test_classification_clamps_horizon(self, tmp_path):
         p = tmp_path / "c.csv"
