@@ -1,10 +1,11 @@
 """Temporal attention exploration schedule and global/local reward statistics."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .core import as_reward
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,7 @@ class RewardStats:
     def record(self, arm: int, reward: float) -> None:
         if not 0 <= arm < self.n_arms:
             raise ValueError(f"arm {arm} out of range")
-        if not math.isfinite(reward):
-            raise ValueError("reward must be finite")
-        self.per_arm_sum[arm] += reward
+        self.per_arm_sum[arm] += as_reward(reward)
         self.per_arm_count[arm] += 1
 
     def local_means(self) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared domain types, deterministic randomness, and the policy interface."""
 from __future__ import annotations
 
+import math
 import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -41,6 +42,17 @@ def as_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_reward(value) -> float:
+    """value as a float; NaN or an infinity raises ValueError."""
+    reward = float(value)
+    if not math.isfinite(reward):
+        raise ValueError("reward must be finite")
+    return reward
+
+
+TIE_BREAKS = ("lowest-index", "seeded-random")
 
 
 def round_rng(seed: int, round: int) -> np.random.Generator:
@@ -130,6 +142,8 @@ class Policy(ABC):
             raise ValueError("need at least one arm")
         if dim < 1:
             raise ValueError("context dimension must be >= 1")
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(f"unknown tie_break {tie_break!r}")
         self.n_arms = int(n_arms)
         self.dim = int(dim)
         self.seed = int(seed)

@@ -113,43 +113,59 @@ def two_class_bumps(seed: int, T: int, d: int = 10, bump_count: int = 4,
     return ClassificationBanditEnv(X, labels, shuffle_seed=seed)
 
 
+def _csv_rows(path, has_header: bool = False):
+    """(file line, cells) of each CSV row that is not blank or the header.
+
+    A csv error, such as a cell over the csv module's size limit, raises
+    DataError naming the line; bytes that are not UTF-8 name their offset.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            for i, row in enumerate(reader):
+                if (i or not has_header) and any(c.strip() for c in row):
+                    yield reader.line_num, row
+        except csv.Error as exc:
+            raise DataError(f"row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                try:
+                    raw.read().decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"byte {exc.start}: not UTF-8") from None
+            raise
+
+
 def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
                             has_header: bool = False) -> ClassificationBanditEnv:
     """Load a numeric-feature CSV, map label classes to arms, normalize, shuffle."""
     features = []
     labels_raw = []
     lines = []  # file line of each kept row
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if has_header and i == 1:
-                continue
-            if not row or all(c.strip() == "" for c in row):
+    for i, row in _csv_rows(path, has_header):
+        try:
+            label = row[label_column]
+        except IndexError:
+            raise DataError(f"row {i}: missing label column {label_column}")
+        lab_idx = label_column % len(row)
+        feats = []
+        for j, cell in enumerate(row):
+            if j == lab_idx:
                 continue
             try:
-                label = row[label_column]
-            except IndexError:
-                raise DataError(f"row {i}: missing label column {label_column}")
-            ncols = len(row)
-            lab_idx = label_column % ncols
-            feats = []
-            for j, cell in enumerate(row):
-                if j == lab_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise DataError(f"row {i}: non-numeric feature {cell!r}") from None
-            if not feats:
-                raise DataError(f"row {i}: no feature columns")
-            features.append(feats)
-            labels_raw.append(label.strip())
-            lines.append(i)
+                feats.append(float(cell))
+            except ValueError:
+                raise DataError(f"row {i}: non-numeric feature {cell!r}") from None
+        if not feats:
+            raise DataError(f"row {i}: no feature columns")
+        if features and len(feats) != len(features[0]):
+            raise DataError(f"row {i}: {len(feats)} features, but row {lines[0]} "
+                            f"has {len(features[0])}: inconsistent column counts")
+        features.append(feats)
+        labels_raw.append(label.strip())
+        lines.append(i)
     if not features:
         raise DataError("empty dataset")
-    widths = {len(f) for f in features}
-    if len(widths) != 1:
-        raise DataError("inconsistent column counts across rows")
     X = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(X)):
         row = lines[int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])]
@@ -236,27 +252,21 @@ def load_news_csv(path) -> ReplayLogEnv:
     # lists would hold ~25 bytes of Python objects per value.
     features = array.array("d")
     lines = []  # file line of each kept row
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader, start=1):
-            if not row or all(c.strip() == "" for c in row):
-                continue
-            if len(row) != 102:
-                raise DataError(f"row {i}: expected 102 columns, got {len(row)}")
-            try:
-                vals = [float(c) for c in row]
-            except ValueError:
-                raise DataError(f"row {i}: non-numeric value") from None
-            if not 1 <= vals[0] <= 10 or vals[0] != int(vals[0]):
-                raise DataError(f"row {i}: arm id {vals[0]} outside 1..10")
-            arm = int(vals[0])
-            click = vals[1]
-            if click not in (0.0, 1.0):
-                raise DataError(f"row {i}: click {click} not in {{0, 1}}")
-            arms.append(arm - 1)
-            clicks.append(click)
-            features.extend(vals[2:])
-            lines.append(i)
+    for i, row in _csv_rows(path):
+        if len(row) != 102:
+            raise DataError(f"row {i}: expected 102 columns, got {len(row)}")
+        try:
+            vals = [float(c) for c in row]
+        except ValueError:
+            raise DataError(f"row {i}: non-numeric value") from None
+        if not 1 <= vals[0] <= 10 or vals[0] != int(vals[0]):
+            raise DataError(f"row {i}: arm id {vals[0]} outside 1..10")
+        if vals[1] not in (0.0, 1.0):
+            raise DataError(f"row {i}: click {vals[1]} not in {{0, 1}}")
+        arms.append(int(vals[0]) - 1)
+        clicks.append(vals[1])
+        features.extend(vals[2:])
+        lines.append(i)
     if not arms:
         raise DataError("empty dataset")
     contexts = np.frombuffer(features, dtype=np.float64).reshape(len(arms), 100)

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import as_context
+from .core import as_context, as_int, as_real, as_reward
 
 _FINITE_MAX = np.finfo(np.float64).max
 
@@ -44,20 +44,32 @@ class NeighborBank:
     forward, and a window that reaches the end is copied back to position 0,
     one O(capacity * dim) copy per capacity adds.
 
-    Each row also keeps running sums of its rewards and squared rewards, so
-    the reward variance costs O(1) per add (see ``_variance``).
+    The bank owns each arm's adaptive k, select_k of its reward variance
+    times variance_scale (the defaults pin k at 1), kept in O(1) per add by
+    running reward sums (see ``_fresh_k``).  Policies feed it through
+    ``_add`` and score every arm with its own k in one ``_pass`` per round.
     """
 
-    def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None):
+    def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None,
+                 theta_min: int = 1, theta_max: int = 1,
+                 variance_scale: float = 1.0):
         if n_arms < 1:
             raise ValueError("n_arms must be >= 1")
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 when set")
+        if capacity is not None and as_int(capacity, "store_capacity") < 1:
+            raise ValueError("store_capacity must be >= 1 when set")
+        self.theta_min = as_int(theta_min, "theta_min")
+        self.theta_max = as_int(theta_max, "theta_max")
+        if not 1 <= self.theta_min <= self.theta_max:
+            raise ValueError("need 1 <= theta_min <= theta_max")
+        if not (math.isfinite(as_real(variance_scale, "variance_scale"))
+                and variance_scale > 0):
+            raise ValueError("variance_scale must be positive")
+        self.variance_scale = float(variance_scale)
         self.n_arms = int(n_arms)
         self.dim = int(dim)
-        self.capacity = capacity
+        self.capacity = capacity = None if capacity is None else int(capacity)
         length = 2 * capacity if capacity is not None else 16
         self._ctx = [np.empty((length, dim)) for _ in range(n_arms)]
         self._rounds = [np.zeros(length, dtype=np.int64) for _ in range(n_arms)]
@@ -70,6 +82,8 @@ class NeighborBank:
         # absolute running values, which bound their rounding error.
         self._sums = [[0.0] * 4 for _ in range(n_arms)]
         self._all_rows = list(range(n_arms))
+        self._ks = [self.theta_min] * n_arms  # an empty row's variance is 0
+        self._adds = 0
 
     def store(self, arm: int) -> "NeighborStore":
         """A NeighborStore view of one arm's entries."""
@@ -95,11 +109,16 @@ class NeighborBank:
             raise ValueError("rounds must be strictly increasing")
         self._add(arm, x, reward, int(round))
 
-    def _add(self, arm: int, x: np.ndarray, reward: float, round: int) -> None:
-        """add() for a checked context and a round after the arm's last."""
-        if not math.isfinite(reward):
-            raise ValueError("reward must be finite")
-        reward = float(reward)
+    def _add(self, arm: int, x: np.ndarray, reward: float,
+             round: Optional[int] = None) -> None:
+        """add() for a checked context and a round after the arm's last.
+
+        Without a round the entry is stamped with the bank's add count.
+        """
+        reward = as_reward(reward)
+        if round is None:
+            round = self._adds
+        self._adds += 1
         start, end = self._start[arm], self._end[arm]
         n, sums = end - start, self._sums[arm]
         if n == self.capacity:
@@ -121,28 +140,37 @@ class NeighborBank:
         self._rewards[arm, n] = reward
         _fold(sums, reward, 1.0)
         self._start[arm], self._end[arm] = start, end + 1
+        if self.theta_min < self.theta_max:
+            self._ks[arm] = self._fresh_k(arm)
 
-    def _variance(self, arm: int) -> Tuple[float, float]:
-        """(v, err): ``reward_variance`` of the arm's store is within err of v.
+    def _fresh_k(self, arm: int) -> int:
+        """select_k of the arm's ``reward_variance`` times variance_scale.
 
-        v is reward_variance's formula on the running sums.  Each running
-        sum is off by at most u times its absolute-value sum (e1, e2); each
-        sum reward_variance takes over n values is off by at most n*u times
-        their absolute sum, at most sqrt(n*T2) or T2 for T2 the exact sum of
-        squares; each side rounds four times after summing.  u = 2^-52, twice
-        the unit roundoff, absorbs second-order terms; err is doubled for
-        its own rounding.
+        v, reward_variance's formula on the running sums, is within err of
+        it.  Each running sum is off by at most u times its absolute-value
+        sum (e1, e2); each sum reward_variance takes over n values is off by
+        at most n*u times their absolute sum, at most sqrt(n*T2) or T2 for T2
+        the exact sum of squares; each side rounds four times after summing.
+        u = 2^-52, twice the unit roundoff, absorbs second-order terms; err
+        is doubled for its own rounding.  select_k is monotone, so equal ks
+        at v - err and v + err are the exact rule's k; otherwise the exact
+        variance decides.
         """
+        lo, hi, scale = self.theta_min, self.theta_max, self.variance_scale
         n = self._end[arm] - self._start[arm]
         if n < 2:
-            return 0.0, 0.0
+            return lo
         s1, s2, e1, e2 = self._sums[arm]
         mean, u = s1 / n, 2.0 ** -52
         z = (s2 + u * e2) / n  # >= T2 / n
         r1 = u * (e1 / n + n * math.sqrt(z))  # bounds the error of the mean
         m = abs(mean) + r1
         err = u * (e2 / n + n * z + 4 * z + 4 * m * m) + r1 * (m + abs(mean))
-        return max(s2 / n - mean * mean, 0.0), 2.0 * err
+        v, err = max(s2 / n - mean * mean, 0.0), 2.0 * err
+        k = select_k(max(v - err, 0.0) * scale, lo, hi)
+        if k < hi and k != select_k((v + err) * scale, lo, hi):
+            k = select_k(reward_variance(self.store(arm)) * scale, lo, hi)
+        return k
 
     def query(self, x, ks, strict: bool = True) -> "KnnBatch":
         """k-NN score of every arm for one context; arm a uses k = ks[a].
@@ -156,6 +184,10 @@ class NeighborBank:
         if len(ks) != self.n_arms or min(ks) < 1:
             raise ValueError(f"need one k >= 1 for each of {self.n_arms} arms")
         return self._query(self._all_rows, x, float(x.dot(x)), ks, strict)
+
+    def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
+        """query() of a checked context with the bank's own ks."""
+        return self._query(self._all_rows, x, float(x.dot(x)), self._ks, strict)
 
     def _query(self, arms, x: np.ndarray, xx: float, ks, strict: bool) -> "KnnBatch":
         """One k-NN pass over the given rows for already-validated input.

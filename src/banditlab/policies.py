@@ -10,9 +10,9 @@ import numpy as np
 
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
-from .core import (Policy, ScoreTable, argmax_tiebreak, as_context, as_int,
-                   as_real, round_rng)
-from .knn import KnnBatch, NeighborBank, reward_variance, select_k
+from .core import (TIE_BREAKS, Policy, ScoreTable, argmax_tiebreak, as_context,
+                   as_int, as_real, as_reward, round_rng)
+from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState
 
 
@@ -55,7 +55,7 @@ class PolicyConfig:
             raise ValueError("gamma_cov must be >= 0")
         if not (np.isfinite(self.variance_scale) and self.variance_scale > 0):
             raise ValueError("variance_scale must be positive")
-        if self.tie_break not in ("lowest-index", "seeded-random"):
+        if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
@@ -76,8 +76,8 @@ class LNUCBTA(Policy):
         self.config = config
         # A fixed k is the adaptive rule with theta_min = theta_max.
         theta_min = config.theta_min if config.adaptive_k else config.theta_max
-        self.bank = _KnnBank(n_arms, dim, theta_min, config.theta_max,
-                             config.variance_scale, config.store_capacity)
+        self.bank = NeighborBank(n_arms, dim, config.store_capacity, theta_min,
+                                 config.theta_max, config.variance_scale)
         self.ridges = [RidgeState(dim, config.lam, config.gamma_cov)
                        for _ in range(n_arms)]
         self.stats = RewardStats(n_arms)
@@ -101,7 +101,7 @@ class LNUCBTA(Policy):
         else:
             w2 = np.array([r._width_sq(x) for r in self.ridges])
         width = np.sqrt(w2)
-        batch = self.bank.query(x, strict_gate=True) if cfg.use_knn else None
+        batch = self.bank._pass(x, True) if cfg.use_knn else None
         knn = batch.score.copy() if cfg.use_knn else np.zeros(self.n_arms)
         if cfg.use_attention:
             local = self.stats.local_means()
@@ -132,22 +132,21 @@ class LNUCBTA(Policy):
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         arm = self._check_arm(arm)
         x = as_context(x, self.dim)
-        if not math.isfinite(reward):
-            raise ValueError("reward must be finite")
+        reward = as_reward(reward)
         ridge = self.ridges[arm]
         kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score.
         knn, u_max = 0.0, 0.0
         if self.config.use_knn:
             hit = kept is not None and kept[0] == x.tobytes()
-            batch = kept[2] if hit else self.bank.query(x, strict_gate=True)
+            batch = kept[2] if hit else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
         ridge._update(x, reward - knn, u_max * u_max)
         self._mu_stack[arm] = ridge.mu_hat
         if self._inv_stack is not None:
             self._inv_stack[arm] = ridge.sigma_inv
         if self.config.use_knn:
-            self.bank.add(arm, x, reward)
+            self.bank._add(arm, x, reward)
         self.stats.record(arm, reward)
 
 
@@ -286,7 +285,24 @@ class EpsilonGreedy(Policy):
         self.stats.record(self._check_arm(arm), reward)
 
 
-class BetaThompson(Policy):
+class _BetaCounts:
+    """The Beta Thompson policies' posteriors over rewards clipped to [0, 1]."""
+
+    def _init_counts(self, prior_a: float, prior_b: float) -> None:
+        for name, prior in (("prior_a", prior_a), ("prior_b", prior_b)):
+            if not (math.isfinite(as_real(prior, name)) and prior > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        self.prior_a, self.prior_b = float(prior_a), float(prior_b)
+        self._succ = np.zeros(self.n_arms)
+        self._fail = np.zeros(self.n_arms)
+
+    def _count(self, arm: int, reward: float) -> None:
+        r = min(max(reward, 0.0), 1.0)
+        self._succ[arm] += r
+        self._fail[arm] += 1.0 - r
+
+
+class BetaThompson(Policy, _BetaCounts):
     """Beta-Bernoulli Thompson sampling; rewards are clipped into [0, 1]."""
 
     name = "beta-thompson"
@@ -295,22 +311,14 @@ class BetaThompson(Policy):
                  prior_b: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if as_real(prior_a, "prior_a") <= 0 or as_real(prior_b, "prior_b") <= 0:
-            raise ValueError("Beta prior parameters must be positive")
-        self.prior_a = float(prior_a)
-        self.prior_b = float(prior_b)
-        self._succ = np.zeros(n_arms)
-        self._fail = np.zeros(n_arms)
+        self._init_counts(prior_a, prior_b)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         return rng.beta(self.prior_a + self._succ, self.prior_b + self._fail)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        r = min(max(float(reward), 0.0), 1.0)
-        self._succ[arm] += r
-        self._fail[arm] += 1.0 - r
+        self._count(self._check_arm(arm), as_reward(reward))
 
 
 class _RidgeDraws:
@@ -357,73 +365,16 @@ class LinThompson(Policy, _RidgeDraws):
         return out @ x
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        if not np.isfinite(reward):
-            raise ValueError("reward must be finite")
-        self._fold(arm, x, reward)
-
-
-class _KnnBank:
-    """Per-arm neighbor stores with the variance-adaptive k of the hybrid rule.
-
-    Each arm's k is recomputed when its store changes; theta_min = theta_max
-    pins it there.  Entries are stamped with the bank's add count.
-    """
-
-    def __init__(self, n_arms: int, dim: int, theta_min: int = 1,
-                 theta_max: int = 5, variance_scale: float = 1.0,
-                 store_capacity: Optional[int] = None):
-        self.theta_min = as_int(theta_min, "theta_min")
-        self.theta_max = as_int(theta_max, "theta_max")
-        if not 1 <= self.theta_min <= self.theta_max:
-            raise ValueError("need 1 <= theta_min <= theta_max")
-        if not (np.isfinite(as_real(variance_scale, "variance_scale"))
-                and variance_scale > 0):
-            raise ValueError("variance_scale must be positive")
-        self.variance_scale = float(variance_scale)
-        if store_capacity is not None:
-            store_capacity = as_int(store_capacity, "store_capacity")
-        self.neighbors = NeighborBank(n_arms, dim, store_capacity)
-        self.stores = [self.neighbors.store(a) for a in range(n_arms)]
-        self._ks = [self._fresh_k(a) for a in range(n_arms)]
-        self._counter = 0
-
-    def _fresh_k(self, arm: int) -> int:
-        if self.theta_min == self.theta_max:
-            return self.theta_max
-        # select_k is monotone in the variance, so equal ks at both ends of
-        # the running sums' error interval are the exact rule's k.
-        v, err = self.neighbors._variance(arm)
-        lo, hi, scale = self.theta_min, self.theta_max, self.variance_scale
-        k = select_k(max(v - err, 0.0) * scale, lo, hi)
-        if k < hi and k != select_k((v + err) * scale, lo, hi):
-            k = select_k(reward_variance(self.stores[arm]) * scale, lo, hi)
-        return k
-
-    def k_for(self, arm: int) -> int:
-        return self._ks[arm]
-
-    def query(self, x: np.ndarray, strict_gate: bool = True) -> KnnBatch:
-        """One pass over every arm for a validated context.
-
-        Baselines pass strict_gate=False to fall back to all available
-        entries instead of gating.
-        """
-        return self.neighbors._query(self.neighbors._all_rows, x, float(x.dot(x)),
-                                     self._ks, strict_gate)
-
-    def add(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.neighbors._add(arm, x, reward, self._counter)
-        self._counter += 1
-        self._ks[arm] = self._fresh_k(arm)
+        self._fold(self._check_arm(arm), x, as_reward(reward))
 
 
 class KnnUCB(Policy):
     """Neighbor-mean estimate plus a distance-scaled bonus rho * u_k.
 
     Stand-in for the nonparametric UCB baseline family: the adaptive k of the
-    hybrid rule supplies the neighborhood, and the largest selected distance
-    acts as the uncertainty scale.  Unpulled arms score +inf.
+    hybrid rule supplies the neighborhood (an arm holding fewer than k
+    entries uses all of them), and the largest selected distance acts as
+    the uncertainty scale.  Unpulled arms score +inf.
     """
 
     name = "knn-ucb"
@@ -436,20 +387,19 @@ class KnnUCB(Policy):
         if not (np.isfinite(as_real(rho, "rho")) and rho >= 0):
             raise ValueError("rho must be >= 0")
         self.rho = float(rho)
-        self.bank = _KnnBank(n_arms, dim, theta_min, theta_max, variance_scale,
-                             store_capacity)
+        self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
+                                 theta_max, variance_scale)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self._scores(as_context(x, self.dim), round)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        batch = self.bank.query(x, strict_gate=False)
+        batch = self.bank._pass(x, False)
         return np.where(batch.applied, batch.score + self.rho * batch.u_max,
                         np.inf)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        self.bank.add(arm, as_context(x, self.dim), float(reward))
+        self.bank._add(self._check_arm(arm), as_context(x, self.dim), reward)
 
 
 class KnnKLUCB(KnnUCB):
@@ -468,7 +418,7 @@ class KnnKLUCB(KnnUCB):
         self.c = float(c)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        batch = self.bank.query(x, strict_gate=False)
+        batch = self.bank._pass(x, False)
         lt = math.log(max(round + 1, 1))
         out = np.full(self.n_arms, np.inf)
         for a in np.flatnonzero(batch.applied).tolist():
@@ -490,6 +440,7 @@ class RandomPolicy(Policy):
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         self._check_arm(arm)
+        as_reward(reward)
 
 
 class _EnhancedBase(Policy):
@@ -509,8 +460,8 @@ class _EnhancedBase(Policy):
         if not (np.isfinite(as_real(gamma_sm, "gamma_sm")) and gamma_sm >= 0):
             raise ValueError("gamma_sm must be >= 0")
         self.gamma_sm = float(gamma_sm)
-        self.bank = _KnnBank(n_arms, dim, theta_min, theta_max, variance_scale,
-                             store_capacity)
+        self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
+                                 theta_max, variance_scale)
         self.stats = RewardStats(n_arms)
 
     def scores(self, x: np.ndarray, round: int) -> np.ndarray:
@@ -520,10 +471,10 @@ class _EnhancedBase(Policy):
         return softmax_attention(self.stats.per_arm_count, self.gamma_sm)
 
     def knn_vector(self, x: np.ndarray) -> np.ndarray:
-        return self.bank.query(x, strict_gate=True).score
+        return self.bank._pass(x, True).score
 
     def _record(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.bank.add(arm, x, reward)
+        self.bank._add(arm, x, reward)
         self.stats.record(arm, reward)
 
 
@@ -557,11 +508,10 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
         return greedy
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        self._record(arm, as_context(x, self.dim), float(reward))
+        self._record(self._check_arm(arm), as_context(x, self.dim), reward)
 
 
-class EnhancedBetaThompson(_EnhancedBase):
+class EnhancedBetaThompson(_EnhancedBase, _BetaCounts):
     """Thompson sampling whose posterior draw is attention-scaled and knn-shifted.
 
     Score = posterior mean + (draw - posterior mean) * weight + knn score;
@@ -573,12 +523,7 @@ class EnhancedBetaThompson(_EnhancedBase):
     def __init__(self, n_arms: int, dim: int, prior_a: float = 1.0,
                  prior_b: float = 1.0, **kw):
         super().__init__(n_arms, dim, **kw)
-        if as_real(prior_a, "prior_a") <= 0 or as_real(prior_b, "prior_b") <= 0:
-            raise ValueError("Beta prior parameters must be positive")
-        self.prior_a = float(prior_a)
-        self.prior_b = float(prior_b)
-        self._succ = np.zeros(n_arms)
-        self._fail = np.zeros(n_arms)
+        self._init_counts(prior_a, prior_b)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
@@ -590,11 +535,10 @@ class EnhancedBetaThompson(_EnhancedBase):
         return post_mean + (draw - post_mean) * w + self.knn_vector(x)
 
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        r = min(max(float(reward), 0.0), 1.0)
-        self._succ[arm] += r
-        self._fail[arm] += 1.0 - r
-        self._record(arm, as_context(x, self.dim), float(reward))
+        arm, reward = self._check_arm(arm), as_reward(reward)
+        x = as_context(x, self.dim)
+        self._count(arm, reward)
+        self._record(arm, x, reward)
 
 
 class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):

@@ -462,6 +462,39 @@ class TestErrorPaths:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("pid, param, message", [
+        ("beta-thompson", "prior_a=nan", "prior_a must be positive and finite"),
+        ("beta-thompson", "prior_b=inf", "prior_b must be positive and finite"),
+        ("enhanced-beta-thompson", "prior_a=nan",
+         "prior_a must be positive and finite"),
+        ("enhanced-eps-greedy", "tie_break=bogus", "unknown tie_break 'bogus'"),
+    ])
+    def test_bad_policy_param_values_exit_2(self, tmp_path, capsys, pid, param,
+                                           message):
+        rc = cli_main(["run", "--policy", pid, "--param", param, "--T", "50",
+                       "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("env", ["classification", "news"])
+    @pytest.mark.parametrize("bad, message", [
+        (b"1," * 101 + b"2" * 200_000, "row 2: field larger than field limit"),
+        (b"1,0,\xff", "byte 408: not UTF-8"),
+    ], ids=["overlong-cell", "not-utf8"])
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, env, bad,
+                                       message):
+        # The first row, 404 bytes, reads as news and as classification.
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"1,0," + b",".join([b"0.5"] * 100) + b"\n" + bad
+                         + b"\n")
+        rc = cli_main(["run", "--env", env, "--data", str(data), "--policy",
+                       "random", "--T", "5", "--seeds", "0",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("pid", ["knn-ucb", "lnucb-ta"])
     def test_integral_float_policy_params_are_integers(self, tmp_path, pid):
         outs = []

@@ -2,6 +2,8 @@
 synthetic reward generator's structural guarantees."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
@@ -131,6 +133,11 @@ class TestClassificationCsv(object):
         with pytest.raises(DataError, match="inconsistent column"):
             load_classification_csv(p)
 
+    def test_inconsistent_columns_name_both_rows(self, tmp_path):
+        p = self.write(tmp_path, "f1,f2,label\n1,0,a\n\n0,1,b\n1,0,0,b\n")
+        with pytest.raises(DataError, match="row 5: 3 features, but row 2 has 2"):
+            load_classification_csv(p, has_header=True)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
             load_classification_csv(self.write(tmp_path, ""))
@@ -158,6 +165,75 @@ class TestClassificationCsv(object):
         p = self.write(tmp_path, f"f1,f2,label\n1,0,a\n\n0,1,b\n{bad},a\n")
         with pytest.raises(DataError, match=f"row 5: {msg}"):
             load_classification_csv(p, has_header=True)
+
+
+LOADERS = {"classification": load_classification_csv, "news": load_news_csv}
+# A news row (arm 1, no click, 100 features) and a classification row (101
+# features, label "0.5") alike.
+BOTH_ROW = "1,0," + ",".join(["0.5"] * 100) + "\n"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_overlong_cell_names_its_line(tmp_path, kind):
+    # The csv module refuses cells over 131,072 characters.
+    p = tmp_path / "big.csv"
+    p.write_text(BOTH_ROW + "\n" + "1," * 101 + "2" * 200_000 + "\n")
+    with pytest.raises(DataError, match="row 3: field larger than field limit"):
+        LOADERS[kind](p)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("offset", [4, 20_000])
+def test_bytes_that_are_not_utf8_name_their_offset(tmp_path, kind, offset):
+    # 20,000 lies past the text reader's first 8 KiB chunk.
+    data = bytearray(BOTH_ROW.encode() * (offset // len(BOTH_ROW) + 1))
+    data[offset] = 0xFF
+    p = tmp_path / "bad.csv"
+    p.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=f"^byte {offset}: not UTF-8$"):
+        LOADERS[kind](p)
+
+
+_CELLS = st.one_of(
+    st.sampled_from(["0", "1", "10", "0.5", "-2", "1e308", "1e400", "nan",
+                     "-inf", "a", "b", "", " ", '"', '"1,2"', "\x00", "\u00e9"]),
+    st.text(max_size=4))
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV-shaped bytes: short rows, 102-column news rows, stray bytes."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            rows.append(draw(st.lists(_CELLS, max_size=5)))
+            continue
+        feats = ["0.25"] * draw(st.sampled_from([99, 100, 101]))
+        for _ in range(draw(st.integers(0, 2))):
+            feats[draw(st.integers(0, len(feats) - 1))] = draw(_CELLS)
+        rows.append([draw(st.sampled_from(["1", "10", "0", "2.5", "x"])),
+                     draw(st.sampled_from(["0", "1", "0.5", ""]))] + feats)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = newline.join(",".join(r) for r in rows).encode("utf-8")
+    cut = draw(st.integers(0, len(data)))
+    return data[:cut] + draw(st.binary(max_size=3)) + data[cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(_csv_bytes(), st.binary(max_size=64)),
+       label_column=st.sampled_from([-1, 0, 2, -7]), has_header=st.booleans())
+def test_loaders_return_an_env_or_raise_data_error(tmp_path_factory, data,
+                                                    label_column, has_header):
+    p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    p.write_bytes(data)
+    for load in (lambda: load_news_csv(p),
+                 lambda: load_classification_csv(p, label_column,
+                                                 has_header=has_header)):
+        try:
+            env = load()
+        except DataError:
+            continue
+        assert len(env) > 0 and env.contexts.shape[1] == env.dim
 
 
 def make_log_text(arms, clicks, seed=0):

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab import policies
+from banditlab import knn
 from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
-from banditlab.policies import _KnnBank, make_policy
+from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
 
 
@@ -243,24 +243,24 @@ def test_incremental_k_equals_the_exact_rule(capacity, thetas, scale, levels,
     # boundaries (0.1 and 0.3, inexact in binary, land within rounding of
     # one); runs up to 12x a capacity copy capped windows back often.
     rng = np.random.default_rng(seed)
-    bank = _KnnBank(2, 2, thetas[0], thetas[1], scale, capacity)
+    bank = NeighborBank(2, 2, capacity, thetas[0], thetas[1], scale)
     for _ in range(n):
         arm = int(rng.integers(2))
-        bank.add(arm, rng.standard_normal(2), float(rng.choice(levels)))
-        v = reward_variance(bank.stores[arm]) * scale
-        assert bank.k_for(arm) == select_k(v, *thetas)
+        bank._add(arm, rng.standard_normal(2), float(rng.choice(levels)))
+        v = reward_variance(bank.store(arm)) * scale
+        assert bank._ks[arm] == select_k(v, *thetas)
 
 
 def test_incremental_k_falls_back_on_a_rounding_boundary(monkeypatch):
     # Alternating 0/1 rewards give variance 0.25: 1 + 1 * (0.25 * 2) + 0.5
     # is exactly 2, so only the exact rule can tell k = 2 from k = 1.
     exact = []
-    monkeypatch.setattr(policies, "reward_variance",
+    monkeypatch.setattr(knn, "reward_variance",
                         lambda store: exact.append(1) or reward_variance(store))
-    bank = _KnnBank(1, 1, 1, 2, 2.0, None)
+    bank = NeighborBank(1, 1, None, 1, 2, 2.0)
     for t in range(40):
-        bank.add(0, np.zeros(1), float(t % 2))
-    assert bank.k_for(0) == 2 and exact
+        bank._add(0, np.zeros(1), float(t % 2))
+    assert bank._ks[0] == 2 and exact
 
 
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
@@ -277,7 +277,7 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
                    gamma_cov=0.05) if pid == "lnucb-ta" else {})
     policy = make_policy(pid, env.n_arms, env.dim, seed=3, store_capacity=7,
                          variance_scale=50.0, **params)
-    bank = policy.bank.neighbors
+    bank = policy.bank
     passes = {"common": 0, "bincount": 0}
     calls, bincount, query = [0], np.bincount, NeighborBank._query
 
@@ -305,5 +305,5 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     monkeypatch.setattr(np, "bincount", spied_bincount)
     monkeypatch.setattr(NeighborBank, "_query", checked_query)
     run_policy(env, policy, 300, 3)
-    assert max(len(s) for s in policy.bank.stores) == 7
+    assert max(len(bank.store(a)) for a in range(env.n_arms)) == 7
     assert passes["common"] > 0 and passes["bincount"] > 0, passes

@@ -127,14 +127,14 @@ def test_selection_and_scoring_are_pure():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(2)
     policy.update(1, x, 0.5)
-    sizes = [len(s) for s in policy.bank.stores]
+    sizes = [len(policy.bank.store(a)) for a in range(3)]
     sigmas = [r.sigma.copy() for r in policy.ridges]
     first = policy.score_table(x, 3)
     for _ in range(3):
         assert policy.select(x, 3) == policy.select(x, 3)
         again = policy.score_table(x, 3)
         assert np.array_equal(first.ucb, again.ucb)
-    assert [len(s) for s in policy.bank.stores] == sizes == [0, 1, 0]
+    assert [len(policy.bank.store(a)) for a in range(3)] == sizes == [0, 1, 0]
     assert all(np.array_equal(r.sigma, s) for r, s in zip(policy.ridges, sigmas))
     assert policy.stats.per_arm_count.sum() == 1
 
@@ -189,8 +189,8 @@ def test_update_without_prior_scoring_matches_memoized_path(config):
             assert np.array_equal(a.b, b.b)
     # The k-NN term was live, and a capped store really evicted.
     assert not np.allclose([r.b for r in scored.ridges], plain_b)
-    sizes = [len(s) for s in scored.bank.stores]
-    assert sizes == [len(s) for s in unscored.bank.stores]
+    sizes = [len(scored.bank.store(a)) for a in range(2)]
+    assert sizes == [len(unscored.bank.store(a)) for a in range(2)]
     assert (max(sizes) == 4) == ("store_capacity" in config)
 
 
@@ -209,7 +209,7 @@ def test_flag_reductions():
     assert twin.name == "lin-knn-ucb"
     assert twin.config.use_knn and not twin.config.use_attention
     assert not twin.config.adaptive_k
-    assert twin.bank.k_for(0) == 4
+    assert twin.bank._ks == [4, 4, 4]
 
 
 def test_alpha_floor_clamps_negative_rates():
@@ -300,6 +300,43 @@ class TestMakePolicy:
         with pytest.raises(ValueError,
                            match=rf"unknown {pid} parameters: \['alpah'\]"):
             make_policy(pid, 3, 4, alpah=0.1)
+
+    @pytest.mark.parametrize("pid", sorted(pid for pid, keys in
+                                           PINNED_PARAM_KEYS.items()
+                                           if "tie_break" in keys))
+    def test_unknown_tie_break_rejected_for_every_id(self, pid):
+        with pytest.raises(ValueError, match="unknown tie_break 'bogus'"):
+            make_policy(pid, 3, 4, tie_break="bogus")
+
+    @pytest.mark.parametrize("pid, param", [
+        ("beta-thompson", "prior_a"), ("beta-thompson", "prior_b"),
+        ("enhanced-beta-thompson", "prior_a"),
+        ("enhanced-beta-thompson", "prior_b"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_beta_priors_must_be_positive_and_finite(self, pid, param, value):
+        with pytest.raises(ValueError, match=f"{param} must be positive"):
+            make_policy(pid, 3, 4, **{param: value})
+
+    @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    @pytest.mark.parametrize("reward", [math.nan, math.inf])
+    def test_non_finite_reward_changes_nothing(self, pid, reward):
+        # Rejected before any state changes: the policy keeps scoring
+        # exactly like a twin that never saw the bad update.
+        policy = make_policy(pid, 3, 2, seed=4)
+        twin = make_policy(pid, 3, 2, seed=4)
+        rng = np.random.default_rng(8)
+        for t in range(12):
+            x = rng.standard_normal(2)
+            arm, good = policy.select(x, t), float(rng.uniform())
+            policy.update(arm, x, good)
+            twin.update(arm, x, good)
+        x = rng.standard_normal(2)
+        arm = policy.select(x, 12)
+        with pytest.raises(ValueError, match="finite"):
+            policy.update(arm, x, reward)
+        for t in (12, 13):
+            assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
 
 
 class TestBaselines:
