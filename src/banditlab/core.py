@@ -129,9 +129,14 @@ class ScoreTable:
 class Policy(ABC):
     """Common interface for every bandit algorithm in this package.
 
+    ``select``, ``update`` and ``scores`` check their inputs here, once.  A
+    policy implements ``_scores`` and ``_update``, which get the checked
+    values, and may override ``_choose`` (argmax with the tie rule).
+
     ``select`` never changes the model: repeated calls with the same
     arguments return the same arm.  ``update`` mutates only the chosen
-    arm's model plus the global reward statistics.
+    arm's model plus the global reward statistics, and a call that raises
+    leaves the policy as it was.
     """
 
     name: str = "policy"
@@ -150,24 +155,28 @@ class Policy(ABC):
         self.tie_break = tie_break
 
     @abstractmethod
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        """Per-arm selection scores for this context; pure."""
-
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        """scores() of a context select() has checked, without checking it."""
-        return self.scores(x, round)
+        """Per-arm selection scores for a checked context; pure."""
 
     @abstractmethod
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        """Fold one checked (arm, context, finite reward) into the model."""
+
+    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+        """Per-arm selection scores for this context."""
+        return self._scores(as_context(x, self.dim), round)
+
     def update(self, arm: int, x: np.ndarray, reward: float) -> None:
         """Fold one observed (arm, context, reward) into the model."""
+        self._update(self._check_arm(arm), as_context(x, self.dim),
+                     as_reward(reward))
 
     def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
         """Per-arm score components; a policy without a breakdown fills only ucb."""
         return ScoreTable.of_ucb(self.scores(x, round))
 
     def select(self, x: np.ndarray, round: int) -> int:
-        x = as_context(x, self.dim)
-        self._selected = self._scores(x, round)
+        self._selected = self._scores(as_context(x, self.dim), round)
         return self._choose(self._selected, round)
 
     def selected_table(self) -> ScoreTable:

@@ -27,6 +27,19 @@ class RoundFeedback:
     oracle_reward: Optional[float] = None
 
 
+def _row_norms(X: np.ndarray, row_name) -> np.ndarray:
+    """The rows' l2 norms; a zero or non-finite one raises DataError naming
+    row_name(index) of the first such row."""
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norms = np.linalg.norm(X, axis=1)
+    bad = np.flatnonzero(~(norms > 0) | np.isinf(norms))
+    if bad.size:
+        what = ("zero feature vector" if norms[bad[0]] == 0
+                else "feature vector norm is not finite")
+        raise DataError(f"row {row_name(int(bad[0]))}: {what}")
+    return norms
+
+
 class ClassificationBanditEnv:
     """Classification rows as bandit rounds: reward 1 when the arm is the label.
 
@@ -42,10 +55,7 @@ class ClassificationBanditEnv:
             raise ValueError("contexts and labels must align")
         if contexts.shape[0] == 0:
             raise DataError("empty dataset")
-        norms = np.linalg.norm(contexts, axis=1)
-        if (norms == 0).any():
-            row = int(np.flatnonzero(norms == 0)[0]) + 1
-            raise DataError(f"row {row}: zero feature vector")
+        norms = _row_norms(contexts, lambda i: i + 1)
         if normalize:
             contexts = contexts / norms[:, None]
         elif np.abs(norms - 1.0).max() > 1e-9:
@@ -170,10 +180,7 @@ def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
     if not np.all(np.isfinite(X)):
         row = lines[int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])]
         raise DataError(f"row {row}: non-finite feature")
-    norms = np.linalg.norm(X, axis=1)
-    if (norms == 0).any():
-        row = lines[int(np.flatnonzero(norms == 0)[0])]
-        raise DataError(f"row {row}: zero feature vector")
+    _row_norms(X, lines.__getitem__)
     seen = {}
     labels = np.empty(len(labels_raw), dtype=np.int64)
     names = []

@@ -107,23 +107,31 @@ class NeighborBank:
         start, end = self._start[arm], self._end[arm]
         if round <= (self._rounds[arm][end - 1] if end > start else -1):
             raise ValueError("rounds must be strictly increasing")
-        self._add(arm, x, reward, int(round))
+        self._add(arm, x, as_reward(reward), int(round))
 
     def _add(self, arm: int, x: np.ndarray, reward: float,
              round: Optional[int] = None) -> None:
-        """add() for a checked context and a round after the arm's last.
+        """add() for a checked context and reward, at a round after the arm's last.
 
-        Without a round the entry is stamped with the bank's add count.
+        Without a round the entry is stamped with the bank's add count.  A
+        reward that would overflow the arm's running sums raises before
+        anything changes.
         """
-        reward = as_reward(reward)
+        start, end = self._start[arm], self._end[arm]
+        n, sums = end - start, list(self._sums[arm])
+        full = n == self.capacity
+        if full:  # the oldest entry is evicted
+            _fold(sums, float(self._rewards[arm, 0]), -1.0)
+        _fold(sums, reward, 1.0)
+        # 8x headroom keeps _fresh_k's error bound, at most a few times the
+        # squared-reward sums, finite as well.
+        if not math.isfinite(8.0 * (sums[2] + sums[3])):
+            raise ValueError(f"reward {reward!r} overflows arm {arm}'s "
+                             "running reward sums")
         if round is None:
             round = self._adds
         self._adds += 1
-        start, end = self._start[arm], self._end[arm]
-        n, sums = end - start, self._sums[arm]
-        if n == self.capacity:
-            # Evict the oldest entry.
-            _fold(sums, float(self._rewards[arm, 0]), -1.0)
+        if full:
             for buf in (self._norm2, self._rewards):
                 buf[arm, :n - 1] = buf[arm, 1:n]
             start, n = start + 1, n - 1
@@ -138,7 +146,7 @@ class NeighborBank:
         self._rounds[arm][end] = round
         self._norm2[arm, n] = float(x.dot(x))
         self._rewards[arm, n] = reward
-        _fold(sums, reward, 1.0)
+        self._sums[arm] = sums
         self._start[arm], self._end[arm] = start, end + 1
         if self.theta_min < self.theta_max:
             self._ks[arm] = self._fresh_k(arm)
@@ -362,8 +370,8 @@ def select_k(variance: float, theta_min: int, theta_max: int) -> int:
     theta_max = int(theta_max)
     if not 1 <= theta_min <= theta_max:
         raise ValueError("need 1 <= theta_min <= theta_max")
-    if not (math.isfinite(variance) and variance >= 0):
-        raise ValueError("variance must be finite and >= 0")
+    if not variance >= 0:  # +inf, like every variance >= 1, gives theta_max
+        raise ValueError("variance must be >= 0")
     v = min(max(float(variance), 0.0), 1.0)
     k = math.floor(theta_min + (theta_max - theta_min) * v + 0.5)
     return min(max(k, theta_min), theta_max)

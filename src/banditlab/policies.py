@@ -11,7 +11,7 @@ import numpy as np
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (TIE_BREAKS, Policy, ScoreTable, argmax_tiebreak, as_context,
-                   as_int, as_real, as_reward, round_rng)
+                   as_int, as_real, round_rng)
 from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState
 
@@ -87,7 +87,7 @@ class LNUCBTA(Policy):
         # every arm; factored ridges (gamma_cov > 0) are solved per arm.
         self._inv_stack = (np.stack([r.sigma_inv.copy() for r in self.ridges])
                            if self.ridges[0].chol is None else None)
-        # (context bytes, ScoreTable, KnnBatch) of select()'s scoring pass.
+        # (context bytes, ScoreTable, KnnBatch) of the last select()/scores().
         # The stores change only in update(), which consumes and clears it,
         # so a match on the context is exactly what a fresh query returns.
         self._kept: Optional[tuple] = None
@@ -119,9 +119,6 @@ class LNUCBTA(Policy):
     def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
         return self._table(as_context(x, self.dim))[0]
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        return self.score_table(x, round).ucb
-
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         self._kept = (x.tobytes(), *self._table(x))
         return self._kept[1].ucb
@@ -129,24 +126,21 @@ class LNUCBTA(Policy):
     def selected_table(self) -> ScoreTable:
         return self._kept[1]
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        x = as_context(x, self.dim)
-        reward = as_reward(reward)
-        ridge = self.ridges[arm]
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         kept, self._kept = self._kept, None
-        # The residual target is frozen at the selection-round k-NN score.
+        # The residual target is frozen at the selection-round k-NN score,
+        # so the pass runs before the add, the one step that can raise.
         knn, u_max = 0.0, 0.0
         if self.config.use_knn:
             hit = kept is not None and kept[0] == x.tobytes()
             batch = kept[2] if hit else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
+            self.bank._add(arm, x, reward)
+        ridge = self.ridges[arm]
         ridge._update(x, reward - knn, u_max * u_max)
         self._mu_stack[arm] = ridge.mu_hat
         if self._inv_stack is not None:
             self._inv_stack[arm] = ridge.sigma_inv
-        if self.config.use_knn:
-            self.bank._add(arm, x, reward)
         self.stats.record(arm, reward)
 
 
@@ -187,7 +181,7 @@ class UCB(Policy):
         self.rho = float(rho)
         self.stats = RewardStats(n_arms)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         counts = self.stats.per_arm_count
         out = np.full(self.n_arms, np.inf)
         pulled = counts > 0
@@ -197,8 +191,8 @@ class UCB(Policy):
                 lt / counts[pulled])
         return out
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.stats.record(self._check_arm(arm), reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.stats.record(arm, reward)
 
 
 def bernoulli_kl(p: float, q: float) -> float:
@@ -244,7 +238,7 @@ class KLUCB(Policy):
         self.c = float(c)
         self.stats = RewardStats(n_arms)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         counts = self.stats.per_arm_count
         means = self.stats.local_means()
         lt = math.log(max(round + 1, 1))
@@ -254,8 +248,8 @@ class KLUCB(Policy):
                 out[a] = klucb_upper(means[a], self.c * lt / counts[a])
         return out
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.stats.record(self._check_arm(arm), reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.stats.record(arm, reward)
 
 
 class EpsilonGreedy(Policy):
@@ -271,18 +265,17 @@ class EpsilonGreedy(Policy):
         self.eps = float(eps)
         self.stats = RewardStats(n_arms)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.stats.local_means()
 
-    def select(self, x: np.ndarray, round: int) -> int:
-        self._selected = self.scores(as_context(x, self.dim), round)
+    def _choose(self, scores: np.ndarray, round: int) -> int:
         rng = round_rng(self.seed, round)
         if self.eps > 0.0 and rng.uniform() < self.eps:
             return int(rng.integers(self.n_arms))
-        return argmax_tiebreak(self._selected, self.tie_break, rng)
+        return argmax_tiebreak(scores, self.tie_break, rng)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.stats.record(self._check_arm(arm), reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.stats.record(arm, reward)
 
 
 class _BetaCounts:
@@ -313,12 +306,12 @@ class BetaThompson(Policy, _BetaCounts):
         super().__init__(n_arms, dim, seed, tie_break)
         self._init_counts(prior_a, prior_b)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         return rng.beta(self.prior_a + self._succ, self.prior_b + self._fail)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._count(self._check_arm(arm), as_reward(reward))
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self._count(arm, reward)
 
 
 class _RidgeDraws:
@@ -342,7 +335,7 @@ class _RidgeDraws:
         return self._chol[arm] @ rng.standard_normal(self.dim)
 
     def _fold(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.ridge[arm].update(x, float(reward), 0.0)
+        self.ridge[arm]._update(x, reward, 0.0)
         self._chol[arm] = None
 
 
@@ -356,16 +349,15 @@ class LinThompson(Policy, _RidgeDraws):
         super().__init__(n_arms, dim, seed, tie_break)
         self._init_ridges(v, lam)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        x = as_context(x, self.dim)
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         out = np.empty((self.n_arms, self.dim))
         for a in range(self.n_arms):
             out[a] = self.ridge[a].mu_hat + self.v * self._noise(rng, a)
         return out @ x
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._fold(self._check_arm(arm), x, as_reward(reward))
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self._fold(arm, x, reward)
 
 
 class KnnUCB(Policy):
@@ -390,16 +382,13 @@ class KnnUCB(Policy):
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
                                  theta_max, variance_scale)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        return self._scores(as_context(x, self.dim), round)
-
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank._pass(x, False)
         return np.where(batch.applied, batch.score + self.rho * batch.u_max,
                         np.inf)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.bank._add(self._check_arm(arm), as_context(x, self.dim), reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.bank._add(arm, x, reward)
 
 
 class KnnKLUCB(KnnUCB):
@@ -435,12 +424,11 @@ class RandomPolicy(Policy):
     def __init__(self, n_arms: int, dim: int = 1, seed: int = 0):
         super().__init__(n_arms, dim, seed)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
+    def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return round_rng(self.seed, round).uniform(size=self.n_arms)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._check_arm(arm)
-        as_reward(reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        pass  # nothing to learn
 
 
 class _EnhancedBase(Policy):
@@ -464,17 +452,14 @@ class _EnhancedBase(Policy):
                                  theta_max, variance_scale)
         self.stats = RewardStats(n_arms)
 
-    def scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        return self._scores(as_context(x, self.dim), round)
-
     def attention_weights(self) -> np.ndarray:
         return softmax_attention(self.stats.per_arm_count, self.gamma_sm)
 
     def knn_vector(self, x: np.ndarray) -> np.ndarray:
         return self.bank._pass(x, True).score
 
-    def _record(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.bank._add(arm, x, reward)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.bank._add(arm, x, reward)  # first: the one step that can raise
         self.stats.record(arm, reward)
 
 
@@ -496,19 +481,15 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.stats.local_means() + self.knn_vector(x)
 
-    def select(self, x: np.ndarray, round: int) -> int:
+    def _choose(self, scores: np.ndarray, round: int) -> int:
         rng = round_rng(self.seed, round)
-        s = self._selected = self._scores(as_context(x, self.dim), round)
-        greedy = argmax_tiebreak(s, "lowest-index")
+        greedy = argmax_tiebreak(scores, "lowest-index")
         eps_eff = self.eps * float(self.attention_weights()[greedy])
         if eps_eff > 0.0 and rng.uniform() < eps_eff:
             return int(rng.integers(self.n_arms))
         if self.tie_break == "seeded-random":
-            return argmax_tiebreak(s, self.tie_break, rng)
+            return argmax_tiebreak(scores, self.tie_break, rng)
         return greedy
-
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._record(self._check_arm(arm), as_context(x, self.dim), reward)
 
 
 class EnhancedBetaThompson(_EnhancedBase, _BetaCounts):
@@ -534,11 +515,9 @@ class EnhancedBetaThompson(_EnhancedBase, _BetaCounts):
         w = self.attention_weights() * self.n_arms
         return post_mean + (draw - post_mean) * w + self.knn_vector(x)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm, reward = self._check_arm(arm), as_reward(reward)
-        x = as_context(x, self.dim)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        super()._update(arm, x, reward)
         self._count(arm, reward)
-        self._record(arm, x, reward)
 
 
 class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
@@ -561,11 +540,9 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
             out[a] = mean + (draw - mean) * w[a]
         return out + self.knn_vector(x)
 
-    def update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        arm = self._check_arm(arm)
-        x = as_context(x, self.dim)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        super()._update(arm, x, reward)
         self._fold(arm, x, reward)
-        self._record(arm, x, float(reward))
 
 
 def _lnucb_ta(n_arms: int, dim: int, seed: int = 0, **config) -> LNUCBTA:

@@ -84,11 +84,10 @@ class _Constant(Policy):
         super().__init__(n_arms, dim, seed, tie_break)
         self.updates = 0
 
-    def scores(self, x, round):
+    def _scores(self, x, round):
         return np.arange(self.n_arms, dtype=np.float64)
 
-    def update(self, arm, x, reward):
-        self._check_arm(arm)
+    def _update(self, arm, x, reward):
         self.updates += 1
 
 

@@ -53,6 +53,9 @@ class TestClassificationEnv:
         X = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DataError, match="row 2"):
             ClassificationBanditEnv(X, [0, 1])
+        X[1] = 1e308
+        with pytest.raises(DataError, match="row 2: feature vector norm is not"):
+            ClassificationBanditEnv(X, [0, 1], normalize=True)
 
     def test_basic_validation(self):
         with pytest.raises(DataError, match="empty"):
@@ -157,8 +160,10 @@ class TestClassificationCsv(object):
         with pytest.raises(DataError, match="row 2: non-finite"):
             load_classification_csv(p)
 
-    @pytest.mark.parametrize("bad,msg", [("0,0", "zero feature"),
-                                         ("inf,1", "non-finite")])
+    @pytest.mark.parametrize("bad,msg", [
+        ("0,0", "zero feature"), ("inf,1", "non-finite"),
+        # Finite features whose norm overflows would otherwise load as zeros.
+        ("1e308,1e308", "feature vector norm is not finite")])
     def test_bad_row_named_by_file_line(self, tmp_path, bad, msg):
         # A header and a blank line come first: the bad row is the third
         # data row but sits on line 5 of the file.

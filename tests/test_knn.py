@@ -121,6 +121,8 @@ class TestSelectK:
         assert select_k(0.0, 2, 7) == 2
         assert select_k(1.0, 2, 7) == 7
         assert select_k(5.0, 2, 7) == 7  # clamped above 1
+        # An overflowed variance * variance_scale is clamped the same way.
+        assert select_k(float("inf"), 2, 7) == 7
 
     def test_round_half_up(self):
         # 2 + 5 * 0.5 = 4.5 rounds up to 5, even where floats would bank round.

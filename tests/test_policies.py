@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from banditlab import cli
-from banditlab.core import round_rng
-from banditlab.policies import (LNUCBTA, POLICY_PARAM_KEYS, PolicyConfig,
-                                BetaThompson, EnhancedBetaThompson,
-                                EnhancedEpsilonGreedy, EnhancedLinThompson,
-                                EpsilonGreedy, KLUCB, KnnKLUCB, KnnUCB,
-                                LinThompson, RandomPolicy, UCB, bernoulli_kl,
-                                klucb_upper, lin_knn_ucb, linucb, make_policy)
+from banditlab.core import Policy, round_rng
+from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
+                                PolicyConfig, BetaThompson,
+                                EnhancedBetaThompson, EnhancedEpsilonGreedy,
+                                EnhancedLinThompson, EpsilonGreedy, KLUCB,
+                                KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
+                                UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
+                                linucb, make_policy)
 
 
 class HandRolledHybrid:
@@ -319,24 +320,49 @@ class TestMakePolicy:
             make_policy(pid, 3, 4, **{param: value})
 
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
-    @pytest.mark.parametrize("reward", [math.nan, math.inf])
-    def test_non_finite_reward_changes_nothing(self, pid, reward):
-        # Rejected before any state changes: the policy keeps scoring
-        # exactly like a twin that never saw the bad update.
-        policy = make_policy(pid, 3, 2, seed=4)
-        twin = make_policy(pid, 3, 2, seed=4)
-        rng = np.random.default_rng(8)
-        for t in range(12):
-            x = rng.standard_normal(2)
-            arm, good = policy.select(x, t), float(rng.uniform())
-            policy.update(arm, x, good)
-            twin.update(arm, x, good)
+    @pytest.mark.parametrize("bad, match", [
+        pytest.param({"reward": math.nan}, "finite", id="nan"),
+        pytest.param({"reward": math.inf}, "finite", id="inf"),
+        pytest.param({"arm": 3}, r"arm 3 out of range \[0, 3\)", id="arm-3"),
+        pytest.param({"x": [math.nan, 0.0]}, "non-finite", id="nan-context"),
+        pytest.param({"x": [1.0, 0.0, 0.0]}, "dimension 3 != expected 2",
+                     id="long-context"),
+    ])
+    def test_non_finite_reward_changes_nothing(self, pid, bad, match):
+        assert_rejected_update_changes_nothing(pid, bad, match)
+
+    @pytest.mark.parametrize("pid", sorted(pid for pid, keys in
+                                           PINNED_PARAM_KEYS.items()
+                                           if "theta_max" in keys))
+    def test_overflowing_knn_reward_changes_nothing(self, pid):
+        # 1e200 is finite, but its square overflows the k-NN running sums.
+        assert_rejected_update_changes_nothing(pid, {"reward": 1e200},
+                                               "overflows")
+
+    def test_every_id_inherits_the_checked_calls(self):
+        for pid in POLICIES:
+            cls = type(make_policy(pid, 3, 4))
+            for verb in ("select", "update", "scores"):
+                assert getattr(cls, verb) is getattr(Policy, verb), (pid, verb)
+
+
+def assert_rejected_update_changes_nothing(pid, bad, match):
+    # Rejected before any state changes: the policy keeps scoring exactly
+    # like a twin that never saw the bad update.
+    policy = make_policy(pid, 3, 2, seed=4)
+    twin = make_policy(pid, 3, 2, seed=4)
+    rng = np.random.default_rng(8)
+    for t in range(12):
         x = rng.standard_normal(2)
-        arm = policy.select(x, 12)
-        with pytest.raises(ValueError, match="finite"):
-            policy.update(arm, x, reward)
-        for t in (12, 13):
-            assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
+        arm, good = policy.select(x, t), float(rng.uniform())
+        policy.update(arm, x, good)
+        twin.update(arm, x, good)
+    x = rng.standard_normal(2)
+    call = {"arm": policy.select(x, 12), "x": x, "reward": 0.5, **bad}
+    with pytest.raises(ValueError, match=match):
+        policy.update(**call)
+    for t in (12, 13):
+        assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
 
 
 class TestBaselines:

@@ -147,7 +147,7 @@ class TestRunPolicy:
             def select(self, x, round):
                 return 0
 
-        result, _ = run_policy(env, PinnedArm(env.n_arms), 10, 0)
+        result, _ = run_policy(env, PinnedArm(env.n_arms, env.dim), 10, 0)
         # Three logged rows show arm 0; the scan then exhausts the log.
         assert result.matched_steps == 3
         assert result.final_cumulative_reward() == 3.0
@@ -161,7 +161,7 @@ class TestRunPolicy:
                 return 3
 
         with pytest.raises(DataError, match="no rounds"):
-            run_policy(env, PinnedArm(env.n_arms), 10, 0)
+            run_policy(env, PinnedArm(env.n_arms, env.dim), 10, 0)
 
     def test_rejects_empty_horizon_and_odd_env(self):
         env = build_env(SMALL)
