@@ -13,8 +13,9 @@ import numpy as np
 def as_context(values, dim: Optional[int] = None) -> np.ndarray:
     """Validate and return a context vector as a float64 array.
 
-    Raises ValueError on non-finite entries or on a dimension mismatch
-    with ``dim`` when given.
+    Raises ValueError on non-finite entries, on a squared norm whose
+    fourfold overflows (that headroom keeps ||c - x||^2 finite for any two
+    accepted contexts), or on a dimension mismatch with ``dim`` when given.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         x = values
@@ -22,8 +23,9 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
         x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"context must be 1-D, got shape {x.shape}")
-    if not np.logical_and.reduce(np.isfinite(x)):
-        raise ValueError("context contains non-finite entries")
+    norm = math.hypot(*x.tolist())  # scaled: it neither overflows nor warns
+    if not math.isfinite(4.0 * norm * norm):
+        raise ValueError("context is non-finite or its squared norm overflows")
     if dim is not None and x.shape[0] != dim:
         raise ValueError(f"context dimension {x.shape[0]} != expected {dim}")
     return x
@@ -42,6 +44,15 @@ def as_real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_nonneg(value, name: str, upper: float = math.inf) -> float:
+    """value as a finite float in [0, upper]; else ValueError naming it."""
+    v = as_real(value, name)
+    if not (math.isfinite(v) and 0.0 <= v <= upper):
+        raise ValueError(f"{name} must be " + (
+            ">= 0" if upper == math.inf else f"in [0, {upper:g}]"))
+    return v
 
 
 def as_reward(value) -> float:

@@ -304,16 +304,6 @@ def replay_step(env: ReplayLogEnv, chosen_arm: int, cursor: int):
 
 
 @dataclass
-class HybridRound:
-    """One synthetic round: context, per-arm expected and realized rewards."""
-
-    context: np.ndarray
-    expected: np.ndarray
-    realized: np.ndarray
-    oracle_arm: int
-
-
-@dataclass
 class HybridStream:
     """A pregenerated batch of synthetic rounds; rows are rounds."""
 
@@ -420,40 +410,16 @@ class SyntheticHybridEnv:
             self.bump_centers = np.zeros((n_arms, 0, d))
             self.bump_values = np.zeros((n_arms, 0))
 
-    def expected_rewards(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = self.base + self.mu @ x
-        if self.bump_count > 0:
-            dist = np.linalg.norm(self.bump_centers - x, axis=2)
-            out = out + (self.bump_values * (dist < self.radius)).sum(axis=1)
-        return out
-
     def episode(self, seed: int, T: int) -> HybridStream:
         """The run's T rounds, drawn from a stream keyed by the run seed."""
         return self.play_batch(np.random.default_rng([seed, ENV_STREAM_SALT]), T)
 
-    def play(self, rng: np.random.Generator) -> HybridRound:
-        idx = int(rng.choice(self.CONTEXT_CLUSTERS, p=self.cluster_probs))
-        z = rng.standard_normal(self.dim)
-        x = self.cluster_centers[idx] + self._cluster_sigma * z
-        x = x / np.linalg.norm(x)
-        expected = self.expected_rewards(x)
-        if self.noise_sigma > 0.0:
-            lo = -1.0 - float(expected.min())
-            hi = 1.0 - float(expected.max())
-            xi = _truncated_normal(rng, self.noise_sigma, lo, hi)
-        else:
-            xi = 0.0
-        realized = expected + xi
-        return HybridRound(context=x, expected=expected, realized=realized,
-                           oracle_arm=int(np.argmax(expected)))
-
     def play_batch(self, rng: np.random.Generator, T: int) -> HybridStream:
         """T rounds at once: all context draws first, then all noise draws.
 
-        The per-round noise is one shared truncated-Gaussian value added to
-        every arm, exactly as in play(); with T = 1 the two produce the same
-        draws from a fresh generator.
+        The per-round noise is one shared truncated-Gaussian value (inverse
+        CDF on [-1 - min, 1 - max] of the expected rewards) added to every
+        arm, which keeps realized rewards inside [-1, 1].
         """
         if T < 1:
             raise ValueError("T must be >= 1")
@@ -495,13 +461,3 @@ class SyntheticHybridEnv:
 def synthetic_hybrid(seed: int, d: int, n_arms: int, bump_count: int,
                      noise_sigma: float, radius: float = 0.7) -> SyntheticHybridEnv:
     return SyntheticHybridEnv(seed, d, n_arms, bump_count, noise_sigma, radius)
-
-
-def _truncated_normal(rng: np.random.Generator, sigma: float, lo: float,
-                      hi: float) -> float:
-    """One N(0, sigma^2) draw conditioned on [lo, hi], by inverse CDF."""
-    a = ndtr(lo / sigma)
-    b = ndtr(hi / sigma)
-    u = rng.uniform()
-    xi = float(sigma * ndtri(a + u * (b - a)))
-    return min(max(xi, lo), hi)

@@ -7,9 +7,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import _cstep
 from .core import as_context, as_int, as_real, as_reward
 
 _FINITE_MAX = np.finfo(np.float64).max
+# NeighborBank's compiled pass step, or None for the numpy step.
+_step = _cstep.load()
 
 
 @dataclass(frozen=True)
@@ -202,29 +205,57 @@ class NeighborBank:
 
         Per arm this selects the k entries first in (distance, round) order:
         ties go to the lower round, u_max is the k-th distance, and the
-        score sums rewards in that order.
+        score sums rewards in that order.  The compiled ``_step`` selects,
+        or its numpy twin ``_select`` where it is not built.
         """
-        n = len(arms)
-        sizes = [self._end[a] - self._start[a] for a in arms]
+        n, sizes = len(arms), [self._end[a] - self._start[a] for a in arms]
+        # One matvec per arm over exactly its window: BLAS results depend on
+        # the row count, and this keeps them equal to a one-store query.
+        dot = np.zeros((n, max(sizes)))
+        for j, a in enumerate(arms):
+            s = self._start[a]
+            self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
+        # An applied row's k is at most its size, so k_cols columns hold every
+        # selection; a larger k only gates, and is clipped to fit in C.
+        k_cols = max(1, min(max(ks), dot.shape[1]))
+        ks = [min(k, k_cols + 1) for k in ks] if max(ks) > k_cols else ks
+        sel, u_max, k_used = np.zeros((n, k_cols)), np.zeros(n), np.zeros(n, np.int64)
+        step = _step
+        if step is None:
+            k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
+        else:
+            buf = step.ffi.from_buffer
+            k = step.lib.knn_step(
+                buf("double[]", dot), dot.shape[1], buf("double[]", self._norm2),
+                buf("double[]", self._rewards), self._norm2.shape[1], arms,
+                sizes, ks, n, strict, xx, buf("double[]", sel), k_cols,
+                buf("double[]", u_max), buf("int64_t[]", k_used),
+                step.ffi.new("double[]", k_cols))
+        if k > 0:  # every applied arm uses k; the others' rows are zeros
+            score = np.add.reduce(sel[:, :k], axis=1) / k
+        else:  # row j's own 1-D reduce: its first k_j rewards, in order
+            score = np.array([np.add.reduce(r[:kj]) / kj if kj else 0.0
+                              for r, kj in zip(sel, k_used.tolist())])
+        return KnnBatch(score, u_max, k_used)
+
+    def _select(self, arms, sizes, ks, strict, xx, dot, sel, u_max, k_used) -> int:
+        """The numpy twin of _cstep's knn_step: its contract and result bits."""
         if not strict:
             ks = [min(k, max(size, 1)) for k, size in zip(ks, sizes)]
-        k_used = [int(k) if size >= k else 0 for k, size in zip(ks, sizes)]
-        live = [i for i, k in enumerate(k_used) if k]  # the arms that apply
-        rows, k_live = [arms[i] for i in live], [k_used[i] for i in live]
-        sizes = [sizes[i] for i in live]
+        live = [j for j, (k, size) in enumerate(zip(ks, sizes)) if size >= k]
         if not live:
-            return KnnBatch(np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
-        every = rows == self._all_rows
-        k_max, width, shortest = max(k_live), max(sizes), min(sizes)
-        # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached row norms.  Each
-        # arm gets its own matvec over exactly its window: BLAS results depend
-        # on the row count, and this keeps them equal to a one-store query.
-        d2 = np.zeros((len(rows), width))
-        for j, a in enumerate(rows):
-            s, e = self._start[a], self._end[a]
-            self._ctx[a][s:e].dot(x, out=d2[j, :e - s])
+            return 0
+        k_live = [ks[j] for j in live]
+        k_max, width, shortest = max(k_live), dot.shape[1], min(sizes[j] for j in live)
+        # Slices, not gathers, where every row applies (the common case).
+        at = slice(None) if len(live) == len(arms) else live
+        every = at == slice(None) and arms == self._all_rows
+        rows = at if every else np.asarray(arms)[live]
+        k_used[at] = k_live
+        # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached row norms.
+        d2 = dot[at]
         d2 *= -2.0
-        d2 += self._norm2[:, :width] if every else self._norm2[rows, :width]
+        d2 += self._norm2[rows, :width]
         d2 += xx
         np.maximum(d2, 0.0, out=d2)
         # Candidates are all entries no farther than the row's k_max-th
@@ -245,9 +276,9 @@ class NeighborBank:
         # Stable: equal distances keep column order, which is round order.
         order = np.lexsort((dist, row))
         dist = dist[order]
-        rewards = self._rewards[row if every else np.asarray(rows)[row], col][order]
+        rewards = self._rewards[row if every else rows[row], col][order]
         # Lay each row's first k_max candidates out as one matrix row.
-        shape = (len(rows), k_max)
+        shape = (len(live), k_max)
         if flat.size == shape[0] * k_max and shortest >= k_max:
             dist, rewards = dist.reshape(shape), rewards.reshape(shape)
         else:  # ties at a cut, or rows shorter than k_max
@@ -256,17 +287,10 @@ class NeighborBank:
             take = np.minimum(first[:, None] + np.arange(k_max),
                               (first + counts - 1)[:, None])
             dist, rewards = dist[take], rewards[take]
-        if min(k_live) == k_max:
-            u_max = np.sqrt(dist[:, k_max - 1])
-            score = np.add.reduce(rewards, axis=1) / k_max
-        else:
-            u_max = np.sqrt(dist[range(shape[0]), [k - 1 for k in k_live]])
-            # Row j's own 1-D reduce: its first k_j rewards, in order.
-            score = np.array([np.add.reduce(r[:k]) / k
-                              for r, k in zip(rewards, k_live)])
-        if len(live) < n:
-            score, u_max = _spread(score, live, n), _spread(u_max, live, n)
-        return KnnBatch(score, u_max, np.array(k_used))
+        u_max[at] = np.sqrt(dist[:, k_max - 1] if min(k_live) == k_max else
+                            dist[range(shape[0]), [k - 1 for k in k_live]])
+        sel[at, :k_max] = rewards
+        return k_max if min(k_live) == k_max else -1
 
 
 def _fold(sums: list, reward: float, sign: float) -> None:
@@ -275,12 +299,6 @@ def _fold(sums: list, reward: float, sign: float) -> None:
     sums[1] += sign * (reward * reward)
     sums[2] += abs(sums[0])
     sums[3] += abs(sums[1])
-
-
-def _spread(values: np.ndarray, at: list, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[at] = values
-    return out
 
 
 class KnnBatch(NamedTuple):
@@ -389,6 +407,7 @@ def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
     Applies only when the store holds at least k entries; ties at equal
     distance go to the lower round.  u_max is the largest selected distance.
     """
+    k = as_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
     x = as_context(x, store.dim)

@@ -11,7 +11,7 @@ import numpy as np
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (TIE_BREAKS, Policy, ScoreTable, argmax_tiebreak, as_context,
-                   as_int, as_real, round_rng)
+                   as_int, as_nonneg, as_real, round_rng)
 from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState
 
@@ -44,15 +44,12 @@ class PolicyConfig:
             as_real(getattr(self, name), name)
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("lam must be positive")
-        if not (np.isfinite(self.alpha0) and self.alpha0 >= 0):
-            raise ValueError("alpha0 must be >= 0")
-        if not (np.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
-            raise ValueError("kappa must be in [0, 1]")
+        as_nonneg(self.alpha0, "alpha0")
+        as_nonneg(self.kappa, "kappa", 1.0)
         if not (1 <= as_int(self.theta_min, "theta_min")
                 <= as_int(self.theta_max, "theta_max")):
             raise ValueError("need 1 <= theta_min <= theta_max")
-        if not (np.isfinite(self.gamma_cov) and self.gamma_cov >= 0):
-            raise ValueError("gamma_cov must be >= 0")
+        as_nonneg(self.gamma_cov, "gamma_cov")
         if not (np.isfinite(self.variance_scale) and self.variance_scale > 0):
             raise ValueError("variance_scale must be positive")
         if self.tie_break not in TIE_BREAKS:
@@ -176,9 +173,7 @@ class UCB(Policy):
     def __init__(self, n_arms: int, dim: int = 1, rho: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(as_real(rho, "rho")) and rho >= 0):
-            raise ValueError("rho must be >= 0")
-        self.rho = float(rho)
+        self.rho = as_nonneg(rho, "rho")
         self.stats = RewardStats(n_arms)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
@@ -233,9 +228,7 @@ class KLUCB(Policy):
     def __init__(self, n_arms: int, dim: int = 1, c: float = 1.0, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(as_real(c, "c")) and c >= 0):
-            raise ValueError("c must be >= 0")
-        self.c = float(c)
+        self.c = as_nonneg(c, "c")
         self.stats = RewardStats(n_arms)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
@@ -260,9 +253,7 @@ class EpsilonGreedy(Policy):
     def __init__(self, n_arms: int, dim: int = 1, eps: float = 0.1, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(as_real(eps, "eps")) and 0.0 <= eps <= 1.0):
-            raise ValueError("eps must be in [0, 1]")
-        self.eps = float(eps)
+        self.eps = as_nonneg(eps, "eps", 1.0)
         self.stats = RewardStats(n_arms)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
@@ -322,9 +313,7 @@ class _RidgeDraws:
     """
 
     def _init_ridges(self, v: float, lam: float) -> None:
-        if not (np.isfinite(as_real(v, "v")) and v >= 0):
-            raise ValueError("v must be >= 0")
-        self.v = float(v)
+        self.v = as_nonneg(v, "v")
         self.ridge = [RidgeState(self.dim, lam) for _ in range(self.n_arms)]
         self._chol = [None] * self.n_arms
 
@@ -376,9 +365,7 @@ class KnnUCB(Policy):
                  store_capacity: Optional[int] = None, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(as_real(rho, "rho")) and rho >= 0):
-            raise ValueError("rho must be >= 0")
-        self.rho = float(rho)
+        self.rho = as_nonneg(rho, "rho")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
                                  theta_max, variance_scale)
 
@@ -402,9 +389,7 @@ class KnnKLUCB(KnnUCB):
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, 0.0, theta_min, theta_max, variance_scale,
                          store_capacity, seed, tie_break)
-        if not (np.isfinite(as_real(c, "c")) and c >= 0):
-            raise ValueError("c must be >= 0")
-        self.c = float(c)
+        self.c = as_nonneg(c, "c")
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank._pass(x, False)
@@ -445,9 +430,7 @@ class _EnhancedBase(Policy):
                  store_capacity: Optional[int] = None, seed: int = 0,
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        if not (np.isfinite(as_real(gamma_sm, "gamma_sm")) and gamma_sm >= 0):
-            raise ValueError("gamma_sm must be >= 0")
-        self.gamma_sm = float(gamma_sm)
+        self.gamma_sm = as_nonneg(gamma_sm, "gamma_sm")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
                                  theta_max, variance_scale)
         self.stats = RewardStats(n_arms)
@@ -474,9 +457,7 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
 
     def __init__(self, n_arms: int, dim: int, eps: float = 0.1, **kw):
         super().__init__(n_arms, dim, **kw)
-        if not (np.isfinite(as_real(eps, "eps")) and 0.0 <= eps <= 1.0):
-            raise ValueError("eps must be in [0, 1]")
-        self.eps = float(eps)
+        self.eps = as_nonneg(eps, "eps", 1.0)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.stats.local_means() + self.knn_vector(x)

@@ -12,6 +12,34 @@ from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                            replay_step, synthetic_hybrid, two_class_bumps)
 
 
+def expected_rewards(env, x):
+    """Expected reward of every arm at one context, from the env's parts."""
+    out = env.base + env.mu @ x
+    if env.bump_count > 0:
+        dist = np.linalg.norm(env.bump_centers - x, axis=2)
+        out = out + (env.bump_values * (dist < env.radius)).sum(axis=1)
+    return out
+
+
+def play_one(env, rng):
+    """One round drawn scalar by scalar: play_batch's reference at T = 1.
+
+    Returns (context, expected, realized); the noise is one draw of
+    N(0, sigma^2) conditioned on [-1 - min, 1 - max] of the expected rewards.
+    """
+    idx = int(rng.choice(env.CONTEXT_CLUSTERS, p=env.cluster_probs))
+    x = env.cluster_centers[idx] + env._cluster_sigma * rng.standard_normal(env.dim)
+    x = x / np.linalg.norm(x)
+    expected = expected_rewards(env, x)
+    xi = 0.0
+    if env.noise_sigma > 0.0:
+        lo, hi = -1.0 - float(expected.min()), 1.0 - float(expected.max())
+        a, b = ndtr(lo / env.noise_sigma), ndtr(hi / env.noise_sigma)
+        xi = float(env.noise_sigma * ndtri(a + rng.uniform() * (b - a)))
+        xi = min(max(xi, lo), hi)
+    return x, expected, expected + xi
+
+
 def unit_rows(rng, n, d):
     X = rng.standard_normal((n, d))
     return X / np.linalg.norm(X, axis=1)[:, None]
@@ -374,12 +402,12 @@ class TestSyntheticHybrid:
     def test_play_equals_batch_of_one(self):
         env = synthetic_hybrid(0, 10, 5, 3, 0.06)
         for seed in range(10):
-            one = env.play(np.random.default_rng(seed))
+            context, expected, realized = play_one(env, np.random.default_rng(seed))
             batch = env.play_batch(np.random.default_rng(seed), 1)
-            assert np.array_equal(one.context, batch.contexts[0])
-            assert np.allclose(one.expected, batch.expected[0], atol=1e-12)
-            assert np.allclose(one.realized, batch.realized[0], atol=1e-12)
-            assert one.oracle_arm == batch.oracle_arm[0]
+            assert np.array_equal(context, batch.contexts[0])
+            assert np.allclose(expected, batch.expected[0], atol=1e-12)
+            assert np.allclose(realized, batch.realized[0], atol=1e-12)
+            assert np.argmax(expected) == batch.oracle_arm[0]
 
     @pytest.mark.parametrize("noise", [0.0, 0.06])
     def test_play_batch_equals_broadcast_formula(self, noise):
@@ -465,13 +493,13 @@ class TestSyntheticHybrid:
         assert env.bump_centers.shape == (3, 0, 6)
         assert np.allclose(np.linalg.norm(env.mu, axis=1), env.SIGNAL_BUDGET)
         x = np.ones(6) / np.sqrt(6.0)
-        assert np.allclose(env.expected_rewards(x), env.base + env.mu @ x)
+        assert np.allclose(expected_rewards(env, x), env.base + env.mu @ x)
 
     def test_expected_rewards_single_matches_batch_formula(self):
         env = synthetic_hybrid(7, 8, 4, 2, 0.05)
         batch = env.play_batch(np.random.default_rng(2), 40)
         for t in (0, 13, 39):
-            assert np.allclose(env.expected_rewards(batch.contexts[t]),
+            assert np.allclose(expected_rewards(env, batch.contexts[t]),
                                batch.expected[t], atol=1e-12)
 
     def test_metadata(self):

@@ -1,14 +1,38 @@
 """Neighbor store behavior and the adaptive-k query against independent oracles."""
+import contextlib
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab import knn
+from banditlab import _cstep, knn
 from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
+
+
+# The pass steps to check: numpy's, then the compiled one where it is built.
+STEPS = [None] + ([knn._step] if knn._step is not None else [])
+CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
+    (sysconfig.get_config_var("CC") or "cc").split()[0]) is not None)
+
+
+@contextlib.contextmanager
+def pass_step(step):
+    """Run NeighborBank passes with this step (None: the numpy step)."""
+    saved, knn._step = knn._step, step
+    try:
+        yield
+    finally:
+        knn._step = saved
 
 
 def _filled_store(rng, n, d, capacity=None, duplicate_from=None):
@@ -148,8 +172,15 @@ class TestKnnScore:
     def test_gate_requires_k_entries(self):
         rng = np.random.default_rng(1)
         store = _filled_store(rng, 4, 3)
-        assert knn_score(store, np.zeros(3), 5) == KnnScore.not_applied()
-        assert knn_score(store, np.zeros(3), 4).applied
+        for step in STEPS:
+            with pass_step(step):
+                assert knn_score(store, np.zeros(3), 5) == KnnScore.not_applied()
+                # A k far past the store gates without sizing anything by k.
+                for k in (10**9, 10**30):
+                    assert knn_score(store, np.zeros(3), k) == KnnScore.not_applied()
+                assert knn_score(store, np.zeros(3), 4).applied
+                assert (knn_score(store, np.zeros(3), 4.0)
+                        == knn_score(store, np.zeros(3), 4))
 
     def test_matches_handrolled_oracle(self):
         # Independent check with plain sorted distances, no library internals.
@@ -183,6 +214,8 @@ class TestKnnScore:
         store = NeighborStore(2)
         with pytest.raises(ValueError):
             knn_score(store, np.zeros(2), 0)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_score(store, np.zeros(2), 2.5)
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,13 +253,15 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
         bank.add(int(rng.integers(n_arms)), row, float(rng.standard_normal()), t)
     x = base[0] if seed % 2 else rng.standard_normal(d)
     ks = rng.integers(1, 9, size=n_arms).tolist()
-    got = bank.query(x, ks, strict=strict)
-    for a in range(n_arms):
-        store = bank.store(a)
-        k = ks[a] if strict else min(ks[a], max(len(store), 1))
-        want = knn_score_bruteforce(store, x, k)
-        assert got.row(a) == want
-        assert got.score[a] == want.score and got.u_max[a] == want.u_max
+    for step in STEPS:
+        with pass_step(step):
+            got = bank.query(x, ks, strict=strict)
+        for a in range(n_arms):
+            store = bank.store(a)
+            k = ks[a] if strict else min(ks[a], max(len(store), 1))
+            want = knn_score_bruteforce(store, x, k)
+            assert got.row(a) == want
+            assert got.score[a] == want.score and got.u_max[a] == want.u_max
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,10 +302,10 @@ def test_incremental_k_falls_back_on_a_rounding_boundary(monkeypatch):
 
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
 def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
-    # Every round's bank pass, in both gating modes, against the full-sort
-    # oracle per arm along a real capped run.  bincount runs only on the
-    # pass's tie, short-row and mixed-k branch; both it and the common
-    # branch must have run on the way.
+    # Every round's bank pass, in both gating modes and under each step,
+    # against the full-sort oracle per arm along a real capped run.  In the
+    # numpy step bincount runs only on the tie, short-row and mixed-k
+    # branch; both it and the common branch must have run on the way.
     spec = EnvSpec(kind="synthetic", d=10, n_arms=5, bump_count=3,
                    noise_sigma=0.06, env_seed=0, radius=0.7)
     env = build_env(spec)
@@ -287,21 +322,20 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
         calls[0] += 1
         return bincount(*args, **kwargs)
 
-    def counted(self, arms, x, xx, ks, strict):
-        before = calls[0]
-        got = query(self, arms, x, xx, ks, strict)
-        passes["bincount" if calls[0] > before else "common"] += 1
-        return got
-
     def checked_query(self, arms, x, xx, ks, strict):
         if self is not bank:
             return query(self, arms, x, xx, ks, strict)
         for gate in (not strict, strict):  # the policy's own pass last
-            got = counted(self, arms, x, xx, ks, gate)
-            for a, k in zip(arms, ks):
-                store = self.store(a)
-                k = k if gate else min(k, max(len(store), 1))
-                assert got.row(a) == knn_score_bruteforce(store, x, k)
+            for step in STEPS:
+                before = calls[0]
+                with pass_step(step):
+                    got = query(self, arms, x, xx, ks, gate)
+                if step is None:
+                    passes["bincount" if calls[0] > before else "common"] += 1
+                for a, k in zip(arms, ks):
+                    store = self.store(a)
+                    k = k if gate else min(k, max(len(store), 1))
+                    assert got.row(a) == knn_score_bruteforce(store, x, k)
         return got
 
     monkeypatch.setattr(np, "bincount", spied_bincount)
@@ -309,3 +343,115 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     run_policy(env, policy, 300, 3)
     assert max(len(bank.store(a)) for a in range(env.n_arms)) == 7
     assert passes["common"] > 0 and passes["bincount"] > 0, passes
+
+
+def _pass_bits(bank, arms, x, ks, strict):
+    """Each step's (score, u_max, k_used) of one pass, as dtype and bytes."""
+    out = []
+    for step in STEPS:
+        with pass_step(step):
+            got = bank._query(arms, x, float(x @ x), ks, strict)
+        out.append([(f.dtype.str, f.tobytes()) for f in got])
+    return out
+
+
+@pytest.mark.skipif(knn._step is None, reason="the compiled step is not built")
+@settings(max_examples=120, deadline=None)
+@given(
+    n_arms=st.integers(1, 5),
+    d=st.integers(1, 3),
+    n=st.integers(0, 150),
+    capacity=st.one_of(st.none(), st.integers(1, 20)),
+    theta_max=st.sampled_from([1, 5, 9, 5000]),
+    distinct=st.integers(1, 4),
+    strict=st.booleans(),
+    seed=st.integers(0, 100_000),
+)
+def test_compiled_and_numpy_steps_return_the_same_bits(
+        n_arms, d, n, capacity, theta_max, distinct, strict, seed):
+    # A few distinct contexts and reward levels make exact distance ties and
+    # mixed adaptive ks common.  theta_max 5000 fills a row past 5000
+    # entries, so the step keeps a 5000-slot selection.
+    rng = np.random.default_rng(seed)
+    if theta_max == 5000:
+        n_arms, capacity, n = min(n_arms, 2), None, 5000 * min(n_arms, 2) + n
+    bank = NeighborBank(n_arms, d, capacity, 1, theta_max, 50.0)
+    base = rng.standard_normal((distinct, d))
+    for t in range(n):
+        bank.add(t % n_arms if theta_max == 5000 else int(rng.integers(n_arms)),
+                 base[int(rng.integers(distinct))],
+                 float(rng.choice([0.0, 0.05, 1.0])), t)
+    x = base[0] if seed % 2 else rng.standard_normal(d)
+    rows = list(range(n_arms))
+    ks = [int(k) for k in rng.integers(1, theta_max + 2, size=n_arms)]
+    for arms, kk, gate in [(rows, bank._ks, strict), (rows, ks, strict),
+                           *(([a], [bank._ks[a]], True) for a in rows)]:
+        numpy_bits, compiled_bits = _pass_bits(bank, arms, x, kk, gate)
+        assert compiled_bits == numpy_bits
+
+
+needs_build = pytest.mark.skipif(not CAN_BUILD, reason="no cffi or no cc")
+
+
+@needs_build
+def test_compiled_step_is_active():
+    assert knn._step is not None
+
+
+@needs_build
+def test_concurrent_first_loads_share_one_artifact(tmp_path):
+    # The artifacts and markers of other sources go when a new one is built.
+    for stale in ("_knn_step.0123456789abcdef.so", "_knn_step.fedcba9876543210.so.failed"):
+        (tmp_path / stale).touch()
+    src = str(Path(knn.__file__).resolve().parents[1])
+    code = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "from banditlab import _cstep; "
+            "print(_cstep.load(Path(sys.argv[2])) is not None)")
+    procs = [subprocess.Popen([sys.executable, "-c", code, src, str(tmp_path)],
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs == ["True\n", "True\n"]
+    assert [p.name for p in tmp_path.iterdir()] == [Path(knn._step.__file__).name]
+
+
+@needs_build
+def test_failed_build_falls_back_and_is_not_retried(tmp_path, monkeypatch):
+    monkeypatch.setattr(_cstep, "SOURCE", "this is not C")
+    assert _cstep.load(tmp_path) is None
+    (marker,) = tmp_path.iterdir()
+    assert marker.name.endswith(".failed") and marker.read_text()  # why it failed
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("rebuilt after a failed build")
+
+    monkeypatch.setattr(_cstep.subprocess, "run", no_build)
+    assert _cstep.load(tmp_path) is None
+    assert [p.name for p in tmp_path.iterdir()] == [marker.name]
+
+
+def _killed(*args, **kwargs):
+    return subprocess.CompletedProcess(args, -9, b"", b"")
+
+
+def _timed_out(*args, **kwargs):
+    raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+
+@pytest.mark.parametrize("cause", ["no cffi", "no compiler", "killed", "timed out"])
+def test_build_that_never_compiled_leaves_no_marker(tmp_path, monkeypatch, cause):
+    # Only a source the compiler rejects marks the build failed: installing
+    # cffi or a compiler later, or simply loading again, still builds.
+    monkeypatch.setattr(_cstep, "SOURCE", "a source never built before")
+    if cause == "no cffi":
+        monkeypatch.setattr(_cstep, "find_spec", lambda name: None)
+    elif cause == "no compiler":
+        monkeypatch.setattr(_cstep.shutil, "which", lambda name: None)
+    else:
+        monkeypatch.setattr(_cstep, "find_spec", lambda name: True)
+        monkeypatch.setattr(_cstep.shutil, "which", lambda name: name)
+        monkeypatch.setattr(_cstep.subprocess, "run",
+                            _killed if cause == "killed" else _timed_out)
+    assert _cstep.load(tmp_path) is None
+    assert list(tmp_path.iterdir()) == []

@@ -325,11 +325,22 @@ class TestMakePolicy:
         pytest.param({"reward": math.inf}, "finite", id="inf"),
         pytest.param({"arm": 3}, r"arm 3 out of range \[0, 3\)", id="arm-3"),
         pytest.param({"x": [math.nan, 0.0]}, "non-finite", id="nan-context"),
+        # Finite, but 4 * x.x overflows: stored, it would leave k-NN
+        # distances and ridge scores non-finite.
+        pytest.param({"x": [1e200, 0.0]}, "non-finite", id="huge-context"),
         pytest.param({"x": [1.0, 0.0, 0.0]}, "dimension 3 != expected 2",
                      id="long-context"),
     ])
     def test_non_finite_reward_changes_nothing(self, pid, bad, match):
         assert_rejected_update_changes_nothing(pid, bad, match)
+
+    @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    def test_huge_context_is_rejected_by_select_and_scores(self, pid):
+        policy = make_policy(pid, 3, 2, seed=4)
+        policy.update(0, [1.0, 0.0], 0.5)
+        for call in (policy.select, policy.scores):
+            with pytest.raises(ValueError, match="overflows"):
+                call([1e200, 0.0], 1)
 
     @pytest.mark.parametrize("pid", sorted(pid for pid, keys in
                                            PINNED_PARAM_KEYS.items()
