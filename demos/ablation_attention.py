@@ -14,13 +14,10 @@ ALPHA0 = (0.1, 1.0, 10.0)
 BASE = {"variance_scale": 50.0, "theta_min": 4, "kappa": 1.0,
         "lam": 0.1, "gamma_cov": 0.05, "floor_alpha_at_zero": True}
 VARIANTS = [
-    ("linear only", {"use_attention": False, "use_knn": False,
-                     "adaptive_k": False}),
-    ("+ attention", {"use_attention": True, "use_knn": False,
-                     "adaptive_k": False}),
-    ("+ knn", {"use_attention": False, "use_knn": True, "adaptive_k": True}),
-    ("full hybrid", {"use_attention": True, "use_knn": True,
-                     "adaptive_k": True}),
+    ("linear only", {"use_attention": False, "use_knn": False}),
+    ("+ attention", {"use_attention": True, "use_knn": False}),
+    ("+ knn", {"use_attention": False, "use_knn": True}),
+    ("full hybrid", {"use_attention": True, "use_knn": True}),
 ]
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_reward
+from .core import as_nonneg, as_reward
 
 
 @dataclass(frozen=True)
@@ -16,10 +16,8 @@ class AttentionParams:
     kappa: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha0) and self.alpha0 >= 0):
-            raise ValueError("alpha0 must be >= 0")
-        if not (np.isfinite(self.kappa) and 0.0 <= self.kappa <= 1.0):
-            raise ValueError("kappa must be in [0, 1]")
+        as_nonneg(self.alpha0, "alpha0")
+        as_nonneg(self.kappa, "kappa", 1.0)
 
 
 class RewardStats:
@@ -64,8 +62,7 @@ def softmax_attention(counts, gamma_sm: float) -> np.ndarray:
 
     gamma_sm = 0 is accepted and gives exactly uniform weights.
     """
-    if not (np.isfinite(gamma_sm) and gamma_sm >= 0):
-        raise ValueError("gamma_sm must be >= 0")
+    gamma_sm = as_nonneg(gamma_sm, "gamma_sm")
     c = np.asarray(counts, dtype=np.float64)
     if c.size == 0:
         raise ValueError("counts must be nonempty")

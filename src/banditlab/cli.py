@@ -15,19 +15,15 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .core import ScoreBreakdown, as_int
-from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
-                      regret_bound_curve)
+from .core import ScoreBreakdown, as_bool, as_int, as_real
+from .metrics import (AggregateResult, AggregateRow, DiagnosticsParams,
+                      RunResult, aggregate, regret_bound_curve)
 from .policies import POLICY_PARAM_KEYS
 from .runner import Cell, EnvSpec, build_env, execute_cells, run_cell
 
 RESULT_COLUMNS = ["round", "cumulative_reward", "mean_reward", "cumulative_regret"]
 TRACE_COLUMNS = [f.name for f in fields(ScoreBreakdown)]
-AGGREGATE_COLUMNS = [
-    "policy", "params", "final_cum_reward_mean", "final_cum_reward_std",
-    "final_mean_reward_mean", "final_mean_reward_std", "final_regret_mean",
-    "final_regret_std", "runtime_s_mean",
-]
+AGGREGATE_COLUMNS = [f.name for f in fields(AggregateRow) if f.name != "n_seeds"]
 FORMATS = ("csv", "json")
 # Parser destinations that are not [experiment] options.
 _NOT_OPTIONS = ("command", "func", "config", "policy", "param", "grid")
@@ -227,13 +223,10 @@ def _typed(opts: Dict, name: str, default):
     """
     value = opts.get(name, default)
     if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise CliError(f"{name} must be true or false, got {value!r}")
-        return value
+        return as_bool(value, name)
     if isinstance(default, (int, float)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError(f"{name} must be a number, got {value!r}")
-        return as_int(value, name) if isinstance(default, int) else float(value)
+        value = as_real(value, name)
+        return as_int(value, name) if isinstance(default, int) else value
     return None if value is None else str(value)
 
 

@@ -31,12 +31,22 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
     return x
 
 
-def as_int(value, name: str) -> int:
-    """value as an int (3.0 is 3); a bool or 2.5 raises ValueError naming it."""
+def as_int(value, name: str, lower: Optional[int] = None) -> int:
+    """value as an int (3.0 is 3) of at least ``lower`` when given; a bool,
+    2.5 or a smaller value raises ValueError naming it."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if lower is not None and value < lower:
+        raise ValueError(f"{name} must be >= {lower}")
     return int(value)
+
+
+def as_bool(value, name: str) -> bool:
+    """value if it is a bool; anything else raises ValueError naming it."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 def as_real(value, name: str) -> float:
@@ -52,6 +62,14 @@ def as_nonneg(value, name: str, upper: float = math.inf) -> float:
     if not (math.isfinite(v) and 0.0 <= v <= upper):
         raise ValueError(f"{name} must be " + (
             ">= 0" if upper == math.inf else f"in [0, {upper:g}]"))
+    return v
+
+
+def as_positive(value, name: str) -> float:
+    """value as a finite float > 0; else ValueError naming it."""
+    v = as_real(value, name)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be positive and finite")
     return v
 
 
@@ -162,7 +180,7 @@ class Policy(ABC):
             raise ValueError(f"unknown tie_break {tie_break!r}")
         self.n_arms = int(n_arms)
         self.dim = int(dim)
-        self.seed = int(seed)
+        self.seed = as_int(seed, "seed", 0)
         self.tie_break = tie_break
 
     @abstractmethod

@@ -10,6 +10,8 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .core import as_int, as_nonneg, as_positive
+
 
 ENV_STREAM_SALT = 1  # entropy tag for the per-run context/noise stream
 
@@ -63,11 +65,11 @@ class ClassificationBanditEnv:
         self.n_arms = int(labels.max()) + 1
         if labels.min() < 0:
             raise ValueError("labels must be nonnegative arm indices")
-        order = np.random.default_rng(shuffle_seed).permutation(contexts.shape[0])
+        self.shuffle_seed = as_int(shuffle_seed, "shuffle_seed", 0)
+        order = np.random.default_rng(self.shuffle_seed).permutation(len(labels))
         self.contexts = contexts[order]
         self.labels = labels[order]
         self.dim = contexts.shape[1]
-        self.shuffle_seed = int(shuffle_seed)
         self.class_names = list(class_names) if class_names is not None else None
 
     def __len__(self) -> int:
@@ -336,7 +338,8 @@ class SyntheticHybridEnv:
     of spherical clusters, mimicking how real feature vectors repeat with
     variation.  Realized rewards add one shared truncated-Gaussian noise draw
     per round, which keeps rewards bounded and preserves the oracle's
-    dominance at every round.
+    dominance at every round.  ``seed`` is an EnvSpec's ``env_seed``, and
+    its error message calls it that.
     """
 
     # Structure budgets; |base| + ||mu|| + sum|v| <= 1 - NOISE margin keeps
@@ -361,15 +364,13 @@ class SyntheticHybridEnv:
             raise ValueError("need at least 2 arms")
         if bump_count < 0:
             raise ValueError("bump_count must be >= 0")
-        if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-            raise ValueError("noise_sigma must be >= 0")
-        self.seed = int(seed)
+        self.seed = as_int(seed, "env_seed", 0)
         self.dim = int(d)
         self.n_arms = int(n_arms)
         self.bump_count = int(bump_count)
-        self.noise_sigma = float(noise_sigma)
-        self.radius = float(radius)
-        rng = np.random.default_rng(seed)
+        self.noise_sigma = as_nonneg(noise_sigma, "noise_sigma")
+        self.radius = as_positive(radius, "radius")
+        rng = np.random.default_rng(self.seed)
         n_clusters = self.CONTEXT_CLUSTERS
         centers = rng.standard_normal((n_clusters, d))
         self.cluster_centers = centers / np.linalg.norm(centers, axis=1)[:, None]

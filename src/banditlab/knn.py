@@ -8,7 +8,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _cstep
-from .core import as_context, as_int, as_real, as_reward
+from .core import as_context, as_int, as_positive, as_reward
 
 _FINITE_MAX = np.finfo(np.float64).max
 # NeighborBank's compiled pass step, or None for the numpy step.
@@ -37,7 +37,7 @@ class NeighborBank:
     context and round arrays.  Every column from n on holds an infinite
     squared norm, so it reads as infinitely far and one pass over the padded
     rows, as wide as the longest window, scores all arms at once (see
-    ``query``).  Rounds are strictly increasing per arm, so entry order is
+    ``_pass``).  Rounds are strictly increasing per arm, so entry order is
     insertion order.
 
     Without a capacity the arrays double in length on growth.  With one,
@@ -60,19 +60,17 @@ class NeighborBank:
             raise ValueError("n_arms must be >= 1")
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if capacity is not None and as_int(capacity, "store_capacity") < 1:
-            raise ValueError("store_capacity must be >= 1 when set")
-        self.theta_min = as_int(theta_min, "theta_min")
+        if capacity is not None:
+            capacity = as_int(capacity, "store_capacity", 1)
+        # theta_max first: a fixed k passes it as theta_min too.
         self.theta_max = as_int(theta_max, "theta_max")
+        self.theta_min = as_int(theta_min, "theta_min")
         if not 1 <= self.theta_min <= self.theta_max:
             raise ValueError("need 1 <= theta_min <= theta_max")
-        if not (math.isfinite(as_real(variance_scale, "variance_scale"))
-                and variance_scale > 0):
-            raise ValueError("variance_scale must be positive")
-        self.variance_scale = float(variance_scale)
+        self.variance_scale = as_positive(variance_scale, "variance_scale")
         self.n_arms = int(n_arms)
         self.dim = int(dim)
-        self.capacity = capacity = None if capacity is None else int(capacity)
+        self.capacity = capacity
         length = 2 * capacity if capacity is not None else 16
         self._ctx = [np.empty((length, dim)) for _ in range(n_arms)]
         self._rounds = [np.zeros(length, dtype=np.int64) for _ in range(n_arms)]
@@ -183,21 +181,13 @@ class NeighborBank:
             k = select_k(reward_variance(self.store(arm)) * scale, lo, hi)
         return k
 
-    def query(self, x, ks, strict: bool = True) -> "KnnBatch":
-        """k-NN score of every arm for one context; arm a uses k = ks[a].
+    def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
+        """Every arm's k-NN score for a checked context, with its own k.
 
         strict=True gates an arm off while it holds fewer than k entries;
         strict=False lowers k to the number held instead (an empty arm is
         still not applied).
         """
-        x = as_context(x, self.dim)
-        ks = [int(k) for k in ks]
-        if len(ks) != self.n_arms or min(ks) < 1:
-            raise ValueError(f"need one k >= 1 for each of {self.n_arms} arms")
-        return self._query(self._all_rows, x, float(x.dot(x)), ks, strict)
-
-    def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
-        """query() of a checked context with the bank's own ks."""
         return self._query(self._all_rows, x, float(x.dot(x)), self._ks, strict)
 
     def _query(self, arms, x: np.ndarray, xx: float, ks, strict: bool) -> "KnnBatch":
@@ -407,9 +397,7 @@ def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
     Applies only when the store holds at least k entries; ties at equal
     distance go to the lower round.  u_max is the largest selected distance.
     """
-    k = as_int(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int(k, "k", 1)
     x = as_context(x, store.dim)
     return _score_prechecked(store, x, float(x @ x), k)
 

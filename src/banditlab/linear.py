@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import as_context, as_real
+from .core import as_context, as_nonneg, as_positive
 
 # Rebuild the maintained inverse when max|sigma @ sigma_inv - I| drifts past this.
 INVERSE_DRIFT_TOL = 1e-6
@@ -51,13 +51,9 @@ class RidgeState:
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if not (np.isfinite(as_real(lam, "lam")) and lam > 0):
-            raise ValueError("lambda must be positive")
-        if not (np.isfinite(gamma_cov) and gamma_cov >= 0):
-            raise ValueError("gamma_cov must be >= 0")
         self.dim = int(dim)
-        self.lam = float(lam)
-        self.gamma_cov = float(gamma_cov)
+        self.lam = as_positive(lam, "lam")
+        self.gamma_cov = as_nonneg(gamma_cov, "gamma_cov")
         self.sigma = self.lam * np.eye(self.dim)
         self.b = np.zeros(self.dim)
         self.mu_hat = np.zeros(self.dim)
@@ -104,10 +100,6 @@ class RidgeState:
         v, _ = _lapack().dtrtrs(self.chol, x, lower=1)
         return float(v.dot(v))
 
-    def width(self, x) -> float:
-        """Normalized width sqrt(x^T sigma^-1 x)."""
-        return float(np.sqrt(self.width_sq(x)))
-
     def update(self, x, residual: float, e_knn: float = 0.0) -> None:
         """Fold one observation: sigma += x x^T + gamma_cov*e_knn*I, b += residual*x."""
         x = as_context(x, self.dim)
@@ -152,8 +144,7 @@ class ConfidenceBall:
     radius_sq: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius_sq) and self.radius_sq >= 0):
-            raise ValueError("radius_sq must be >= 0")
+        self.radius_sq = as_nonneg(self.radius_sq, "radius_sq")
 
     def boundary_point(self, direction) -> np.ndarray:
         """The boundary point center + sqrt(radius_sq) * shape^{-1/2} u, u = unit direction."""
@@ -174,8 +165,7 @@ def solve_batch(contexts: Sequence, residuals: Sequence[float], lam: float,
     Test oracle for the incremental state; empty data returns the zero vector
     (``dim`` required in that case).
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError("lambda must be positive")
+    lam = as_positive(lam, "lam")
     rows = [as_context(c) for c in contexts]
     if not rows:
         if dim is None:

@@ -7,6 +7,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from .core import as_int, as_nonneg, as_positive, as_real
+
 
 @dataclass
 class RunResult:
@@ -77,16 +79,13 @@ class DiagnosticsParams:
     u_sq_sum: float = 0.0
 
     def __post_init__(self):
-        # Comparisons are false for nan, so each check also rejects it.
         for name in ("sigma", "B", "W", "b"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not 0.0 < self.delta < 1.0:
+            as_positive(getattr(self, name), name)
+        as_int(self.d, "d", 1)
+        # The comparison is false for nan, so it also rejects it.
+        if not 0.0 < as_real(self.delta, "delta") < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        if not 0 <= self.u_sq_sum < math.inf:
-            raise ValueError("u_sq_sum must be >= 0 and finite")
+        as_nonneg(self.u_sq_sum, "u_sq_sum")
 
 
 def beta_formula(sigma: float, d: int, T: float, B: float, W: float,

@@ -10,8 +10,8 @@ import numpy as np
 
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
-from .core import (TIE_BREAKS, Policy, ScoreTable, argmax_tiebreak, as_context,
-                   as_int, as_nonneg, as_real, round_rng)
+from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
+                   as_nonneg, as_positive, as_real, round_rng)
 from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState
 
@@ -21,8 +21,8 @@ class PolicyConfig:
     """Tunables of the hybrid policy and its flag-constructible ablations.
 
     use_attention=False freezes the exploration factor at alpha0;
-    use_knn=False drops the neighbor estimator entirely; adaptive_k=False
-    pins k at theta_max.
+    use_knn=False drops the neighbor estimator entirely; theta_min =
+    theta_max fixes k.  LNUCBTA checks the values when it is built.
     """
 
     lam: float = 1.0
@@ -37,23 +37,6 @@ class PolicyConfig:
     store_capacity: Optional[int] = None
     use_attention: bool = True
     use_knn: bool = True
-    adaptive_k: bool = True
-
-    def __post_init__(self):
-        for name in ("lam", "alpha0", "kappa", "gamma_cov", "variance_scale"):
-            as_real(getattr(self, name), name)
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("lam must be positive")
-        as_nonneg(self.alpha0, "alpha0")
-        as_nonneg(self.kappa, "kappa", 1.0)
-        if not (1 <= as_int(self.theta_min, "theta_min")
-                <= as_int(self.theta_max, "theta_max")):
-            raise ValueError("need 1 <= theta_min <= theta_max")
-        as_nonneg(self.gamma_cov, "gamma_cov")
-        if not (np.isfinite(self.variance_scale) and self.variance_scale > 0):
-            raise ValueError("variance_scale must be positive")
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
 
 class LNUCBTA(Policy):
@@ -70,11 +53,12 @@ class LNUCBTA(Policy):
                  seed: int = 0):
         config = config if config is not None else PolicyConfig()
         super().__init__(n_arms, dim, seed, config.tie_break)
+        for flag in ("floor_alpha_at_zero", "use_attention", "use_knn"):
+            as_bool(getattr(config, flag), flag)
         self.config = config
-        # A fixed k is the adaptive rule with theta_min = theta_max.
-        theta_min = config.theta_min if config.adaptive_k else config.theta_max
-        self.bank = NeighborBank(n_arms, dim, config.store_capacity, theta_min,
-                                 config.theta_max, config.variance_scale)
+        self.bank = NeighborBank(n_arms, dim, config.store_capacity,
+                                 config.theta_min, config.theta_max,
+                                 config.variance_scale)
         self.ridges = [RidgeState(dim, config.lam, config.gamma_cov)
                        for _ in range(n_arms)]
         self.stats = RewardStats(n_arms)
@@ -145,7 +129,7 @@ def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
            seed: int = 0, tie_break: str = "lowest-index") -> LNUCBTA:
     """Disjoint LinUCB: the hybrid rule with a fixed alpha and no k-NN term."""
     cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), tie_break=tie_break,
-                       use_attention=False, use_knn=False, adaptive_k=False)
+                       use_attention=False, use_knn=False)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "linucb"
     return p
@@ -156,10 +140,10 @@ def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
                 store_capacity: Optional[int] = None, seed: int = 0,
                 tie_break: str = "lowest-index") -> LNUCBTA:
     """Plain linear + k-NN combination: fixed alpha, fixed k = theta_max."""
-    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), theta_max=theta_max,
-                       variance_scale=variance_scale,
+    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), theta_min=theta_max,
+                       theta_max=theta_max, variance_scale=variance_scale,
                        store_capacity=store_capacity, tie_break=tie_break,
-                       use_attention=False, use_knn=True, adaptive_k=False)
+                       use_attention=False, use_knn=True)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "lin-knn-ucb"
     return p
@@ -273,10 +257,8 @@ class _BetaCounts:
     """The Beta Thompson policies' posteriors over rewards clipped to [0, 1]."""
 
     def _init_counts(self, prior_a: float, prior_b: float) -> None:
-        for name, prior in (("prior_a", prior_a), ("prior_b", prior_b)):
-            if not (math.isfinite(as_real(prior, name)) and prior > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        self.prior_a, self.prior_b = float(prior_a), float(prior_b)
+        self.prior_a = as_positive(prior_a, "prior_a")
+        self.prior_b = as_positive(prior_b, "prior_b")
         self._succ = np.zeros(self.n_arms)
         self._fail = np.zeros(self.n_arms)
 

@@ -15,6 +15,10 @@ class TestAttentionParams:
             AttentionParams(alpha0=1.0, kappa=1.5)
         with pytest.raises(ValueError):
             AttentionParams(alpha0=float("nan"), kappa=0.5)
+        with pytest.raises(ValueError, match="alpha0 must be a number"):
+            AttentionParams(alpha0="abc", kappa=0.5)
+        with pytest.raises(ValueError, match="kappa must be a number"):
+            AttentionParams(alpha0=1.0, kappa="abc")
 
 
 class TestExplorationRate:
@@ -106,5 +110,7 @@ class TestSoftmaxAttention:
     def test_validation(self):
         with pytest.raises(ValueError):
             softmax_attention(np.array([1.0]), -0.5)
+        with pytest.raises(ValueError, match="gamma_sm must be a number"):
+            softmax_attention(np.array([1.0]), "abc")
         with pytest.raises(ValueError):
             softmax_attention(np.array([]), 1.0)

@@ -468,11 +468,37 @@ class TestErrorPaths:
         ("enhanced-beta-thompson", "prior_a=nan",
          "prior_a must be positive and finite"),
         ("enhanced-eps-greedy", "tie_break=bogus", "unknown tie_break 'bogus'"),
+        ("lnucb-ta", "use_knn=abc", "use_knn must be true or false, got 'abc'"),
+        ("lnucb-ta", "use_attention=nope",
+         "use_attention must be true or false, got 'nope'"),
+        ("lnucb-ta", "floor_alpha_at_zero=2",
+         "floor_alpha_at_zero must be true or false, got 2"),
+        ("lnucb-ta", "adaptive_k=false",
+         "no selected policy accepts --param adaptive_k"),
     ])
     def test_bad_policy_param_values_exit_2(self, tmp_path, capsys, pid, param,
                                            message):
         rc = cli_main(["run", "--policy", pid, "--param", param, "--T", "50",
                        "--seeds", "0", "--out", str(tmp_path / "o")] + SYN)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--radius", "nan"], "radius must be positive and finite"),
+        (["--radius", "-1"], "radius must be positive and finite"),
+        (["--radius", "0"], "radius must be positive and finite"),
+        (["--env-seed", "-1"], "env_seed must be >= 0"),
+        (["--env", "classification", "--shuffle-seed", "-1"],
+         "shuffle_seed must be >= 0"),
+    ], ids=["radius-nan", "radius-negative", "radius-zero", "env-seed",
+            "shuffle-seed"])
+    def test_bad_env_flags_name_the_flag(self, tmp_path, capsys, flags,
+                                         message):
+        data = make_classification_csv(tmp_path)
+        rc = cli_main(["run", "--policy", "random", "--T", "5", "--seeds", "0",
+                       "--data", str(data), "--out", str(tmp_path / "o")]
+                      + SYN + flags)
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

@@ -92,6 +92,8 @@ class TestClassificationEnv:
             ClassificationBanditEnv(np.eye(2), [0])
         with pytest.raises(ValueError, match="nonnegative"):
             ClassificationBanditEnv(np.eye(2), [0, -1])
+        with pytest.raises(ValueError, match="shuffle_seed must be >= 0"):
+            ClassificationBanditEnv(np.eye(2), [0, 1], shuffle_seed=-1)
 
     def test_arm_count_and_metadata(self):
         env = ClassificationBanditEnv(np.eye(4), [0, 2, 1, 2],
@@ -382,11 +384,21 @@ class TestReplayStep:
 
 class TestSyntheticHybrid:
     def test_constructor_validation(self):
-        for bad in (dict(d=0), dict(n_arms=1), dict(bump_count=-1),
-                    dict(noise_sigma=-0.1), dict(noise_sigma=float("nan"))):
+        for bad, match in (
+                (dict(d=0), "d must"), (dict(n_arms=1), "2 arms"),
+                (dict(bump_count=-1), "bump_count"),
+                (dict(noise_sigma=-0.1), "noise_sigma must be >= 0"),
+                (dict(noise_sigma=float("nan")), "noise_sigma must be >= 0"),
+                (dict(noise_sigma="abc"), "noise_sigma must be a number"),
+                (dict(radius=float("nan")), "radius must be positive"),
+                (dict(radius=-1.0), "radius must be positive"),
+                (dict(radius=0.0), "radius must be positive"),
+                (dict(radius="abc"), "radius must be a number"),
+                (dict(seed=-1), "env_seed must be >= 0"),
+                (dict(seed=2.5), "env_seed must be an integer")):
             kw = dict(seed=0, d=4, n_arms=3, bump_count=2, noise_sigma=0.1)
             kw.update(bad)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 SyntheticHybridEnv(**kw)
 
     def test_same_seed_same_structure(self):

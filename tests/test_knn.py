@@ -101,10 +101,6 @@ class TestNeighborBank:
         bank = NeighborBank(2, 2)
         with pytest.raises(ValueError, match="out of range"):
             bank.add(2, np.ones(2), 1.0, 0)
-        with pytest.raises(ValueError):
-            bank.query(np.ones(2), [1])
-        with pytest.raises(ValueError):
-            bank.query(np.ones(2), [1, 0])
 
     def test_stores_are_rows_of_the_bank(self):
         bank = NeighborBank(3, 2)
@@ -112,7 +108,7 @@ class TestNeighborBank:
         bank.store(2).add(np.array([3.0, 4.0]), 0.25, 1)
         assert [len(bank.store(a)) for a in range(3)] == [0, 1, 1]
         assert bank.store(2).contexts.tolist() == [[3.0, 4.0]]
-        got = bank.query(np.zeros(2), [1, 1, 1])
+        got = bank._pass(np.zeros(2), True)
         assert got.applied.tolist() == [False, True, True]
         assert got.score.tolist() == [0.0, 0.5, 0.25]
 
@@ -255,7 +251,7 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
     ks = rng.integers(1, 9, size=n_arms).tolist()
     for step in STEPS:
         with pass_step(step):
-            got = bank.query(x, ks, strict=strict)
+            got = bank._query(bank._all_rows, x, float(x.dot(x)), ks, strict)
         for a in range(n_arms):
             store = bank.store(a)
             k = ks[a] if strict else min(ks[a], max(len(store), 1))

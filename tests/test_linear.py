@@ -32,6 +32,12 @@ class TestRidgeState:
             RidgeState(2, 0.0)
         with pytest.raises(ValueError):
             RidgeState(2, 1.0, gamma_cov=-0.1)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            RidgeState(2, float("inf"))
+        with pytest.raises(ValueError, match="lam must be a number"):
+            RidgeState(2, "abc")
+        with pytest.raises(ValueError, match="gamma_cov must be a number"):
+            RidgeState(2, 1.0, gamma_cov="abc")
         s = RidgeState(2, 1.0)
         with pytest.raises(ValueError):
             s.update(np.ones(2), float("nan"))
@@ -83,10 +89,10 @@ class TestRidgeState:
         rng = np.random.default_rng(2)
         s = RidgeState(5, 1.0)
         probe = rng.standard_normal(5)
-        prev = s.width(probe)
+        prev = math.sqrt(s.width_sq(probe))
         for _ in range(100):
             s.update(rng.standard_normal(5), float(rng.standard_normal()))
-            cur = s.width(probe)
+            cur = math.sqrt(s.width_sq(probe))
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -214,6 +220,8 @@ class TestConfidenceBall:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             ConfidenceBall(np.zeros(2), np.eye(2), radius_sq=-1.0)
+        with pytest.raises(ValueError, match="radius_sq must be a number"):
+            ConfidenceBall(np.zeros(2), np.eye(2), radius_sq="abc")
         ball = ConfidenceBall(np.zeros(2), np.eye(2), radius_sq=1.0)
         with pytest.raises(ValueError, match="nonzero"):
             ball.boundary_point(np.zeros(2))

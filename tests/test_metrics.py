@@ -67,8 +67,9 @@ class TestBoundFormulas:
     def test_params_validation(self):
         for bad in (dict(sigma=0.0), dict(B=-1.0), dict(W=0.0), dict(b=0.0),
                     dict(d=0), dict(delta=0.0), dict(delta=1.0),
-                    dict(u_sq_sum=-1.0)):
-            with pytest.raises(ValueError):
+                    dict(u_sq_sum=-1.0), dict(sigma="abc"), dict(d=1.5),
+                    dict(delta="abc"), dict(u_sq_sum="abc")):
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} "):
                 DiagnosticsParams(**bad)
 
 

@@ -34,8 +34,6 @@ class HandRolledHybrid:
         self.sums = np.zeros(n_arms)
 
     def _k(self, arm):
-        if not self.cfg.adaptive_k:
-            return self.cfg.theta_max
         rewards = np.array([r for _, r, _ in self.stores[arm]])
         var = float(rewards.var()) if rewards.size >= 2 else 0.0
         v = min(max(var * self.cfg.variance_scale, 0.0), 1.0)
@@ -143,14 +141,14 @@ def test_selection_and_scoring_are_pure():
 @pytest.mark.parametrize("gamma_cov", [0.0, 0.05])
 def test_score_table_widths_equal_each_ridge_width(gamma_cov):
     # Shifted ridges are scored one triangular solve per arm, exactly as
-    # RidgeState.width computes it; unshifted ones by the stacked inverses.
+    # RidgeState.width_sq computes it; unshifted ones by the stacked inverses.
     policy = LNUCBTA(3, 6, PolicyConfig(theta_max=2, gamma_cov=gamma_cov), seed=0)
     rng = np.random.default_rng(9)
     gram = np.zeros((3, 6, 6))
     for t in range(60):
         x = rng.standard_normal(6)
         table = policy.score_table(x, t)
-        want = [r.width(x) for r in policy.ridges]
+        want = [math.sqrt(r.width_sq(x)) for r in policy.ridges]
         if gamma_cov > 0:
             assert table.width.tolist() == want
         else:
@@ -168,12 +166,13 @@ def test_score_table_widths_equal_each_ridge_width(gamma_cov):
     dict(gamma_cov=0.2),
     dict(gamma_cov=0.0),
     dict(gamma_cov=0.2, store_capacity=4),
-    dict(gamma_cov=0.2, adaptive_k=False),
+    dict(gamma_cov=0.2, theta_min=3),
 ], ids=["shifted", "unshifted", "capped", "fixed-k"])
 def test_update_without_prior_scoring_matches_memoized_path(config):
     # An update with no scoring pass before it queries its arm through
     # knn_score; the result must equal the memo of the selection pass.
-    cfg = PolicyConfig(theta_min=1, theta_max=3, variance_scale=10.0, **config)
+    cfg = PolicyConfig(**{"theta_min": 1, "theta_max": 3,
+                          "variance_scale": 10.0, **config})
     scored = LNUCBTA(2, 2, cfg, seed=0)
     unscored = LNUCBTA(2, 2, cfg, seed=0)
     rng = np.random.default_rng(3)
@@ -209,7 +208,7 @@ def test_flag_reductions():
     twin = lin_knn_ucb(3, 2, alpha=0.3, theta_max=4)
     assert twin.name == "lin-knn-ucb"
     assert twin.config.use_knn and not twin.config.use_attention
-    assert not twin.config.adaptive_k
+    assert twin.config.theta_min == twin.config.theta_max == 4
     assert twin.bank._ks == [4, 4, 4]
 
 
@@ -224,18 +223,24 @@ def test_alpha_floor_clamps_negative_rates():
 
 
 def test_policy_config_validation():
+    # PolicyConfig only holds values; building the policy checks them.
     for bad in (dict(lam=0.0), dict(alpha0=-1.0), dict(kappa=2.0),
                 dict(theta_min=0), dict(theta_min=5, theta_max=3),
                 dict(gamma_cov=-0.5), dict(variance_scale=0.0),
-                dict(tie_break="flip")):
-        with pytest.raises(ValueError):
-            PolicyConfig(**bad)
+                dict(tie_break="flip"), dict(lam=math.nan),
+                dict(kappa=math.inf), dict(store_capacity=0),
+                dict(use_knn="abc"), dict(use_attention=1),
+                dict(floor_alpha_at_zero=None), dict(lam="abc"),
+                dict(alpha0="abc"), dict(gamma_cov="abc"),
+                dict(variance_scale="abc"), dict(theta_max="abc")):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            LNUCBTA(2, 2, PolicyConfig(**bad))
 
 
 PINNED_PARAM_KEYS = {
     "lnucb-ta": {"lam", "alpha0", "kappa", "theta_min", "theta_max", "gamma_cov",
                  "variance_scale", "floor_alpha_at_zero", "tie_break",
-                 "store_capacity", "use_attention", "use_knn", "adaptive_k"},
+                 "store_capacity", "use_attention", "use_knn"},
     "linucb": {"alpha", "lam", "tie_break"},
     "lin-knn-ucb": {"alpha", "lam", "theta_max", "tie_break", "store_capacity",
                     "variance_scale"},
@@ -301,6 +306,24 @@ class TestMakePolicy:
         with pytest.raises(ValueError,
                            match=rf"unknown {pid} parameters: \['alpah'\]"):
             make_policy(pid, 3, 4, alpah=0.1)
+
+    @pytest.mark.parametrize("pid, key", sorted(
+        (pid, key) for pid, keys in POLICY_PARAM_KEYS.items() for key in keys))
+    def test_every_parameter_rejects_a_string_by_name(self, pid, key):
+        # Each accepted key is checked when the policy is built, by a check
+        # that names it, so no future parameter can slip through unchecked.
+        with pytest.raises(ValueError, match=rf"^(unknown )?{key} "):
+            make_policy(pid, 3, 4, **{key: "abc"})
+
+    @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0"), (2.7, "seed must be an integer, got 2.7"),
+        ("abc", "seed must be an integer"), (True, "seed must be an integer"),
+    ])
+    def test_seed_is_checked_when_built(self, pid, seed, message):
+        with pytest.raises(ValueError, match=message):
+            make_policy(pid, 3, 4, seed=seed)
+        assert make_policy(pid, 3, 4, seed=7.0).seed == 7
 
     @pytest.mark.parametrize("pid", sorted(pid for pid, keys in
                                            PINNED_PARAM_KEYS.items()
