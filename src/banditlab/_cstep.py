@@ -1,5 +1,8 @@
-"""knn_step: the compiled twin of ``NeighborBank._select``, built with cffi."""
+"""The compiled steps, built with cffi: ``knn_step``, the twin of
+``NeighborBank._select``, and the ridge updates and widths of ``linear``."""
+import ctypes
 import hashlib
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +18,7 @@ from pathlib import Path
 SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 int64_t knn_step(const double *dot, int64_t width, const double *norm2,
                  const double *rewards, int64_t stride, const int64_t *rows,
                  const int64_t *sizes, const int64_t *ks, int64_t n, int strict,
@@ -47,14 +51,81 @@ int64_t knn_step(const double *dot, int64_t width, const double *norm2,
     }
     return common;
 }
+
+/* The ridge steps: numpy's elementwise order of operations, and the LAPACK
+   routines scipy.linalg.lapack wraps, with the arguments its f2py passes. */
+typedef void potrf_t(char *, int *, double *, int *, int *);
+typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *, int *);
+typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
+                     double *, int *, int *);
+
+/* sigma += x x^T and b += r x, then inv -= v v^T / s if inv is given. */
+void ridge_rank_one(const double *x, double *sigma, double *b, const double *v,
+                    double *inv, int d, double r, double s)
+{
+    for (int i = 0; i < d; i++) {
+        for (int j = 0; j < d; j++) sigma[i * d + j] += x[i] * x[j];
+        b[i] += r * x[i];
+        for (int j = 0; inv && j < d; j++) inv[i * d + j] -= v[i] * v[j] / s;
+    }
+}
+
+/* The rank-one add, a positive shift on sigma's diagonal, dpotrf(sigma,
+   lower=1) into the column-major chol (a copy factored, its strict upper
+   triangle zeroed) and dpotrs(chol, b) into mu.  Returns dpotrf's info. */
+int ridge_factor(const double *x, double *sigma, double *b, double *chol,
+                 double *mu, int d, double r, double shift, intptr_t potrf,
+                 intptr_t potrs)
+{
+    int one = 1, info;
+    ridge_rank_one(x, sigma, b, NULL, NULL, d, r, 0.0);
+    for (int i = 0; shift > 0.0 && i < d; i++) sigma[i * (d + 1)] += shift;
+    memcpy(chol, sigma, sizeof(double) * d * d);  /* sigma is symmetric */
+    ((potrf_t *)potrf)("L", &d, chol, &d, &info);
+    if (info != 0) return info;
+    for (int j = 1; j < d; j++) memset(chol + j * d, 0, sizeof(double) * j);
+    memcpy(mu, b, sizeof(double) * d);
+    ((potrs_t *)potrs)("L", &d, &one, chol, &d, mu, &d, &info);
+    return info;
+}
+
+/* v[a] = dtrtrs(chol_a, x, lower=1) for n column-major factors. */
+void ridge_solve(double *chols, const double *x, double *v, int n, int d,
+                 intptr_t trtrs)
+{
+    int one = 1, info;
+    for (int a = 0; a < n; a++) {
+        memcpy(v + a * d, x, sizeof(double) * d);
+        ((trtrs_t *)trtrs)("L", "N", "N", &d, &one, chols + (size_t)a * d * d,
+                           &d, v + a * d, &d, &info);
+    }
+}
 """
-CDEF = SOURCE[SOURCE.index("int64_t knn_step"):SOURCE.index(")") + 1] + ";"
+# The exported functions' prototypes.
+CDEF = "".join(f"{p};\n" for p in re.findall(r"^(?:int64_t|int|void) \w+\([^)]*\)",
+                                             SOURCE, re.M))
+
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def lapack_routines(cython_lapack):
+    """The addresses of dpotrf, dpotrs and dtrtrs in scipy's cython_lapack, or
+    None unless each capsule is named by the prototype SOURCE calls it by."""
+    try:
+        return tuple(_capsule_pointer(cython_lapack.__pyx_capi__["d" + name], (
+            "void " + " ".join(re.search(rf"{name}_t(\([^;]*\));", SOURCE)[1].split())
+        ).replace("double", "__pyx_t_5scipy_6linalg_13cython_lapack_d").encode())
+            for name in ("potrf", "potrs", "trtrs"))
+    except (AttributeError, KeyError, ValueError):  # ValueError: another prototype
+        return None
+
 
 _BUILD = """import os, sys, cffi
 cdef, source, tmp, target = sys.argv[1:]
 ffi = cffi.FFI()
 ffi.cdef(cdef)
-ffi.set_source("_knn_step", source, extra_compile_args=["-O3", "-ffp-contract=off"])
+ffi.set_source("_csteps", source, extra_compile_args=["-O3", "-ffp-contract=off"])
 try:
     os.replace(ffi.compile(tmpdir=tmp), target)
 except cffi.VerificationError as error:  # the compiler rejected the source
@@ -63,7 +134,7 @@ except cffi.VerificationError as error:  # the compiler rejected the source
 
 
 def load(cache: Path = Path(__file__).parent / "__pycache__"):
-    """The compiled step, built into ``cache`` first if need be, or None.
+    """The compiled steps, built into ``cache`` first if need be, or None.
 
     Nothing is built without cffi and a C compiler.  A fresh interpreter
     builds it within 120 s, named by source hash and ABI tag, and moves it
@@ -72,7 +143,7 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
     the compiler rejects leaves a marker (its output) against retries.
     """
     key = hashlib.sha256((SOURCE + _BUILD).encode()).hexdigest()[:16]
-    target = Path(cache) / f"_knn_step.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
+    target = Path(cache) / f"_csteps.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
     try:
         if not (target.exists() or target.with_name(target.name + ".failed").exists()):
             cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
@@ -82,12 +153,13 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
             with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
                 subprocess.run([sys.executable, "-c", _BUILD, CDEF, SOURCE, tmp,
                                 str(target)], capture_output=True, timeout=120)
-            for old in target.parent.glob("_knn_step.*"):
+            for old in [*target.parent.glob("_csteps.*"),
+                        *target.parent.glob("_knn_step.*")]:  # the former name
                 if not old.name.startswith(target.name):
                     old.unlink(missing_ok=True)
-        loader = ExtensionFileLoader("_knn_step", str(target))
-        module = module_from_spec(spec_from_loader("_knn_step", loader))
+        loader = ExtensionFileLoader("_csteps", str(target))
+        module = module_from_spec(spec_from_loader("_csteps", loader))
         loader.exec_module(module)
     except (ImportError, OSError, subprocess.TimeoutExpired):
-        return None  # knn runs the numpy step instead
+        return None  # knn and linear run their numpy steps instead
     return module

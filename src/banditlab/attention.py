@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_nonneg, as_reward
+from .core import as_int, as_nonneg, as_reward
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class RewardStats:
     """Per-arm reward sums and pull counts; the source for g and n."""
 
     def __init__(self, n_arms: int):
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
-        self.n_arms = int(n_arms)
+        self.n_arms = as_int(n_arms, "n_arms", 1)
         self.per_arm_sum = np.zeros(self.n_arms)
         self.per_arm_count = np.zeros(self.n_arms, dtype=np.int64)
 

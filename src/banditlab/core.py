@@ -172,14 +172,10 @@ class Policy(ABC):
 
     def __init__(self, n_arms: int, dim: int, seed: int = 0,
                  tie_break: str = "lowest-index"):
-        if n_arms < 1:
-            raise ValueError("need at least one arm")
-        if dim < 1:
-            raise ValueError("context dimension must be >= 1")
+        self.n_arms = as_int(n_arms, "n_arms", 1)
+        self.dim = as_int(dim, "dim", 1)
         if tie_break not in TIE_BREAKS:
             raise ValueError(f"unknown tie_break {tie_break!r}")
-        self.n_arms = int(n_arms)
-        self.dim = int(dim)
         self.seed = as_int(seed, "seed", 0)
         self.tie_break = tie_break
 

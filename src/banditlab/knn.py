@@ -56,10 +56,8 @@ class NeighborBank:
     def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None,
                  theta_min: int = 1, theta_max: int = 1,
                  variance_scale: float = 1.0):
-        if n_arms < 1:
-            raise ValueError("n_arms must be >= 1")
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        self.n_arms = n_arms = as_int(n_arms, "n_arms", 1)
+        self.dim = dim = as_int(dim, "dim", 1)
         if capacity is not None:
             capacity = as_int(capacity, "store_capacity", 1)
         # theta_max first: a fixed k passes it as theta_min too.
@@ -68,8 +66,6 @@ class NeighborBank:
         if not 1 <= self.theta_min <= self.theta_max:
             raise ValueError("need 1 <= theta_min <= theta_max")
         self.variance_scale = as_positive(variance_scale, "variance_scale")
-        self.n_arms = int(n_arms)
-        self.dim = int(dim)
         self.capacity = capacity
         length = 2 * capacity if capacity is not None else 16
         self._ctx = [np.empty((length, dim)) for _ in range(n_arms)]

@@ -3,26 +3,31 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_context, as_nonneg, as_positive
+from . import _cstep
+from .core import as_context, as_int, as_nonneg, as_positive
 
 # Rebuild the maintained inverse when max|sigma @ sigma_inv - I| drifts past this.
 INVERSE_DRIFT_TOL = 1e-6
 # Rank-one inverse updates between two O(d^3) drift checks.  Round-off grows
 # by a few ulps per update, far below the tolerance over this many.
 DRIFT_CHECK_EVERY = 32
+# The compiled ridge step, or None for the numpy/f2py step.
+_step = _cstep.load()
 
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack, loaded by the first shifted ridge."""
+    """scipy.linalg.lapack and, for the compiled step, the addresses of the
+    routines it wraps (or None), loaded by the first shifted ridge."""
     # Imported here: scipy.linalg costs ~6 MB RSS that gamma_cov=0 runs never need.
-    from scipy.linalg import lapack
-    return lapack
+    from scipy.linalg import cython_lapack, lapack
+    return lapack, _cstep.lapack_routines(cython_lapack)
 
 
 class RidgeState:
@@ -46,25 +51,35 @@ class RidgeState:
     stacked product: on a 2-core VM, linucb went from 130-150 to 200-230
     us/round when it was tried for gamma_cov = 0.  So each ridge keeps the
     cheaper of the two.
+
+    The compiled step (``_cstep``) runs an update's elementwise work and
+    LAPACK calls in one C call, with numpy's order of operations and the
+    routines scipy.linalg.lapack wraps, so its bits are the numpy/f2py
+    step's.  ``rows`` puts mu_hat and the inverse or L^T in a policy's stacks.
     """
 
-    def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        self.dim = int(dim)
+    def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0,
+                 rows: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        self.dim = as_int(dim, "dim", 1)
         self.lam = as_positive(lam, "lam")
         self.gamma_cov = as_nonneg(gamma_cov, "gamma_cov")
         self.sigma = self.lam * np.eye(self.dim)
         self.b = np.zeros(self.dim)
-        self.mu_hat = np.zeros(self.dim)
+        # See _check: its running bound, and the largest one it accepts.
+        self._scale = self.lam * self.dim
+        self._scale_max = sys.float_info.max / 8.0 * min(self.lam, 1.0) ** 2
+        self.mu_hat, square = rows or (np.zeros(self.dim), np.zeros((self.dim, self.dim)))
+        self.mu_hat[...], square[...] = 0.0, 0.0
         # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
         # lower Cholesky factor of sigma (gamma_cov > 0).
         self._inv: Optional[np.ndarray] = None
         self.chol: Optional[np.ndarray] = None
         if self.gamma_cov > 0.0:
+            self.chol = square.T
             self._factor()
         else:
-            self._inv = (1.0 / self.lam) * np.eye(self.dim)
+            self._inv = square
+            np.fill_diagonal(square, 1.0 / self.lam)
         self._rank_one_updates = 0  # since _inv was last computed from sigma
 
     @property
@@ -72,17 +87,17 @@ class RidgeState:
         """sigma^-1: the maintained inverse, or a fresh solve with the factor."""
         if self.chol is None:
             return self._inv
-        inv, _ = _lapack().dpotrs(self.chol, np.eye(self.dim), lower=1)
+        inv, _ = _lapack()[0].dpotrs(self.chol, np.eye(self.dim), lower=1)
         return inv
 
     def _factor(self) -> None:
-        """Refactor sigma = L L^T and solve mu_hat from it."""
-        lapack = _lapack()
+        """Refactor sigma = L L^T and solve mu_hat from it, in place."""
+        lapack = _lapack()[0]
         chol, info = lapack.dpotrf(self.sigma, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError("sigma is not positive definite")
-        self.chol = chol
-        self.mu_hat, _ = lapack.dpotrs(chol, self.b, lower=1)
+        self.chol[...] = chol
+        self.mu_hat[...] = lapack.dpotrs(chol, self.b, lower=1)[0]
 
     def predict(self, x) -> float:
         """Linear reward estimate mu_hat . x."""
@@ -97,7 +112,7 @@ class RidgeState:
         """width_sq for an already validated context."""
         if self.chol is None:
             return max(float(x @ (self._inv @ x)), 0.0)
-        v, _ = _lapack().dtrtrs(self.chol, x, lower=1)
+        v, _ = _lapack()[0].dtrtrs(self.chol, x, lower=1)
         return float(v.dot(v))
 
     def update(self, x, residual: float, e_knn: float = 0.0) -> None:
@@ -109,30 +124,83 @@ class RidgeState:
             raise ValueError("e_knn must be finite and >= 0")
         self._update(x, residual, e_knn)
 
-    def _update(self, x: np.ndarray, residual: float, e_knn: float) -> None:
-        """update() for a checked context, finite residual and e_knn >= 0."""
-        self.sigma += x[:, None] * x
-        self.b += float(residual) * x
+    def _check(self, x: np.ndarray, residual: float, e_knn: float) -> float:
+        """The running bound after this update, or ValueError if it overflows:
+        |sigma|, |b| <= scale = trace(sigma) + sum |r| ||x||, and v v^T, mu_hat
+        and the drift check's products <= scale / lam^2 for lam <= 1, with 8x
+        headroom for rounding."""
+        xx = float(x.dot(x))
+        scale = (self._scale + xx + self.dim * (self.gamma_cov * e_knn)
+                 + abs(residual) * math.sqrt(xx))
+        if not scale <= self._scale_max:  # NaN fails too
+            raise ValueError("ridge update overflows: sigma, b or mu_hat "
+                             "would not stay finite")
+        return scale
+
+    def _update(self, x: np.ndarray, residual: float, e_knn: float,
+                scale: Optional[float] = None) -> None:
+        """update() for a checked context, finite residual and e_knn >= 0;
+        one that could overflow raises before anything changes.  ``scale``
+        is _check's result when the caller ran it already."""
+        self._scale = self._check(x, residual, e_knn) if scale is None else scale
+        residual = float(residual)
+        step = _step if self.chol is None or _lapack()[1] else None
+        if step is None:
+            self.sigma += x[:, None] * x
+            self.b += residual * x
+        else:
+            x = np.ascontiguousarray(x)
         if self.chol is not None:
             inflate = self.gamma_cov * float(e_knn)
-            if inflate > 0.0:
-                # sigma is C-contiguous: this steps along its diagonal in place.
-                self.sigma.reshape(-1)[::self.dim + 1] += inflate
-            self._factor()
+            if step is None:
+                if inflate > 0.0:
+                    # sigma is C-contiguous: this steps along its diagonal in place.
+                    self.sigma.reshape(-1)[::self.dim + 1] += inflate
+                self._factor()
+            elif step.lib.ridge_factor(
+                    *_buffers(step, x, self.sigma, self.b, self.chol.T, self.mu_hat),
+                    self.dim, residual, inflate, *_lapack()[1][:2]):
+                raise np.linalg.LinAlgError("sigma is not positive definite")
             return
         # Sherman-Morrison rank-one inverse update.
         v = self._inv @ x
-        self._inv -= v[:, None] * v / (1.0 + float(x.dot(v)))
+        s = 1.0 + float(x.dot(v))
+        if step is None:
+            self._inv -= v[:, None] * v / s
+        else:
+            step.lib.ridge_rank_one(*_buffers(step, x, self.sigma, self.b, v, self._inv),
+                                    self.dim, residual, s)
         self._rank_one_updates += 1
         if self._rank_one_updates == DRIFT_CHECK_EVERY:
             self._rank_one_updates = 0
             drift = np.abs(self.sigma @ self._inv - np.eye(self.dim)).max()
             if drift > INVERSE_DRIFT_TOL:
-                self._inv = np.linalg.inv(self.sigma)
-        self.mu_hat = self._inv @ self.b
+                self._inv[...] = np.linalg.inv(self.sigma)
+        np.matmul(self._inv, self.b, out=self.mu_hat)
 
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))
+
+
+def _buffers(step, *arrays: np.ndarray) -> list:
+    """The compiled step's pointers into these arrays; ValueError unless
+    each is C-contiguous."""
+    return [step.ffi.from_buffer("double[]", a) for a in arrays]
+
+
+def widths_sq(ridges: Sequence[RidgeState], squares: np.ndarray,
+              x: np.ndarray) -> np.ndarray:
+    """Each ridge's width_sq for a checked context, where squares[a] holds
+    ridges[a]'s inverse or L^T (the rows it was built with)."""
+    if ridges[0].chol is None:
+        return np.maximum((squares @ x) @ x, 0.0)
+    routines, step = _lapack()[1], _step
+    if step is None or routines is None:
+        return np.array([r._width_sq(x) for r in ridges])
+    v = np.empty(squares.shape[:2])
+    step.lib.ridge_solve(*_buffers(step, squares, np.ascontiguousarray(x), v),
+                         *v.shape, routines[2])
+    return (v[:, None] @ v[:, :, None]).ravel()  # each row's v.dot(v), bit for bit
 
 
 @dataclass

@@ -11,9 +11,9 @@ import numpy as np
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
-                   as_nonneg, as_positive, as_real, round_rng)
+                   as_nonneg, as_positive, round_rng)
 from .knn import KnnBatch, NeighborBank
-from .linear import RidgeState
+from .linear import RidgeState, widths_sq
 
 
 @dataclass
@@ -59,15 +59,14 @@ class LNUCBTA(Policy):
         self.bank = NeighborBank(n_arms, dim, config.store_capacity,
                                  config.theta_min, config.theta_max,
                                  config.variance_scale)
-        self.ridges = [RidgeState(dim, config.lam, config.gamma_cov)
-                       for _ in range(n_arms)]
+        # Each ridge keeps mu_hat, and its inverse or factor, as rows of
+        # these stacks, so that one product or one solve call scores every arm.
+        self._mu_stack = np.zeros((self.n_arms, self.dim))
+        self._squares = np.zeros((self.n_arms, self.dim, self.dim))
+        self.ridges = [RidgeState(dim, config.lam, config.gamma_cov, rows)
+                       for rows in zip(self._mu_stack, self._squares)]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(config.alpha0, config.kappa)
-        self._mu_stack = np.zeros((n_arms, dim))
-        # Ridges that keep an inverse are stacked so that one product scores
-        # every arm; factored ridges (gamma_cov > 0) are solved per arm.
-        self._inv_stack = (np.stack([r.sigma_inv.copy() for r in self.ridges])
-                           if self.ridges[0].chol is None else None)
         # (context bytes, ScoreTable, KnnBatch) of the last select()/scores().
         # The stores change only in update(), which consumes and clears it,
         # so a match on the context is exactly what a fresh query returns.
@@ -77,11 +76,7 @@ class LNUCBTA(Policy):
         """The score table and k-NN pass for a checked context."""
         cfg = self.config
         linear = self._mu_stack @ x
-        if self._inv_stack is not None:
-            w2 = np.maximum((self._inv_stack @ x) @ x, 0.0)
-        else:
-            w2 = np.array([r._width_sq(x) for r in self.ridges])
-        width = np.sqrt(w2)
+        width = np.sqrt(widths_sq(self.ridges, self._squares, x))
         batch = self.bank._pass(x, True) if cfg.use_knn else None
         knn = batch.score.copy() if cfg.use_knn else np.zeros(self.n_arms)
         if cfg.use_attention:
@@ -110,25 +105,25 @@ class LNUCBTA(Policy):
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score,
-        # so the pass runs before the add, the one step that can raise.
+        # so the pass runs before the add.  The ridge's overflow check and
+        # the add are the steps that can raise, so both run before any change.
         knn, u_max = 0.0, 0.0
         if self.config.use_knn:
             hit = kept is not None and kept[0] == x.tobytes()
             batch = kept[2] if hit else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
-            self.bank._add(arm, x, reward)
         ridge = self.ridges[arm]
-        ridge._update(x, reward - knn, u_max * u_max)
-        self._mu_stack[arm] = ridge.mu_hat
-        if self._inv_stack is not None:
-            self._inv_stack[arm] = ridge.sigma_inv
+        scale = ridge._check(x, reward - knn, u_max * u_max)
+        if self.config.use_knn:
+            self.bank._add(arm, x, reward)
+        ridge._update(x, reward - knn, u_max * u_max, scale)
         self.stats.record(arm, reward)
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
            seed: int = 0, tie_break: str = "lowest-index") -> LNUCBTA:
     """Disjoint LinUCB: the hybrid rule with a fixed alpha and no k-NN term."""
-    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), tie_break=tie_break,
+    cfg = PolicyConfig(lam=lam, alpha0=as_nonneg(alpha, "alpha"), tie_break=tie_break,
                        use_attention=False, use_knn=False)
     p = LNUCBTA(n_arms, dim, cfg, seed)
     p.name = "linucb"
@@ -140,7 +135,7 @@ def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
                 store_capacity: Optional[int] = None, seed: int = 0,
                 tie_break: str = "lowest-index") -> LNUCBTA:
     """Plain linear + k-NN combination: fixed alpha, fixed k = theta_max."""
-    cfg = PolicyConfig(lam=lam, alpha0=as_real(alpha, "alpha"), theta_min=theta_max,
+    cfg = PolicyConfig(lam=lam, alpha0=as_nonneg(alpha, "alpha"), theta_min=theta_max,
                        theta_max=theta_max, variance_scale=variance_scale,
                        store_capacity=store_capacity, tie_break=tie_break,
                        use_attention=False, use_knn=True)
@@ -305,8 +300,9 @@ class _RidgeDraws:
             self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
         return self._chol[arm] @ rng.standard_normal(self.dim)
 
-    def _fold(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.ridge[arm]._update(x, reward, 0.0)
+    def _fold(self, arm: int, x: np.ndarray, reward: float,
+              scale: Optional[float] = None) -> None:
+        self.ridge[arm]._update(x, reward, 0.0, scale)
         self._chol[arm] = None
 
 
@@ -504,8 +500,9 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
         return out + self.knn_vector(x)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        scale = self.ridge[arm]._check(x, reward, 0.0)  # before the add: both can raise
         super()._update(arm, x, reward)
-        self._fold(arm, x, reward)
+        self._fold(arm, x, reward, scale)
 
 
 def _lnucb_ta(n_arms: int, dim: int, seed: int = 0, **config) -> LNUCBTA:

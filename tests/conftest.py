@@ -1,4 +1,5 @@
 """Shared benchmark fixtures: the synthetic suite every ordering test reuses."""
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
@@ -6,7 +7,22 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
+from banditlab import linear
 from banditlab.runner import Cell, EnvSpec, execute_cells
+
+# The ridge steps to check: numpy's and f2py's, then the compiled one where
+# it is built.
+RIDGE_STEPS = [None] + ([linear._step] if linear._step is not None else [])
+
+
+@contextlib.contextmanager
+def ridge_step(step):
+    """Run ridge updates and widths with this step (None: numpy and f2py)."""
+    saved, linear._step = linear._step, step
+    try:
+        yield
+    finally:
+        linear._step = saved
 
 # One benchmark setting shared by the ordering, robustness, and ablation
 # tests.  Everything here is frozen: the tests below compare policies on

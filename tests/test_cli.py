@@ -475,6 +475,8 @@ class TestErrorPaths:
          "floor_alpha_at_zero must be true or false, got 2"),
         ("lnucb-ta", "adaptive_k=false",
          "no selected policy accepts --param adaptive_k"),
+        ("linucb", "alpha=-1", "alpha must be >= 0"),
+        ("lin-knn-ucb", "alpha=nan", "alpha must be >= 0"),
     ])
     def test_bad_policy_param_values_exit_2(self, tmp_path, capsys, pid, param,
                                            message):

@@ -396,8 +396,10 @@ def test_compiled_step_is_active():
 
 @needs_build
 def test_concurrent_first_loads_share_one_artifact(tmp_path):
-    # The artifacts and markers of other sources go when a new one is built.
-    for stale in ("_knn_step.0123456789abcdef.so", "_knn_step.fedcba9876543210.so.failed"):
+    # The artifacts and markers of other sources go when a new one is built,
+    # and so do those of the step's former name.
+    for stale in ("_csteps.0123456789abcdef.so", "_csteps.fedcba9876543210.so.failed",
+                  "_knn_step.0123456789abcdef.so"):
         (tmp_path / stale).touch()
     src = str(Path(knn.__file__).resolve().parents[1])
     code = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "

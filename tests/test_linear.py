@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import test_acceptance
+from banditlab import linear
 from banditlab.linear import (DRIFT_CHECK_EVERY, ConfidenceBall, RidgeState,
-                              solve_batch)
+                              solve_batch, widths_sq)
+from conftest import RIDGE_STEPS, ridge_step
 
 
 def _random_updates(state, rng, T, with_inflation=False):
@@ -150,6 +153,7 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     assert s.width_sq(probe) >= 0.0
 
 
+@pytest.mark.parametrize("step", RIDGE_STEPS)
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 8),
@@ -158,15 +162,16 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     n=st.integers(0, 40),
     seed=st.integers(0, 10_000),
 )
-def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
+def test_factored_ridge_matches_direct_solves(step, d, lam, gamma, n, seed):
     # Shifted ridges keep L with L L^T = sigma; about a third of the
     # updates carry e = 0 and are refactored like the others.
     rng = np.random.default_rng(seed)
-    s = RidgeState(d, lam, gamma_cov=gamma)
-    assert s.chol is not None
-    for _ in range(n):
-        e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
-        s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
+    with ridge_step(step):
+        s = RidgeState(d, lam, gamma_cov=gamma)
+        assert s.chol is not None
+        for _ in range(n):
+            e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
+            s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
     scale = np.abs(s.sigma).max()
     assert np.array_equal(s.chol, np.tril(s.chol))
     assert np.abs(s.chol @ s.chol.T - s.sigma).max() <= 1e-12 * scale
@@ -177,6 +182,51 @@ def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
                                           rel=1e-9, abs=1e-15)
     assert np.allclose(s.sigma_inv, np.linalg.inv(s.sigma), rtol=1e-9,
                        atol=1e-12)
+
+
+@pytest.mark.parametrize("step", RIDGE_STEPS)
+def test_determinant_identity_under_each_ridge_step(step):
+    with ridge_step(step):
+        test_acceptance.test_c02_determinant_expansion_identity()
+
+
+def _ridge_bits(step, d, lam, gamma, seed, n):
+    """Every array three stacked ridges expose after n updates under a step."""
+    rng = np.random.default_rng(seed)
+    with ridge_step(step):
+        mu_hats, squares = np.empty((3, d)), np.empty((3, d, d))
+        ridges = [RidgeState(d, lam, gamma, rows) for rows in zip(mu_hats, squares)]
+        for t in range(n):
+            e = float(rng.uniform(0.0, 2.0)) if t % 3 else 0.0
+            ridges[t % 3].update(rng.standard_normal(d),
+                                 float(rng.standard_normal()), e)
+        x = rng.standard_normal(d)
+        w2 = widths_sq(ridges, squares, x)
+        if gamma > 0.0:  # the stacked product has its own bits
+            assert w2.tobytes() == np.array([r.width_sq(x) for r in ridges]).tobytes()
+        bits = [w2]
+        for r in ridges:
+            bits += [r.sigma, r.b, r.mu_hat, r.sigma_inv]
+            if r.chol is not None:
+                assert not np.triu(r.chol, 1).any()
+                bits.append(r.chol)
+    return [np.ascontiguousarray(a).tobytes() for a in bits]
+
+
+@pytest.mark.skipif(len(RIDGE_STEPS) < 2, reason="the compiled step is not built")
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 100])
+@pytest.mark.parametrize("gamma", [0.0, 0.05, 0.7])
+@settings(max_examples=5, deadline=None)
+@given(lam=st.floats(0.1, 5.0), seed=st.integers(0, 10_000))
+def test_compiled_ridge_step_keeps_every_bit(d, gamma, lam, seed):
+    # 210 updates over three arms: each gamma = 0 arm runs its drift check twice.
+    numpy_bits = _ridge_bits(None, d, lam, gamma, seed, 210)
+    assert _ridge_bits(RIDGE_STEPS[1], d, lam, gamma, seed, 210) == numpy_bits
+
+
+@pytest.mark.skipif(linear._step is None, reason="the compiled step is not built")
+def test_compiled_ridge_step_finds_its_lapack_routines():
+    assert linear._lapack()[1] is not None
 
 
 class TestFactoredRidge:

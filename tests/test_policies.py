@@ -1,12 +1,16 @@
 """Policy behavior: the hybrid rule against an independent simulator, its
 flag reductions, and the baseline algorithms."""
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from banditlab import cli
+from banditlab.attention import RewardStats
 from banditlab.core import Policy, round_rng
+from banditlab.knn import NeighborBank
+from banditlab.linear import RidgeState
 from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 PolicyConfig, BetaThompson,
                                 EnhancedBetaThompson, EnhancedEpsilonGreedy,
@@ -14,6 +18,12 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
                                 linucb, make_policy)
+from conftest import RIDGE_STEPS, ridge_step
+
+# Every id with a ridge accepts lam; lnucb-ta also runs a shifted ridge.
+RIDGE_CASES = ([(pid, {}) for pid in sorted(POLICY_PARAM_KEYS)
+                if "lam" in POLICY_PARAM_KEYS[pid]]
+               + [("lnucb-ta", {"gamma_cov": 0.05})])
 
 
 class HandRolledHybrid:
@@ -373,6 +383,49 @@ class TestMakePolicy:
         assert_rejected_update_changes_nothing(pid, {"reward": 1e200},
                                                "overflows")
 
+    @pytest.mark.parametrize("step", RIDGE_STEPS)
+    @pytest.mark.parametrize("pid, params", RIDGE_CASES)
+    def test_overflowing_ridge_reward_changes_nothing(self, pid, params, step):
+        # 1e308 * ||x|| overflows b; the k-NN ids check the ridge before the add.
+        with ridge_step(step):
+            assert_rejected_update_changes_nothing(
+                pid, {"reward": 1e308}, "ridge update overflows", **params)
+
+    @pytest.mark.parametrize("step", RIDGE_STEPS)
+    @pytest.mark.parametrize("pid, params", [
+        case for case in RIDGE_CASES if "linthompson" not in case[0]])
+    def test_ridge_stops_before_sigma_overflows(self, pid, params, step):
+        # [1e153, 0] is an accepted context, and 179 of them overflow sigma.
+        # (The Thompson ids' inverse is singular at that scale; they cannot
+        # score it either way.)
+        big = np.array([1e153, 0.0])
+        with ridge_step(step):
+            policy, twin = (make_policy(pid, 3, 2, seed=4, **params) for _ in "ab")
+            for _ in range(200):
+                try:
+                    policy.update(0, big, 1.0)
+                except ValueError as error:
+                    assert "ridge update overflows" in str(error)
+                    break
+                twin.update(0, big, 1.0)
+            else:
+                pytest.fail("no update was rejected")
+            for x, t in itertools.product([big, np.array([0.3, -0.2])], (0, 1)):
+                assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
+
+    @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    @pytest.mark.parametrize("n_arms, dim, message", [
+        ("abc", 2, "n_arms must be an integer, got 'abc'"),
+        (2.5, 3, "n_arms must be an integer, got 2.5"),
+        (0, 3, "n_arms must be >= 1"),
+        (2, "abc", "dim must be an integer, got 'abc'"),
+        (2, True, "dim must be an integer, got True"),
+        (2, 0, "dim must be >= 1"),
+    ])
+    def test_n_arms_and_dim_are_checked_by_name(self, pid, n_arms, dim, message):
+        with pytest.raises(ValueError, match=message):
+            make_policy(pid, n_arms, dim)
+
     def test_every_id_inherits_the_checked_calls(self):
         for pid in POLICIES:
             cls = type(make_policy(pid, 3, 4))
@@ -380,11 +433,11 @@ class TestMakePolicy:
                 assert getattr(cls, verb) is getattr(Policy, verb), (pid, verb)
 
 
-def assert_rejected_update_changes_nothing(pid, bad, match):
+def assert_rejected_update_changes_nothing(pid, bad, match, **params):
     # Rejected before any state changes: the policy keeps scoring exactly
     # like a twin that never saw the bad update.
-    policy = make_policy(pid, 3, 2, seed=4)
-    twin = make_policy(pid, 3, 2, seed=4)
+    policy = make_policy(pid, 3, 2, seed=4, **params)
+    twin = make_policy(pid, 3, 2, seed=4, **params)
     rng = np.random.default_rng(8)
     for t in range(12):
         x = rng.standard_normal(2)
@@ -510,3 +563,19 @@ class TestEnhancedVariants:
             arm = policy.select(x, t)
             assert 0 <= arm < 3
             policy.update(arm, x, float(rng.uniform()))
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda v: RidgeState(v, 1.0), "dim"),
+    (lambda v: NeighborBank(v, 2), "n_arms"),
+    (lambda v: NeighborBank(2, v), "dim"),
+    (lambda v: RewardStats(v), "n_arms"),
+])
+@pytest.mark.parametrize("value, message", [
+    ("abc", "must be an integer, got 'abc'"), (2.5, "must be an integer, got 2.5"),
+    (0, "must be >= 1"),
+])
+def test_components_check_n_arms_and_dim_by_name(build, name, value, message):
+    # Each component built on its own checks its sizes as a policy does.
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        build(value)
