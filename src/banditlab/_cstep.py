@@ -1,5 +1,6 @@
 """The compiled steps, built with cffi: ``knn_step``, the twin of
-``NeighborBank._select``, and the ridge updates and widths of ``linear``."""
+``NeighborBank._select``, the ridge updates and widths of ``linear``, and
+``news_parse``, which reads the news logs ``env.load_news_csv`` accepts."""
 import ctypes
 import hashlib
 import re
@@ -16,8 +17,11 @@ from pathlib import Path
 # -ffp-contract=off.  Insertion with a strict < keeps each row's first k
 # entries in (d2, column) order, so ties go to the lower round.
 SOURCE = r"""
+#define _GNU_SOURCE  /* strtod_l */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 int64_t knn_step(const double *dot, int64_t width, const double *norm2,
                  const double *rewards, int64_t stride, const int64_t *rows,
@@ -59,31 +63,47 @@ typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *, int
 typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
                      double *, int *, int *);
 
-/* sigma += x x^T and b += r x, then inv -= v v^T / s if inv is given. */
-void ridge_rank_one(const double *x, double *sigma, double *b, const double *v,
-                    double *inv, int d, double r, double s)
+/* sigma += x x^T and b += r x, then inv -= v v^T / s if inv is given.
+   Returns the smallest diagonal entry of inv (infinity without one). */
+double ridge_rank_one(const double *x, double *sigma, double *b, const double *v,
+                      double *inv, int d, double r, double s)
 {
+    double low = INFINITY;
     for (int i = 0; i < d; i++) {
         for (int j = 0; j < d; j++) sigma[i * d + j] += x[i] * x[j];
         b[i] += r * x[i];
         for (int j = 0; inv && j < d; j++) inv[i * d + j] -= v[i] * v[j] / s;
+        if (inv && inv[i * (d + 1)] < low) low = inv[i * (d + 1)];
     }
+    return low;
 }
 
-/* The rank-one add, a positive shift on sigma's diagonal, dpotrf(sigma,
-   lower=1) into the column-major chol (a copy factored, its strict upper
-   triangle zeroed) and dpotrs(chol, b) into mu.  Returns dpotrf's info. */
+/* sigma + x x^T plus a positive shift on its diagonal, factored by
+   dpotrf(lower=1) into the column-major chol (its strict upper triangle
+   zeroed), then the update of sigma and b and dpotrs(chol, b) into mu.
+   Returns dpotrf's info: nonzero leaves sigma, b and mu as they were and
+   refactors sigma into the chol it had. */
 int ridge_factor(const double *x, double *sigma, double *b, double *chol,
                  double *mu, int d, double r, double shift, intptr_t potrf,
                  intptr_t potrs)
 {
-    int one = 1, info;
-    ridge_rank_one(x, sigma, b, NULL, NULL, d, r, 0.0);
-    for (int i = 0; shift > 0.0 && i < d; i++) sigma[i * (d + 1)] += shift;
-    memcpy(chol, sigma, sizeof(double) * d * d);  /* sigma is symmetric */
+    int one = 1, info, again;
+    for (int i = 0; i < d; i++) {  /* the sum is symmetric */
+        const double xi = x[i], *restrict row = sigma + i * d;
+        double *restrict out = chol + i * d;
+        for (int j = 0; j < d; j++) out[j] = row[j] + xi * x[j];
+    }
+    for (int i = 0; shift > 0.0 && i < d; i++) chol[i * (d + 1)] += shift;
     ((potrf_t *)potrf)("L", &d, chol, &d, &info);
-    if (info != 0) return info;
+    if (info != 0) {
+        memcpy(chol, sigma, sizeof(double) * d * d);
+        ((potrf_t *)potrf)("L", &d, chol, &d, &again);
+    } else {
+        ridge_rank_one(x, sigma, b, NULL, NULL, d, r, 0.0);
+        for (int i = 0; shift > 0.0 && i < d; i++) sigma[i * (d + 1)] += shift;
+    }
     for (int j = 1; j < d; j++) memset(chol + j * d, 0, sizeof(double) * j);
+    if (info != 0) return info;
     memcpy(mu, b, sizeof(double) * d);
     ((potrs_t *)potrs)("L", &d, &one, chol, &d, mu, &d, &info);
     return info;
@@ -100,9 +120,75 @@ void ridge_solve(double *chols, const double *x, double *v, int n, int d,
                            &d, v + a * d, &d, &info);
     }
 }
+
+static locale_t c_locale;  /* strtod_l's, made when the module loads */
+__attribute__((constructor)) static void init(void) { c_locale = newlocale(LC_ALL_MASK, "C", 0); }
+
+/* One cell of [+-]?digits[.digits]([eE][+-]?digits)? ('.5' and '5.' too)
+   under 48 bytes at s, into *v as float() reads it: Clinger's fast path (at
+   most 19 significant digits, m <= 2^53 and one exact power of ten, so one
+   correctly rounded multiply or divide), else strtod_l in the C locale.
+   Returns the end of the cell, or NULL. */
+static const char *parse_cell(const char *s, const char *end, double *v)
+{
+    static const double p10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+        1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+    const char *lim = end - s > 48 ? s + 48 : end;
+    const char *p = s + (s < lim && (*s == '+' || *s == '-'));
+    uint64_t m = 0;  /* wraps past 19 significant digits, where it is unused */
+    int digits = 0, sig = 0, dot = 0, frac = 0, e = 0, neg = 0, n = 0;
+    for (; p < lim && ((*p >= '0' && *p <= '9') || (*p == '.' && !dot++)); p++) {
+        if (*p == '.') continue;
+        digits++, frac += dot;
+        if (m || *p != '0') sig++, m = m * 10 + (*p - '0');
+    }
+    if (p < lim && digits && (*p == 'e' || *p == 'E')) {
+        if (++p < lim && (*p == '+' || *p == '-')) neg = *p++ == '-';
+        for (; p < lim && *p >= '0' && *p <= '9'; p++, n++) e = e < 9999 ? e * 10 + *p - '0' : e;
+        if (!n) return NULL;
+    }
+    if (!digits || p - s == 48) return NULL;
+    e = (neg ? -e : e) - frac;
+    if (sig <= 19 && m <= 1ULL << 53 && e >= -22 && e <= 22)
+        *v = (*s == '-' ? -1.0 : 1.0) * (e < 0 ? (double)m / p10[-e] : (double)m * p10[e]);
+    else {  /* the cell is under 48 bytes, so NUL-terminated here */
+        char cell[48] = {0};
+        *v = strtod_l(memcpy(cell, s, p - s), NULL, c_locale);
+    }
+    return p;
+}
+
+/* The rows of a news log of len bytes, at most max_rows of 102 cells (arm id
+   1..10, click 0 or 1, 100 finite features), into arms (id - 1), clicks and
+   the row-major x; lines end in \n or \r\n and empty ones are skipped.
+   Returns the row count, or -1 for any other byte, cell or row. */
+int64_t news_parse(const char *s, int64_t len, int64_t max_rows, int64_t *arms,
+                   double *clicks, double *x)
+{
+    const char *end = s + len;
+    for (int64_t n = 0; c_locale; n++) {
+        double v[2];
+        while (s < end && (*s == '\n' || (*s == '\r' && s + 1 < end && s[1] == '\n')))
+            s += *s == '\r' ? 2 : 1;
+        if (s == end) return n;
+        if (n == max_rows) return -1;
+        for (int j = 0; j < 102; j++) {
+            double *out = j < 2 ? v + j : x + n * 100 + j - 2;
+            if ((j && (s == end || *s++ != ',')) || !(s = parse_cell(s, end, out))
+                || !isfinite(*out))
+                return -1;
+        }
+        if ((s < end && *s != '\n' && *s != '\r') || !(v[0] >= 1 && v[0] <= 10)
+            || v[0] != (int64_t)v[0] || (v[1] != 0 && v[1] != 1))
+            return -1;  /* a lone \r fails as the next row's first cell */
+        arms[n] = (int64_t)v[0] - 1;
+        clicks[n] = v[1];
+    }
+    return -1;
+}
 """
 # The exported functions' prototypes.
-CDEF = "".join(f"{p};\n" for p in re.findall(r"^(?:int64_t|int|void) \w+\([^)]*\)",
+CDEF = "".join(f"{p};\n" for p in re.findall(r"^(?:int64_t|int|double|void) \w+\([^)]*\)",
                                              SOURCE, re.M))
 
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(

@@ -231,11 +231,18 @@ def _typed(opts: Dict, name: str, default):
 
 
 def _build_env_spec(opts: Dict) -> EnvSpec:
-    """EnvSpec from the options; a field not given keeps EnvSpec's default."""
+    """EnvSpec from the options; a field not given keeps EnvSpec's default,
+    and an option the env kind does not read is rejected by name."""
     defaults = EnvSpec(kind="synthetic")
     spec = EnvSpec(**{f.name: _typed(opts, _ENV_OPTIONS.get(f.name, f.name),
                                      getattr(defaults, f.name))
                       for f in fields(EnvSpec)})
+    given = [name for f in fields(EnvSpec)
+             if f.name not in ("kind", *EnvSpec.READS.get(spec.kind, ()))
+             and (name := _ENV_OPTIONS.get(f.name, f.name)) in opts]
+    if spec.kind in EnvSpec.READS and given:
+        raise CliError(f"the {spec.kind} env does not read " + ", ".join(
+            f"{name} (--{name.replace('_', '-')})" for name in given))
     if spec.kind in ("classification", "news"):
         if not spec.path:
             raise CliError(f"{spec.kind} env requires --data")

@@ -39,7 +39,8 @@ class RidgeState:
 
     * gamma_cov = 0: every update is rank one, so the inverse is maintained
       by Sherman-Morrison, and drift from sigma^-1 is checked after every
-      DRIFT_CHECK_EVERY updates.  Widths are one matvec, which lets a
+      DRIFT_CHECK_EVERY updates; an update that leaves a diagonal entry
+      <= 0 rebuilds it at once.  Widths are one matvec, which lets a
       policy stack its arms' inverses and score them in one product.
     * gamma_cov > 0: the shift is not rank one, so sigma is refactored as
       L L^T (lower Cholesky, LAPACK dpotrf; L is ``chol``) after every
@@ -76,7 +77,7 @@ class RidgeState:
         self.chol: Optional[np.ndarray] = None
         if self.gamma_cov > 0.0:
             self.chol = square.T
-            self._factor()
+            self._factor(self.sigma, self.b)
         else:
             self._inv = square
             np.fill_diagonal(square, 1.0 / self.lam)
@@ -90,13 +91,14 @@ class RidgeState:
         inv, _ = _lapack()[0].dpotrs(self.chol, np.eye(self.dim), lower=1)
         return inv
 
-    def _factor(self) -> None:
-        """Refactor sigma = L L^T and solve mu_hat from it, in place."""
+    def _factor(self, sigma: np.ndarray, b: np.ndarray) -> None:
+        """Factor sigma = L L^T, then keep sigma, b, L and mu_hat solved from
+        them, in place; a sigma that is not positive definite raises first."""
         lapack = _lapack()[0]
-        chol, info = lapack.dpotrf(self.sigma, lower=1)
+        chol, info = lapack.dpotrf(sigma, lower=1)
         if info != 0:
             raise np.linalg.LinAlgError("sigma is not positive definite")
-        self.chol[...] = chol
+        self.sigma[...], self.b[...], self.chol[...] = sigma, b, chol
         self.mu_hat[...] = lapack.dpotrs(chol, self.b, lower=1)[0]
 
     def predict(self, x) -> float:
@@ -140,41 +142,48 @@ class RidgeState:
     def _update(self, x: np.ndarray, residual: float, e_knn: float,
                 scale: Optional[float] = None) -> None:
         """update() for a checked context, finite residual and e_knn >= 0;
-        one that could overflow raises before anything changes.  ``scale``
-        is _check's result when the caller ran it already."""
-        self._scale = self._check(x, residual, e_knn) if scale is None else scale
+        one that could overflow, or a shifted sigma that is not positive
+        definite, raises before anything changes.  ``scale`` is _check's
+        result when the caller ran it already."""
+        scale = self._check(x, residual, e_knn) if scale is None else scale
         residual = float(residual)
         step = _step if self.chol is None or _lapack()[1] else None
-        if step is None:
-            self.sigma += x[:, None] * x
-            self.b += residual * x
-        else:
+        if step is not None:
             x = np.ascontiguousarray(x)
         if self.chol is not None:
             inflate = self.gamma_cov * float(e_knn)
             if step is None:
+                sigma = self.sigma + x[:, None] * x
                 if inflate > 0.0:
                     # sigma is C-contiguous: this steps along its diagonal in place.
-                    self.sigma.reshape(-1)[::self.dim + 1] += inflate
-                self._factor()
+                    sigma.reshape(-1)[::self.dim + 1] += inflate
+                self._factor(sigma, self.b + residual * x)
             elif step.lib.ridge_factor(
                     *_buffers(step, x, self.sigma, self.b, self.chol.T, self.mu_hat),
                     self.dim, residual, inflate, *_lapack()[1][:2]):
                 raise np.linalg.LinAlgError("sigma is not positive definite")
+            self._scale = scale
             return
         # Sherman-Morrison rank-one inverse update.
         v = self._inv @ x
         s = 1.0 + float(x.dot(v))
         if step is None:
+            self.sigma += x[:, None] * x
+            self.b += residual * x
             self._inv -= v[:, None] * v / s
+            low = np.diagonal(self._inv).min()
         else:
-            step.lib.ridge_rank_one(*_buffers(step, x, self.sigma, self.b, v, self._inv),
-                                    self.dim, residual, s)
+            low = step.lib.ridge_rank_one(*_buffers(step, x, self.sigma, self.b, v, self._inv),
+                                          self.dim, residual, s)
+        self._scale = scale
         self._rank_one_updates += 1
-        if self._rank_one_updates == DRIFT_CHECK_EVERY:
+        # A diagonal entry <= 0: round-off left an inverse that is not
+        # positive definite, so it is rebuilt without waiting for a check.
+        lost = not low > 0.0
+        if lost or self._rank_one_updates == DRIFT_CHECK_EVERY:
             self._rank_one_updates = 0
             drift = np.abs(self.sigma @ self._inv - np.eye(self.dim)).max()
-            if drift > INVERSE_DRIFT_TOL:
+            if lost or drift > INVERSE_DRIFT_TOL:
                 self._inv[...] = np.linalg.inv(self.sigma)
         np.matmul(self._inv, self.b, out=self.mu_hat)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from .core import Policy, ScoreBreakdown
 from .env import (DataError, load_classification_csv, load_news_csv,
@@ -28,6 +28,11 @@ class EnvSpec:
     bump_count: int = 3
     noise_sigma: float = 0.05
     radius: float = 0.7
+    # The fields besides kind that build() reads for each kind.
+    READS: ClassVar[Dict[str, Tuple[str, ...]]] = {
+        "synthetic": ("env_seed", "d", "n_arms", "bump_count", "noise_sigma", "radius"),
+        "classification": ("path", "label_column", "has_header", "shuffle_seed"),
+        "news": ("path",)}
 
     def build(self):
         if self.kind == "synthetic":

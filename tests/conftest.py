@@ -7,12 +7,16 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from banditlab import linear
+from banditlab import env, linear
 from banditlab.runner import Cell, EnvSpec, execute_cells
 
 # The ridge steps to check: numpy's and f2py's, then the compiled one where
 # it is built.
 RIDGE_STEPS = [None] + ([linear._step] if linear._step is not None else [])
+# load_news_csv's steps: the csv loop alone, then the compiled parse where
+# it is built.
+PARSE_STEPS = [None] + ([env._step] if env._step is not None else [])
+PARSE_IDS = ["loop", "compiled"][:len(PARSE_STEPS)]
 
 
 @contextlib.contextmanager
@@ -23,6 +27,16 @@ def ridge_step(step):
         yield
     finally:
         linear._step = saved
+
+
+@contextlib.contextmanager
+def parse_step(step):
+    """Load news logs with this step (None: the csv loop alone)."""
+    saved, env._step = env._step, step
+    try:
+        yield
+    finally:
+        env._step = saved
 
 # One benchmark setting shared by the ordering, robustness, and ablation
 # tests.  Everything here is frozen: the tests below compare policies on

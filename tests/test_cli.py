@@ -10,6 +10,7 @@ import pytest
 from banditlab.cli import (coerce_value, fmt, main as cli_main, parse_grid,
                            parse_seeds)
 from banditlab.policies import make_policy
+from conftest import PARSE_IDS, PARSE_STEPS, parse_step
 
 SYN = ["--d", "4", "--arms", "3", "--bumps", "1", "--noise-sigma", "0.05"]
 
@@ -497,28 +498,58 @@ class TestErrorPaths:
             "shuffle-seed"])
     def test_bad_env_flags_name_the_flag(self, tmp_path, capsys, flags,
                                          message):
-        data = make_classification_csv(tmp_path)
+        env = (["--data", str(make_classification_csv(tmp_path))]
+               if "classification" in flags else SYN)
         rc = cli_main(["run", "--policy", "random", "--T", "5", "--seeds", "0",
-                       "--data", str(data), "--out", str(tmp_path / "o")]
-                      + SYN + flags)
+                       "--out", str(tmp_path / "o")] + env + flags)
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("env, option, where", [
+        ("synthetic", ["--shuffle-seed", "-1"], "flag"),
+        ("synthetic", ["--label-column", "99"], "flag"),
+        ("synthetic", ["--data", "x.csv"], "flag"),
+        ("synthetic", ["--has-header"], "config"),
+        ("classification", ["--radius", "nan"], "flag"),
+        ("classification", ["--env-seed", "3"], "config"),
+        ("news", ["--d", "4"], "flag"),
+        ("news", ["--shuffle-seed", "2"], "config"),
+    ])
+    def test_env_option_of_another_kind_exits_2(self, tmp_path, capsys, env,
+                                                option, where):
+        name = option[0][2:].replace("-", "_")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[experiment]\n{name} = {(option + ['true'])[1]}\n"
+                       if where == "config" else "")
+        data = make_news_csv(tmp_path) if env == "news" else \
+            make_classification_csv(tmp_path)
+        rc = cli_main(["run", "--config", str(cfg), "--env", env, "--policy",
+                       "random", "--T", "5", "--seeds", "0",
+                       "--out", str(tmp_path / "o")]
+                      + (["--data", str(data)] if env != "synthetic" else [])
+                      + (option if where == "flag" else []))
+        assert rc == 2
+        assert (f"the {env} env does not read {name} (--{name.replace('_', '-')})"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("step", PARSE_STEPS, ids=PARSE_IDS)
     @pytest.mark.parametrize("env", ["classification", "news"])
     @pytest.mark.parametrize("bad, message", [
         (b"1," * 101 + b"2" * 200_000, "row 2: field larger than field limit"),
         (b"1,0,\xff", "byte 408: not UTF-8"),
     ], ids=["overlong-cell", "not-utf8"])
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, env, bad,
-                                       message):
+                                       message, step):
         # The first row, 404 bytes, reads as news and as classification.
         data = tmp_path / "bad.csv"
         data.write_bytes(b"1,0," + b",".join([b"0.5"] * 100) + b"\n" + bad
                          + b"\n")
-        rc = cli_main(["run", "--env", env, "--data", str(data), "--policy",
-                       "random", "--T", "5", "--seeds", "0",
-                       "--out", str(tmp_path / "o")])
+        with parse_step(step):
+            rc = cli_main(["run", "--env", env, "--data", str(data), "--policy",
+                           "random", "--T", "5", "--seeds", "0",
+                           "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()

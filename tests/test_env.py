@@ -1,15 +1,21 @@
 """Environment behavior: classification conversion, replay semantics, and the
 synthetic reward generator's structural guarantees."""
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
+from banditlab import env as env_module
 from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                            RoundFeedback, SyntheticHybridEnv,
                            load_classification_csv, load_news_csv,
                            replay_step, synthetic_hybrid, two_class_bumps)
+from conftest import PARSE_IDS, PARSE_STEPS, parse_step
 
 
 def expected_rewards(env, x):
@@ -208,24 +214,28 @@ LOADERS = {"classification": load_classification_csv, "news": load_news_csv}
 BOTH_ROW = "1,0," + ",".join(["0.5"] * 100) + "\n"
 
 
+@pytest.mark.parametrize("step", PARSE_STEPS, ids=PARSE_IDS)
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-def test_overlong_cell_names_its_line(tmp_path, kind):
+def test_overlong_cell_names_its_line(tmp_path, kind, step):
     # The csv module refuses cells over 131,072 characters.
     p = tmp_path / "big.csv"
     p.write_text(BOTH_ROW + "\n" + "1," * 101 + "2" * 200_000 + "\n")
-    with pytest.raises(DataError, match="row 3: field larger than field limit"):
+    with parse_step(step), pytest.raises(
+            DataError, match="row 3: field larger than field limit"):
         LOADERS[kind](p)
 
 
+@pytest.mark.parametrize("step", PARSE_STEPS, ids=PARSE_IDS)
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @pytest.mark.parametrize("offset", [4, 20_000])
-def test_bytes_that_are_not_utf8_name_their_offset(tmp_path, kind, offset):
+def test_bytes_that_are_not_utf8_name_their_offset(tmp_path, kind, offset, step):
     # 20,000 lies past the text reader's first 8 KiB chunk.
     data = bytearray(BOTH_ROW.encode() * (offset // len(BOTH_ROW) + 1))
     data[offset] = 0xFF
     p = tmp_path / "bad.csv"
     p.write_bytes(bytes(data))
-    with pytest.raises(DataError, match=f"^byte {offset}: not UTF-8$"):
+    with parse_step(step), pytest.raises(
+            DataError, match=f"^byte {offset}: not UTF-8$"):
         LOADERS[kind](p)
 
 
@@ -254,21 +264,130 @@ def _csv_bytes(draw):
     return data[:cut] + draw(st.binary(max_size=3)) + data[cut:]
 
 
+@pytest.mark.parametrize("step", PARSE_STEPS, ids=PARSE_IDS)
 @settings(max_examples=300, deadline=None)
 @given(data=st.one_of(_csv_bytes(), st.binary(max_size=64)),
        label_column=st.sampled_from([-1, 0, 2, -7]), has_header=st.booleans())
 def test_loaders_return_an_env_or_raise_data_error(tmp_path_factory, data,
-                                                    label_column, has_header):
+                                                    label_column, has_header,
+                                                    step):
     p = tmp_path_factory.getbasetemp() / "fuzz.csv"
     p.write_bytes(data)
     for load in (lambda: load_news_csv(p),
                  lambda: load_classification_csv(p, label_column,
                                                  has_header=has_header)):
         try:
-            env = load()
+            with parse_step(step):
+                env = load()
         except DataError:
             continue
         assert len(env) > 0 and env.contexts.shape[1] == env.dim
+
+
+# Cells float() reads, in the spellings a log may hold.
+_NUMBERS = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(["%r", "%.17e", "%g"])).map(lambda t: t[1] % t[0]),
+    st.floats(-1e30, 1e30).map("%.5f".__mod__),
+    st.sampled_from(["-0", ".5", "5.", "+.5e-3", "1e-400", "1e400", "nan",
+                     "9007199254740993", "1E+05", "-.0e-0", "0e999"]),
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(10**24, 10**25 - 1),
+              st.integers(0, 25), st.integers(-340, 300)).map(  # 25-digit mantissas
+        lambda t: f"{t[0]}{str(t[1])[:t[2]]}.{str(t[1])[t[2]:]}e{t[3]}"))
+
+
+@st.composite
+def _news_log_bytes(draw):
+    """News logs of numeric cells: rows of an arm id, a click and 100 values
+    (up to 10 drawn, then repeated), blank lines, and LF, CRLF or lone CR
+    line ends, with now and then a _csv_bytes log in between."""
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        cells = [draw(st.sampled_from(["1", "10", "4.0", "+2", "1e0", "7"])),
+                 draw(st.sampled_from(["0", "1", "-0", "1.0"]))]
+        values = draw(st.lists(_NUMBERS, min_size=1, max_size=10))
+        cells += [values[j % len(values)] for j in range(100)]
+        lines.append(",".join(cells).encode())
+        lines += [b""] * draw(st.integers(0, 1))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(_csv_bytes()))
+    ends = [draw(st.sampled_from([b"\n", b"\r\n"] * 3 + [b"\r"])) for _ in lines]
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
+def _news_outcome(path, step):
+    """load_news_csv's three arrays as (dtype, shape, C-contiguity, bytes),
+    or its DataError message."""
+    try:
+        with parse_step(step):
+            env = load_news_csv(path)
+    except DataError as error:
+        return str(error)
+    return [(a.dtype, a.shape, a.flags.c_contiguous, a.tobytes())
+            for a in (env.arms, env.clicks, env.contexts)]
+
+
+@pytest.mark.skipif(len(PARSE_STEPS) < 2, reason="the compiled parse is not built")
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(_news_log_bytes(), _csv_bytes()))
+def test_compiled_parse_loads_what_the_loop_loads(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "news.csv"
+    p.write_bytes(data)
+    assert _news_outcome(p, PARSE_STEPS[1]) == _news_outcome(p, None)
+
+
+@pytest.mark.skipif(len(PARSE_STEPS) < 2, reason="the compiled parse is not built")
+def test_compiled_parse_reads_a_plain_log_itself(tmp_path, monkeypatch):
+    p = tmp_path / "log.csv"
+    p.write_text(make_log_text([1, 10, 3], [0, 1, 1]).replace("\n", "\r\n\n"))
+    monkeypatch.setattr(env_module, "_csv_rows", None)  # no fallback to the loop
+    with parse_step(PARSE_STEPS[1]):
+        env = load_news_csv(p)
+    assert env.arms.tolist() == [0, 9, 2] and env.contexts.shape == (3, 100)
+
+
+def _cell(value):
+    """The change that sets the last cell of a log to value."""
+    return lambda text: text[:text.rindex(",") + 1] + value + "\n"
+
+
+@pytest.mark.skipif(len(PARSE_STEPS) < 2, reason="the compiled parse is not built")
+@pytest.mark.parametrize("change", [
+    lambda text: text.replace("\n", "\r", 1), lambda text: text + " \n",
+    lambda text: text + ",,\n", lambda text: text.replace(",", ",,", 1),
+    lambda text: text.replace("0,", "0 ,", 1), _cell('"0.5"'), _cell("inf"),
+    _cell("nan"), _cell("1_0"), _cell("\u00e9"), _cell("0x1p0"), _cell("1e"),
+    _cell("."), _cell("1" * 48), _cell("1e400"), _cell("0.5\r0")])
+def test_compiled_parse_declines_what_it_does_not_read(tmp_path, monkeypatch,
+                                                       change):
+    p = tmp_path / "log.csv"
+    p.write_text(change(make_log_text([4, 2], [1, 0])), encoding="utf-8")
+    calls, loop = [], env_module._csv_rows
+    monkeypatch.setattr(env_module, "_csv_rows",
+                        lambda path: calls.append(path) or loop(path))
+    with parse_step(PARSE_STEPS[1]):
+        try:
+            load_news_csv(p)
+        except DataError:
+            pass
+    assert calls == [p]
+
+
+def test_scipy_special_is_loaded_by_the_synthetic_env_alone(tmp_path):
+    news, classes = tmp_path / "news.csv", tmp_path / "classes.csv"
+    news.write_text(make_log_text([1, 2], [0, 1]))
+    classes.write_text("1,0,a\n0,1,b\n")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import banditlab, banditlab.cli; from banditlab import env; "
+            "env.load_news_csv(sys.argv[2]); env.load_classification_csv(sys.argv[3]); "
+            "print('scipy.special' in sys.modules); "
+            "env.synthetic_hybrid(0, 4, 3, 1, 0.05); "
+            "print('scipy.special' in sys.modules)")
+    src = str(Path(env_module.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src, str(news), str(classes)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def make_log_text(arms, clicks, seed=0):
@@ -282,6 +401,11 @@ def make_log_text(arms, clicks, seed=0):
 
 
 class TestNewsReplay:
+    @pytest.fixture(autouse=True, params=PARSE_STEPS, ids=PARSE_IDS)
+    def each_parse_step(self, request):
+        with parse_step(request.param):
+            yield
+
     def test_load_and_shapes(self, tmp_path):
         p = tmp_path / "log.csv"
         p.write_text(make_log_text([1, 2, 1, 3, 2], [0, 1, 1, 0, 0]))

@@ -392,12 +392,20 @@ class TestMakePolicy:
                 pid, {"reward": 1e308}, "ridge update overflows", **params)
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
-    @pytest.mark.parametrize("pid, params", [
-        case for case in RIDGE_CASES if "linthompson" not in case[0]])
+    def test_shifted_ridge_that_cannot_factor_changes_nothing(self, step):
+        # sigma + x x^T rounds to a singular matrix: x x^T's entries are 1e18,
+        # whose spacing is 128, and sigma's are far smaller.
+        with ridge_step(step):
+            assert_rejected_update_changes_nothing(
+                "lnucb-ta", {"x": [1e9, 1e9], "reward": 1.0},
+                "not positive definite", gamma_cov=0.05, lam=1e-10, use_knn=False)
+
+    @pytest.mark.parametrize("step", RIDGE_STEPS)
+    @pytest.mark.parametrize("pid, params", RIDGE_CASES)
     def test_ridge_stops_before_sigma_overflows(self, pid, params, step):
         # [1e153, 0] is an accepted context, and 179 of them overflow sigma.
-        # (The Thompson ids' inverse is singular at that scale; they cannot
-        # score it either way.)
+        # The first one leaves a Sherman-Morrison inverse with a zero
+        # diagonal entry, which the Thompson ids could not sample from.
         big = np.array([1e153, 0.0])
         with ridge_step(step):
             policy, twin = (make_policy(pid, 3, 2, seed=4, **params) for _ in "ab")
@@ -445,11 +453,16 @@ def assert_rejected_update_changes_nothing(pid, bad, match, **params):
         policy.update(arm, x, good)
         twin.update(arm, x, good)
     x = rng.standard_normal(2)
-    call = {"arm": policy.select(x, 12), "x": x, "reward": 0.5, **bad}
+    arm = policy.select(x, 12)
+    call = {"arm": arm, "x": x, "reward": 0.5, **bad}
     with pytest.raises(ValueError, match=match):
         policy.update(**call)
     for t in (12, 13):
         assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
+    # State the scores do not read yet (sigma, b) shows after one more update.
+    for each in (policy, twin):
+        each.update(arm, x, 0.25)
+    assert np.array_equal(policy.scores(x, 14), twin.scores(x, 14))
 
 
 class TestBaselines:
