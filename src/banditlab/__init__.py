@@ -15,9 +15,9 @@ from .linear import ConfidenceBall, RidgeState, solve_batch
 from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       beta_bound, beta_formula, regret_bound_curve,
                       regret_series, robustness_std, sublinearity_exponent)
-from .policies import (LNUCBTA, PolicyConfig, UCB, BetaThompson, EpsilonGreedy,
-                       KLUCB, KnnKLUCB, KnnUCB, LinThompson,
-                       RandomPolicy, lin_knn_ucb, linucb, make_policy)
+from .policies import (LNUCBTA, UCB, BetaThompson, EpsilonGreedy, KLUCB,
+                       KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
+                       lin_knn_ucb, linucb, make_policy)
 from .runner import Cell, EnvSpec, execute_cells, run_cell, run_policy
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "AggregateResult", "DiagnosticsParams", "RunResult", "aggregate",
     "beta_bound", "beta_formula", "regret_bound_curve", "regret_series",
     "robustness_std", "sublinearity_exponent",
-    "LNUCBTA", "PolicyConfig", "UCB", "BetaThompson",
+    "LNUCBTA", "UCB", "BetaThompson",
     "EpsilonGreedy", "KLUCB", "KnnKLUCB", "KnnUCB", "LinThompson",
     "RandomPolicy", "lin_knn_ucb", "linucb", "make_policy",
     "Cell", "EnvSpec", "execute_cells", "run_cell", "run_policy",

@@ -399,9 +399,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    params = DiagnosticsParams(sigma=args.sigma, delta=args.delta, B=args.B,
-                               W=args.W, d=args.d, b=args.b,
-                               u_sq_sum=args.u_sq_sum)
+    params = DiagnosticsParams(**{f.name: getattr(args, f.name)
+                                  for f in fields(DiagnosticsParams)})
     curve = regret_bound_curve(params, args.T)
     lines = ["round,regret_bound"]
     lines += [f"{t + 1},{fmt(curve[t])}" for t in range(args.T)]
@@ -450,13 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="grid values (repeatable)")
 
     p_bound = sub.add_parser("bound", help="theoretical regret bound curve")
-    p_bound.add_argument("--sigma", type=float, default=1.0)
-    p_bound.add_argument("--delta", type=float, default=0.1)
-    p_bound.add_argument("--B", type=float, default=1.0)
-    p_bound.add_argument("--W", type=float, default=1.0)
-    p_bound.add_argument("--d", type=int, default=1)
-    p_bound.add_argument("--b", type=float, default=1.0)
-    p_bound.add_argument("--u-sq-sum", dest="u_sq_sum", type=float, default=0.0)
+    for f in fields(DiagnosticsParams):
+        p_bound.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                             type=type(f.default), default=f.default)
     p_bound.add_argument("--T", type=int, default=10000)
     p_bound.add_argument("--out", default="results")
     p_bound.set_defaults(func=cmd_bound)

@@ -120,8 +120,9 @@ def two_class_bumps(seed: int, T: int, d: int = 10, bump_count: int = 4,
     so the boundary is globally linear but locally wrong: a memory-based
     component can patch the pockets while a purely linear rule cannot.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T = as_int(T, "T", 1)
+    d = as_int(d, "d", 1)
+    bump_count = as_int(bump_count, "bump_count", 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
@@ -386,16 +387,10 @@ class SyntheticHybridEnv:
 
     def __init__(self, seed: int, d: int, n_arms: int, bump_count: int,
                  noise_sigma: float, radius: float = 0.7):
-        if d < 1:
-            raise ValueError("d must be >= 1")
-        if n_arms < 2:
-            raise ValueError("need at least 2 arms")
-        if bump_count < 0:
-            raise ValueError("bump_count must be >= 0")
+        self.dim = d = as_int(d, "d", 1)
+        self.n_arms = n_arms = as_int(n_arms, "n_arms", 2)
+        self.bump_count = bump_count = as_int(bump_count, "bump_count", 0)
         self.seed = as_int(seed, "env_seed", 0)
-        self.dim = int(d)
-        self.n_arms = int(n_arms)
-        self.bump_count = int(bump_count)
         self.noise_sigma = as_nonneg(noise_sigma, "noise_sigma")
         self.radius = as_positive(radius, "radius")
         _special()  # here, so that set-up pays the import and a run does not

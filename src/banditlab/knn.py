@@ -106,6 +106,21 @@ class NeighborBank:
             raise ValueError("rounds must be strictly increasing")
         self._add(arm, x, as_reward(reward), int(round))
 
+    def _sums_after(self, arm: int, reward: float) -> list:
+        """The arm's running sums once ``reward`` is added (and, when the arm
+        is full, its oldest entry evicted); changes nothing.  A reward that
+        would overflow them raises ValueError."""
+        sums = list(self._sums[arm])
+        if self._end[arm] - self._start[arm] == self.capacity:
+            _fold(sums, float(self._rewards[arm, 0]), -1.0)
+        _fold(sums, reward, 1.0)
+        # 8x headroom keeps _fresh_k's error bound, at most a few times the
+        # squared-reward sums, finite as well.
+        if not math.isfinite(8.0 * (sums[2] + sums[3])):
+            raise ValueError(f"reward {reward!r} overflows arm {arm}'s "
+                             "running reward sums")
+        return sums
+
     def _add(self, arm: int, x: np.ndarray, reward: float,
              round: Optional[int] = None) -> None:
         """add() for a checked context and reward, at a round after the arm's last.
@@ -114,17 +129,10 @@ class NeighborBank:
         reward that would overflow the arm's running sums raises before
         anything changes.
         """
+        sums = self._sums_after(arm, reward)
         start, end = self._start[arm], self._end[arm]
-        n, sums = end - start, list(self._sums[arm])
-        full = n == self.capacity
-        if full:  # the oldest entry is evicted
-            _fold(sums, float(self._rewards[arm, 0]), -1.0)
-        _fold(sums, reward, 1.0)
-        # 8x headroom keeps _fresh_k's error bound, at most a few times the
-        # squared-reward sums, finite as well.
-        if not math.isfinite(8.0 * (sums[2] + sums[3])):
-            raise ValueError(f"reward {reward!r} overflows arm {arm}'s "
-                             "running reward sums")
+        n = end - start
+        full = n == self.capacity  # the oldest entry is evicted
         if round is None:
             round = self._adds
         self._adds += 1

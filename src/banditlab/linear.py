@@ -139,13 +139,11 @@ class RidgeState:
                              "would not stay finite")
         return scale
 
-    def _update(self, x: np.ndarray, residual: float, e_knn: float,
-                scale: Optional[float] = None) -> None:
+    def _update(self, x: np.ndarray, residual: float, e_knn: float) -> None:
         """update() for a checked context, finite residual and e_knn >= 0;
         one that could overflow, or a shifted sigma that is not positive
-        definite, raises before anything changes.  ``scale`` is _check's
-        result when the caller ran it already."""
-        scale = self._check(x, residual, e_knn) if scale is None else scale
+        definite, raises before anything changes."""
+        scale = self._check(x, residual, e_knn)
         residual = float(residual)
         step = _step if self.chol is None or _lapack()[1] else None
         if step is not None:

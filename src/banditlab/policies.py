@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -16,57 +15,39 @@ from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState, widths_sq
 
 
-@dataclass
-class PolicyConfig:
-    """Tunables of the hybrid policy and its flag-constructible ablations.
-
-    use_attention=False freezes the exploration factor at alpha0;
-    use_knn=False drops the neighbor estimator entirely; theta_min =
-    theta_max fixes k.  LNUCBTA checks the values when it is built.
-    """
-
-    lam: float = 1.0
-    alpha0: float = 1.0
-    kappa: float = 0.5
-    theta_min: int = 1
-    theta_max: int = 5
-    gamma_cov: float = 0.0
-    variance_scale: float = 1.0
-    floor_alpha_at_zero: bool = False
-    tie_break: str = "lowest-index"
-    store_capacity: Optional[int] = None
-    use_attention: bool = True
-    use_knn: bool = True
-
-
 class LNUCBTA(Policy):
     """Hybrid linear + adaptive k-NN policy with temporal-attention exploration.
 
     Per-arm disjoint ridge regression fits the residual reward minus the k-NN
     score; the selection rule is ucb = linear + knn + alpha * width with
     alpha = alpha0/(N+1) * (kappa*g + (1-kappa)*n) when attention is enabled.
+    use_attention=False freezes alpha at alpha0; use_knn=False drops the
+    neighbor estimator entirely; theta_min = theta_max fixes k.
     """
 
     name = "lnucb-ta"
 
-    def __init__(self, n_arms: int, dim: int, config: Optional[PolicyConfig] = None,
-                 seed: int = 0):
-        config = config if config is not None else PolicyConfig()
-        super().__init__(n_arms, dim, seed, config.tie_break)
-        for flag in ("floor_alpha_at_zero", "use_attention", "use_knn"):
-            as_bool(getattr(config, flag), flag)
-        self.config = config
-        self.bank = NeighborBank(n_arms, dim, config.store_capacity,
-                                 config.theta_min, config.theta_max,
-                                 config.variance_scale)
+    def __init__(self, n_arms: int, dim: int, *, lam: float = 1.0,
+                 alpha0: float = 1.0, kappa: float = 0.5, theta_min: int = 1,
+                 theta_max: int = 5, gamma_cov: float = 0.0,
+                 variance_scale: float = 1.0, floor_alpha_at_zero: bool = False,
+                 tie_break: str = "lowest-index",
+                 store_capacity: Optional[int] = None, use_attention: bool = True,
+                 use_knn: bool = True, seed: int = 0):
+        super().__init__(n_arms, dim, seed, tie_break)
+        self.floor_alpha_at_zero = as_bool(floor_alpha_at_zero, "floor_alpha_at_zero")
+        self.use_attention = as_bool(use_attention, "use_attention")
+        self.use_knn = as_bool(use_knn, "use_knn")
+        self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min, theta_max,
+                                 variance_scale)
         # Each ridge keeps mu_hat, and its inverse or factor, as rows of
         # these stacks, so that one product or one solve call scores every arm.
         self._mu_stack = np.zeros((self.n_arms, self.dim))
         self._squares = np.zeros((self.n_arms, self.dim, self.dim))
-        self.ridges = [RidgeState(dim, config.lam, config.gamma_cov, rows)
+        self.ridges = [RidgeState(dim, lam, gamma_cov, rows)
                        for rows in zip(self._mu_stack, self._squares)]
         self.stats = RewardStats(n_arms)
-        self._attention = AttentionParams(config.alpha0, config.kappa)
+        self._attention = AttentionParams(alpha0, kappa)
         # (context bytes, ScoreTable, KnnBatch) of the last select()/scores().
         # The stores change only in update(), which consumes and clears it,
         # so a match on the context is exactly what a fresh query returns.
@@ -74,20 +55,19 @@ class LNUCBTA(Policy):
 
     def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch]]:
         """The score table and k-NN pass for a checked context."""
-        cfg = self.config
         linear = self._mu_stack @ x
         width = np.sqrt(widths_sq(self.ridges, self._squares, x))
-        batch = self.bank._pass(x, True) if cfg.use_knn else None
-        knn = batch.score.copy() if cfg.use_knn else np.zeros(self.n_arms)
-        if cfg.use_attention:
+        batch = self.bank._pass(x, True) if self.use_knn else None
+        knn = batch.score.copy() if self.use_knn else np.zeros(self.n_arms)
+        if self.use_attention:
             local = self.stats.local_means()
             g = float(np.add.reduce(local) / self.n_arms)  # local.mean(), bit for bit
             alpha = exploration_rates(self._attention, self.stats.per_arm_count,
                                       g, local)
-            if cfg.floor_alpha_at_zero:
+            if self.floor_alpha_at_zero:
                 np.maximum(alpha, 0.0, out=alpha)
         else:
-            alpha = np.full(self.n_arms, cfg.alpha0)
+            alpha = np.full(self.n_arms, self._attention.alpha0)
         ucb = linear + knn + alpha * width
         return ScoreTable(linear=linear, knn=knn, alpha=alpha, width=width,
                           ucb=ucb), batch
@@ -105,27 +85,30 @@ class LNUCBTA(Policy):
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score,
-        # so the pass runs before the add.  The ridge's overflow check and
-        # the add are the steps that can raise, so both run before any change.
+        # so the pass runs before the add.  The ridge's overflow check, the
+        # bank's and the ridge update each raise before they change anything,
+        # so all three run before the add; the ridge's check goes first, so an
+        # update that overflows both is reported as the ridge's.
         knn, u_max = 0.0, 0.0
-        if self.config.use_knn:
+        if self.use_knn:
             hit = kept is not None and kept[0] == x.tobytes()
             batch = kept[2] if hit else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
         ridge = self.ridges[arm]
-        scale = ridge._check(x, reward - knn, u_max * u_max)
-        if self.config.use_knn:
+        ridge._check(x, reward - knn, u_max * u_max)
+        if self.use_knn:
+            self.bank._sums_after(arm, reward)
+        ridge._update(x, reward - knn, u_max * u_max)
+        if self.use_knn:
             self.bank._add(arm, x, reward)
-        ridge._update(x, reward - knn, u_max * u_max, scale)
         self.stats.record(arm, reward)
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
            seed: int = 0, tie_break: str = "lowest-index") -> LNUCBTA:
     """Disjoint LinUCB: the hybrid rule with a fixed alpha and no k-NN term."""
-    cfg = PolicyConfig(lam=lam, alpha0=as_nonneg(alpha, "alpha"), tie_break=tie_break,
-                       use_attention=False, use_knn=False)
-    p = LNUCBTA(n_arms, dim, cfg, seed)
+    p = LNUCBTA(n_arms, dim, lam=lam, alpha0=as_nonneg(alpha, "alpha"),
+                tie_break=tie_break, use_attention=False, use_knn=False, seed=seed)
     p.name = "linucb"
     return p
 
@@ -135,11 +118,10 @@ def lin_knn_ucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
                 store_capacity: Optional[int] = None, seed: int = 0,
                 tie_break: str = "lowest-index") -> LNUCBTA:
     """Plain linear + k-NN combination: fixed alpha, fixed k = theta_max."""
-    cfg = PolicyConfig(lam=lam, alpha0=as_nonneg(alpha, "alpha"), theta_min=theta_max,
-                       theta_max=theta_max, variance_scale=variance_scale,
-                       store_capacity=store_capacity, tie_break=tie_break,
-                       use_attention=False, use_knn=True)
-    p = LNUCBTA(n_arms, dim, cfg, seed)
+    p = LNUCBTA(n_arms, dim, lam=lam, alpha0=as_nonneg(alpha, "alpha"),
+                theta_min=theta_max, theta_max=theta_max,
+                variance_scale=variance_scale, store_capacity=store_capacity,
+                tie_break=tie_break, use_attention=False, seed=seed)
     p.name = "lin-knn-ucb"
     return p
 
@@ -300,9 +282,8 @@ class _RidgeDraws:
             self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
         return self._chol[arm] @ rng.standard_normal(self.dim)
 
-    def _fold(self, arm: int, x: np.ndarray, reward: float,
-              scale: Optional[float] = None) -> None:
-        self.ridge[arm]._update(x, reward, 0.0, scale)
+    def _fold(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self.ridge[arm]._update(x, reward, 0.0)
         self._chol[arm] = None
 
 
@@ -500,20 +481,17 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
         return out + self.knn_vector(x)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        scale = self.ridge[arm]._check(x, reward, 0.0)  # before the add: both can raise
+        # Both overflow checks, then the fold, before the add; see LNUCBTA._update.
+        self.ridge[arm]._check(x, reward, 0.0)
+        self.bank._sums_after(arm, reward)
+        self._fold(arm, x, reward)
         super()._update(arm, x, reward)
-        self._fold(arm, x, reward, scale)
-
-
-def _lnucb_ta(n_arms: int, dim: int, seed: int = 0, **config) -> LNUCBTA:
-    """The hybrid policy built from PolicyConfig keywords."""
-    return LNUCBTA(n_arms, dim, PolicyConfig(**config), seed)
 
 
 # Policy id -> factory(n_arms, dim, seed=..., **params).  Each id's accepted
 # parameters are derived from its factory by _param_keys.
 POLICIES: Dict[str, Callable[..., Policy]] = {
-    "lnucb-ta": _lnucb_ta,
+    "lnucb-ta": LNUCBTA,
     "linucb": linucb,
     "lin-knn-ucb": lin_knn_ucb,
     "ucb": UCB,
@@ -534,11 +512,8 @@ def _param_keys(factory: Callable[..., Policy]) -> frozenset:
     """Keyword names a factory accepts besides n_arms, dim and seed.
 
     A class whose __init__ takes **kw hands them to its base class, so the
-    walk follows the MRO to the first __init__ without **kw.  The hybrid's
-    keywords are the PolicyConfig fields.
+    walk follows the MRO to the first __init__ without **kw.
     """
-    if factory is _lnucb_ta:
-        return frozenset(f.name for f in fields(PolicyConfig))
     inits = ([c.__init__ for c in factory.__mro__ if "__init__" in vars(c)]
              if isinstance(factory, type) else [factory])
     keys = set()

@@ -169,16 +169,14 @@ def execute_cells(env_spec: EnvSpec, cells: Sequence[Cell],
                   jobs: int = 1) -> List[Tuple[Cell, RunResult]]:
     """Run all cells and return them merged in canonical order.
 
-    Parallelism never changes results: each cell owns its state and the merge
-    sorts by (policy, params, seed).
+    Parallelism never changes results: each cell owns its state, and the
+    cells are sorted by (policy, params, seed) once, before they run;
+    pool.map keeps that order.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ordered = sorted(cells, key=Cell.sort_key)
     if jobs == 1 or len(ordered) <= 1:
-        out = [(_worker((env_spec, c))) for c in ordered]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            out = list(pool.map(_worker, [(env_spec, c) for c in ordered]))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+        return [_worker((env_spec, c)) for c in ordered]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_worker, [(env_spec, c) for c in ordered]))

@@ -4,7 +4,7 @@ import pytest
 
 from banditlab.attention import (AttentionParams, RewardStats, exploration_rate,
                                  exploration_rates, softmax_attention)
-from banditlab.policies import LNUCBTA, PolicyConfig
+from banditlab.policies import LNUCBTA
 
 
 class TestAttentionParams:
@@ -67,7 +67,7 @@ class TestRewardStats:
 
     def test_global_mean_averages_arm_means_not_rewards(self):
         # With kappa = 1 the hybrid's alpha is alpha0 / (N + 1) * g.
-        policy = LNUCBTA(2, 2, PolicyConfig(alpha0=1.0, kappa=1.0), seed=0)
+        policy = LNUCBTA(2, 2, alpha0=1.0, kappa=1.0, seed=0)
         x = np.array([1.0, 0.0])
         for arm, reward in ((0, 1.0), (0, 1.0), (0, 1.0), (1, 0.0)):
             policy.update(arm, x, reward)

@@ -9,6 +9,7 @@ import pytest
 
 from banditlab.cli import (coerce_value, fmt, main as cli_main, parse_grid,
                            parse_seeds)
+from banditlab.metrics import DiagnosticsParams, regret_bound_curve
 from banditlab.policies import make_policy
 from conftest import PARSE_IDS, PARSE_STEPS, parse_step
 
@@ -311,6 +312,13 @@ class TestBound:
         assert lines1[1].split(",")[0] == "1"
         for l1, l2 in zip(lines1[1:], lines2[1:]):
             assert float(l2.split(",")[1]) == 2.0 * float(l1.split(",")[1])
+
+    def test_defaults_are_the_diagnostics_defaults(self, tmp_path):
+        # The flags are built from DiagnosticsParams, defaults included.
+        assert cli_main(["bound", "--T", "50", "--out", str(tmp_path)]) == 0
+        curve = regret_bound_curve(DiagnosticsParams(), 50)
+        assert read(tmp_path / "bound.csv") == "round,regret_bound\n" + "".join(
+            f"{t + 1},{fmt(curve[t])}\n" for t in range(50))
 
     def test_rejects_bad_delta(self, tmp_path):
         rc = cli_main(["bound", "--delta", "2.0", "--T", "5",

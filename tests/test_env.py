@@ -138,6 +138,23 @@ class TestTwoClassBumps:
         with pytest.raises(ValueError):
             two_class_bumps(0, 0)
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(T=2.5), "T must be an integer, got 2.5"),
+        (dict(T="40"), "T must be an integer, got '40'"),
+        (dict(d=0), "d must be >= 1"),
+        (dict(d=2.5), "d must be an integer, got 2.5"),
+        (dict(bump_count=-1), "bump_count must be >= 0"),
+        (dict(bump_count="4"), "bump_count must be an integer"),
+    ])
+    def test_integer_arguments_are_checked_by_name(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            two_class_bumps(**{"seed": 0, "T": 40, **kw})
+
+    def test_integral_floats_build_the_same_rows(self):
+        a, b = two_class_bumps(3, 40.0, d=4.0), two_class_bumps(3, 40, d=4)
+        assert np.array_equal(a.contexts, b.contexts)
+        assert np.array_equal(a.labels, b.labels)
+
 
 class TestClassificationCsv(object):
     def write(self, tmp_path, text, name="data.csv"):
@@ -509,8 +526,14 @@ class TestReplayStep:
 class TestSyntheticHybrid:
     def test_constructor_validation(self):
         for bad, match in (
-                (dict(d=0), "d must"), (dict(n_arms=1), "2 arms"),
+                (dict(d=0), "d must"), (dict(n_arms=1), "n_arms must be >= 2"),
                 (dict(bump_count=-1), "bump_count"),
+                (dict(d=2.5), "d must be an integer, got 2.5"),
+                (dict(d="3"), "d must be an integer, got '3'"),
+                (dict(n_arms=2.5), "n_arms must be an integer, got 2.5"),
+                (dict(n_arms=True), "n_arms must be an integer, got True"),
+                (dict(bump_count=1.5), "bump_count must be an integer, got 1.5"),
+                (dict(bump_count="1"), "bump_count must be an integer"),
                 (dict(noise_sigma=-0.1), "noise_sigma must be >= 0"),
                 (dict(noise_sigma=float("nan")), "noise_sigma must be >= 0"),
                 (dict(noise_sigma="abc"), "noise_sigma must be a number"),

@@ -1,19 +1,22 @@
 """Policy behavior: the hybrid rule against an independent simulator, its
 flag reductions, and the baseline algorithms."""
+import inspect
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import banditlab
 from banditlab import cli
 from banditlab.attention import RewardStats
 from banditlab.core import Policy, round_rng
 from banditlab.knn import NeighborBank
 from banditlab.linear import RidgeState
 from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
-                                PolicyConfig, BetaThompson,
-                                EnhancedBetaThompson, EnhancedEpsilonGreedy,
+                                BetaThompson, EnhancedBetaThompson,
+                                EnhancedEpsilonGreedy,
                                 EnhancedLinThompson, EpsilonGreedy, KLUCB,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
@@ -26,15 +29,22 @@ RIDGE_CASES = ([(pid, {}) for pid in sorted(POLICY_PARAM_KEYS)
                + [("lnucb-ta", {"gamma_cov": 0.05})])
 
 
+# LNUCBTA's keyword parameters and their defaults.
+HYBRID_DEFAULTS = {name: p.default for name, p in
+                   inspect.signature(LNUCBTA).parameters.items()
+                   if p.kind is p.KEYWORD_ONLY and name != "seed"}
+
+
 class HandRolledHybrid:
     """Direct, slow reimplementation of the hybrid scoring and update rules.
 
     Uses explicit matrix inverses and full sorts; exists only to cross-check
-    the production policy's incremental bookkeeping.
+    the production policy's incremental bookkeeping.  Takes the keyword
+    parameters LNUCBTA is built with, as a dict.
     """
 
-    def __init__(self, n_arms, dim, cfg: PolicyConfig):
-        self.cfg = cfg
+    def __init__(self, n_arms, dim, params):
+        self.cfg = cfg = SimpleNamespace(**{**HYBRID_DEFAULTS, **params})
         self.n_arms = n_arms
         self.dim = dim
         self.sigma = [cfg.lam * np.eye(dim) for _ in range(n_arms)]
@@ -98,10 +108,10 @@ class HandRolledHybrid:
 
 
 def test_hybrid_matches_handrolled_simulator():
-    cfg = PolicyConfig(lam=0.8, alpha0=1.5, kappa=0.3, theta_min=1,
-                       theta_max=3, gamma_cov=0.1, variance_scale=4.0)
-    policy = LNUCBTA(3, 2, cfg, seed=0)
-    sim = HandRolledHybrid(3, 2, cfg)
+    params = dict(lam=0.8, alpha0=1.5, kappa=0.3, theta_min=1, theta_max=3,
+                  gamma_cov=0.1, variance_scale=4.0)
+    policy = LNUCBTA(3, 2, **params, seed=0)
+    sim = HandRolledHybrid(3, 2, params)
     rng = np.random.default_rng(42)
     for t in range(25):
         x = rng.standard_normal(2)
@@ -119,7 +129,7 @@ def test_hybrid_matches_handrolled_simulator():
 
 
 def test_score_table_decomposition_is_consistent():
-    policy = LNUCBTA(4, 3, PolicyConfig(), seed=1)
+    policy = LNUCBTA(4, 3, seed=1)
     rng = np.random.default_rng(1)
     for t in range(15):
         x = rng.standard_normal(3)
@@ -132,7 +142,7 @@ def test_score_table_decomposition_is_consistent():
 
 
 def test_selection_and_scoring_are_pure():
-    policy = LNUCBTA(3, 2, PolicyConfig(), seed=0)
+    policy = LNUCBTA(3, 2, seed=0)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(2)
     policy.update(1, x, 0.5)
@@ -152,7 +162,7 @@ def test_selection_and_scoring_are_pure():
 def test_score_table_widths_equal_each_ridge_width(gamma_cov):
     # Shifted ridges are scored one triangular solve per arm, exactly as
     # RidgeState.width_sq computes it; unshifted ones by the stacked inverses.
-    policy = LNUCBTA(3, 6, PolicyConfig(theta_max=2, gamma_cov=gamma_cov), seed=0)
+    policy = LNUCBTA(3, 6, theta_max=2, gamma_cov=gamma_cov, seed=0)
     rng = np.random.default_rng(9)
     gram = np.zeros((3, 6, 6))
     for t in range(60):
@@ -181,10 +191,9 @@ def test_score_table_widths_equal_each_ridge_width(gamma_cov):
 def test_update_without_prior_scoring_matches_memoized_path(config):
     # An update with no scoring pass before it queries its arm through
     # knn_score; the result must equal the memo of the selection pass.
-    cfg = PolicyConfig(**{"theta_min": 1, "theta_max": 3,
-                          "variance_scale": 10.0, **config})
-    scored = LNUCBTA(2, 2, cfg, seed=0)
-    unscored = LNUCBTA(2, 2, cfg, seed=0)
+    params = {"theta_min": 1, "theta_max": 3, "variance_scale": 10.0, **config}
+    scored = LNUCBTA(2, 2, **params, seed=0)
+    unscored = LNUCBTA(2, 2, **params, seed=0)
     rng = np.random.default_rng(3)
     plain_b = np.zeros((2, 2))  # b with no k-NN term in the residual
     for t in range(40):
@@ -208,7 +217,7 @@ def test_flag_reductions():
     # No knn, no attention, fixed k: the factory policies are flag configs.
     lin = linucb(3, 2, alpha=0.7)
     assert lin.name == "linucb"
-    assert not lin.config.use_knn and not lin.config.use_attention
+    assert not lin.use_knn and not lin.use_attention
     x = np.array([0.6, 0.8])
     table = lin.score_table(x, 0)
     assert np.array_equal(table.knn, np.zeros(3))
@@ -217,14 +226,14 @@ def test_flag_reductions():
 
     twin = lin_knn_ucb(3, 2, alpha=0.3, theta_max=4)
     assert twin.name == "lin-knn-ucb"
-    assert twin.config.use_knn and not twin.config.use_attention
-    assert twin.config.theta_min == twin.config.theta_max == 4
+    assert twin.use_knn and not twin.use_attention
+    assert twin.bank.theta_min == twin.bank.theta_max == 4
     assert twin.bank._ks == [4, 4, 4]
 
 
 def test_alpha_floor_clamps_negative_rates():
-    floored = LNUCBTA(2, 2, PolicyConfig(floor_alpha_at_zero=True), seed=0)
-    raw = LNUCBTA(2, 2, PolicyConfig(floor_alpha_at_zero=False), seed=0)
+    floored = LNUCBTA(2, 2, floor_alpha_at_zero=True, seed=0)
+    raw = LNUCBTA(2, 2, floor_alpha_at_zero=False, seed=0)
     x = np.array([1.0, 0.0])
     for policy in (floored, raw):
         policy.update(0, x, -2.0)  # negative mean drives alpha negative
@@ -232,8 +241,12 @@ def test_alpha_floor_clamps_negative_rates():
     assert floored.score_table(x, 1).alpha.min() == 0.0
 
 
-def test_policy_config_validation():
-    # PolicyConfig only holds values; building the policy checks them.
+@pytest.mark.parametrize("build", [
+    lambda bad: LNUCBTA(2, 2, **bad),
+    lambda bad: make_policy("lnucb-ta", 2, 2, **bad),
+], ids=["class", "make_policy"])
+def test_hybrid_parameter_validation(build):
+    # Building the policy checks each keyword parameter, by name.
     for bad in (dict(lam=0.0), dict(alpha0=-1.0), dict(kappa=2.0),
                 dict(theta_min=0), dict(theta_min=5, theta_max=3),
                 dict(gamma_cov=-0.5), dict(variance_scale=0.0),
@@ -244,7 +257,11 @@ def test_policy_config_validation():
                 dict(alpha0="abc"), dict(gamma_cov="abc"),
                 dict(variance_scale="abc"), dict(theta_max="abc")):
         with pytest.raises(ValueError, match=next(iter(bad))):
-            LNUCBTA(2, 2, PolicyConfig(**bad))
+            build(bad)
+
+
+def test_public_names_resolve():
+    assert all(hasattr(banditlab, name) for name in banditlab.__all__)
 
 
 PINNED_PARAM_KEYS = {
@@ -310,6 +327,7 @@ class TestMakePolicy:
         # CLI's shared-flag filtering depend on them staying exactly these.
         assert POLICY_PARAM_KEYS == PINNED_PARAM_KEYS
         assert cli.POLICY_PARAM_KEYS == PINNED_PARAM_KEYS
+        assert POLICIES["lnucb-ta"] is LNUCBTA
 
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
     def test_unknown_key_rejected_for_every_id(self, pid):
@@ -395,10 +413,20 @@ class TestMakePolicy:
     def test_shifted_ridge_that_cannot_factor_changes_nothing(self, step):
         # sigma + x x^T rounds to a singular matrix: x x^T's entries are 1e18,
         # whose spacing is 128, and sigma's are far smaller.
+        params = dict(gamma_cov=0.05, lam=1e-10)
         with ridge_step(step):
             assert_rejected_update_changes_nothing(
                 "lnucb-ta", {"x": [1e9, 1e9], "reward": 1.0},
-                "not positive definite", gamma_cov=0.05, lam=1e-10, use_knn=False)
+                "not positive definite", use_knn=False, **params)
+            # With k-NN on, an arm with no neighbors adds no shift either, and
+            # the bank must not keep the entry the ridge refused.
+            policy, twin = (make_policy("lnucb-ta", 2, 2, **params) for _ in "ab")
+            with pytest.raises(ValueError, match="not positive definite"):
+                policy.update(0, [1e9, 1e9], 1.0)
+            assert hybrid_state(policy) == hybrid_state(twin)
+            for each in (policy, twin):
+                each.update(0, [0.3, 0.1], 0.5)
+            assert hybrid_state(policy) == hybrid_state(twin)
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
@@ -439,6 +467,19 @@ class TestMakePolicy:
             cls = type(make_policy(pid, 3, 4))
             for verb in ("select", "update", "scores"):
                 assert getattr(cls, verb) is getattr(Policy, verb), (pid, verb)
+
+
+def hybrid_state(policy):
+    """The bytes of an LNUCBTA's bank, ridges, stats and scores."""
+    bank = policy.bank
+    arrays = [bank._norm2, bank._rewards, *bank._rounds,
+              *(bank.store(a).contexts for a in range(bank.n_arms)),
+              policy.stats.per_arm_sum, policy.stats.per_arm_count,
+              policy.scores([0.3, 0.1], 1)]
+    for r in policy.ridges:
+        arrays += [r.sigma, r.b, r.mu_hat, r.chol]
+    return ([a.tobytes() for a in arrays], bank._start, bank._end, bank._sums,
+            bank._ks, bank._adds, [r._scale for r in policy.ridges])
 
 
 def assert_rejected_update_changes_nothing(pid, bad, match, **params):
