@@ -1,5 +1,5 @@
-"""The compiled steps, built with cffi: ``knn_step``, the twin of
-``NeighborBank._select``, the ridge updates and widths of ``linear``, and
+"""The compiled steps, built with cffi: ``score_pass``, a round's whole score
+pass (see ``NeighborBank._query``), the ridge updates of ``linear``, and
 ``news_parse``, which reads the news logs ``env.load_news_csv`` accepts."""
 import ctypes
 import hashlib
@@ -13,6 +13,8 @@ from importlib.machinery import ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 
+import numpy as np
+
 # d2 = max(dot * -2 + norm2 + xx, 0) in numpy's order of operations, hence
 # -ffp-contract=off.  Insertion with a strict < keeps each row's first k
 # entries in (d2, column) order, so ties go to the lower round.
@@ -23,35 +25,67 @@ SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-int64_t knn_step(const double *dot, int64_t width, const double *norm2,
-                 const double *rewards, int64_t stride, const int64_t *rows,
-                 const int64_t *sizes, const int64_t *ks, int64_t n, int strict,
-                 double xx, double *sel, int64_t k_cols, double *u_max,
-                 int64_t *k_used, double *best)
+/* The cblas_dgemv and cblas_ddot of numpy's own OpenBLAS (see with_blas). */
+typedef void gemv_t(int, int, int64_t, int64_t, double, const double *, int64_t,
+                    const double *, int64_t, double, double *, int64_t);
+typedef double ddot_t(int64_t, const double *, int64_t, const double *, int64_t);
+typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
+                     double *, int *, int *);
+
+/* out = a x for a row-major n x d a: ddot for one row, else dgemv (row-major,
+   not transposed), as ndarray.dot calls them; with_blas checks the bits. */
+void matvec(int64_t n, int64_t d, const double *a, const double *x, double *out,
+            intptr_t gemv, intptr_t ddot)
 {
-    int64_t common = 0;  /* the applied rows' one k, or -1 */
+    if (n == 1) *out = ((ddot_t *)ddot)(d, a, 1, x, 1);
+    else if (n > 1) ((gemv_t *)gemv)(101, 111, n, d, 1.0, a, d, x, 1, 0.0, out, 1);
+}
+
+/* One round's scores.  Per row j (arm a = rows[j]): a's window of contexts
+   times x into dot, then its first ks[j] in (d2, column) order.  Per stacked
+   arm: linear = mu x, and width = sqrt(v.v), v = dtrtrs(L, x), for L in
+   chols.  out: sel (n x k_cols), u_max, k_used, linear, width, scratch.
+   Returns the applied rows' one k, 0 for none, or -1. */
+int64_t score_pass(const double *x, int64_t d, double *const *ctx,
+                   const int64_t *start, const int64_t *end, const int64_t *rows,
+                   const int64_t *ks, int64_t n, int strict, const double *norm2,
+                   const double *rewards, int64_t stride, double *dot, double *out,
+                   int64_t k_cols, const double *mu, double *chols, int64_t n_mu,
+                   intptr_t trtrs, intptr_t gemv, intptr_t ddot)
+{
+    double *u_max = out + n * k_cols, *linear = u_max + 2 * n, *width = linear + n_mu;
+    double *best = width + n_mu, *v = best + k_cols;
+    int64_t *k_used = (int64_t *)(u_max + n), common = 0;
+    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
     for (int64_t j = 0; j < n; j++) {
-        int64_t size = sizes[j], k = ks[j], m = 0;
+        int64_t a = rows[j], size = end[a] - start[a], k = ks[j], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
         if (size < k) continue;
         k_used[j] = k;
         common = common == 0 || common == k ? k : -1;
-        const double *d = dot + j * width;
-        const double *nr = norm2 + rows[j] * stride, *rw = rewards + rows[j] * stride;
-        double *out = sel + j * k_cols;  /* rewards move with their d2 */
+        matvec(size, d, ctx[a] + start[a] * d, x, dot, gemv, ddot);
+        const double *nr = norm2 + a * stride, *rw = rewards + a * stride;
+        double *sel = out + j * k_cols;  /* rewards move with their d2 */
         for (int64_t c = 0; c < size; c++) {
-            double v = d[c] * -2.0 + nr[c] + xx;
-            if (v < 0.0) v = 0.0;
-            if (m == k && !(v < best[k - 1])) continue;
+            double d2 = dot[c] * -2.0 + nr[c] + xx;
+            if (d2 < 0.0) d2 = 0.0;
+            if (m == k && !(d2 < best[k - 1])) continue;
             int64_t i = m < k ? m++ : k - 1;
-            for (; i > 0 && best[i - 1] > v; i--) {
+            for (; i > 0 && best[i - 1] > d2; i--) {
                 best[i] = best[i - 1];
-                out[i] = out[i - 1];
+                sel[i] = sel[i - 1];
             }
-            best[i] = v;
-            out[i] = rw[c];
+            best[i] = d2;
+            sel[i] = rw[c];
         }
         u_max[j] = sqrt(best[k - 1]);
+    }
+    if (mu) matvec(n_mu, d, mu, x, linear, gemv, ddot);
+    for (int64_t a = 0; chols && a < n_mu; a++) {
+        int one = 1, info, di = (int)d;
+        memcpy(v, x, sizeof(double) * d);
+        ((trtrs_t *)trtrs)("L", "N", "N", &di, &one, chols + a * d * d, &di, v, &di, &info);
+        width[a] = sqrt(((ddot_t *)ddot)(d, v, 1, v, 1));
     }
     return common;
 }
@@ -60,8 +94,6 @@ int64_t knn_step(const double *dot, int64_t width, const double *norm2,
    routines scipy.linalg.lapack wraps, with the arguments its f2py passes. */
 typedef void potrf_t(char *, int *, double *, int *, int *);
 typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *, int *);
-typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
-                     double *, int *, int *);
 
 /* sigma += x x^T and b += r x, then inv -= v v^T / s if inv is given.
    Returns the smallest diagonal entry of inv (infinity without one). */
@@ -107,18 +139,6 @@ int ridge_factor(const double *x, double *sigma, double *b, double *chol,
     memcpy(mu, b, sizeof(double) * d);
     ((potrs_t *)potrs)("L", &d, &one, chol, &d, mu, &d, &info);
     return info;
-}
-
-/* v[a] = dtrtrs(chol_a, x, lower=1) for n column-major factors. */
-void ridge_solve(double *chols, const double *x, double *v, int n, int d,
-                 intptr_t trtrs)
-{
-    int one = 1, info;
-    for (int a = 0; a < n; a++) {
-        memcpy(v + a * d, x, sizeof(double) * d);
-        ((trtrs_t *)trtrs)("L", "N", "N", &d, &one, chols + (size_t)a * d * d,
-                           &d, v + a * d, &d, &info);
-    }
 }
 
 static locale_t c_locale;  /* strtod_l's, made when the module loads */
@@ -205,6 +225,29 @@ def lapack_routines(cython_lapack):
             for name in ("potrf", "potrs", "trtrs"))
     except (AttributeError, KeyError, ValueError):  # ValueError: another prototype
         return None
+
+
+CHECK_SHAPES = ((1, 1), (1, 10), (1, 100), (2, 1), (9, 1), (5, 10), (3, 100), (3100, 3), (2, 4100))
+BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+
+
+def with_blas(module):
+    """(module, the addresses of numpy's own dgemv and ddot), or (None, None)
+    without the module, a BLAS_SYMBOLS symbol, or numpy's bits (``dot`` and
+    ``matmul``) from ``matvec`` on every CHECK_SHAPES shape: one row, one
+    column, and past OpenBLAS's blocking and threading sizes."""
+    try:  # numpy's OpenBLAS is mapped already: dlsym finds it through numpy
+        lib, buf = ctypes.CDLL(np._core._multiarray_umath.__file__), module.ffi.from_buffer
+        blas = [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
+    except (AttributeError, OSError):
+        return None, None
+    pool = np.sin(np.arange(1.0, 1.0 + max(n * d for n, d in CHECK_SHAPES)) * 1.7)
+    for n, d in CHECK_SHAPES:
+        a, x, out = pool[:n * d].reshape(n, d), pool[-d:], np.empty(n)
+        module.lib.matvec(n, d, *(buf("double[]", v) for v in (a, x, out)), *blas)
+        if not out.tobytes() == a.dot(x).tobytes() == (a @ x).tobytes():
+            return None, None
+    return module, tuple(blas)
 
 
 _BUILD = """import os, sys, cffi

@@ -1,7 +1,9 @@
 """Temporal attention exploration schedule and global/local reward statistics."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,10 +30,18 @@ class RewardStats:
         self.per_arm_sum = np.zeros(self.n_arms)
         self.per_arm_count = np.zeros(self.n_arms, dtype=np.int64)
 
-    def record(self, arm: int, reward: float) -> None:
+    def _sum_after(self, arm: int, reward: float) -> float:
+        """record's ``total``: the arm's sum with ``reward``; ValueError on overflow."""
+        total = float(self.per_arm_sum[arm]) + reward
+        if not math.isfinite(total):
+            raise ValueError(f"reward {reward!r} overflows arm {arm}'s reward sum")
+        return total
+
+    def record(self, arm: int, reward: float, total: Optional[float] = None) -> None:
         if not 0 <= arm < self.n_arms:
             raise ValueError(f"arm {arm} out of range")
-        self.per_arm_sum[arm] += as_reward(reward)
+        self.per_arm_sum[arm] = (self._sum_after(arm, as_reward(reward))
+                                 if total is None else total)
         self.per_arm_count[arm] += 1
 
     def local_means(self) -> np.ndarray:

@@ -123,6 +123,8 @@ def two_class_bumps(seed: int, T: int, d: int = 10, bump_count: int = 4,
     T = as_int(T, "T", 1)
     d = as_int(d, "d", 1)
     bump_count = as_int(bump_count, "bump_count", 0)
+    seed = as_int(seed, "seed", 0)
+    bump_radius = as_positive(bump_radius, "bump_radius")
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)

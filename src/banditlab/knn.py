@@ -1,6 +1,7 @@
 """Per-arm neighbor store and the variance-adaptive k-NN reward estimator."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -11,8 +12,8 @@ from . import _cstep
 from .core import as_context, as_int, as_positive, as_reward
 
 _FINITE_MAX = np.finfo(np.float64).max
-# NeighborBank's compiled pass step, or None for the numpy step.
-_step = _cstep.load()
+# NeighborBank's compiled pass and the BLAS it calls, or None for the numpy step.
+_step, _BLAS = _cstep.with_blas(_cstep.load())
 
 
 @dataclass(frozen=True)
@@ -73,14 +74,19 @@ class NeighborBank:
         width = capacity if capacity is not None else length
         self._norm2 = np.full((n_arms, width), np.inf)
         self._rewards = np.zeros((n_arms, width))
-        self._start = [0] * n_arms
-        self._end = [0] * n_arms
+        # int64 arrays that the compiled pass reads in place; lists for the
+        # numpy step, and for a theta past int64 (such a k can only gate).
+        ints = (list if _step is None or self.theta_max >= 2 ** 63
+                else functools.partial(_step.ffi.new, "int64_t[]"))
+        self._start = ints([0] * n_arms)
+        self._end = ints([0] * n_arms)
         # Per row: reward sum, squared-reward sum, and the sums of their
         # absolute running values, which bound their rounding error.
         self._sums = [[0.0] * 4 for _ in range(n_arms)]
-        self._all_rows = list(range(n_arms))
-        self._ks = [self.theta_min] * n_arms  # an empty row's variance is 0
+        self._all_rows = ints(list(range(n_arms)))
+        self._ks = ints([self.theta_min] * n_arms)  # an empty row's variance is 0
         self._adds = 0
+        self._c = None  # the compiled pass's pointers into the arrays above
 
     def store(self, arm: int) -> "NeighborStore":
         """A NeighborStore view of one arm's entries."""
@@ -96,6 +102,7 @@ class NeighborBank:
             pad = ((0, 0), (0, width))
             self._norm2 = np.pad(self._norm2, pad, constant_values=np.inf)
             self._rewards = np.pad(self._rewards, pad)
+        self._c = None
 
     def add(self, arm: int, context, reward: float, round: int) -> None:
         if not 0 <= arm < self.n_arms:
@@ -122,14 +129,14 @@ class NeighborBank:
         return sums
 
     def _add(self, arm: int, x: np.ndarray, reward: float,
-             round: Optional[int] = None) -> None:
+             round: Optional[int] = None, sums: Optional[list] = None) -> None:
         """add() for a checked context and reward, at a round after the arm's last.
 
         Without a round the entry is stamped with the bank's add count.  A
-        reward that would overflow the arm's running sums raises before
-        anything changes.
+        reward that would overflow the arm's running sums (``sums``, if the
+        caller ran _sums_after) raises before anything changes.
         """
-        sums = self._sums_after(arm, reward)
+        sums = self._sums_after(arm, reward) if sums is None else sums
         start, end = self._start[arm], self._end[arm]
         n = end - start
         full = n == self.capacity  # the oldest entry is evicted
@@ -192,48 +199,63 @@ class NeighborBank:
         strict=False lowers k to the number held instead (an empty arm is
         still not applied).
         """
-        return self._query(self._all_rows, x, float(x.dot(x)), self._ks, strict)
+        return self._query(self._all_rows, x, self._ks, strict)[0]
 
-    def _query(self, arms, x: np.ndarray, xx: float, ks, strict: bool) -> "KnnBatch":
+    def _query(self, arms, x: np.ndarray, ks, strict: bool, stacks: Optional[list] = None):
         """One k-NN pass over the given rows for already-validated input.
 
         Per arm this selects the k entries first in (distance, round) order:
         ties go to the lower round, u_max is the k-th distance, and the
-        score sums rewards in that order.  The compiled ``_step`` selects,
-        or its numpy twin ``_select`` where it is not built.
+        score sums rewards in that order.  Returns (KnnBatch, mu_hat . x,
+        widths) for a policy's ``stacks`` (mu_hat rows, L^T rows and dtrtrs's
+        address or None and 0, a pointer slot): the compiled ``_step`` does
+        it all in one C call, and the numpy ``_select`` leaves widths None.
         """
-        n, sizes = len(arms), [self._end[a] - self._start[a] for a in arms]
-        # One matvec per arm over exactly its window: BLAS results depend on
-        # the row count, and this keeps them equal to a one-store query.
-        dot = np.zeros((n, max(sizes)))
-        for j, a in enumerate(arms):
-            s = self._start[a]
-            self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
-        # An applied row's k is at most its size, so k_cols columns hold every
+        n, width = len(arms), self._norm2.shape[1]
+        # An applied row's k is at most its window, so k_cols columns hold every
         # selection; a larger k only gates, and is clipped to fit in C.
-        k_cols = max(1, min(max(ks), dot.shape[1]))
-        ks = [min(k, k_cols + 1) for k in ks] if max(ks) > k_cols else ks
-        sel, u_max, k_used = np.zeros((n, k_cols)), np.zeros(n), np.zeros(n, np.int64)
-        step = _step
-        if step is None:
-            k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
+        top = self.theta_max if ks is self._ks else max(ks)
+        k_cols = max(1, min(top, width))
+        ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
+        mu, chols, trtrs, c = stacks or (np.empty((0, self.dim)), None, 0, None)
+        m, at = len(mu), n * (k_cols + 2)
+        out = np.zeros(at + 2 * m + k_cols + self.dim)  # the last are C scratch
+        sel, u_max = out[:n * k_cols].reshape(n, k_cols), out[n * k_cols:at - n]
+        k_used, linear, widths = out[at - n:at].view(np.int64), out[at:at + m], None
+        if _step is not None:
+            ffi, buf = _step.ffi, _step.ffi.from_buffer
+            if self._c is None:  # reset by _grow
+                self._c = (ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
+                           *(buf("double[]", a) for a in (self._norm2, self._rewards,
+                                                          np.empty(width))))
+            if stacks and c is None:
+                c = stacks[3] = (buf("double[]", mu),
+                                 ffi.NULL if chols is None else buf("double[]", chols))
+            ctx, norm2, rewards, dot = self._c
+            k = _step.lib.score_pass(
+                buf("double[]", np.ascontiguousarray(x)), self.dim, ctx, self._start,
+                self._end, arms, ks, n, strict, norm2, rewards, width, dot,
+                buf("double[]", out), k_cols, *(c or (ffi.NULL,) * 2), m, trtrs, *_BLAS)
+            widths = None if chols is None else out[at + m:at + 2 * m]
         else:
-            buf = step.ffi.from_buffer
-            k = step.lib.knn_step(
-                buf("double[]", dot), dot.shape[1], buf("double[]", self._norm2),
-                buf("double[]", self._rewards), self._norm2.shape[1], arms,
-                sizes, ks, n, strict, xx, buf("double[]", sel), k_cols,
-                buf("double[]", u_max), buf("int64_t[]", k_used),
-                step.ffi.new("double[]", k_cols))
+            xx, sizes = float(x.dot(x)), [self._end[a] - self._start[a] for a in arms]
+            # One matvec per arm over exactly its window: BLAS results depend
+            # on the row count, and this keeps them equal to a one-store query.
+            dot = np.zeros((n, max(sizes, default=0)))
+            for j, a in enumerate(arms):
+                s = self._start[a]
+                self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
+            k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
+            linear[...] = mu @ x
         if k > 0:  # every applied arm uses k; the others' rows are zeros
             score = np.add.reduce(sel[:, :k], axis=1) / k
         else:  # row j's own 1-D reduce: its first k_j rewards, in order
             score = np.array([np.add.reduce(r[:kj]) / kj if kj else 0.0
                               for r, kj in zip(sel, k_used.tolist())])
-        return KnnBatch(score, u_max, k_used)
+        return KnnBatch(score, u_max, k_used), linear, widths
 
     def _select(self, arms, sizes, ks, strict, xx, dot, sel, u_max, k_used) -> int:
-        """The numpy twin of _cstep's knn_step: its contract and result bits."""
+        """The numpy twin of _cstep's score_pass selection: its contract and bits."""
         if not strict:
             ks = [min(k, max(size, 1)) for k, size in zip(ks, sizes)]
         live = [j for j, (k, size) in enumerate(zip(ks, sizes)) if size >= k]
@@ -243,8 +265,8 @@ class NeighborBank:
         k_max, width, shortest = max(k_live), dot.shape[1], min(sizes[j] for j in live)
         # Slices, not gathers, where every row applies (the common case).
         at = slice(None) if len(live) == len(arms) else live
-        every = at == slice(None) and arms == self._all_rows
-        rows = at if every else np.asarray(arms)[live]
+        every = at == slice(None) and arms is self._all_rows
+        rows = at if every else np.array([arms[j] for j in live])
         k_used[at] = k_live
         # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached row norms.
         d2 = dot[at]
@@ -389,10 +411,9 @@ def select_k(variance: float, theta_min: int, theta_max: int) -> int:
     return min(max(k, theta_min), theta_max)
 
 
-def _score_prechecked(store: NeighborStore, x: np.ndarray, xx: float,
-                      k: int) -> KnnScore:
+def _score_prechecked(store: NeighborStore, x: np.ndarray, k: int) -> KnnScore:
     """knn_score body for already-validated input: the one-arm bank pass."""
-    return store._bank._query([store._arm], x, xx, [k], True).row(0)
+    return store._bank._query([store._arm], x, [k], True)[0].row(0)
 
 
 def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
@@ -403,7 +424,7 @@ def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
     """
     k = as_int(k, "k", 1)
     x = as_context(x, store.dim)
-    return _score_prechecked(store, x, float(x @ x), k)
+    return _score_prechecked(store, x, k)
 
 
 def knn_score_bruteforce(store: NeighborStore, x, k: int) -> KnnScore:

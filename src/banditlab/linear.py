@@ -82,6 +82,7 @@ class RidgeState:
             self._inv = square
             np.fill_diagonal(square, 1.0 / self.lam)
         self._rank_one_updates = 0  # since _inv was last computed from sigma
+        self._c = None  # the compiled step's pointers into the arrays above
 
     @property
     def sigma_inv(self) -> np.ndarray:
@@ -139,15 +140,19 @@ class RidgeState:
                              "would not stay finite")
         return scale
 
-    def _update(self, x: np.ndarray, residual: float, e_knn: float) -> None:
+    def _update(self, x: np.ndarray, residual: float, e_knn: float,
+                scale: Optional[float] = None) -> None:
         """update() for a checked context, finite residual and e_knn >= 0;
         one that could overflow, or a shifted sigma that is not positive
-        definite, raises before anything changes."""
-        scale = self._check(x, residual, e_knn)
+        definite, raises before anything changes.  ``scale`` is _check's
+        result, if the caller has run it."""
+        scale = self._check(x, residual, e_knn) if scale is None else scale
         residual = float(residual)
         step = _step if self.chol is None or _lapack()[1] else None
-        if step is not None:
+        if step is not None:  # pointers into the arrays kept are taken once
             x = np.ascontiguousarray(x)
+            self._c = self._c or _buffers(step, self.sigma, self.b, self._inv if
+                                          self.chol is None else self.chol.T, self.mu_hat)
         if self.chol is not None:
             inflate = self.gamma_cov * float(e_knn)
             if step is None:
@@ -156,9 +161,8 @@ class RidgeState:
                     # sigma is C-contiguous: this steps along its diagonal in place.
                     sigma.reshape(-1)[::self.dim + 1] += inflate
                 self._factor(sigma, self.b + residual * x)
-            elif step.lib.ridge_factor(
-                    *_buffers(step, x, self.sigma, self.b, self.chol.T, self.mu_hat),
-                    self.dim, residual, inflate, *_lapack()[1][:2]):
+            elif step.lib.ridge_factor(*_buffers(step, x), *self._c, self.dim, residual,
+                                       inflate, *_lapack()[1][:2]):
                 raise np.linalg.LinAlgError("sigma is not positive definite")
             self._scale = scale
             return
@@ -171,8 +175,8 @@ class RidgeState:
             self._inv -= v[:, None] * v / s
             low = np.diagonal(self._inv).min()
         else:
-            low = step.lib.ridge_rank_one(*_buffers(step, x, self.sigma, self.b, v, self._inv),
-                                          self.dim, residual, s)
+            low = step.lib.ridge_rank_one(*_buffers(step, x), *self._c[:2], *_buffers(step, v),
+                                          self._c[2], self.dim, residual, s)
         self._scale = scale
         self._rank_one_updates += 1
         # A diagonal entry <= 0: round-off left an inverse that is not
@@ -201,13 +205,7 @@ def widths_sq(ridges: Sequence[RidgeState], squares: np.ndarray,
     ridges[a]'s inverse or L^T (the rows it was built with)."""
     if ridges[0].chol is None:
         return np.maximum((squares @ x) @ x, 0.0)
-    routines, step = _lapack()[1], _step
-    if step is None or routines is None:
-        return np.array([r._width_sq(x) for r in ridges])
-    v = np.empty(squares.shape[:2])
-    step.lib.ridge_solve(*_buffers(step, squares, np.ascontiguousarray(x), v),
-                         *v.shape, routines[2])
-    return (v[:, None] @ v[:, :, None]).ravel()  # each row's v.dot(v), bit for bit
+    return np.array([r._width_sq(x) for r in ridges])
 
 
 @dataclass

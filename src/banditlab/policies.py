@@ -12,7 +12,7 @@ from .attention import (AttentionParams, RewardStats, exploration_rates,
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
                    as_nonneg, as_positive, round_rng)
 from .knn import KnnBatch, NeighborBank
-from .linear import RidgeState, widths_sq
+from .linear import RidgeState, _lapack, widths_sq
 
 
 class LNUCBTA(Policy):
@@ -41,11 +41,15 @@ class LNUCBTA(Policy):
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min, theta_max,
                                  variance_scale)
         # Each ridge keeps mu_hat, and its inverse or factor, as rows of
-        # these stacks, so that one product or one solve call scores every arm.
+        # these stacks, so that the bank's pass scores every arm's ridge too.
         self._mu_stack = np.zeros((self.n_arms, self.dim))
         self._squares = np.zeros((self.n_arms, self.dim, self.dim))
         self.ridges = [RidgeState(dim, lam, gamma_cov, rows)
                        for rows in zip(self._mu_stack, self._squares)]
+        # Factored widths are compiled too where dtrtrs is found: see NeighborBank._query.
+        lapack = self.ridges[0].chol is not None and _lapack()[1]
+        self._stacks = [self._mu_stack, self._squares if lapack else None,
+                        lapack[2] if lapack else 0, None]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(alpha0, kappa)
         # (context bytes, ScoreTable, KnnBatch) of the last select()/scores().
@@ -55,9 +59,14 @@ class LNUCBTA(Policy):
 
     def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch]]:
         """The score table and k-NN pass for a checked context."""
-        linear = self._mu_stack @ x
-        width = np.sqrt(widths_sq(self.ridges, self._squares, x))
-        batch = self.bank._pass(x, True) if self.use_knn else None
+        bank = self.bank
+        if self.use_knn or self._stacks[2]:  # else numpy's product alone is cheaper
+            batch, linear, width = bank._query(bank._all_rows if self.use_knn else [],
+                                               x, bank._ks, True, self._stacks)
+        else:
+            batch, linear, width = None, self._mu_stack @ x, None
+        if width is None:
+            width = np.sqrt(widths_sq(self.ridges, self._squares, x))
         knn = batch.score.copy() if self.use_knn else np.zeros(self.n_arms)
         if self.use_attention:
             local = self.stats.local_means()
@@ -84,24 +93,24 @@ class LNUCBTA(Policy):
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         kept, self._kept = self._kept, None
-        # The residual target is frozen at the selection-round k-NN score,
-        # so the pass runs before the add.  The ridge's overflow check, the
-        # bank's and the ridge update each raise before they change anything,
-        # so all three run before the add; the ridge's check goes first, so an
-        # update that overflows both is reported as the ridge's.
-        knn, u_max = 0.0, 0.0
+        # The residual target is frozen at the selection-round k-NN score, so
+        # the pass runs before the add.  Each check runs once, the ridge's
+        # first (it names an update that overflows both), then the changes:
+        # the ridge's first, as it can still refuse a shifted sigma.
+        knn, u_max, sums = 0.0, 0.0, None
         if self.use_knn:
             hit = kept is not None and kept[0] == x.tobytes()
             batch = kept[2] if hit else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
         ridge = self.ridges[arm]
-        ridge._check(x, reward - knn, u_max * u_max)
+        scale = ridge._check(x, reward - knn, u_max * u_max)
         if self.use_knn:
-            self.bank._sums_after(arm, reward)
-        ridge._update(x, reward - knn, u_max * u_max)
+            sums = self.bank._sums_after(arm, reward)
+        total = self.stats._sum_after(arm, reward)
+        ridge._update(x, reward - knn, u_max * u_max, scale)
         if self.use_knn:
-            self.bank._add(arm, x, reward)
-        self.stats.record(arm, reward)
+            self.bank._add(arm, x, reward, sums=sums)
+        self.stats.record(arm, reward, total)
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
@@ -282,8 +291,9 @@ class _RidgeDraws:
             self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
         return self._chol[arm] @ rng.standard_normal(self.dim)
 
-    def _fold(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.ridge[arm]._update(x, reward, 0.0)
+    def _fold(self, arm: int, x: np.ndarray, reward: float,
+              scale: Optional[float] = None) -> None:
+        self.ridge[arm]._update(x, reward, 0.0, scale)
         self._chol[arm] = None
 
 
@@ -401,7 +411,7 @@ class _EnhancedBase(Policy):
         return self.bank._pass(x, True).score
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.bank._add(arm, x, reward)  # first: the one step that can raise
+        self.bank._add(arm, x, reward)  # first: its check also bounds the stats
         self.stats.record(arm, reward)
 
 
@@ -481,11 +491,12 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
         return out + self.knn_vector(x)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        # Both overflow checks, then the fold, before the add; see LNUCBTA._update.
-        self.ridge[arm]._check(x, reward, 0.0)
-        self.bank._sums_after(arm, reward)
-        self._fold(arm, x, reward)
-        super()._update(arm, x, reward)
+        # Both checks, the ridge's first, then the changes; see LNUCBTA._update.
+        scale = self.ridge[arm]._check(x, reward, 0.0)
+        sums = self.bank._sums_after(arm, reward)
+        self._fold(arm, x, reward, scale)
+        self.bank._add(arm, x, reward, sums=sums)
+        self.stats.record(arm, reward)
 
 
 # Policy id -> factory(n_arms, dim, seed=..., **params).  Each id's accepted

@@ -7,36 +7,31 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from banditlab import env, linear
+from banditlab import env, knn, linear
 from banditlab.runner import Cell, EnvSpec, execute_cells
 
-# The ridge steps to check: numpy's and f2py's, then the compiled one where
-# it is built.
-RIDGE_STEPS = [None] + ([linear._step] if linear._step is not None else [])
-# load_news_csv's steps: the csv loop alone, then the compiled parse where
-# it is built.
-PARSE_STEPS = [None] + ([env._step] if env._step is not None else [])
+
+def _steps(module):
+    """A module's steps to check: None (its numpy, f2py or csv path), then
+    its compiled step where that is built."""
+    return [None] + ([module._step] if module._step is not None else [])
+
+
+RIDGE_STEPS = _steps(linear)  # ridge updates
+PASS_STEPS = _steps(knn)  # the score pass: k-NN, mu_hat . x, factored widths
+PARSE_STEPS = _steps(env)  # load_news_csv
+PASS_IDS = ["numpy", "compiled"][:len(PASS_STEPS)]
 PARSE_IDS = ["loop", "compiled"][:len(PARSE_STEPS)]
 
 
 @contextlib.contextmanager
-def ridge_step(step):
-    """Run ridge updates and widths with this step (None: numpy and f2py)."""
-    saved, linear._step = linear._step, step
+def compiled_step(module, step):
+    """Run ``module``'s compiled work with this step (None: without it)."""
+    saved, module._step = module._step, step
     try:
         yield
     finally:
-        linear._step = saved
-
-
-@contextlib.contextmanager
-def parse_step(step):
-    """Load news logs with this step (None: the csv loop alone)."""
-    saved, env._step = env._step, step
-    try:
-        yield
-    finally:
-        env._step = saved
+        module._step = saved
 
 # One benchmark setting shared by the ordering, robustness, and ablation
 # tests.  Everything here is frozen: the tests below compare policies on

@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from banditlab import env as env_module
 from banditlab.cli import (coerce_value, fmt, main as cli_main, parse_grid,
                            parse_seeds)
 from banditlab.metrics import DiagnosticsParams, regret_bound_curve
 from banditlab.policies import make_policy
-from conftest import PARSE_IDS, PARSE_STEPS, parse_step
+from conftest import PARSE_IDS, PARSE_STEPS, compiled_step
 
 SYN = ["--d", "4", "--arms", "3", "--bumps", "1", "--noise-sigma", "0.05"]
 
@@ -220,12 +221,14 @@ class TestCompare:
         assert not (tmp_path / "o").exists()
 
     def test_unshifted_compare_does_not_load_scipy_linalg(self, tmp_path):
-        # scipy.linalg is loaded by the first shifted ridge only.
+        # scipy.linalg is loaded by the first shifted ridge only: the score
+        # pass takes its BLAS from numpy.
         code = ("import sys; from banditlab.cli import main; "
                 "rc = main(sys.argv[1:]); "
                 "print(rc, 'scipy.linalg' in sys.modules)")
         args = ["compare", "--policy", "linucb", "--policy", "lnucb-ta",
-                "--policy", "linthompson", "--T", "30", "--seeds", "0"] + SYN
+                "--policy", "linthompson", "--policy", "lin-knn-ucb",
+                "--policy", "knn-ucb", "--T", "30", "--seeds", "0"] + SYN
         for extra, loaded in (([], "False"), (["--param", "gamma_cov=0.05"],
                                                "True")):
             proc = subprocess.run(
@@ -554,7 +557,7 @@ class TestErrorPaths:
         data = tmp_path / "bad.csv"
         data.write_bytes(b"1,0," + b",".join([b"0.5"] * 100) + b"\n" + bad
                          + b"\n")
-        with parse_step(step):
+        with compiled_step(env_module, step):
             rc = cli_main(["run", "--env", env, "--data", str(data), "--policy",
                            "random", "--T", "5", "--seeds", "0",
                            "--out", str(tmp_path / "o")])

@@ -15,7 +15,7 @@ from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                            RoundFeedback, SyntheticHybridEnv,
                            load_classification_csv, load_news_csv,
                            replay_step, synthetic_hybrid, two_class_bumps)
-from conftest import PARSE_IDS, PARSE_STEPS, parse_step
+from conftest import PARSE_IDS, PARSE_STEPS, compiled_step
 
 
 def expected_rewards(env, x):
@@ -145,8 +145,13 @@ class TestTwoClassBumps:
         (dict(d=2.5), "d must be an integer, got 2.5"),
         (dict(bump_count=-1), "bump_count must be >= 0"),
         (dict(bump_count="4"), "bump_count must be an integer"),
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(seed=2.5), "seed must be an integer, got 2.5"),
+        (dict(bump_radius=float("nan")), "bump_radius must be positive and finite"),
+        (dict(bump_radius=-1.0), "bump_radius must be positive and finite"),
+        (dict(bump_radius="0.8"), "bump_radius must be a number"),
     ])
-    def test_integer_arguments_are_checked_by_name(self, kw, message):
+    def test_arguments_are_checked_by_name(self, kw, message):
         with pytest.raises(ValueError, match=message):
             two_class_bumps(**{"seed": 0, "T": 40, **kw})
 
@@ -237,7 +242,7 @@ def test_overlong_cell_names_its_line(tmp_path, kind, step):
     # The csv module refuses cells over 131,072 characters.
     p = tmp_path / "big.csv"
     p.write_text(BOTH_ROW + "\n" + "1," * 101 + "2" * 200_000 + "\n")
-    with parse_step(step), pytest.raises(
+    with compiled_step(env_module, step), pytest.raises(
             DataError, match="row 3: field larger than field limit"):
         LOADERS[kind](p)
 
@@ -251,7 +256,7 @@ def test_bytes_that_are_not_utf8_name_their_offset(tmp_path, kind, offset, step)
     data[offset] = 0xFF
     p = tmp_path / "bad.csv"
     p.write_bytes(bytes(data))
-    with parse_step(step), pytest.raises(
+    with compiled_step(env_module, step), pytest.raises(
             DataError, match=f"^byte {offset}: not UTF-8$"):
         LOADERS[kind](p)
 
@@ -294,7 +299,7 @@ def test_loaders_return_an_env_or_raise_data_error(tmp_path_factory, data,
                  lambda: load_classification_csv(p, label_column,
                                                  has_header=has_header)):
         try:
-            with parse_step(step):
+            with compiled_step(env_module, step):
                 env = load()
         except DataError:
             continue
@@ -336,7 +341,7 @@ def _news_outcome(path, step):
     """load_news_csv's three arrays as (dtype, shape, C-contiguity, bytes),
     or its DataError message."""
     try:
-        with parse_step(step):
+        with compiled_step(env_module, step):
             env = load_news_csv(path)
     except DataError as error:
         return str(error)
@@ -358,7 +363,7 @@ def test_compiled_parse_reads_a_plain_log_itself(tmp_path, monkeypatch):
     p = tmp_path / "log.csv"
     p.write_text(make_log_text([1, 10, 3], [0, 1, 1]).replace("\n", "\r\n\n"))
     monkeypatch.setattr(env_module, "_csv_rows", None)  # no fallback to the loop
-    with parse_step(PARSE_STEPS[1]):
+    with compiled_step(env_module, PARSE_STEPS[1]):
         env = load_news_csv(p)
     assert env.arms.tolist() == [0, 9, 2] and env.contexts.shape == (3, 100)
 
@@ -382,7 +387,7 @@ def test_compiled_parse_declines_what_it_does_not_read(tmp_path, monkeypatch,
     calls, loop = [], env_module._csv_rows
     monkeypatch.setattr(env_module, "_csv_rows",
                         lambda path: calls.append(path) or loop(path))
-    with parse_step(PARSE_STEPS[1]):
+    with compiled_step(env_module, PARSE_STEPS[1]):
         try:
             load_news_csv(p)
         except DataError:
@@ -420,7 +425,7 @@ def make_log_text(arms, clicks, seed=0):
 class TestNewsReplay:
     @pytest.fixture(autouse=True, params=PARSE_STEPS, ids=PARSE_IDS)
     def each_parse_step(self, request):
-        with parse_step(request.param):
+        with compiled_step(env_module, request.param):
             yield
 
     def test_load_and_shapes(self, tmp_path):

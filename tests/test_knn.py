@@ -1,5 +1,4 @@
 """Neighbor store behavior and the adaptive-k query against independent oracles."""
-import contextlib
 import importlib.util
 import shutil
 import subprocess
@@ -17,22 +16,11 @@ from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
+from conftest import PASS_STEPS, compiled_step
 
 
-# The pass steps to check: numpy's, then the compiled one where it is built.
-STEPS = [None] + ([knn._step] if knn._step is not None else [])
 CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
     (sysconfig.get_config_var("CC") or "cc").split()[0]) is not None)
-
-
-@contextlib.contextmanager
-def pass_step(step):
-    """Run NeighborBank passes with this step (None: the numpy step)."""
-    saved, knn._step = knn._step, step
-    try:
-        yield
-    finally:
-        knn._step = saved
 
 
 def _filled_store(rng, n, d, capacity=None, duplicate_from=None):
@@ -168,8 +156,8 @@ class TestKnnScore:
     def test_gate_requires_k_entries(self):
         rng = np.random.default_rng(1)
         store = _filled_store(rng, 4, 3)
-        for step in STEPS:
-            with pass_step(step):
+        for step in PASS_STEPS:
+            with compiled_step(knn, step):
                 assert knn_score(store, np.zeros(3), 5) == KnnScore.not_applied()
                 # A k far past the store gates without sizing anything by k.
                 for k in (10**9, 10**30):
@@ -177,6 +165,15 @@ class TestKnnScore:
                 assert knn_score(store, np.zeros(3), 4).applied
                 assert (knn_score(store, np.zeros(3), 4.0)
                         == knn_score(store, np.zeros(3), 4))
+
+    def test_a_k_past_int64_gates_under_each_step(self):
+        for step in PASS_STEPS:
+            with compiled_step(knn, step):
+                bank = NeighborBank(2, 2, None, 10**30, 10**30)
+                for t in range(5):
+                    bank.add(t % 2, np.full(2, float(t)), 0.5, t)
+                assert not bank._pass(np.ones(2), True).applied.any()
+                assert bank._pass(np.ones(2), False).k_used.tolist() == [3, 2]
 
     def test_matches_handrolled_oracle(self):
         # Independent check with plain sorted distances, no library internals.
@@ -249,9 +246,9 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
         bank.add(int(rng.integers(n_arms)), row, float(rng.standard_normal()), t)
     x = base[0] if seed % 2 else rng.standard_normal(d)
     ks = rng.integers(1, 9, size=n_arms).tolist()
-    for step in STEPS:
-        with pass_step(step):
-            got = bank._query(bank._all_rows, x, float(x.dot(x)), ks, strict)
+    for step in PASS_STEPS:
+        with compiled_step(knn, step):
+            got = bank._query(bank._all_rows, x, ks, strict)[0]
         for a in range(n_arms):
             store = bank.store(a)
             k = ks[a] if strict else min(ks[a], max(len(store), 1))
@@ -318,20 +315,20 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
         calls[0] += 1
         return bincount(*args, **kwargs)
 
-    def checked_query(self, arms, x, xx, ks, strict):
+    def checked_query(self, arms, x, ks, strict, stacks=None):
         if self is not bank:
-            return query(self, arms, x, xx, ks, strict)
+            return query(self, arms, x, ks, strict, stacks)
         for gate in (not strict, strict):  # the policy's own pass last
-            for step in STEPS:
+            for step in PASS_STEPS:
                 before = calls[0]
-                with pass_step(step):
-                    got = query(self, arms, x, xx, ks, gate)
+                with compiled_step(knn, step):
+                    got = query(self, arms, x, ks, gate, stacks)
                 if step is None:
                     passes["bincount" if calls[0] > before else "common"] += 1
                 for a, k in zip(arms, ks):
                     store = self.store(a)
                     k = k if gate else min(k, max(len(store), 1))
-                    assert got.row(a) == knn_score_bruteforce(store, x, k)
+                    assert got[0].row(a) == knn_score_bruteforce(store, x, k)
         return got
 
     monkeypatch.setattr(np, "bincount", spied_bincount)
@@ -344,9 +341,9 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
 def _pass_bits(bank, arms, x, ks, strict):
     """Each step's (score, u_max, k_used) of one pass, as dtype and bytes."""
     out = []
-    for step in STEPS:
-        with pass_step(step):
-            got = bank._query(arms, x, float(x @ x), ks, strict)
+    for step in PASS_STEPS:
+        with compiled_step(knn, step):
+            got = bank._query(arms, x, ks, strict)[0]
         out.append([(f.dtype.str, f.tobytes()) for f in got])
     return out
 
@@ -384,6 +381,51 @@ def test_compiled_and_numpy_steps_return_the_same_bits(
                            *(([a], [bank._ks[a]], True) for a in rows)]:
         numpy_bits, compiled_bits = _pass_bits(bank, arms, x, kk, gate)
         assert compiled_bits == numpy_bits
+
+
+# One run each of lnucb-ta, lin-knn-ucb and knn-ucb: a digest of every
+# round's scores.
+_SCORES_DIGEST = """
+import hashlib
+import numpy as np
+from banditlab.policies import make_policy
+
+def scores_digest():
+    h = hashlib.sha256()
+    for pid, params in [("lnucb-ta", dict(gamma_cov=0.05, store_capacity=9)),
+                        ("lin-knn-ucb", {}), ("knn-ucb", {})]:
+        rng = np.random.default_rng(5)
+        policy = make_policy(pid, 4, 3, theta_max=4, variance_scale=50.0, **params)
+        for t in range(200):
+            x = rng.standard_normal(3)
+            h.update(policy.scores(x, t).tobytes())
+            policy.update(policy.select(x, t), x, float(rng.uniform()))
+    return h.hexdigest()
+"""
+
+
+@pytest.mark.skipif(knn._step is None, reason="the compiled pass is not built")
+@pytest.mark.parametrize("symbols", [
+    ("scipy_cblas_dgemv64_", "no_such_symbol"),
+    ("scipy_cblas_dgemv64_", "scipy_cblas_dsdot64_"),  # ddot's signature
+    ("scipy_cblas_sgemv64_", "scipy_cblas_ddot64_"),  # dgemv's, but float
+], ids=["missing", "ddot-mismatch", "dgemv-mismatch"])
+def test_failed_blas_self_check_runs_the_numpy_pass(symbols, monkeypatch):
+    module = knn._step
+    assert _cstep.with_blas(module) == (module, knn._BLAS)
+    monkeypatch.setattr(_cstep, "BLAS_SYMBOLS", symbols)
+    assert _cstep.with_blas(module) == (None, None)
+    # Loaded that way, knn runs the numpy pass, with the compiled pass's bits.
+    code = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+            "from banditlab import _cstep, knn; _cstep.BLAS_SYMBOLS = tuple(sys.argv[2:]); "
+            "print(importlib.reload(knn)._step is None)\n"
+            + _SCORES_DIGEST + "print(scores_digest())")
+    src = str(Path(knn.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, src, *symbols],
+                          capture_output=True, text=True, timeout=300)
+    namespace = {}
+    exec(_SCORES_DIGEST, namespace)
+    assert proc.stdout.split() == ["True", namespace["scores_digest"]()], proc.stderr
 
 
 needs_build = pytest.mark.skipif(not CAN_BUILD, reason="no cffi or no cc")

@@ -10,7 +10,7 @@ import test_acceptance
 from banditlab import linear
 from banditlab.linear import (DRIFT_CHECK_EVERY, ConfidenceBall, RidgeState,
                               solve_batch, widths_sq)
-from conftest import RIDGE_STEPS, ridge_step
+from conftest import RIDGE_STEPS, compiled_step
 
 
 def _random_updates(state, rng, T, with_inflation=False):
@@ -166,7 +166,7 @@ def test_factored_ridge_matches_direct_solves(step, d, lam, gamma, n, seed):
     # Shifted ridges keep L with L L^T = sigma; about a third of the
     # updates carry e = 0 and are refactored like the others.
     rng = np.random.default_rng(seed)
-    with ridge_step(step):
+    with compiled_step(linear, step):
         s = RidgeState(d, lam, gamma_cov=gamma)
         assert s.chol is not None
         for _ in range(n):
@@ -186,14 +186,14 @@ def test_factored_ridge_matches_direct_solves(step, d, lam, gamma, n, seed):
 
 @pytest.mark.parametrize("step", RIDGE_STEPS)
 def test_determinant_identity_under_each_ridge_step(step):
-    with ridge_step(step):
+    with compiled_step(linear, step):
         test_acceptance.test_c02_determinant_expansion_identity()
 
 
 def _ridge_bits(step, d, lam, gamma, seed, n):
     """Every array three stacked ridges expose after n updates under a step."""
     rng = np.random.default_rng(seed)
-    with ridge_step(step):
+    with compiled_step(linear, step):
         mu_hats, squares = np.empty((3, d)), np.empty((3, d, d))
         ridges = [RidgeState(d, lam, gamma, rows) for rows in zip(mu_hats, squares)]
         for t in range(n):

@@ -7,9 +7,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import banditlab
-from banditlab import cli
+from banditlab import cli, knn, linear
 from banditlab.attention import RewardStats
 from banditlab.core import Policy, round_rng
 from banditlab.knn import NeighborBank
@@ -21,7 +23,8 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
                                 linucb, make_policy)
-from conftest import RIDGE_STEPS, ridge_step
+from conftest import (PASS_IDS, PASS_STEPS, RIDGE_STEPS,
+                      compiled_step)
 
 # Every id with a ridge accepts lam; lnucb-ta also runs a shifted ridge.
 RIDGE_CASES = ([(pid, {}) for pid in sorted(POLICY_PARAM_KEYS)
@@ -158,10 +161,16 @@ def test_selection_and_scoring_are_pure():
     assert policy.stats.per_arm_count.sum() == 1
 
 
+@pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
 @pytest.mark.parametrize("gamma_cov", [0.0, 0.05])
-def test_score_table_widths_equal_each_ridge_width(gamma_cov):
+def test_score_table_widths_equal_each_ridge_width(gamma_cov, step):
     # Shifted ridges are scored one triangular solve per arm, exactly as
     # RidgeState.width_sq computes it; unshifted ones by the stacked inverses.
+    with compiled_step(knn, step):
+        _check_widths(gamma_cov)
+
+
+def _check_widths(gamma_cov):
     policy = LNUCBTA(3, 6, theta_max=2, gamma_cov=gamma_cov, seed=0)
     rng = np.random.default_rng(9)
     gram = np.zeros((3, 6, 6))
@@ -188,9 +197,15 @@ def test_score_table_widths_equal_each_ridge_width(gamma_cov):
     dict(gamma_cov=0.2, store_capacity=4),
     dict(gamma_cov=0.2, theta_min=3),
 ], ids=["shifted", "unshifted", "capped", "fixed-k"])
-def test_update_without_prior_scoring_matches_memoized_path(config):
+@pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
+def test_update_without_prior_scoring_matches_memoized_path(config, step):
     # An update with no scoring pass before it queries its arm through
     # knn_score; the result must equal the memo of the selection pass.
+    with compiled_step(knn, step):
+        _check_memo(config)
+
+
+def _check_memo(config):
     params = {"theta_min": 1, "theta_max": 3, "variance_scale": 10.0, **config}
     scored = LNUCBTA(2, 2, **params, seed=0)
     unscored = LNUCBTA(2, 2, **params, seed=0)
@@ -213,6 +228,45 @@ def test_update_without_prior_scoring_matches_memoized_path(config):
     assert (max(sizes) == 4) == ("store_capacity" in config)
 
 
+@pytest.mark.skipif(len(PASS_STEPS) < 2, reason="the compiled pass is not built")
+@settings(max_examples=80, deadline=None)
+@given(
+    n_arms=st.integers(1, 4),
+    d=st.integers(1, 4),
+    n=st.integers(0, 60),
+    gamma_cov=st.sampled_from([0.0, 0.05]),
+    capacity=st.one_of(st.none(), st.integers(1, 6)),
+    thetas=st.sampled_from([(1, 1), (1, 5), (3, 3), (2, 9)]),
+    flags=st.sampled_from([(True, True), (True, False), (False, True)]),
+    distinct=st.integers(1, 4),
+    seed=st.integers(0, 100_000),
+)
+def test_fused_pass_and_numpy_path_give_the_same_bits(
+        n_arms, d, n, gamma_cov, capacity, thetas, flags, distinct, seed):
+    # Every round's score table and k-NN pass under both paths.  A few
+    # distinct contexts and reward levels make exact distance ties; early
+    # rounds give one-row and short windows against the inf padding, and
+    # small capacities wrap capped rings many times.
+    rng = np.random.default_rng(seed)
+    policy = LNUCBTA(n_arms, d, theta_min=thetas[0], theta_max=thetas[1],
+                     gamma_cov=gamma_cov, variance_scale=50.0,
+                     store_capacity=capacity, use_knn=flags[0],
+                     use_attention=flags[1], seed=0)
+    base = rng.standard_normal((distinct, d))
+    for t in range(n + 1):
+        x = (base[int(rng.integers(distinct))] if rng.uniform() < 0.8
+             else rng.standard_normal(d))
+        bits = []
+        for step in PASS_STEPS:
+            with compiled_step(knn, step):
+                table, batch = policy._table(x)
+            fields = [table.linear, table.knn, table.alpha, table.width, table.ucb,
+                      *(batch if flags[0] else ())]
+            bits.append([(f.dtype.str, f.tobytes()) for f in fields])
+        assert bits[1] == bits[0]
+        policy.update(policy.select(x, t), x, float(rng.choice([0.0, 0.05, 1.0])))
+
+
 def test_flag_reductions():
     # No knn, no attention, fixed k: the factory policies are flag configs.
     lin = linucb(3, 2, alpha=0.7)
@@ -228,7 +282,7 @@ def test_flag_reductions():
     assert twin.name == "lin-knn-ucb"
     assert twin.use_knn and not twin.use_attention
     assert twin.bank.theta_min == twin.bank.theta_max == 4
-    assert twin.bank._ks == [4, 4, 4]
+    assert list(twin.bank._ks) == [4, 4, 4]
 
 
 def test_alpha_floor_clamps_negative_rates():
@@ -385,6 +439,34 @@ class TestMakePolicy:
     def test_non_finite_reward_changes_nothing(self, pid, bad, match):
         assert_rejected_update_changes_nothing(pid, bad, match)
 
+    @pytest.mark.parametrize("pid", ["ucb", "kl-ucb", "eps-greedy"])
+    def test_overflowing_reward_sum_changes_nothing(self, pid):
+        # Each 1e308 is finite, but two of them overflow the arm's reward sum.
+        assert_rejected_update_changes_nothing(
+            pid, {"reward": 1e308}, r"reward 1e\+308 overflows arm \d's reward sum",
+            primer=1e308)
+
+    @pytest.mark.parametrize("pid, params", [
+        ("lnucb-ta", {}), ("lnucb-ta", {"gamma_cov": 0.05}),
+        ("lnucb-ta", {"use_knn": False}), ("enhanced-linthompson", {})])
+    def test_each_overflow_check_runs_once_per_update(self, pid, params,
+                                                      monkeypatch):
+        calls = []
+        for owner, name in [(RidgeState, "_check"), (NeighborBank, "_sums_after"),
+                            (RewardStats, "_sum_after")]:
+            def spy(*args, _name=name, _f=getattr(owner, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(owner, name, spy)
+        policy = make_policy(pid, 3, 2, **params)
+        want = ["_check", "_sum_after"] + (["_sums_after"] if getattr(
+            policy, "use_knn", True) else [])
+        for t in range(4):
+            calls.clear()
+            x = [0.3, -0.1 * t]
+            policy.update(policy.select(x, t), x, 0.5)
+            assert sorted(calls) == sorted(want)
+
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
     def test_huge_context_is_rejected_by_select_and_scores(self, pid):
         policy = make_policy(pid, 3, 2, seed=4)
@@ -396,16 +478,18 @@ class TestMakePolicy:
     @pytest.mark.parametrize("pid", sorted(pid for pid, keys in
                                            PINNED_PARAM_KEYS.items()
                                            if "theta_max" in keys))
-    def test_overflowing_knn_reward_changes_nothing(self, pid):
+    @pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
+    def test_overflowing_knn_reward_changes_nothing(self, pid, step):
         # 1e200 is finite, but its square overflows the k-NN running sums.
-        assert_rejected_update_changes_nothing(pid, {"reward": 1e200},
-                                               "overflows")
+        with compiled_step(knn, step):
+            assert_rejected_update_changes_nothing(pid, {"reward": 1e200},
+                                                   "overflows")
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
     def test_overflowing_ridge_reward_changes_nothing(self, pid, params, step):
         # 1e308 * ||x|| overflows b; the k-NN ids check the ridge before the add.
-        with ridge_step(step):
+        with compiled_step(linear, step):
             assert_rejected_update_changes_nothing(
                 pid, {"reward": 1e308}, "ridge update overflows", **params)
 
@@ -414,7 +498,7 @@ class TestMakePolicy:
         # sigma + x x^T rounds to a singular matrix: x x^T's entries are 1e18,
         # whose spacing is 128, and sigma's are far smaller.
         params = dict(gamma_cov=0.05, lam=1e-10)
-        with ridge_step(step):
+        with compiled_step(linear, step):
             assert_rejected_update_changes_nothing(
                 "lnucb-ta", {"x": [1e9, 1e9], "reward": 1.0},
                 "not positive definite", use_knn=False, **params)
@@ -435,7 +519,7 @@ class TestMakePolicy:
         # The first one leaves a Sherman-Morrison inverse with a zero
         # diagonal entry, which the Thompson ids could not sample from.
         big = np.array([1e153, 0.0])
-        with ridge_step(step):
+        with compiled_step(linear, step):
             policy, twin = (make_policy(pid, 3, 2, seed=4, **params) for _ in "ab")
             for _ in range(200):
                 try:
@@ -478,13 +562,14 @@ def hybrid_state(policy):
               policy.scores([0.3, 0.1], 1)]
     for r in policy.ridges:
         arrays += [r.sigma, r.b, r.mu_hat, r.chol]
-    return ([a.tobytes() for a in arrays], bank._start, bank._end, bank._sums,
-            bank._ks, bank._adds, [r._scale for r in policy.ridges])
+    return ([a.tobytes() for a in arrays], *map(list, (bank._start, bank._end, bank._ks)),
+            bank._sums, bank._adds, [r._scale for r in policy.ridges])
 
 
-def assert_rejected_update_changes_nothing(pid, bad, match, **params):
+def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **params):
     # Rejected before any state changes: the policy keeps scoring exactly
-    # like a twin that never saw the bad update.
+    # like a twin that never saw the bad update.  A primer reward goes to
+    # the bad update's arm of both first.
     policy = make_policy(pid, 3, 2, seed=4, **params)
     twin = make_policy(pid, 3, 2, seed=4, **params)
     rng = np.random.default_rng(8)
@@ -495,6 +580,8 @@ def assert_rejected_update_changes_nothing(pid, bad, match, **params):
         twin.update(arm, x, good)
     x = rng.standard_normal(2)
     arm = policy.select(x, 12)
+    for each in (policy, twin) if primer is not None else ():
+        each.update(arm, x, primer)
     call = {"arm": arm, "x": x, "reward": 0.5, **bad}
     with pytest.raises(ValueError, match=match):
         policy.update(**call)
