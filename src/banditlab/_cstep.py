@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .attention import AttentionParams, exploration_rates
+
 # d2 = max(dot * -2 + norm2 + xx, 0) in numpy's order of operations, hence
 # -ffp-contract=off.  Insertion with a strict < keeps each row's first k
 # entries in (d2, column) order, so ties go to the lower round.
@@ -31,6 +33,14 @@ typedef void gemv_t(int, int, int64_t, int64_t, double, const double *, int64_t,
 typedef double ddot_t(int64_t, const double *, int64_t, const double *, int64_t);
 typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
                      double *, int *, int *);
+/* A policy's stacks (n arms of d x d or d), stats and table: rows linear,
+   knn, alpha, width, ucb, then n x d scratch.  Widths: 1 from L, 2 inverses. */
+typedef struct {
+    double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, scale, scale_max, gamma,
+        alpha0, kappa;
+    int64_t *stat_count, n, widths, flags;
+    intptr_t trtrs, potrf, potrs;
+} round_t;
 
 /* out = a x for a row-major n x d a: ddot for one row, else dgemv (row-major,
    not transposed), as ndarray.dot calls them; with_blas checks the bits. */
@@ -41,32 +51,52 @@ void matvec(int64_t n, int64_t d, const double *a, const double *x, double *out,
     else if (n > 1) ((gemv_t *)gemv)(101, 111, n, d, 1.0, a, d, x, 1, 0.0, out, 1);
 }
 
-/* One round's scores.  Per row j (arm a = rows[j]): a's window of contexts
-   times x into dot, then its first ks[j] in (d2, column) order.  Per stacked
-   arm: linear = mu x, and width = sqrt(v.v), v = dtrtrs(L, x), for L in
-   chols.  out: sel (n x k_cols), u_max, k_used, linear, width, scratch.
-   Returns the applied rows' one k, 0 for none, or -1. */
-int64_t score_pass(const double *x, int64_t d, double *const *ctx,
-                   const int64_t *start, const int64_t *end, const int64_t *rows,
-                   const int64_t *ks, int64_t n, int strict, const double *norm2,
-                   const double *rewards, int64_t stride, double *dot, double *out,
-                   int64_t k_cols, const double *mu, double *chols, int64_t n_mu,
-                   intptr_t trtrs, intptr_t gemv, intptr_t ddot)
+/* numpy's DOUBLE_pairwise_sum: a loop below 8 terms, 8 sums to 128, halves
+   above.  add.reduce adds it to its identity 0.0; with_blas checks both. */
+double pairwise(const double *a, int64_t n)
 {
-    double *u_max = out + n * k_cols, *linear = u_max + 2 * n, *width = linear + n_mu;
-    double *best = width + n_mu, *v = best + k_cols;
-    int64_t *k_used = (int64_t *)(u_max + n), common = 0;
-    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
+    double r[8], s = -0.0;
+    int64_t i = 0;
+    if (n > 128) {
+        const int64_t h = n / 2 - n / 2 % 8;
+        return pairwise(a, h) + pairwise(a + h, n - h);
+    }
+    if (n >= 8) {
+        for (; i < 8; i++) r[i] = a[i];
+        for (; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) s += a[i];
+    return s;
+}
+
+static double max0(double v) { return v > 0.0 || v != v ? v : 0.0; }  /* np.maximum(v, 0.0) */
+
+/* Per row j, arm rows[j] holding k = ks[j] entries (strict = 0 lowers k to
+   what it holds): its window times x, its first k in (d2, column) order,
+   and into res (score, u_max, k_used) their rewards' add.reduce / k, the
+   k-th distance and k; zeros if not applied.  Then p's table (flags: 1 k-NN
+   scores, 2 attention, 4 floored) and ucb's argmax, np.argmax's (else 0). */
+int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t *ks,
+                   int strict, int64_t k_cols, const round_t *p, int64_t d,
+                   double *const *ctx, int64_t *const *rounds, const int64_t *lens,
+                   int64_t *start, int64_t *end, int64_t *bank_ks, double *sums,
+                   double *norm2, double *rewards, int64_t stride, int64_t cap, int64_t lo,
+                   int64_t hi, double vscale, double *scratch, double *res, intptr_t gemv,
+                   intptr_t ddot)
+{
+    const double *x = (const double *)xs, xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
+    double *dot = scratch, *best = dot + stride, *sel = best + k_cols, *u_max = res + n;
+    int64_t *k_used = (int64_t *)(u_max + n), top = 0;
     for (int64_t j = 0; j < n; j++) {
         int64_t a = rows[j], size = end[a] - start[a], k = ks[j], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
+        res[j] = u_max[j] = 0.0, k_used[j] = 0;
         if (size < k) continue;
-        k_used[j] = k;
-        common = common == 0 || common == k ? k : -1;
         matvec(size, d, ctx[a] + start[a] * d, x, dot, gemv, ddot);
         const double *nr = norm2 + a * stride, *rw = rewards + a * stride;
-        double *sel = out + j * k_cols;  /* rewards move with their d2 */
-        for (int64_t c = 0; c < size; c++) {
+        for (int64_t c = 0; c < size; c++) {  /* rewards move with their d2 */
             double d2 = dot[c] * -2.0 + nr[c] + xx;
             if (d2 < 0.0) d2 = 0.0;
             if (m == k && !(d2 < best[k - 1])) continue;
@@ -78,16 +108,37 @@ int64_t score_pass(const double *x, int64_t d, double *const *ctx,
             best[i] = d2;
             sel[i] = rw[c];
         }
+        k_used[j] = k;
         u_max[j] = sqrt(best[k - 1]);
+        res[j] = (0.0 + pairwise(sel, k)) / k;
     }
-    if (mu) matvec(n_mu, d, mu, x, linear, gemv, ddot);
-    for (int64_t a = 0; chols && a < n_mu; a++) {
+    if (!p) return 0;
+    const int64_t m = p->n;
+    double *linear = p->table, *knn = linear + m, *alpha = knn + m, *width = alpha + m;
+    double *ucb = width + m, *tmp = ucb + m;
+    matvec(m, d, p->mu, x, linear, gemv, ddot);
+    for (int64_t a = 0; a < m; a++) {  /* the local means, in alpha for now */
         int one = 1, info, di = (int)d;
-        memcpy(v, x, sizeof(double) * d);
-        ((trtrs_t *)trtrs)("L", "N", "N", &di, &one, chols + a * d * d, &di, v, &di, &info);
+        double *v = tmp + a * d, *sq = p->squares + a * d * d;
+        alpha[a] = p->stat_sum[a] / (double)(p->stat_count[a] > 1 ? p->stat_count[a] : 1);
+        if (p->widths == 2) matvec(d, d, sq, x, v, gemv, ddot);  /* (squares @ x) @ x */
+        if (p->widths != 1) continue;
+        memcpy(v, x, sizeof(double) * d);  /* ||L^-1 x|| */
+        ((trtrs_t *)p->trtrs)("L", "N", "N", &di, &one, sq, &di, v, &di, &info);
         width[a] = sqrt(((ddot_t *)ddot)(d, v, 1, v, 1));
     }
-    return common;
+    if (p->widths == 2) matvec(m, d, tmp, x, width, gemv, ddot);
+    const double g = (0.0 + pairwise(alpha, m)) / m;
+    for (int64_t a = 0; a < m; a++) {
+        if (p->widths == 2) width[a] = sqrt(max0(width[a]));
+        knn[a] = p->flags & 1 ? res[a] : 0.0;
+        alpha[a] = p->flags & 2 ? p->alpha0 / ((double)p->stat_count[a] + 1.0)
+                                  * (p->kappa * g + (1.0 - p->kappa) * alpha[a]) : p->alpha0;
+        if (p->flags & 4) alpha[a] = max0(alpha[a]);
+        ucb[a] = linear[a] + knn[a] + alpha[a] * width[a];
+        if (!(ucb[a] <= ucb[top]) && ucb[top] == ucb[top]) top = a;
+    }
+    return top;
 }
 
 /* The ridge steps: numpy's elementwise order of operations, and the LAPACK
@@ -139,6 +190,81 @@ int ridge_factor(const double *x, double *sigma, double *b, double *chol,
     memcpy(mu, b, sizeof(double) * d);
     ((potrs_t *)potrs)("L", &d, &one, chol, &d, mu, &d, &info);
     return info;
+}
+
+static void fold(double *s, double r, double sign)  /* knn._fold */
+{ s[0] += sign * r, s[1] += sign * (r * r), s[2] += fabs(s[0]), s[3] += fabs(s[1]); }
+
+static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
+{
+    v = 0.0 > v ? 0.0 : v;
+    const int64_t k = (int64_t)floor((double)lo + (double)(hi - lo) * (1.0 < v ? 1.0 : v) + 0.5);
+    return k < lo ? lo : k > hi ? hi : k;
+}
+
+/* LNUCBTA._update of arm a: every check, then p's ridge (a shifted sigma
+   can still fail to factor), stats and, with add, the entry and its k.
+   Returns -1, having changed nothing, where a check fails, sigma does not
+   factor, an uncapped row is full or only the exact variance picks k (the
+   numpy update then raises, grows or decides); else 0, or 1 where the
+   inverse lost a diagonal entry. */
+int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
+                     int64_t round, int add, round_t *p, int64_t d, double *const *ctx,
+                     int64_t *const *rounds, const int64_t *lens, int64_t *start,
+                     int64_t *end, int64_t *bank_ks, double *sums, double *norm2,
+                     double *rewards, int64_t stride, int64_t cap, int64_t lo, int64_t hi,
+                     double vscale, double *scratch, double *res, intptr_t gemv, intptr_t ddot)
+{
+    const double *x = (const double *)xs, resid = r - knn, e = u_max * u_max;
+    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1), total = p ? p->stat_sum[a] + r : 0.0;
+    const double next = p ? p->scale + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
+    int64_t st = start[a], en = end[a], n = en - st, k = lo, lost = 0;
+    double s[4], *nr = norm2 + a * stride, *rw = rewards + a * stride;
+    if (p && !(next <= p->scale_max)) return -1;
+    if (add) {
+        memcpy(s, sums + 4 * a, sizeof s);
+        if (n == cap) fold(s, rw[0], -1.0);
+        fold(s, r, 1.0);
+        if (!isfinite(8.0 * (s[2] + s[3])) || (cap < 0 && en == lens[a])) return -1;
+        const int64_t m = n == cap ? n : n + 1;  /* knn.NeighborBank._fresh_k */
+        if (lo < hi && m >= 2) {
+            const double u = 0x1p-52, mean = s[0] / m, z = (s[1] + u * s[3]) / m;
+            const double r1 = u * (s[2] / m + m * sqrt(z)), mm = fabs(mean) + r1;
+            const double v = s[1] / m - mean * mean, var = 0.0 > v ? 0.0 : v, err = 2.0 * (
+                u * (s[3] / m + m * z + 4 * z + 4 * mm * mm) + r1 * (mm + fabs(mean)));
+            k = pick_k((0.0 > var - err ? 0.0 : var - err) * vscale, lo, hi);
+            if (k < hi && k != pick_k((var + err) * vscale, lo, hi)) return -1;
+        }
+    }
+    if (!isfinite(total)) return -1;
+    if (p) {
+        double *sig = p->sigmas + a * d * d, *b = p->bs + a * d, *sq = p->squares + a * d * d;
+        if (p->gamma > 0.0) {
+            if (ridge_factor(x, sig, b, sq, p->mu + a * d, (int)d, resid, p->gamma * e,
+                             p->potrf, p->potrs))
+                return -1;
+        } else {  /* Sherman-Morrison: v = inv x, then mu = inv b */
+            matvec(d, d, sq, x, p->v, gemv, ddot);
+            lost = !(ridge_rank_one(x, sig, b, p->v, sq, (int)d, resid,
+                                    1.0 + ((ddot_t *)ddot)(d, x, 1, p->v, 1)) > 0.0);
+            matvec(d, d, sq, b, p->mu + a * d, gemv, ddot);
+        }
+        p->scale = next, p->stat_sum[a] = total, p->stat_count[a]++;
+    }
+    if (add) {
+        for (int64_t i = 0; n == cap && i + 1 < n; i++) nr[i] = nr[i + 1], rw[i] = rw[i + 1];
+        if (n == cap) n--, st++;  /* the oldest entry went */
+        if (en == lens[a]) {  /* a capped window back to 0 */
+            memmove(ctx[a], ctx[a] + st * d, sizeof(double) * n * d);
+            memmove(rounds[a], rounds[a] + st, sizeof(int64_t) * n), st = 0, en = n;
+        }
+        memcpy(ctx[a] + en * d, x, sizeof(double) * d);
+        rounds[a][en] = round;
+        nr[n] = xx, rw[n] = r;
+        memcpy(sums + 4 * a, s, sizeof s);
+        start[a] = st, end[a] = en + 1, bank_ks[a] = lo < hi ? k : bank_ks[a];
+    }
+    return lost;
 }
 
 static locale_t c_locale;  /* strtod_l's, made when the module loads */
@@ -208,8 +334,8 @@ int64_t news_parse(const char *s, int64_t len, int64_t max_rows, int64_t *arms,
 }
 """
 # The exported functions' prototypes.
-CDEF = "".join(f"{p};\n" for p in re.findall(r"^(?:int64_t|int|double|void) \w+\([^)]*\)",
-                                             SOURCE, re.M))
+CDEF = "".join(f"{p};\n" for p in re.findall(
+    r"^typedef struct {[^}]*} \w+|^(?:int64_t|int|double|void) \w+\([^)]*\)", SOURCE, re.M))
 
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
@@ -228,14 +354,16 @@ def lapack_routines(cython_lapack):
 
 
 CHECK_SHAPES = ((1, 1), (1, 10), (1, 100), (2, 1), (9, 1), (5, 10), (3, 100), (3100, 3), (2, 4100))
+CHECK_SUMS = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 300)  # each branch of the pairwise sum
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
 def with_blas(module):
     """(module, the addresses of numpy's own dgemv and ddot), or (None, None)
-    without the module, a BLAS_SYMBOLS symbol, or numpy's bits (``dot`` and
-    ``matmul``) from ``matvec`` on every CHECK_SHAPES shape: one row, one
-    column, and past OpenBLAS's blocking and threading sizes."""
+    without the module or a BLAS_SYMBOLS symbol, or unless each gives numpy's
+    bits: ``matvec`` (``dot``, ``matmul``) on every CHECK_SHAPES shape,
+    ``row_sums`` (``add.reduce``, 1-D and axis=1) on CHECK_SUMS, and a table
+    (``exploration_rates``, the floor, the stacked widths, ucb)."""
     try:  # numpy's OpenBLAS is mapped already: dlsym finds it through numpy
         lib, buf = ctypes.CDLL(np._core._multiarray_umath.__file__), module.ffi.from_buffer
         blas = [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
@@ -246,6 +374,29 @@ def with_blas(module):
         a, x, out = pool[:n * d].reshape(n, d), pool[-d:], np.empty(n)
         module.lib.matvec(n, d, *(buf("double[]", v) for v in (a, x, out)), *blas)
         if not out.tobytes() == a.dot(x).tobytes() == (a @ x).tobytes():
+            return None, None
+    for k in CHECK_SUMS:  # strided rows, as a selection's first k columns
+        rows = pool[:3 * k + 6].reshape(3, k + 2).copy()
+        rows[0, ::3], rows[2] = 0.0, -0.0
+        out = np.array([0.0 + module.lib.pairwise(buf("double[]", r), k) for r in rows])
+        if not out.tobytes() == np.add.reduce(rows[:, :k], axis=1).tobytes() == np.array(
+                [np.add.reduce(r[:k]) for r in rows]).tobytes():
+            return None, None
+    n, d, null, params, table = 7, 3, module.ffi.NULL, AttentionParams(1.5, 0.25), np.zeros((8, 7))
+    x, mu, sq, sums = pool[:3], pool[:21].reshape(7, 3), pool[:63].reshape(7, 3, 3), pool[-7:]
+    counts = np.arange(n) % 4
+    local = sums / np.maximum(counts, 1)
+    rates = exploration_rates(params, counts, float(np.add.reduce(local) / n), local)
+    linear, width = mu @ x, np.sqrt(np.maximum((sq @ x) @ x, 0.0))
+    for flags, alpha in ((2, rates), (6, np.maximum(rates, 0.0))):
+        p = module.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
+            ("table", table), ("mu", mu), ("squares", sq), ("stat_sum", sums))},
+            "stat_count": buf("int64_t[]", counts), "alpha0": params.alpha0,
+            "kappa": params.kappa, "n": n, "widths": 2, "flags": flags})
+        top = module.lib.score_pass(x.tobytes(), 0, null, null, 1, 1, p, d, *(null,) * 9,
+                                    0, 0, 0, 0, 0.0, null, null, *blas)
+        want = np.array([linear, np.zeros(n), alpha, width, linear + 0.0 + alpha * width])
+        if top != want[4].argmax() or table[:5].tobytes() != want.tobytes():
             return None, None
     return module, tuple(blas)
 

@@ -214,7 +214,7 @@ class Policy(ABC):
         return argmax_tiebreak(scores, self.tie_break, rng)
 
     def _check_arm(self, arm: int) -> int:
-        arm = int(arm)
-        if not 0 <= arm < self.n_arms:
+        arm = as_int(arm, "arm", 0)
+        if arm >= self.n_arms:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         return arm

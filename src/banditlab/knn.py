@@ -74,19 +74,20 @@ class NeighborBank:
         width = capacity if capacity is not None else length
         self._norm2 = np.full((n_arms, width), np.inf)
         self._rewards = np.zeros((n_arms, width))
-        # int64 arrays that the compiled pass reads in place; lists for the
-        # numpy step, and for a theta past int64 (such a k can only gate).
+        # int64 arrays that the compiled steps read and write in place; lists
+        # for the numpy step, and for a theta past int64 (such a k can only gate).
         ints = (list if _step is None or self.theta_max >= 2 ** 63
                 else functools.partial(_step.ffi.new, "int64_t[]"))
         self._start = ints([0] * n_arms)
         self._end = ints([0] * n_arms)
         # Per row: reward sum, squared-reward sum, and the sums of their
         # absolute running values, which bound their rounding error.
-        self._sums = [[0.0] * 4 for _ in range(n_arms)]
+        self._sums = np.zeros((n_arms, 4))
         self._all_rows = ints(list(range(n_arms)))
         self._ks = ints([self.theta_min] * n_arms)  # an empty row's variance is 0
         self._adds = 0
-        self._c = None  # the compiled pass's pointers into the arrays above
+        self._res = np.zeros(3 * n_arms)  # the compiled pass's KnnBatch fields
+        self._c = None  # see _args
 
     def store(self, arm: int) -> "NeighborStore":
         """A NeighborStore view of one arm's entries."""
@@ -105,19 +106,22 @@ class NeighborBank:
         self._c = None
 
     def add(self, arm: int, context, reward: float, round: int) -> None:
-        if not 0 <= arm < self.n_arms:
+        arm, round = as_int(arm, "arm", 0), as_int(round, "round")
+        if arm >= self.n_arms:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
+        if round >= 2 ** 63:  # no int64 slot holds it
+            raise ValueError("round must be < 2**63")
         x = as_context(context, self.dim)
         start, end = self._start[arm], self._end[arm]
         if round <= (self._rounds[arm][end - 1] if end > start else -1):
             raise ValueError("rounds must be strictly increasing")
-        self._add(arm, x, as_reward(reward), int(round))
+        self._add(arm, x, as_reward(reward), round)
 
     def _sums_after(self, arm: int, reward: float) -> list:
         """The arm's running sums once ``reward`` is added (and, when the arm
         is full, its oldest entry evicted); changes nothing.  A reward that
         would overflow them raises ValueError."""
-        sums = list(self._sums[arm])
+        sums = self._sums[arm].tolist()
         if self._end[arm] - self._start[arm] == self.capacity:
             _fold(sums, float(self._rewards[arm, 0]), -1.0)
         _fold(sums, reward, 1.0)
@@ -134,14 +138,19 @@ class NeighborBank:
 
         Without a round the entry is stamped with the bank's add count.  A
         reward that would overflow the arm's running sums (``sums``, if the
-        caller ran _sums_after) raises before anything changes.
+        caller ran _sums_after) raises before anything changes.  The
+        compiled update makes the add in one call, unless it declines.
         """
+        round = self._adds if round is None else round
+        c = self._args() if sums is None else None  # given sums: checked once, by the caller
+        if c and _step.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
+                                        _step.ffi.NULL, *c) >= 0:
+            self._adds += 1
+            return
         sums = self._sums_after(arm, reward) if sums is None else sums
         start, end = self._start[arm], self._end[arm]
         n = end - start
         full = n == self.capacity  # the oldest entry is evicted
-        if round is None:
-            round = self._adds
         self._adds += 1
         if full:
             for buf in (self._norm2, self._rewards):
@@ -180,7 +189,7 @@ class NeighborBank:
         n = self._end[arm] - self._start[arm]
         if n < 2:
             return lo
-        s1, s2, e1, e2 = self._sums[arm]
+        s1, s2, e1, e2 = self._sums[arm].tolist()
         mean, u = s1 / n, 2.0 ** -52
         z = (s2 + u * e2) / n  # >= T2 / n
         r1 = u * (e1 / n + n * math.sqrt(z))  # bounds the error of the mean
@@ -201,15 +210,32 @@ class NeighborBank:
         """
         return self._query(self._all_rows, x, self._ks, strict)[0]
 
-    def _query(self, arms, x: np.ndarray, ks, strict: bool, stacks: Optional[list] = None):
+    def _args(self) -> Optional[tuple]:
+        """The bank's arguments to the compiled steps (see ``_cstep``), taken
+        once per reallocation; None for the numpy step, or a bank of lists."""
+        if _step is None or isinstance(self._start, list):
+            return None
+        if self._c is None:  # reset by _grow
+            ffi, buf, width = _step.ffi, _step.ffi.from_buffer, self._norm2.shape[1]
+            self._c = (self.dim, ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
+                       ffi.new("int64_t *[]", [buf("int64_t[]", r) for r in self._rounds]),
+                       ffi.new("int64_t[]", [len(r) for r in self._rounds]), self._start,
+                       self._end, self._ks, *(buf("double[]", a) for a in (
+                           self._sums, self._norm2, self._rewards)), width,
+                       -1 if self.capacity is None else self.capacity, self.theta_min,
+                       self.theta_max, self.variance_scale, buf("double[]", np.empty(3 * width)),
+                       buf("double[]", self._res), *_BLAS)
+        return self._c
+
+    def _query(self, arms, x: np.ndarray, ks, strict: bool, table=None):
         """One k-NN pass over the given rows for already-validated input.
 
         Per arm this selects the k entries first in (distance, round) order:
         ties go to the lower round, u_max is the k-th distance, and the
-        score sums rewards in that order.  Returns (KnnBatch, mu_hat . x,
-        widths) for a policy's ``stacks`` (mu_hat rows, L^T rows and dtrtrs's
-        address or None and 0, a pointer slot): the compiled ``_step`` does
-        it all in one C call, and the numpy ``_select`` leaves widths None.
+        score sums rewards in that order.  Returns (KnnBatch, the argmax of
+        a policy's ucb, or None): the compiled ``_step`` makes the pass, and
+        fills a policy's ``table`` (a ``round_t``, see ``_cstep.score_pass``),
+        in one C call; the numpy ``_select`` makes the pass alone.
         """
         n, width = len(arms), self._norm2.shape[1]
         # An applied row's k is at most its window, so k_cols columns hold every
@@ -217,42 +243,29 @@ class NeighborBank:
         top = self.theta_max if ks is self._ks else max(ks)
         k_cols = max(1, min(top, width))
         ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
-        mu, chols, trtrs, c = stacks or (np.empty((0, self.dim)), None, 0, None)
-        m, at = len(mu), n * (k_cols + 2)
-        out = np.zeros(at + 2 * m + k_cols + self.dim)  # the last are C scratch
-        sel, u_max = out[:n * k_cols].reshape(n, k_cols), out[n * k_cols:at - n]
-        k_used, linear, widths = out[at - n:at].view(np.int64), out[at:at + m], None
-        if _step is not None:
-            ffi, buf = _step.ffi, _step.ffi.from_buffer
-            if self._c is None:  # reset by _grow
-                self._c = (ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
-                           *(buf("double[]", a) for a in (self._norm2, self._rewards,
-                                                          np.empty(width))))
-            if stacks and c is None:
-                c = stacks[3] = (buf("double[]", mu),
-                                 ffi.NULL if chols is None else buf("double[]", chols))
-            ctx, norm2, rewards, dot = self._c
-            k = _step.lib.score_pass(
-                buf("double[]", np.ascontiguousarray(x)), self.dim, ctx, self._start,
-                self._end, arms, ks, n, strict, norm2, rewards, width, dot,
-                buf("double[]", out), k_cols, *(c or (ffi.NULL,) * 2), m, trtrs, *_BLAS)
-            widths = None if chols is None else out[at + m:at + 2 * m]
-        else:
-            xx, sizes = float(x.dot(x)), [self._end[a] - self._start[a] for a in arms]
-            # One matvec per arm over exactly its window: BLAS results depend
-            # on the row count, and this keeps them equal to a one-store query.
-            dot = np.zeros((n, max(sizes, default=0)))
-            for j, a in enumerate(arms):
-                s = self._start[a]
-                self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
-            k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
-            linear[...] = mu @ x
+        c = self._args()
+        if c:
+            best = _step.lib.score_pass(x.tobytes(), n, arms, ks, strict, k_cols,
+                                        table or _step.ffi.NULL, *c)
+            r = self._res[:3 * n].copy()
+            return KnnBatch(r[:n], r[n:2 * n], r[2 * n:].view(np.int64)), best
+        out = np.zeros(n * (k_cols + 2))
+        sel, u_max = out[:n * k_cols].reshape(n, k_cols), out[n * k_cols:n * (k_cols + 1)]
+        k_used = out[n * (k_cols + 1):].view(np.int64)
+        xx, sizes = float(x.dot(x)), [self._end[a] - self._start[a] for a in arms]
+        # One matvec per arm over exactly its window: BLAS results depend
+        # on the row count, and this keeps them equal to a one-store query.
+        dot = np.zeros((n, max(sizes, default=0)))
+        for j, a in enumerate(arms):
+            s = self._start[a]
+            self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
+        k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
         if k > 0:  # every applied arm uses k; the others' rows are zeros
             score = np.add.reduce(sel[:, :k], axis=1) / k
         else:  # row j's own 1-D reduce: its first k_j rewards, in order
             score = np.array([np.add.reduce(r[:kj]) / kj if kj else 0.0
                               for r, kj in zip(sel, k_used.tolist())])
-        return KnnBatch(score, u_max, k_used), linear, widths
+        return KnnBatch(score, u_max, k_used), None
 
     def _select(self, arms, sizes, ks, strict, xx, dot, sel, u_max, k_used) -> int:
         """The numpy twin of _cstep's score_pass selection: its contract and bits."""

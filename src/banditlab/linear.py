@@ -56,7 +56,8 @@ class RidgeState:
     The compiled step (``_cstep``) runs an update's elementwise work and
     LAPACK calls in one C call, with numpy's order of operations and the
     routines scipy.linalg.lapack wraps, so its bits are the numpy/f2py
-    step's.  ``rows`` puts mu_hat and the inverse or L^T in a policy's stacks.
+    step's.  ``rows`` puts mu_hat, the inverse or L^T, sigma and b in a
+    policy's stacks.
     """
 
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0,
@@ -64,13 +65,14 @@ class RidgeState:
         self.dim = as_int(dim, "dim", 1)
         self.lam = as_positive(lam, "lam")
         self.gamma_cov = as_nonneg(gamma_cov, "gamma_cov")
-        self.sigma = self.lam * np.eye(self.dim)
-        self.b = np.zeros(self.dim)
         # See _check: its running bound, and the largest one it accepts.
         self._scale = self.lam * self.dim
         self._scale_max = sys.float_info.max / 8.0 * min(self.lam, 1.0) ** 2
-        self.mu_hat, square = rows or (np.zeros(self.dim), np.zeros((self.dim, self.dim)))
-        self.mu_hat[...], square[...] = 0.0, 0.0
+        d = self.dim
+        rows = rows or [np.empty(shape) for shape in (d, (d, d), (d, d), d)]
+        self.mu_hat, square, self.sigma, self.b = rows
+        self.mu_hat[...], square[...], self.b[...] = 0.0, 0.0, 0.0
+        self.sigma[...] = self.lam * np.eye(d)
         # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
         # lower Cholesky factor of sigma (gamma_cov > 0).
         self._inv: Optional[np.ndarray] = None
@@ -178,16 +180,20 @@ class RidgeState:
             low = step.lib.ridge_rank_one(*_buffers(step, x), *self._c[:2], *_buffers(step, v),
                                           self._c[2], self.dim, residual, s)
         self._scale = scale
+        np.matmul(self._inv, self.b, out=self.mu_hat)
+        self._rank_one_done(not low > 0.0)
+
+    def _rank_one_done(self, lost: bool) -> None:
+        """After a rank-one update: rebuild the inverse, and mu_hat, where it
+        ``lost`` a diagonal entry (round-off left it not positive definite) or
+        drifted past the tolerance, checked every DRIFT_CHECK_EVERY updates."""
         self._rank_one_updates += 1
-        # A diagonal entry <= 0: round-off left an inverse that is not
-        # positive definite, so it is rebuilt without waiting for a check.
-        lost = not low > 0.0
         if lost or self._rank_one_updates == DRIFT_CHECK_EVERY:
             self._rank_one_updates = 0
             drift = np.abs(self.sigma @ self._inv - np.eye(self.dim)).max()
             if lost or drift > INVERSE_DRIFT_TOL:
                 self._inv[...] = np.linalg.inv(self.sigma)
-        np.matmul(self._inv, self.b, out=self.mu_hat)
+                np.matmul(self._inv, self.b, out=self.mu_hat)
 
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))

@@ -11,6 +11,7 @@ from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
                    as_nonneg, as_positive, round_rng)
+from . import knn as _knn, linear as _linear
 from .knn import KnnBatch, NeighborBank
 from .linear import RidgeState, _lapack, widths_sq
 
@@ -40,33 +41,47 @@ class LNUCBTA(Policy):
         self.use_knn = as_bool(use_knn, "use_knn")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min, theta_max,
                                  variance_scale)
-        # Each ridge keeps mu_hat, and its inverse or factor, as rows of
-        # these stacks, so that the bank's pass scores every arm's ridge too.
-        self._mu_stack = np.zeros((self.n_arms, self.dim))
-        self._squares = np.zeros((self.n_arms, self.dim, self.dim))
-        self.ridges = [RidgeState(dim, lam, gamma_cov, rows)
-                       for rows in zip(self._mu_stack, self._squares)]
-        # Factored widths are compiled too where dtrtrs is found: see NeighborBank._query.
-        lapack = self.ridges[0].chol is not None and _lapack()[1]
-        self._stacks = [self._mu_stack, self._squares if lapack else None,
-                        lapack[2] if lapack else 0, None]
+        # Each ridge keeps mu_hat, its inverse or factor, sigma and b as rows of
+        # these stacks: one compiled call scores every arm, or updates one.
+        n, d = self.n_arms, self.dim
+        self._mu_stack, self._bs = np.zeros((n, d)), np.zeros((n, d))
+        self._squares, self._sigmas = np.zeros((n, d, d)), np.zeros((n, d, d))
+        self.ridges = [RidgeState(dim, lam, gamma_cov, rows) for rows in
+                       zip(self._mu_stack, self._squares, self._sigmas, self._bs)]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(alpha0, kappa)
-        # (context bytes, ScoreTable, KnnBatch) of the last select()/scores().
-        # The stores change only in update(), which consumes and clears it,
-        # so a match on the context is exactly what a fresh query returns.
+        # (context bytes, ScoreTable, KnnBatch, argmax) of the last select()
+        # or scores().  The stores change only in update(), which consumes and
+        # clears it, so a match on the context is what a fresh query returns.
         self._kept: Optional[tuple] = None
+        # The compiled round's table (and n x d scratch) and its round_t (see
+        # _cstep), where the bank's pointers are taken too.
+        lapack = (0, 0, 0) if self.ridges[0].chol is None else _lapack()[1]
+        self._table_rows, self._c = np.zeros((5 + d, n)), None
+        if lapack and self.bank._args() is not None:
+            buf = _knn._step.ffi.from_buffer
+            self._c = _knn._step.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
+                ("table", self._table_rows), ("mu", self._mu_stack), ("squares", self._squares),
+                ("sigmas", self._sigmas), ("bs", self._bs), ("v", self._table_rows[5:]),
+                ("stat_sum", self.stats.per_arm_sum))},
+                "stat_count": buf("int64_t[]", self.stats.per_arm_count),
+                "scale_max": self.ridges[0]._scale_max, "gamma": self.ridges[0].gamma_cov,
+                "alpha0": self._attention.alpha0, "kappa": self._attention.kappa, "n": n,
+                "widths": 2 if lapack[2] == 0 else 1, "flags": self.use_knn + 2 * self.use_attention
+                + 4 * (self.use_attention and self.floor_alpha_at_zero),
+                "trtrs": lapack[2], "potrf": lapack[0], "potrs": lapack[1]})
 
-    def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch]]:
-        """The score table and k-NN pass for a checked context."""
+    def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch], Optional[int]]:
+        """The score table, k-NN pass and, from the compiled round, the
+        lowest-index argmax, for a checked context."""
         bank = self.bank
-        if self.use_knn or self._stacks[2]:  # else numpy's product alone is cheaper
-            batch, linear, width = bank._query(bank._all_rows if self.use_knn else [],
-                                               x, bank._ks, True, self._stacks)
-        else:
-            batch, linear, width = None, self._mu_stack @ x, None
-        if width is None:
-            width = np.sqrt(widths_sq(self.ridges, self._squares, x))
+        if self._c and bank._args():  # else the numpy step
+            batch, best = bank._query(bank._all_rows if self.use_knn else [], x, bank._ks,
+                                      True, self._c)
+            return ScoreTable(*self._table_rows[:5].copy()), batch if self.use_knn else None, best
+        batch = bank._pass(x, True) if self.use_knn else None
+        linear = self._mu_stack @ x
+        width = np.sqrt(widths_sq(self.ridges, self._squares, x))
         knn = batch.score.copy() if self.use_knn else np.zeros(self.n_arms)
         if self.use_attention:
             local = self.stats.local_means()
@@ -79,7 +94,7 @@ class LNUCBTA(Policy):
             alpha = np.full(self.n_arms, self._attention.alpha0)
         ucb = linear + knn + alpha * width
         return ScoreTable(linear=linear, knn=knn, alpha=alpha, width=width,
-                          ucb=ucb), batch
+                          ucb=ucb), batch, None
 
     def score_table(self, x: np.ndarray, round: int) -> ScoreTable:
         return self._table(as_context(x, self.dim))[0]
@@ -91,18 +106,33 @@ class LNUCBTA(Policy):
     def selected_table(self) -> ScoreTable:
         return self._kept[1]
 
+    def _choose(self, scores: np.ndarray, round: int) -> int:
+        best = self._kept[3]  # the compiled round's argmax of these scores
+        if best is None or self.tie_break != "lowest-index":
+            return super()._choose(scores, round)
+        return best
+
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score, so
-        # the pass runs before the add.  Each check runs once, the ridge's
-        # first (it names an update that overflows both), then the changes:
-        # the ridge's first, as it can still refuse a shifted sigma.
-        knn, u_max, sums = 0.0, 0.0, None
+        # the pass runs before the add.
+        xb, knn, u_max, sums = x.tobytes(), 0.0, 0.0, None
         if self.use_knn:
-            hit = kept is not None and kept[0] == x.tobytes()
-            batch = kept[2] if hit else self.bank._pass(x, True)
+            batch = kept[2] if kept is not None and kept[0] == xb else self.bank._pass(x, True)
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
-        ridge = self.ridges[arm]
+        ridge, bank, c = self.ridges[arm], self.bank, self._c
+        if c and bank._args() and _linear._step:  # one call, unless it declines
+            c.scale = ridge._scale
+            lost = _knn._step.lib.update_round(arm, xb, reward, knn, u_max, bank._adds,
+                                               self.use_knn, c, *bank._args())
+            if lost >= 0:
+                ridge._scale, bank._adds = c.scale, bank._adds + self.use_knn
+                if ridge.chol is None:
+                    ridge._rank_one_done(lost)
+                return
+        # The numpy update.  Each check runs once, the ridge's first (it
+        # names an update that overflows both), then the changes: the
+        # ridge's first, as it can still refuse a shifted sigma.
         scale = ridge._check(x, reward - knn, u_max * u_max)
         if self.use_knn:
             sums = self.bank._sums_after(arm, reward)

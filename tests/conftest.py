@@ -33,6 +33,13 @@ def compiled_step(module, step):
     finally:
         module._step = saved
 
+
+@pytest.fixture(params=PASS_STEPS, ids=PASS_IDS)
+def each_pass(request):
+    """Run the test under each score pass: numpy's, then the compiled round."""
+    with compiled_step(knn, request.param):
+        yield request.param
+
 # One benchmark setting shared by the ordering, robustness, and ablation
 # tests.  Everything here is frozen: the tests below compare policies on
 # byte-identical reward streams, so their margins are reproducible.

@@ -65,6 +65,7 @@ class TestRewardStats:
         stats = RewardStats(3)
         assert stats.local_means().tolist() == [0.0, 0.0, 0.0]
 
+    @pytest.mark.usefixtures("each_pass")
     def test_global_mean_averages_arm_means_not_rewards(self):
         # With kappa = 1 the hybrid's alpha is alpha0 / (N + 1) * g.
         policy = LNUCBTA(2, 2, alpha0=1.0, kappa=1.0, seed=0)

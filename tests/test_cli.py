@@ -118,6 +118,7 @@ class TestRun:
             p["config_echo"]["options"].pop("out")
         assert pa == pb
 
+    @pytest.mark.usefixtures("each_pass")
     def test_trace_columns(self, tmp_path):
         out = tmp_path / "o"
         rc = cli_main(["run", "--policy", "lnucb-ta", "--T", "15",

@@ -1,5 +1,6 @@
 """Neighbor store behavior and the adaptive-k query against independent oracles."""
 import importlib.util
+import math
 import shutil
 import subprocess
 import sys
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditlab import _cstep, knn
+from banditlab import _cstep, core, knn, policies
+from banditlab.attention import AttentionParams, RewardStats, exploration_rates
+from banditlab.linear import RidgeState
 from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
-from conftest import PASS_STEPS, compiled_step
+from conftest import PASS_IDS, PASS_STEPS, compiled_step
 
 
 CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
@@ -89,6 +92,27 @@ class TestNeighborBank:
         bank = NeighborBank(2, 2)
         with pytest.raises(ValueError, match="out of range"):
             bank.add(2, np.ones(2), 1.0, 0)
+        for arm, round, message in [(0, 2.7, "round must be an integer, got 2.7"),
+                                    (0, True, "round must be an integer"),
+                                    (1.5, 3, "arm must be an integer, got 1.5"),
+                                    (-1, 3, "arm must be >= 0")]:
+            with pytest.raises(ValueError, match=message):
+                bank.add(arm, np.ones(2), 1.0, round)
+        assert len(bank.store(0)) == len(bank.store(1)) == 0
+        bank.add(np.int64(1), np.ones(2), 1.0, 2.0)
+        assert bank.store(1).rounds.tolist() == [2]
+
+    @pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
+    def test_round_past_int64_changes_nothing(self, step):
+        # A full capped row evicts before it stores: a round that no int64
+        # slot holds must raise before that, under each step.
+        with compiled_step(knn, step):
+            store = NeighborStore(2, capacity=2)
+            for t in range(2):
+                store.add([0.0, float(t)], 0.5 + t, t)
+            with pytest.raises(ValueError, match=r"round must be < 2\*\*63"):
+                store.add([1.0, 1.0], 0.25, 2 ** 63)
+            assert store.rewards.tolist() == [0.5, 1.5] and store.rounds.tolist() == [0, 1]
 
     def test_stores_are_rows_of_the_bank(self):
         bank = NeighborBank(3, 2)
@@ -429,11 +453,117 @@ def test_failed_blas_self_check_runs_the_numpy_pass(symbols, monkeypatch):
 
 
 needs_build = pytest.mark.skipif(not CAN_BUILD, reason="no cffi or no cc")
+needs_pass = pytest.mark.skipif(knn._step is None, reason="the compiled pass is not built")
 
 
 @needs_build
 def test_compiled_step_is_active():
     assert knn._step is not None
+
+
+@needs_build
+@pytest.mark.parametrize("params", [{}, {"gamma_cov": 0.05}, {"use_knn": False},
+                                    {"use_attention": False}])
+def test_compiled_round_is_active(params, monkeypatch):
+    # Each select and update of an LNUCB-TA policy is one C call here; no
+    # step of the numpy round runs.  A self-check that failed without a
+    # word would leave every twin test on the numpy path; this fails then.
+    def numpy_round(*args, **kwargs):
+        raise AssertionError("the numpy round ran")
+
+    for owner, name in [(NeighborBank, "_select"), (NeighborBank, "_sums_after"),
+                        (RidgeState, "_check"), (RidgeState, "_update"),
+                        (RewardStats, "record"), (RewardStats, "local_means"),
+                        (policies, "exploration_rates"), (policies, "widths_sq"),
+                        (core, "argmax_tiebreak")]:
+        monkeypatch.setattr(owner, name, numpy_round)
+    policy = make_policy("lnucb-ta", 3, 2, theta_max=3, store_capacity=4, **params)
+    rng = np.random.default_rng(4)
+    for t in range(40):  # the capped rows wrap
+        x = rng.standard_normal(2)
+        policy.update(policy.select(x, t), x, float(rng.uniform()))
+    assert policy.stats.per_arm_count.sum() == 40
+
+
+def _rates_table(sums, counts, width, alpha0, kappa, flags):
+    """score_pass's table and argmax for no k-NN rows, with these stats and
+    widths (widths 0 leaves them), and mu x for mu = x = [1, -1]."""
+    ffi, buf = knn._step.ffi, knn._step.ffi.from_buffer
+    n, x = len(sums), np.array([1.0, -1.0])
+    table, mu = np.zeros((7, n)), np.tile(x, (n, 1))
+    table[3] = width
+    p = ffi.new("round_t *", {"table": buf("double[]", table), "mu": buf("double[]", mu),
+                              "stat_sum": buf("double[]", sums),
+                              "stat_count": buf("int64_t[]", counts), "alpha0": alpha0,
+                              "kappa": kappa, "n": n, "flags": flags})
+    best = knn._step.lib.score_pass(x.tobytes(), 0, ffi.NULL, ffi.NULL, 1, 1, p, 2,
+                                    *(ffi.NULL,) * 9, 0, 0, 0, 0, 0.0, ffi.NULL, ffi.NULL,
+                                    *knn._BLAS)
+    return table[:5], best
+
+
+SPECIALS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, math.nan, math.inf, -math.inf])
+
+
+@needs_pass
+@settings(max_examples=200, deadline=None)
+@given(
+    sums=st.lists(SPECIALS | st.floats(-3.0, 3.0), min_size=1, max_size=8),
+    counts=st.lists(st.integers(0, 4), min_size=8, max_size=8),
+    width=st.lists(SPECIALS, min_size=8, max_size=8),
+    alpha0=st.sampled_from([0.0, 1.0, 1.5]),
+    kappa=st.sampled_from([0.0, 0.25, 1.0]),
+    flags=st.sampled_from([0, 2, 6]),
+)
+def test_compiled_rates_floor_and_argmax_equal_numpy(sums, counts, width, alpha0, kappa,
+                                                     flags):
+    # Signed zeros, ties, infinities and NaN (the first NaN wins the argmax,
+    # np.maximum(-0.0, 0.0) is 0.0) through the compiled table's rates,
+    # floor and ucb, against the numpy round's own calls.
+    sums, n = np.array(sums), len(sums)
+    counts, width = np.array(counts[:n]), np.array(width[:n])
+    got, best = _rates_table(sums, counts, width, alpha0, kappa, flags)
+    got = np.where(np.isnan(got), np.nan, got)  # a NaN's payload aside
+    with np.errstate(all="ignore"):
+        local = sums / np.maximum(counts, 1)
+        alpha = np.full(n, alpha0)
+        if flags & 2:
+            alpha = exploration_rates(AttentionParams(alpha0, kappa), counts,
+                                      float(np.add.reduce(local) / n), local)
+        if flags & 4:
+            np.maximum(alpha, 0.0, out=alpha)
+        linear = np.full(n, 2.0)
+        ucb = linear + np.zeros(n) + alpha * width
+    want = np.array([linear, np.zeros(n), alpha, width, ucb])
+    want = np.where(np.isnan(want), np.nan, want)
+    assert got.tobytes() == want.tobytes()
+    assert best == int(ucb.argmax())
+
+
+@needs_pass
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 300),
+    rows=st.integers(1, 4),
+    pad=st.integers(0, 3),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    zeros=st.sampled_from(["none", "some", "negative", "all-negative"]),
+    seed=st.integers(0, 100_000),
+)
+def test_compiled_row_sums_equal_add_reduce(k, rows, pad, scale, zeros, seed):
+    # The k-NN score's reward sum in C, against numpy's add.reduce 1-D and
+    # along axis=1 of padded rows (inf past k, as the norms' padding): every
+    # branch of the pairwise sum, signed zeros and both ends of the range.
+    rng = np.random.default_rng(seed)
+    a = np.full((rows, k + pad), np.inf)
+    a[:, :k] = rng.standard_normal((rows, k)) * scale
+    if zeros != "none":
+        mask = rng.uniform(size=(rows, k)) < (1.0 if zeros == "all-negative" else 0.3)
+        a[:, :k][mask] = -0.0 if "negative" in zeros else 0.0
+    out = np.array([0.0 + knn._step.lib.pairwise(knn._step.ffi.from_buffer("double[]", r), k)
+                    for r in a])  # add.reduce adds the sum to its identity
+    assert out.tobytes() == np.add.reduce(a[:, :k], axis=1).tobytes()
+    assert out.tobytes() == np.array([np.add.reduce(r[:k]) for r in a]).tobytes()
 
 
 @needs_build

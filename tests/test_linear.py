@@ -195,7 +195,9 @@ def _ridge_bits(step, d, lam, gamma, seed, n):
     rng = np.random.default_rng(seed)
     with compiled_step(linear, step):
         mu_hats, squares = np.empty((3, d)), np.empty((3, d, d))
-        ridges = [RidgeState(d, lam, gamma, rows) for rows in zip(mu_hats, squares)]
+        sigmas, bs = np.empty((3, d, d)), np.empty((3, d))
+        ridges = [RidgeState(d, lam, gamma, rows)
+                  for rows in zip(mu_hats, squares, sigmas, bs)]
         for t in range(n):
             e = float(rng.uniform(0.0, 2.0)) if t % 3 else 0.0
             ridges[t % 3].update(rng.standard_normal(d),

@@ -3,6 +3,7 @@ flag reductions, and the baseline algorithms."""
 import inspect
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import banditlab
 from banditlab import cli, knn, linear
 from banditlab.attention import RewardStats
-from banditlab.core import Policy, round_rng
+from banditlab.core import Policy, as_context, round_rng
 from banditlab.knn import NeighborBank
 from banditlab.linear import RidgeState
 from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
@@ -110,6 +111,7 @@ class HandRolledHybrid:
         self.sums[arm] += reward
 
 
+@pytest.mark.usefixtures("each_pass")
 def test_hybrid_matches_handrolled_simulator():
     params = dict(lam=0.8, alpha0=1.5, kappa=0.3, theta_min=1, theta_max=3,
                   gamma_cov=0.1, variance_scale=4.0)
@@ -131,6 +133,7 @@ def test_hybrid_matches_handrolled_simulator():
         sim.update(arm, x, reward, t)
 
 
+@pytest.mark.usefixtures("each_pass")
 def test_score_table_decomposition_is_consistent():
     policy = LNUCBTA(4, 3, seed=1)
     rng = np.random.default_rng(1)
@@ -144,6 +147,7 @@ def test_score_table_decomposition_is_consistent():
         policy.update(policy.select(x, t), x, float(rng.uniform()))
 
 
+@pytest.mark.usefixtures("each_pass")
 def test_selection_and_scoring_are_pure():
     policy = LNUCBTA(3, 2, seed=0)
     rng = np.random.default_rng(2)
@@ -259,14 +263,16 @@ def test_fused_pass_and_numpy_path_give_the_same_bits(
         bits = []
         for step in PASS_STEPS:
             with compiled_step(knn, step):
-                table, batch = policy._table(x)
+                table, batch, best = policy._table(x)
             fields = [table.linear, table.knn, table.alpha, table.width, table.ucb,
                       *(batch if flags[0] else ())]
             bits.append([(f.dtype.str, f.tobytes()) for f in fields])
+            assert best == (None if step is None else int(table.ucb.argmax()))
         assert bits[1] == bits[0]
         policy.update(policy.select(x, t), x, float(rng.choice([0.0, 0.05, 1.0])))
 
 
+@pytest.mark.usefixtures("each_pass")
 def test_flag_reductions():
     # No knn, no attention, fixed k: the factory policies are flag configs.
     lin = linucb(3, 2, alpha=0.7)
@@ -285,6 +291,7 @@ def test_flag_reductions():
     assert list(twin.bank._ks) == [4, 4, 4]
 
 
+@pytest.mark.usefixtures("each_pass")
 def test_alpha_floor_clamps_negative_rates():
     floored = LNUCBTA(2, 2, floor_alpha_at_zero=True, seed=0)
     raw = LNUCBTA(2, 2, floor_alpha_at_zero=False, seed=0)
@@ -436,6 +443,7 @@ class TestMakePolicy:
         pytest.param({"x": [1.0, 0.0, 0.0]}, "dimension 3 != expected 2",
                      id="long-context"),
     ])
+    @pytest.mark.usefixtures("each_pass")
     def test_non_finite_reward_changes_nothing(self, pid, bad, match):
         assert_rejected_update_changes_nothing(pid, bad, match)
 
@@ -449,7 +457,7 @@ class TestMakePolicy:
     @pytest.mark.parametrize("pid, params", [
         ("lnucb-ta", {}), ("lnucb-ta", {"gamma_cov": 0.05}),
         ("lnucb-ta", {"use_knn": False}), ("enhanced-linthompson", {})])
-    def test_each_overflow_check_runs_once_per_update(self, pid, params,
+    def test_each_overflow_check_runs_once_per_update(self, pid, params, each_pass,
                                                       monkeypatch):
         calls = []
         for owner, name in [(RidgeState, "_check"), (NeighborBank, "_sums_after"),
@@ -461,6 +469,8 @@ class TestMakePolicy:
         policy = make_policy(pid, 3, 2, **params)
         want = ["_check", "_sum_after"] + (["_sums_after"] if getattr(
             policy, "use_knn", True) else [])
+        if each_pass is not None and pid == "lnucb-ta":
+            want = []  # the compiled update makes each check once, in C
         for t in range(4):
             calls.clear()
             x = [0.3, -0.1 * t]
@@ -468,6 +478,7 @@ class TestMakePolicy:
             assert sorted(calls) == sorted(want)
 
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
+    @pytest.mark.usefixtures("each_pass")
     def test_huge_context_is_rejected_by_select_and_scores(self, pid):
         policy = make_policy(pid, 3, 2, seed=4)
         policy.update(0, [1.0, 0.0], 0.5)
@@ -487,6 +498,7 @@ class TestMakePolicy:
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
+    @pytest.mark.usefixtures("each_pass")
     def test_overflowing_ridge_reward_changes_nothing(self, pid, params, step):
         # 1e308 * ||x|| overflows b; the k-NN ids check the ridge before the add.
         with compiled_step(linear, step):
@@ -494,6 +506,7 @@ class TestMakePolicy:
                 pid, {"reward": 1e308}, "ridge update overflows", **params)
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
+    @pytest.mark.usefixtures("each_pass")
     def test_shifted_ridge_that_cannot_factor_changes_nothing(self, step):
         # sigma + x x^T rounds to a singular matrix: x x^T's entries are 1e18,
         # whose spacing is 128, and sigma's are far smaller.
@@ -514,6 +527,7 @@ class TestMakePolicy:
 
     @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
+    @pytest.mark.usefixtures("each_pass")
     def test_ridge_stops_before_sigma_overflows(self, pid, params, step):
         # [1e153, 0] is an accepted context, and 179 of them overflow sigma.
         # The first one leaves a Sherman-Morrison inverse with a zero
@@ -563,7 +577,7 @@ def hybrid_state(policy):
     for r in policy.ridges:
         arrays += [r.sigma, r.b, r.mu_hat, r.chol]
     return ([a.tobytes() for a in arrays], *map(list, (bank._start, bank._end, bank._ks)),
-            bank._sums, bank._adds, [r._scale for r in policy.ridges])
+            bank._sums.tolist(), bank._adds, [r._scale for r in policy.ridges])
 
 
 def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **params):
@@ -591,6 +605,107 @@ def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **param
     for each in (policy, twin):
         each.update(arm, x, 0.25)
     assert np.array_equal(policy.scores(x, 14), twin.scores(x, 14))
+
+
+def held(obj, path="policy"):
+    """(path, value) of every array, int array and number a policy holds,
+    through its banditlab objects, lists and tuples.  The compiled steps'
+    pointers and output buffers, and the pass kept for update(), are
+    scratch; a bank's contexts and rounds count over their windows."""
+    if isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from held(v, f"{path}[{i}]")
+    elif isinstance(obj, NeighborBank):
+        for k, v in vars(obj).items():
+            if k in ("_ctx", "_rounds"):
+                v = [getattr(obj.store(a), k[1:].replace("ctx", "contexts"))
+                     for a in range(obj.n_arms)]
+            if k not in ("_c", "_res"):
+                yield from held(v, f"{path}.{k}")
+    elif type(obj).__module__.startswith("banditlab."):
+        for k, v in vars(obj).items():
+            if k not in ("_c", "_kept", "_table_rows"):
+                yield from held(v, f"{path}.{k}")
+    elif type(obj).__module__ == "_cffi_backend":
+        yield path, list(obj)
+    else:
+        yield path, obj
+
+
+def held_bytes(policy):
+    return [(path, (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+             else repr(v)) for path, v in held(policy)]
+
+
+# A context just inside as_context's bound: 4 * ||x||^2 is finite.
+EDGE = math.sqrt(sys.float_info.max / 8.0) * (1.0 - 1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pid=st.sampled_from(sorted(POLICIES)),
+    n=st.integers(0, 40),
+    capped=st.booleans(),
+    hostile=st.sampled_from(["edge-context", "reward+1e308", "reward-1e308",
+                             "tiny-lam"]),
+    seed=st.integers(0, 100_000),
+)
+def test_hostile_update_is_finite_or_changes_nothing(pid, n, capped, hostile, seed):
+    # After a random history, one hostile update either succeeds and leaves
+    # every stored value finite (the k-NN padding's inf norms aside), or
+    # raises ValueError (LinAlgError is one) and leaves the policy byte-equal
+    # to a twin that never saw it, under each score pass.  A RuntimeWarning
+    # fails the test.
+    keys = POLICY_PARAM_KEYS[pid]
+    params = {"store_capacity": 3} if capped and "store_capacity" in keys else {}
+    if hostile == "tiny-lam":
+        params.update((k, v) for k, v in (("lam", 1e-10), ("gamma_cov", 0.05)) if k in keys)
+    x_bad = {"edge-context": [EDGE, -EDGE], "tiny-lam": [1e9, 1e9]}.get(hostile, [0.3, -0.2])
+    reward = {"reward+1e308": 1e308, "reward-1e308": -1e308}.get(hostile, 0.5)
+    assert as_context(x_bad) is not None
+    for step in PASS_STEPS:
+        rng = np.random.default_rng(seed)
+        with compiled_step(knn, step):
+            policy, twin = (make_policy(pid, 3, 2, seed=1, **params) for _ in "ab")
+            for t in range(n):
+                x, r = rng.standard_normal(2), float(rng.uniform(-1.0, 2.0))
+                arm = policy.select(x, t)
+                assert twin.select(x, t) == arm  # draws and caches alike
+                for each in (policy, twin):
+                    each.update(arm, x, r)
+            try:
+                policy.update(int(rng.integers(3)), x_bad, reward)
+            except ValueError:
+                assert held_bytes(policy) == held_bytes(twin)
+                x = rng.standard_normal(2)
+                assert policy.scores(x, n).tobytes() == twin.scores(x, n).tobytes()
+                continue
+            for path, v in held(policy):
+                if path.endswith("._norm2"):
+                    sizes = np.subtract(list(policy.bank._end), list(policy.bank._start))
+                    v = np.where(np.arange(v.shape[1]) < sizes[:, None], v, 0.0)
+                if isinstance(v, (float, np.ndarray)) and not path.endswith("._selected"):
+                    assert np.isfinite(v).all(), (path, v)
+
+
+@pytest.mark.parametrize("pid", sorted(POLICIES))
+@pytest.mark.parametrize("arm, message", [
+    (1.9, "arm must be an integer, got 1.9"), (True, "arm must be an integer, got True"),
+    (math.nan, "arm must be an integer, got nan"), ("1", "arm must be an integer"),
+    (-1, "arm must be >= 0"),
+])
+def test_arm_is_checked_by_name(pid, arm, message):
+    assert_rejected_update_changes_nothing(pid, {"arm": arm}, message)
+
+
+@pytest.mark.parametrize("pid", sorted(POLICIES))
+def test_numpy_integer_arms_are_arms(pid):
+    policy, twin = (make_policy(pid, 3, 2, seed=2) for _ in "ab")
+    for t, arm in enumerate([1, 2, 1.0]):
+        x = [0.3 * t, -0.2]
+        policy.update(np.int64(int(arm)), x, 0.5)
+        twin.update(arm, x, 0.5)
+    assert held_bytes(policy) == held_bytes(twin)
 
 
 class TestBaselines:
