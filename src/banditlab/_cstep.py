@@ -34,11 +34,13 @@ typedef double ddot_t(int64_t, const double *, int64_t, const double *, int64_t)
 typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
                      double *, int *, int *);
 /* A policy's stacks (n arms of d x d or d), stats and table: rows linear,
-   knn, alpha, width, ucb, then n x d scratch.  Widths: 1 from L, 2 inverses. */
+   knn, alpha, width, ucb, then n x d scratch.  Widths: 1 from L, 2 inverses.
+   Per ridge: its running bound (scales) and its rank-one updates since the
+   last drift check (drift), which falls due at every. */
 typedef struct {
-    double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, scale, scale_max, gamma,
+    double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, *scales, scale_max, gamma,
         alpha0, kappa;
-    int64_t *stat_count, n, widths, flags;
+    int64_t *stat_count, *drift, n, widths, flags, every;
     intptr_t trtrs, potrf, potrs;
 } round_t;
 
@@ -206,8 +208,9 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
    can still fail to factor), stats and, with add, the entry and its k.
    Returns -1, having changed nothing, where a check fails, sigma does not
    factor, an uncapped row is full or only the exact variance picks k (the
-   numpy update then raises, grows or decides); else 0, or 1 where the
-   inverse lost a diagonal entry. */
+   numpy update then raises, grows or decides); else 0, or, for an inverse,
+   1 where its drift check falls due and 2 where it lost a diagonal entry
+   (RidgeState._rank_one_done then counts the update and runs the check). */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
                      int64_t round, int add, round_t *p, int64_t d, double *const *ctx,
                      int64_t *const *rounds, const int64_t *lens, int64_t *start,
@@ -217,8 +220,8 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
 {
     const double *x = (const double *)xs, resid = r - knn, e = u_max * u_max;
     const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1), total = p ? p->stat_sum[a] + r : 0.0;
-    const double next = p ? p->scale + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
-    int64_t st = start[a], en = end[a], n = en - st, k = lo, lost = 0;
+    const double next = p ? p->scales[a] + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
+    int64_t st = start[a], en = end[a], n = en - st, k = lo, due = 0;
     double s[4], *nr = norm2 + a * stride, *rw = rewards + a * stride;
     if (p && !(next <= p->scale_max)) return -1;
     if (add) {
@@ -245,11 +248,13 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
                 return -1;
         } else {  /* Sherman-Morrison: v = inv x, then mu = inv b */
             matvec(d, d, sq, x, p->v, gemv, ddot);
-            lost = !(ridge_rank_one(x, sig, b, p->v, sq, (int)d, resid,
-                                    1.0 + ((ddot_t *)ddot)(d, x, 1, p->v, 1)) > 0.0);
+            due = ridge_rank_one(x, sig, b, p->v, sq, (int)d, resid,
+                                 1.0 + ((ddot_t *)ddot)(d, x, 1, p->v, 1)) > 0.0
+                ? p->drift[a] + 1 == p->every : 2;
+            p->drift[a] += !due;
             matvec(d, d, sq, b, p->mu + a * d, gemv, ddot);
         }
-        p->scale = next, p->stat_sum[a] = total, p->stat_count[a]++;
+        p->scales[a] = next, p->stat_sum[a] = total, p->stat_count[a]++;
     }
     if (add) {
         for (int64_t i = 0; n == cap && i + 1 < n; i++) nr[i] = nr[i + 1], rw[i] = rw[i + 1];
@@ -264,7 +269,40 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
         memcpy(sums + 4 * a, s, sizeof s);
         start[a] = st, end[a] = en + 1, bank_ks[a] = lo < hi ? k : bank_ks[a];
     }
-    return lost;
+    return due;
+}
+
+/* LNUCBTA p's rounds t to n - 1, of n x d contexts xs and n x arms rewards
+   rw, with add = use_knn: the context certified (finite, its squared norm
+   far from overflow), score_pass's arm, update_round, the reward into out.
+   Returns n; the round Python takes, unchanged, whose context or reward is
+   not certified or whose update declines; or, with due = (update_round's 1
+   or 2, the arm), the round after one whose drift check falls due. */
+int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int64_t arms,
+                   double *out, int64_t *adds, int64_t *due, const int64_t *rows, int add,
+                   round_t *p, int64_t d, double *const *ctx, int64_t *const *rounds,
+                   const int64_t *lens, int64_t *start, int64_t *end, int64_t *bank_ks,
+                   double *sums, double *norm2, double *rewards, int64_t stride, int64_t cap,
+                   int64_t lo, int64_t hi, double vscale, double *scratch, double *res,
+                   intptr_t gemv, intptr_t ddot)
+{
+#define BANK d, ctx, rounds, lens, start, end, bank_ks, sums, norm2, rewards, stride, cap, \
+    lo, hi, vscale, scratch, res, gemv, ddot
+    for (due[0] = 0; t < n; t++) {
+        const double *x = xs + t * d;
+        double xx = 0.0, r;
+        for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
+        if (!(xx <= 0x1p1000)) return t;  /* NaN, inf or near as_context's bound */
+        const int64_t m = add ? p->n : 0, k_cols = hi < stride ? hi : stride;
+        const int64_t a = score_pass((const char *)x, m, rows, bank_ks, 1, k_cols, p, BANK);
+        if (!isfinite(r = rw[t * arms + a])) return t;
+        due[0] = update_round(a, (const char *)x, r, m ? res[a] : 0.0, m ? res[m + a] : 0.0,
+                              *adds, add, p, BANK);
+        if (due[0] < 0) return t;
+        *adds += add, out[t] = r;
+        if (due[0]) return due[1] = a, t + 1;
+    }
+    return n;
 }
 
 static locale_t c_locale;  /* strtod_l's, made when the module loads */

@@ -100,6 +100,12 @@ class ClassificationBanditEnv:
         reward = 1.0 if arm == self.labels[t] else 0.0
         return RoundFeedback(reward=reward, oracle_reward=1.0)
 
+    def arrays(self, T: int, n_arms: int):
+        """(contexts, rewards of arms [0, n_arms), oracle rewards) of the
+        first T rounds, as context and feedback give them."""
+        n = min(T, len(self))
+        return self.contexts[:n], (self.labels[:n, None] == np.arange(n_arms)) * 1.0, np.ones(n)
+
     def metadata(self) -> dict:
         names = self.class_names or list(range(self.n_arms))
         return {
@@ -358,6 +364,15 @@ class HybridStream:
         return RoundFeedback(
             reward=float(self.realized[t, arm]),
             oracle_reward=float(self.realized[t, self.oracle_arm[t]]))
+
+    def arrays(self, T: int, n_arms: int):
+        """ClassificationBanditEnv.arrays, or None where feedback would raise."""
+        n = min(T, len(self))
+        try:
+            return (self.contexts[:n], self.realized[:n],
+                    self.realized[np.arange(n), self.oracle_arm[:n]])
+        except IndexError:
+            return None
 
 
 class SyntheticHybridEnv:

@@ -85,7 +85,7 @@ class NeighborBank:
         self._sums = np.zeros((n_arms, 4))
         self._all_rows = ints(list(range(n_arms)))
         self._ks = ints([self.theta_min] * n_arms)  # an empty row's variance is 0
-        self._adds = 0
+        self._adds = np.zeros(1, np.int64)  # the add count, in an array C writes
         self._res = np.zeros(3 * n_arms)  # the compiled pass's KnnBatch fields
         self._c = None  # see _args
 
@@ -141,17 +141,17 @@ class NeighborBank:
         caller ran _sums_after) raises before anything changes.  The
         compiled update makes the add in one call, unless it declines.
         """
-        round = self._adds if round is None else round
+        round = int(self._adds[0]) if round is None else round
         c = self._args() if sums is None else None  # given sums: checked once, by the caller
         if c and _step.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
                                         _step.ffi.NULL, *c) >= 0:
-            self._adds += 1
+            self._adds[0] += 1
             return
         sums = self._sums_after(arm, reward) if sums is None else sums
         start, end = self._start[arm], self._end[arm]
         n = end - start
         full = n == self.capacity  # the oldest entry is evicted
-        self._adds += 1
+        self._adds[0] += 1
         if full:
             for buf in (self._norm2, self._rewards):
                 buf[arm, :n - 1] = buf[arm, 1:n]

@@ -56,23 +56,23 @@ class RidgeState:
     The compiled step (``_cstep``) runs an update's elementwise work and
     LAPACK calls in one C call, with numpy's order of operations and the
     routines scipy.linalg.lapack wraps, so its bits are the numpy/f2py
-    step's.  ``rows`` puts mu_hat, the inverse or L^T, sigma and b in a
-    policy's stacks.
+    step's.  ``rows`` puts mu_hat, the inverse or L^T, sigma, b and the
+    one-entry running bound and drift count in a policy's stacks.
     """
 
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0,
-                 rows: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+                 rows: Optional[Tuple[np.ndarray, ...]] = None):
         self.dim = as_int(dim, "dim", 1)
         self.lam = as_positive(lam, "lam")
         self.gamma_cov = as_nonneg(gamma_cov, "gamma_cov")
-        # See _check: its running bound, and the largest one it accepts.
-        self._scale = self.lam * self.dim
-        self._scale_max = sys.float_info.max / 8.0 * min(self.lam, 1.0) ** 2
         d = self.dim
-        rows = rows or [np.empty(shape) for shape in (d, (d, d), (d, d), d)]
-        self.mu_hat, square, self.sigma, self.b = rows
+        rows = rows or [np.empty(s) for s in (d, (d, d), (d, d), d, 1)] + [np.empty(1, np.int64)]
+        self.mu_hat, square, self.sigma, self.b, self._scale, self._rank_one_updates = rows
         self.mu_hat[...], square[...], self.b[...] = 0.0, 0.0, 0.0
         self.sigma[...] = self.lam * np.eye(d)
+        # See _check (its running bound, and the largest one) and _rank_one_done.
+        self._scale[0], self._rank_one_updates[0] = self.lam * d, 0
+        self._scale_max = sys.float_info.max / 8.0 * min(self.lam, 1.0) ** 2
         # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
         # lower Cholesky factor of sigma (gamma_cov > 0).
         self._inv: Optional[np.ndarray] = None
@@ -83,7 +83,6 @@ class RidgeState:
         else:
             self._inv = square
             np.fill_diagonal(square, 1.0 / self.lam)
-        self._rank_one_updates = 0  # since _inv was last computed from sigma
         self._c = None  # the compiled step's pointers into the arrays above
 
     @property
@@ -135,7 +134,7 @@ class RidgeState:
         and the drift check's products <= scale / lam^2 for lam <= 1, with 8x
         headroom for rounding."""
         xx = float(x.dot(x))
-        scale = (self._scale + xx + self.dim * (self.gamma_cov * e_knn)
+        scale = (float(self._scale[0]) + xx + self.dim * (self.gamma_cov * e_knn)
                  + abs(residual) * math.sqrt(xx))
         if not scale <= self._scale_max:  # NaN fails too
             raise ValueError("ridge update overflows: sigma, b or mu_hat "
@@ -166,7 +165,7 @@ class RidgeState:
             elif step.lib.ridge_factor(*_buffers(step, x), *self._c, self.dim, residual,
                                        inflate, *_lapack()[1][:2]):
                 raise np.linalg.LinAlgError("sigma is not positive definite")
-            self._scale = scale
+            self._scale[0] = scale
             return
         # Sherman-Morrison rank-one inverse update.
         v = self._inv @ x
@@ -179,7 +178,7 @@ class RidgeState:
         else:
             low = step.lib.ridge_rank_one(*_buffers(step, x), *self._c[:2], *_buffers(step, v),
                                           self._c[2], self.dim, residual, s)
-        self._scale = scale
+        self._scale[0] = scale
         np.matmul(self._inv, self.b, out=self.mu_hat)
         self._rank_one_done(not low > 0.0)
 
@@ -187,9 +186,9 @@ class RidgeState:
         """After a rank-one update: rebuild the inverse, and mu_hat, where it
         ``lost`` a diagonal entry (round-off left it not positive definite) or
         drifted past the tolerance, checked every DRIFT_CHECK_EVERY updates."""
-        self._rank_one_updates += 1
-        if lost or self._rank_one_updates == DRIFT_CHECK_EVERY:
-            self._rank_one_updates = 0
+        self._rank_one_updates[0] += 1
+        if lost or self._rank_one_updates[0] == DRIFT_CHECK_EVERY:
+            self._rank_one_updates[0] = 0
             drift = np.abs(self.sigma @ self._inv - np.eye(self.dim)).max()
             if lost or drift > INVERSE_DRIFT_TOL:
                 self._inv[...] = np.linalg.inv(self.sigma)

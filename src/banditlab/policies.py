@@ -41,13 +41,14 @@ class LNUCBTA(Policy):
         self.use_knn = as_bool(use_knn, "use_knn")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min, theta_max,
                                  variance_scale)
-        # Each ridge keeps mu_hat, its inverse or factor, sigma and b as rows of
-        # these stacks: one compiled call scores every arm, or updates one.
+        # Each ridge keeps mu_hat, its inverse or factor, sigma, b, bound and drift
+        # count as rows of these stacks: one compiled call scores every arm, or updates one.
         n, d = self.n_arms, self.dim
         self._mu_stack, self._bs = np.zeros((n, d)), np.zeros((n, d))
         self._squares, self._sigmas = np.zeros((n, d, d)), np.zeros((n, d, d))
-        self.ridges = [RidgeState(dim, lam, gamma_cov, rows) for rows in
-                       zip(self._mu_stack, self._squares, self._sigmas, self._bs)]
+        self._scales, self._drifts = np.zeros((n, 1)), np.zeros((n, 1), np.int64)
+        self.ridges = [RidgeState(dim, lam, gamma_cov, rows) for rows in zip(
+            self._mu_stack, self._squares, self._sigmas, self._bs, self._scales, self._drifts)]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(alpha0, kappa)
         # (context bytes, ScoreTable, KnnBatch, argmax) of the last select()
@@ -63,8 +64,9 @@ class LNUCBTA(Policy):
             self._c = _knn._step.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
                 ("table", self._table_rows), ("mu", self._mu_stack), ("squares", self._squares),
                 ("sigmas", self._sigmas), ("bs", self._bs), ("v", self._table_rows[5:]),
-                ("stat_sum", self.stats.per_arm_sum))},
+                ("stat_sum", self.stats.per_arm_sum), ("scales", self._scales))},
                 "stat_count": buf("int64_t[]", self.stats.per_arm_count),
+                "drift": buf("int64_t[]", self._drifts), "every": _linear.DRIFT_CHECK_EVERY,
                 "scale_max": self.ridges[0]._scale_max, "gamma": self.ridges[0].gamma_cov,
                 "alpha0": self._attention.alpha0, "kappa": self._attention.kappa, "n": n,
                 "widths": 2 if lapack[2] == 0 else 1, "flags": self.use_knn + 2 * self.use_attention
@@ -122,13 +124,12 @@ class LNUCBTA(Policy):
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
         ridge, bank, c = self.ridges[arm], self.bank, self._c
         if c and bank._args() and _linear._step:  # one call, unless it declines
-            c.scale = ridge._scale
-            lost = _knn._step.lib.update_round(arm, xb, reward, knn, u_max, bank._adds,
-                                               self.use_knn, c, *bank._args())
-            if lost >= 0:
-                ridge._scale, bank._adds = c.scale, bank._adds + self.use_knn
-                if ridge.chol is None:
-                    ridge._rank_one_done(lost)
+            due = _knn._step.lib.update_round(arm, xb, reward, knn, u_max, int(bank._adds[0]),
+                                              self.use_knn, c, *bank._args())
+            if due >= 0:
+                bank._adds[0] += self.use_knn
+                if due:
+                    ridge._rank_one_done(due == 2)
                 return
         # The numpy update.  Each check runs once, the ridge's first (it
         # names an update that overflows both), then the changes: the
@@ -141,6 +142,26 @@ class LNUCBTA(Policy):
         if self.use_knn:
             self.bank._add(arm, x, reward, sums=sums)
         self.stats.record(arm, reward, total)
+
+    def _runs_in_c(self) -> bool:
+        """Whether _run can take rounds: the compiled steps, the lowest-index
+        rule and no subclass, whose methods a run must call."""
+        return (type(self) is LNUCBTA and self.tie_break == "lowest-index"
+                and bool(self._c and self.bank._args() and _linear._step))
+
+    def _run(self, contexts: np.ndarray, rewards: np.ndarray, t: int, out: np.ndarray) -> int:
+        """``_cstep.run_rounds`` from round t, each reward into out, and each
+        drift check it leaves due; returns the round select and update take."""
+        step, bank = _knn._step, self.bank
+        buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
+        while True:
+            t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
+                                    buf("double[]", rewards), rewards.shape[1],
+                                    buf("double[]", out), buf("int64_t[]", bank._adds), due,
+                                    bank._all_rows, self.use_knn, self._c, *bank._args())
+            if due[0] <= 0:
+                return t
+            self.ridges[due[1]]._rank_one_done(due[0] == 2)
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,

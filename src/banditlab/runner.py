@@ -6,11 +6,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from .core import Policy, ScoreBreakdown
+import numpy as np
+
+from .core import Policy, ScoreBreakdown, as_int
 from .env import (DataError, load_classification_csv, load_news_csv,
                   synthetic_hybrid)
 from .metrics import RunResult
-from .policies import make_policy
+from .policies import LNUCBTA, make_policy
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,7 @@ def param_slug(params: Dict) -> str:
     parts = []
     for k in sorted(params):
         v = params[k]
+        v = v.item() if isinstance(v, np.generic) else v  # np.float64(0.1) is 0.1
         if isinstance(v, bool):
             s = str(v).lower()
         elif isinstance(v, float):
@@ -91,8 +94,8 @@ class Cell:
     @staticmethod
     def make(policy_id: str, params: Dict, T: int, seed: int) -> "Cell":
         return Cell(policy_id=policy_id,
-                    params=tuple(sorted(params.items())), T=int(T),
-                    seed=int(seed))
+                    params=tuple(sorted(params.items())), T=as_int(T, "T", 1),
+                    seed=as_int(seed, "seed", 0))
 
     @property
     def params_dict(self) -> Dict:
@@ -115,20 +118,25 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
     False when the round never happened and whose ``oracle_reward`` is set
     when the env knows the best arm's reward.
 
+    An untraced run of an array episode runs in C where it can (``_array_rounds``).
+
     Returns (RunResult, trace_rows); trace_rows, one ScoreBreakdown of the
     chosen arm per round, is None unless requested.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
+    T, seed = as_int(T, "T", 1), as_int(seed, "seed", 0)
     if not hasattr(env, "episode"):
         raise TypeError(f"unsupported environment {type(env).__name__}")
     t0 = time.perf_counter()
     episode = env.episode(seed, T)
-    rewards: List[float] = []
-    oracle: List[float] = []
+    arrays = None if trace else _array_rounds(episode, policy, T)
+    rewards, oracle = ([], []) if arrays is None else (np.empty(len(arrays[2])), arrays[2])
     trace_rows: Optional[List[ScoreBreakdown]] = [] if trace else None
     t = 0
     while t < T and not episode.exhausted(t):
+        if arrays is not None:
+            t = policy._run(*arrays[:2], t, rewards)
+            if t == len(rewards):
+                break
         x = episode.context(t)
         arm = policy.select(x, t)
         fb = episode.feedback(t, arm)
@@ -137,18 +145,37 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
         if trace:
             trace_rows.append(policy.selected_table().row(arm))
         policy.update(arm, x, fb.reward)
-        rewards.append(fb.reward)
-        if fb.oracle_reward is not None:
-            oracle.append(fb.oracle_reward)
+        if arrays is not None:
+            rewards[t] = fb.reward
+        else:
+            rewards.append(fb.reward)
+            if fb.oracle_reward is not None:
+                oracle.append(fb.oracle_reward)
         t += 1
 
-    if not rewards:
+    if not len(rewards):
         raise DataError("no rounds executed (no replay matches?)")
     runtime = time.perf_counter() - t0
     result = RunResult.from_rewards(policy.name, params_label, seed, rewards,
-                                    oracle_rewards=oracle or None,
+                                    oracle_rewards=oracle if len(oracle) else None,
                                     matched_steps=t, runtime_s=runtime)
     return result, trace_rows
+
+
+def _array_rounds(episode, policy: Policy, T: int):
+    """The episode's float64 (contexts, rewards, oracle rewards) for
+    ``policy._run``, or None: no such arrays, no run in C, or a select or
+    update not Policy's own (a subclass's, or a wrapper with __wrapped__)."""
+    own = all(getattr(getattr(policy, v), "__func__", None) is getattr(Policy, v)
+              and not hasattr(getattr(Policy, v), "__wrapped__") for v in ("select", "update"))
+    if not (own and isinstance(policy, LNUCBTA) and policy._runs_in_c()
+            and hasattr(episode, "arrays")):
+        return None
+    got = episode.arrays(T, policy.n_arms)
+    if got is None or any(a.ndim != 2 or a.dtype != np.float64 for a in got[:2]) or (
+            got[0].shape[1] != policy.dim or got[1].shape[1] < policy.n_arms):
+        return None
+    return np.ascontiguousarray(got[0]), np.ascontiguousarray(got[1]), got[2]
 
 
 def run_cell(env_spec: EnvSpec, cell: Cell, trace: bool = False):

@@ -1,13 +1,16 @@
 """Shared benchmark fixtures: the synthetic suite every ordering test reuses."""
 import contextlib
+import importlib.util
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
 import pytest
 
 from banditlab import env, knn, linear
+from banditlab.knn import NeighborBank
 from banditlab.runner import Cell, EnvSpec, execute_cells
 
 
@@ -39,6 +42,46 @@ def each_pass(request):
     """Run the test under each score pass: numpy's, then the compiled round."""
     with compiled_step(knn, request.param):
         yield request.param
+
+
+def load_spans():
+    """bench/spans.py, loaded by path as the benchmark loads it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def held(obj, path="policy"):
+    """(path, value) of every array, int array and number a policy holds,
+    through its banditlab objects, lists and tuples.  The compiled steps'
+    pointers and output buffers, and the pass kept for update(), are
+    scratch; a bank's contexts and rounds count over their windows."""
+    if isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from held(v, f"{path}[{i}]")
+    elif isinstance(obj, NeighborBank):
+        for k, v in vars(obj).items():
+            if k in ("_ctx", "_rounds"):
+                v = [getattr(obj.store(a), k[1:].replace("ctx", "contexts"))
+                     for a in range(obj.n_arms)]
+            if k not in ("_c", "_res"):
+                yield from held(v, f"{path}.{k}")
+    elif type(obj).__module__.startswith("banditlab."):
+        for k, v in vars(obj).items():
+            if k not in ("_c", "_kept", "_table_rows"):
+                yield from held(v, f"{path}.{k}")
+    elif type(obj).__module__ == "_cffi_backend":
+        yield path, list(obj)
+    else:
+        yield path, obj
+
+
+def held_bytes(policy):
+    return [(path, (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+             else repr(v)) for path, v in held(policy)]
+
 
 # One benchmark setting shared by the ordering, robustness, and ablation
 # tests.  Everything here is frozen: the tests below compare policies on

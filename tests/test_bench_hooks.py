@@ -3,22 +3,12 @@
 bench/spans.py is loaded by path, as the benchmark loads it, so a rename or
 deletion of any name it wraps fails here and not only under a traced run.
 """
-import importlib.util
 import inspect
 import sys
-from pathlib import Path
 
 import banditlab
 import banditlab.cli  # noqa: F401  (the tracer wraps every layer's module)
-
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-
-
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_spans
 
 
 def _namespaces():
@@ -34,7 +24,7 @@ def _namespaces():
 
 
 def test_tracer_wraps_every_boundary_and_uninstall_restores_it():
-    spans = _load_spans()
+    spans = load_spans()
     before = _namespaces()
     tracer = spans.Tracer()
     try:

@@ -357,7 +357,7 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
 
     monkeypatch.setattr(np, "bincount", spied_bincount)
     monkeypatch.setattr(NeighborBank, "_query", checked_query)
-    run_policy(env, policy, 300, 3)
+    run_policy(env, policy, 300, 3, trace=True)  # the per-round loop: a pass each select
     assert max(len(bank.store(a)) for a in range(env.n_arms)) == 7
     assert passes["common"] > 0 and passes["bincount"] > 0, passes
 

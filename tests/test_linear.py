@@ -196,8 +196,8 @@ def _ridge_bits(step, d, lam, gamma, seed, n):
     with compiled_step(linear, step):
         mu_hats, squares = np.empty((3, d)), np.empty((3, d, d))
         sigmas, bs = np.empty((3, d, d)), np.empty((3, d))
-        ridges = [RidgeState(d, lam, gamma, rows)
-                  for rows in zip(mu_hats, squares, sigmas, bs)]
+        ridges = [RidgeState(d, lam, gamma, rows) for rows in zip(
+            mu_hats, squares, sigmas, bs, np.empty((3, 1)), np.empty((3, 1), np.int64))]
         for t in range(n):
             e = float(rng.uniform(0.0, 2.0)) if t % 3 else 0.0
             ridges[t % 3].update(rng.standard_normal(d),

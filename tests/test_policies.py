@@ -24,8 +24,8 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
                                 linucb, make_policy)
-from conftest import (PASS_IDS, PASS_STEPS, RIDGE_STEPS,
-                      compiled_step)
+from conftest import (PASS_IDS, PASS_STEPS, RIDGE_STEPS, compiled_step, held,
+                      held_bytes)
 
 # Every id with a ridge accepts lam; lnucb-ta also runs a shifted ridge.
 RIDGE_CASES = ([(pid, {}) for pid in sorted(POLICY_PARAM_KEYS)
@@ -605,36 +605,6 @@ def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **param
     for each in (policy, twin):
         each.update(arm, x, 0.25)
     assert np.array_equal(policy.scores(x, 14), twin.scores(x, 14))
-
-
-def held(obj, path="policy"):
-    """(path, value) of every array, int array and number a policy holds,
-    through its banditlab objects, lists and tuples.  The compiled steps'
-    pointers and output buffers, and the pass kept for update(), are
-    scratch; a bank's contexts and rounds count over their windows."""
-    if isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            yield from held(v, f"{path}[{i}]")
-    elif isinstance(obj, NeighborBank):
-        for k, v in vars(obj).items():
-            if k in ("_ctx", "_rounds"):
-                v = [getattr(obj.store(a), k[1:].replace("ctx", "contexts"))
-                     for a in range(obj.n_arms)]
-            if k not in ("_c", "_res"):
-                yield from held(v, f"{path}.{k}")
-    elif type(obj).__module__.startswith("banditlab."):
-        for k, v in vars(obj).items():
-            if k not in ("_c", "_kept", "_table_rows"):
-                yield from held(v, f"{path}.{k}")
-    elif type(obj).__module__ == "_cffi_backend":
-        yield path, list(obj)
-    else:
-        yield path, obj
-
-
-def held_bytes(policy):
-    return [(path, (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
-             else repr(v)) for path, v in held(policy)]
 
 
 # A context just inside as_context's bound: 4 * ||x||^2 is finite.

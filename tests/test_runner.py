@@ -1,12 +1,22 @@
 """Run orchestration: env construction, slugs, and the run loop conventions."""
+import dataclasses
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from banditlab.env import DataError, ReplayLogEnv
+import banditlab
+import banditlab.cli  # noqa: F401  (the tracer wraps every layer's module)
+from banditlab import knn, linear
+from banditlab.core import Policy
+from banditlab.env import DataError, ReplayLogEnv, two_class_bumps
 from banditlab.knn import NeighborBank
-from banditlab.policies import POLICIES, RandomPolicy, make_policy
+from banditlab.linear import RidgeState
+from banditlab.policies import LNUCBTA, POLICIES, RandomPolicy, make_policy
 from banditlab.runner import (Cell, EnvSpec, build_env, execute_cells,
                               param_slug, run_cell, run_policy)
+from conftest import compiled_step, held_bytes, load_spans
 
 SMALL = EnvSpec(kind="synthetic", d=4, n_arms=3, bump_count=1,
                 noise_sigma=0.05, env_seed=0)
@@ -44,6 +54,21 @@ class TestSlugs:
     def test_float_repr_round_trips(self):
         assert param_slug({"eps": 0.1}) == "eps=0.1"
         assert param_slug({"eps": 1e-07}) == "eps=1e-07"
+
+    def test_numpy_scalars_render_as_their_python_values(self):
+        assert param_slug({"alpha": np.float64(0.1), "b": np.bool_(True)}) == "alpha=0.1,b=true"
+        assert param_slug({"k": np.int64(3), "eps": np.float32(0.5)}) == "eps=0.5,k=3"
+
+    def test_cell_checks_horizon_and_seed_by_name(self):
+        with pytest.raises(ValueError, match="T must be an integer, got 2.7"):
+            Cell.make("linucb", {}, 2.7, 1.9)
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.9"):
+            Cell.make("linucb", {}, 3, 1.9)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Cell.make("linucb", {}, 3, -1)
+        with pytest.raises(ValueError, match="T must be >= 1"):
+            Cell.make("linucb", {}, 0, 1)
+        assert Cell.make("linucb", {}, 3.0, 2.0) == Cell.make("linucb", {}, 3, 2)
 
     def test_cell_identity(self):
         a = Cell.make("ucb", {"rho": 0.5, "tie_break": "lowest-index"}, 100, 3)
@@ -165,6 +190,17 @@ class TestRunPolicy:
         with pytest.raises(DataError, match="no rounds"):
             run_policy(env, PinnedArm(env.n_arms, env.dim), 10, 0)
 
+    @pytest.mark.parametrize("T, seed, message", [
+        (2.5, 0, "T must be an integer, got 2.5"), (True, 0, "T must be an integer, got True"),
+        (3, -1, "seed must be >= 0"), (3, 1.5, "seed must be an integer, got 1.5")])
+    @pytest.mark.parametrize("env", [two_class_bumps(0, 50), build_env(SMALL)],
+                             ids=["classification", "synthetic"])
+    def test_horizon_and_seed_are_checked_by_name(self, env, T, seed, message):
+        policy = make_policy("linucb", env.n_arms, env.dim)
+        with pytest.raises(ValueError, match=message):
+            run_policy(env, policy, T, seed)
+        assert policy.ridges[0]._rank_one_updates[0] == 0
+
     def test_rejects_empty_horizon_and_odd_env(self):
         env = build_env(SMALL)
         with pytest.raises(ValueError, match="T must be >= 1"):
@@ -202,3 +238,168 @@ class TestExecuteCells:
         result, _ = run_cell(SMALL, cell)
         assert result.params == "eps=0.0"
         assert result.horizon == 25
+
+
+needs_run = pytest.mark.skipif(knn._step is None or linear._step is None,
+                               reason="the compiled steps are not built")
+SUITE = EnvSpec(kind="synthetic", d=10, n_arms=5, bump_count=3, noise_sigma=0.06,
+                env_seed=0, radius=0.7)
+HYBRID = dict(variance_scale=50.0, theta_min=4, kappa=1.0, floor_alpha_at_zero=True,
+              lam=0.1)
+# On two_class_bumps(0, ...)'s 0/1 rewards a window that is half ones sits on
+# this k's rounding boundary, where only the exact variance picks k.
+BOUNDARY = dict(theta_min=1, theta_max=2, variance_scale=2.0)
+
+
+def run_state(policy):
+    """held_bytes of a policy, the last select's scores aside."""
+    return [(p, v) for p, v in held_bytes(policy) if not p.endswith("._selected")]
+
+
+def result_bits(result):
+    return [result.matched_steps] + [a.tobytes() for a in (
+        result.cumulative_reward, result.mean_reward, result.cumulative_regret)]
+
+
+@needs_run
+@pytest.mark.parametrize("kind", ["synthetic", "classification"])
+@pytest.mark.parametrize("pid, params", [
+    ("lnucb-ta", {}), ("lnucb-ta", {"gamma_cov": 0.05}), ("lnucb-ta", {"store_capacity": 20}),
+    ("lnucb-ta", {"gamma_cov": 0.05, "store_capacity": 20}), ("linucb", {}),
+    ("lin-knn-ucb", {}), ("lin-knn-ucb", {"store_capacity": 20})])
+def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
+    # 400 rounds in C, against a twin run through the per-round loop
+    # (trace=True): every RunResult array and everything the policy holds is
+    # byte-equal.  On the way the compiled run hands the rounds whose update
+    # declines (a full uncapped row, a k only the exact variance picks) to
+    # select and update, which grow rows, and runs each gamma_cov = 0 drift
+    # check between two C calls.
+    env = build_env(SUITE) if kind == "synthetic" else two_class_bumps(0, 400)
+    if pid == "lnucb-ta":
+        params = {**(HYBRID if kind == "synthetic" else BOUNDARY), **params}
+    events = Counter()
+
+    def spy(owner, name, event):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            events[event(args) if callable(event) else event] += 1
+            return out
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(LNUCBTA, "_scores", "select")
+    spy(RidgeState, "_check", "numpy update")
+    spy(NeighborBank, "_grow", "grow")
+    spy(knn, "reward_variance", "exact k")
+    spy(RidgeState, "_rank_one_done",
+        lambda args: "drift check" if args[0]._rank_one_updates[0] == 0 else "counted")
+    runs = []
+    for trace in (False, True):
+        policy = make_policy(pid, env.n_arms, env.dim, seed=3, **params)
+        result, _ = run_policy(env, policy, 400, 3, trace=trace)
+        runs.append((result_bits(result), run_state(policy)))
+        if not trace:
+            seen = dict(events)
+    assert runs[0] == runs[1]
+    assert seen.get("select", 0) == seen.get("numpy update", 0) < 40, seen
+    if params.get("gamma_cov", 0.0) == 0.0:
+        assert seen.get("drift check", 0) > 0, seen
+    if pid == "linucb":
+        return
+    sizes = [len(policy.bank.store(a)) for a in range(env.n_arms)]
+    if "store_capacity" in params:
+        assert "grow" not in seen and max(sizes) == 20, (seen, sizes)
+    else:
+        assert 0 < seen["grow"] <= seen["numpy update"], seen
+    if pid == "lnucb-ta" and kind == "classification":
+        assert seen.get("exact k", 0) > 0, seen
+
+
+@needs_run
+@pytest.mark.parametrize("where, value, message, rounds", [
+    ("contexts", np.nan, "context is non-finite", 250),
+    ("realized", np.inf, "reward must be finite", 250),
+    ("contexts", 1e160, "context is non-finite or its squared norm overflows", 250),
+    ("contexts", 4e150, "Singular matrix", 279)])
+def test_a_bad_round_raises_after_the_same_rounds(where, value, message, rounds):
+    # Round 250 of a hand-built stream holds a value the compiled run cannot
+    # certify, so select and update take that round: they raise as the
+    # per-round loop does, leaving the same state.  as_context accepts
+    # 4e150, and a drift check's inverse of the sigma it leaves fails later.
+    stream = build_env(SUITE).episode(3, 300)
+    bad = dataclasses.replace(stream, contexts=stream.contexts.copy(),
+                              realized=stream.realized.copy())
+    getattr(bad, where)[250] = value
+    env = SimpleNamespace(episode=lambda seed, T: bad)
+    states = []
+    for trace in (False, True):
+        policy = make_policy("lnucb-ta", 5, 10, seed=3, **HYBRID)
+        with pytest.raises(ValueError, match=message):
+            run_policy(env, policy, 300, 3, trace=trace)
+        assert policy.stats.per_arm_count.sum() == rounds
+        states.append(run_state(policy))
+    assert states[0] == states[1]
+
+
+@needs_run
+@pytest.mark.parametrize("pid", ["lnucb-ta", "linucb", "lin-knn-ucb"])
+def test_compiled_run_is_active(pid, monkeypatch):
+    # A run of these ids calls neither select nor update: a compiled run
+    # that fell back to the per-round loop without a word fails here.  The
+    # stores are capped, so no row grows and no update declines.
+    def per_round(*args, **kwargs):
+        raise AssertionError("the per-round loop ran")
+
+    monkeypatch.setattr(Policy, "select", per_round)
+    monkeypatch.setattr(Policy, "update", per_round)
+    env = build_env(SUITE)
+    params = {} if pid == "linucb" else {"store_capacity": 10}
+    policy = make_policy(pid, env.n_arms, env.dim, seed=3, **params)
+    result, _ = run_policy(env, policy, 300, 3)
+    assert result.matched_steps == policy.stats.per_arm_count.sum() == 300
+
+
+@needs_run
+def test_only_the_compiled_steps_and_the_lowest_index_rule_run_in_c():
+    assert make_policy("lnucb-ta", 3, 2)._runs_in_c()
+    assert not make_policy("lnucb-ta", 3, 2, tie_break="seeded-random")._runs_in_c()
+    for module in (knn, linear):
+        with compiled_step(module, None):
+            assert not make_policy("linucb", 3, 2)._runs_in_c()
+
+
+@pytest.mark.parametrize("pid, params", [("lnucb-ta", HYBRID), ("linucb", {}),
+                                         ("lin-knn-ucb", {})])
+def test_wrapped_or_overridden_select_runs_every_round(pid, params, monkeypatch):
+    # bench/spans.py's Tracer wraps Policy.select and update, so a traced run
+    # calls them once a round, with the rewards of an untraced run bit for bit
+    # (the benchmark's traced-vs-untraced check); so do a subclass's select
+    # and one set on the policy itself.
+    env = build_env(SUITE)
+    plain, _ = run_policy(env, make_policy(pid, 5, 10, seed=3, **params), 300, 3)
+    tracer = load_spans().Tracer()
+    tracer.install(banditlab)
+    try:
+        traced, _ = run_policy(env, make_policy(pid, 5, 10, seed=3, **params), 300, 3)
+    finally:
+        tracer.uninstall()
+    selects = [n for n in tracer.names if n.startswith("policies.select")]
+    assert selects and (tracer.name_idx.tolist().count(tracer.name_id(selects[0])) == 300)
+    assert result_bits(traced) == result_bits(plain)
+    calls = Counter()
+    policy = make_policy(pid, 5, 10, seed=3, **params)
+
+    class Counted(type(policy)):
+        def select(self, x, round):
+            calls["select"] += 1
+            return super().select(x, round)
+
+    policy.__class__ = Counted
+    counted, _ = run_policy(env, policy, 300, 3)
+    assert calls["select"] == 300 and result_bits(counted) == result_bits(plain)
+    policy = make_policy(pid, 5, 10, seed=3, **params)
+    policy.select = lambda x, round, select=policy.select: (
+        calls.update(["select"]) or select(x, round))
+    counted, _ = run_policy(env, policy, 300, 3)
+    assert calls["select"] == 600 and result_bits(counted) == result_bits(plain)
