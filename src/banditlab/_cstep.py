@@ -272,34 +272,53 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     return due;
 }
 
-/* LNUCBTA p's rounds t to n - 1, of n x d contexts xs and n x arms rewards
-   rw, with add = use_knn: the context certified (finite, its squared norm
-   far from overflow), score_pass's arm, update_round, the reward into out.
+/* The first row from cursor of a log of rows logged arms that shows arm a,
+   else rows: replay_step's scan. */
+int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int64_t a)
+{
+    while (cursor < rows && log[cursor] != a) cursor++;
+    return cursor;
+}
+
+/* LNUCBTA p's rounds t to n - 1 with add = use_knn: the context certified
+   (finite, its squared norm far from overflow), score_pass's arm, update_round,
+   the reward into out.  Round t's context is row t of xs and its reward
+   rw[t * arms + a]; with a replay log (logged arms log, at = cursor and row
+   count, clicks rw) it is the cursor's row, and the reward is the click of
+   the first row from there logged with a, just past which the cursor moves.
    Returns n; the round Python takes, unchanged, whose context or reward is
-   not certified or whose update declines; or, with due = (update_round's 1
-   or 2, the arm), the round after one whose drift check falls due. */
+   not certified, whose arm is at or past arms or whose update declines; the
+   round the log runs out at (a scan without a match moves the cursor to the
+   end); or, with due = (update_round's 1 or 2, the arm), the round after one
+   whose drift check falls due. */
 int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int64_t arms,
-                   double *out, int64_t *adds, int64_t *due, const int64_t *rows, int add,
-                   round_t *p, int64_t d, double *const *ctx, int64_t *const *rounds,
-                   const int64_t *lens, int64_t *start, int64_t *end, int64_t *bank_ks,
-                   double *sums, double *norm2, double *rewards, int64_t stride, int64_t cap,
-                   int64_t lo, int64_t hi, double vscale, double *scratch, double *res,
-                   intptr_t gemv, intptr_t ddot)
+                   const int64_t *log, int64_t *at, double *out, int64_t *adds, int64_t *due,
+                   const int64_t *rows, int add, round_t *p, int64_t d, double *const *ctx,
+                   int64_t *const *rounds, const int64_t *lens, int64_t *start, int64_t *end,
+                   int64_t *bank_ks, double *sums, double *norm2, double *rewards,
+                   int64_t stride, int64_t cap, int64_t lo, int64_t hi, double vscale,
+                   double *scratch, double *res, intptr_t gemv, intptr_t ddot)
 {
 #define BANK d, ctx, rounds, lens, start, end, bank_ks, sums, norm2, rewards, stride, cap, \
     lo, hi, vscale, scratch, res, gemv, ddot
     for (due[0] = 0; t < n; t++) {
-        const double *x = xs + t * d;
+        const int64_t row = log ? at[0] : t;
+        if (log && row >= at[1]) return t;
+        const double *x = xs + row * d;
         double xx = 0.0, r;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
         if (!(xx <= 0x1p1000)) return t;  /* NaN, inf or near as_context's bound */
         const int64_t m = add ? p->n : 0, k_cols = hi < stride ? hi : stride;
         const int64_t a = score_pass((const char *)x, m, rows, bank_ks, 1, k_cols, p, BANK);
-        if (!isfinite(r = rw[t * arms + a])) return t;
+        if (a >= arms) return t;  /* replay_step raises */
+        const int64_t i = log ? replay_scan(log, at[1], row, a) : t * arms + a;
+        if (log && i == at[1]) return at[0] = i, t;
+        if (!isfinite(r = rw[i])) return t;
         due[0] = update_round(a, (const char *)x, r, m ? res[a] : 0.0, m ? res[m + a] : 0.0,
                               *adds, add, p, BANK);
         if (due[0] < 0) return t;
         *adds += add, out[t] = r;
+        if (log) at[0] = i + 1;
         if (due[0]) return due[1] = a, t + 1;
     }
     return n;

@@ -222,11 +222,14 @@ class ReplayLogEnv:
     DIM = 100
 
     def __init__(self, arms, clicks, contexts):
-        arms = np.asarray(arms, dtype=np.int64)
-        clicks = np.asarray(clicks, dtype=np.float64)
-        contexts = np.asarray(contexts, dtype=np.float64)
+        arms = np.asarray(arms)
+        if arms.dtype.kind not in "iu":  # a bool, 0.5 or NaN is no arm
+            arms = np.array([as_int(a, "logged arm") for a in arms.tolist()], np.int64)
+        arms = np.ascontiguousarray(arms, dtype=np.int64)
+        clicks = np.ascontiguousarray(clicks, dtype=np.float64)
+        contexts = np.ascontiguousarray(contexts, dtype=np.float64)  # a run reads it in place
         n = arms.shape[0]
-        if clicks.shape != (n,) or contexts.shape != (n, self.DIM):
+        if arms.ndim != 1 or clicks.shape != (n,) or contexts.shape != (n, self.DIM):
             raise ValueError("replay arrays must align on rows")
         if n and (arms.min() < 0 or arms.max() >= self.N_ARMS):
             raise ValueError("logged arm outside [0, 10)")
@@ -255,22 +258,30 @@ class _ReplayEpisode:
     """One pass over a replay log; the cursor moves just past each match.
 
     A round's context is the log row at the cursor; the run ends when the
-    cursor reaches the end of the log or a scan finds no match.
+    cursor reaches the end of the log or a scan finds no match.  ``at``
+    holds the cursor and the log's row count: ``log`` hands it to a compiled
+    run with the log's arrays, and the run moves the cursor in place.
     """
 
     def __init__(self, env: ReplayLogEnv):
         self.env = env
-        self.cursor = 0
+        self.at = np.array([0, len(env)], dtype=np.int64)
 
     def exhausted(self, t: int) -> bool:
-        return self.cursor >= len(self.env)
+        return self.at[0] >= self.at[1]
 
     def context(self, t: int) -> np.ndarray:
-        return self.env.contexts[self.cursor]
+        return self.env.contexts[self.at[0]]
 
     def feedback(self, t: int, arm: int) -> RoundFeedback:
-        fb, self.cursor = replay_step(self.env, arm, self.cursor)
+        fb, self.at[0] = replay_step(self.env, arm, int(self.at[0]))
         return fb
+
+    def log(self):
+        """``LNUCBTA._run``'s contexts, rewards (the clicks), arm count,
+        logged arms and cursor: the log's own arrays, and ``at``."""
+        env = self.env
+        return env.contexts, env.clicks, env.n_arms, env.arms, self.at
 
 
 def load_news_csv(path) -> ReplayLogEnv:
@@ -330,6 +341,7 @@ def replay_step(env: ReplayLogEnv, chosen_arm: int, cursor: int):
     and the cursor lands just past the matched row; an exhausted log returns
     step_consumed=False and the run terminates.
     """
+    cursor, chosen_arm = as_int(cursor, "cursor"), as_int(chosen_arm, "chosen_arm")
     if cursor < 0 or cursor > len(env):
         raise ValueError("cursor out of bounds")
     if not 0 <= chosen_arm < env.n_arms:

@@ -149,14 +149,18 @@ class LNUCBTA(Policy):
         return (type(self) is LNUCBTA and self.tie_break == "lowest-index"
                 and bool(self._c and self.bank._args() and _linear._step))
 
-    def _run(self, contexts: np.ndarray, rewards: np.ndarray, t: int, out: np.ndarray) -> int:
+    def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
+             log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
         """``_cstep.run_rounds`` from round t, each reward into out, and each
-        drift check it leaves due; returns the round select and update take."""
+        drift check it leaves due; returns the round select and update take,
+        or the round the episode ran out at.  log and at are a replay log's
+        arms and cursor (``_ReplayEpisode.log``), else None."""
         step, bank = _knn._step, self.bank
         buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
+        replay = [step.ffi.NULL if a is None else buf("int64_t[]", a) for a in (log, at)]
         while True:
             t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
-                                    buf("double[]", rewards), rewards.shape[1],
+                                    buf("double[]", rewards), arms, *replay,
                                     buf("double[]", out), buf("int64_t[]", bank._adds), due,
                                     bank._all_rows, self.use_knn, self._c, *bank._args())
             if due[0] <= 0:

@@ -118,7 +118,9 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
     False when the round never happened and whose ``oracle_reward`` is set
     when the env knows the best arm's reward.
 
-    An untraced run of an array episode runs in C where it can (``_array_rounds``).
+    An untraced run of an array episode or a replay log runs in C where it
+    can (``_array_rounds``); a round C leaves to Python resumes at the same
+    round, and for a replay at the cursor C left.
 
     Returns (RunResult, trace_rows); trace_rows, one ScoreBreakdown of the
     chosen arm per round, is None unless requested.
@@ -129,13 +131,15 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
     t0 = time.perf_counter()
     episode = env.episode(seed, T)
     arrays = None if trace else _array_rounds(episode, policy, T)
-    rewards, oracle = ([], []) if arrays is None else (np.empty(len(arrays[2])), arrays[2])
+    # At most one round per row: a replay round consumes its matched row.
+    rewards, oracle = ([], []) if arrays is None else (
+        np.empty(min(T, len(arrays[0][0]))), arrays[1])
     trace_rows: Optional[List[ScoreBreakdown]] = [] if trace else None
     t = 0
     while t < T and not episode.exhausted(t):
         if arrays is not None:
-            t = policy._run(*arrays[:2], t, rewards)
-            if t == len(rewards):
+            t = policy._run(*arrays[0], t, rewards)
+            if t == T or episode.exhausted(t):
                 break
         x = episode.context(t)
         arm = policy.select(x, t)
@@ -153,29 +157,33 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
                 oracle.append(fb.oracle_reward)
         t += 1
 
-    if not len(rewards):
+    if not t:
         raise DataError("no rounds executed (no replay matches?)")
     runtime = time.perf_counter() - t0
-    result = RunResult.from_rewards(policy.name, params_label, seed, rewards,
+    result = RunResult.from_rewards(policy.name, params_label, seed, rewards[:t],
                                     oracle_rewards=oracle if len(oracle) else None,
                                     matched_steps=t, runtime_s=runtime)
     return result, trace_rows
 
 
 def _array_rounds(episode, policy: Policy, T: int):
-    """The episode's float64 (contexts, rewards, oracle rewards) for
-    ``policy._run``, or None: no such arrays, no run in C, or a select or
-    update not Policy's own (a subclass's, or a wrapper with __wrapped__)."""
+    """``policy._run``'s (contexts, rewards, arm count, logged arms, cursor)
+    for the episode, with its oracle rewards (none for a replay log), or None:
+    no such arrays, no run in C, or a select or update not Policy's own (a
+    subclass's, or a wrapper with __wrapped__)."""
     own = all(getattr(getattr(policy, v), "__func__", None) is getattr(Policy, v)
               and not hasattr(getattr(Policy, v), "__wrapped__") for v in ("select", "update"))
-    if not (own and isinstance(policy, LNUCBTA) and policy._runs_in_c()
-            and hasattr(episode, "arrays")):
+    if not (own and isinstance(policy, LNUCBTA) and policy._runs_in_c()):
         return None
-    got = episode.arrays(T, policy.n_arms)
+    if hasattr(episode, "log"):  # ReplayLogEnv holds its arrays contiguous
+        got = episode.log()
+        return (got, []) if got[0].shape[1] == policy.dim else None
+    got = episode.arrays(T, policy.n_arms) if hasattr(episode, "arrays") else None
     if got is None or any(a.ndim != 2 or a.dtype != np.float64 for a in got[:2]) or (
             got[0].shape[1] != policy.dim or got[1].shape[1] < policy.n_arms):
         return None
-    return np.ascontiguousarray(got[0]), np.ascontiguousarray(got[1]), got[2]
+    rounds = np.ascontiguousarray(got[0]), np.ascontiguousarray(got[1])
+    return (*rounds, got[1].shape[1], None, None), got[2]
 
 
 def run_cell(env_spec: EnvSpec, cell: Cell, trace: bool = False):

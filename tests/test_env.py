@@ -489,6 +489,22 @@ class TestNewsReplay:
             ReplayLogEnv([0, 10], [0.0, 1.0], ctx)
         with pytest.raises(ValueError, match="0 or 1"):
             ReplayLogEnv([0, 1], [0.0, 0.3], ctx)
+        for arms, bad in (([0.5, 1.7], "0.5"), ([0.0, np.nan], "nan"), ([True, False], "True"),
+                          (np.array([1, 0], dtype=bool), "True")):
+            with pytest.raises(ValueError, match=f"logged arm must be an integer, got {bad}"):
+                ReplayLogEnv(arms, [0.0, 1.0], ctx)
+        assert ReplayLogEnv([1.0, 9.0], [0.0, 1.0], ctx).arms.tolist() == [1, 9]
+        with pytest.raises(ValueError, match="align"):
+            ReplayLogEnv([[0], [1]], [0.0, 1.0], ctx)
+        # A compiled run reads the log's arrays in place: a strided input is
+        # copied once, here, and a contiguous one (a loader's) not at all.
+        wide = np.zeros((2, 200))
+        env = ReplayLogEnv(np.array([0, 0, 1, 1])[::2], np.array([0.0, 0, 1, 1])[::2],
+                           wide[:, ::2])
+        assert all(a.flags.c_contiguous for a in (env.arms, env.clicks, env.contexts))
+        arms, clicks, contexts = np.array([0, 1]), np.array([0.0, 1.0]), np.zeros((2, 100))
+        env = ReplayLogEnv(arms, clicks, contexts)
+        assert env.arms is arms and env.clicks is clicks and env.contexts is contexts
 
 
 class TestReplayStep:
@@ -526,6 +542,39 @@ class TestReplayStep:
             replay_step(env, 0, len(env) + 1)
         with pytest.raises(ValueError, match="out of range"):
             replay_step(env, 10, 0)
+
+    @pytest.mark.parametrize("arm, cursor, message", [
+        (1.5, 0, "chosen_arm must be an integer, got 1.5"),
+        (True, 0, "chosen_arm must be an integer, got True"),
+        (np.float64(0.5), 0, "chosen_arm must be an integer"),
+        (0, 1.5, "cursor must be an integer, got 1.5"),
+        (0, False, "cursor must be an integer, got False")])
+    def test_arm_and_cursor_are_checked_by_name(self, arm, cursor, message):
+        with pytest.raises(ValueError, match=message):
+            replay_step(self.build(), arm, cursor)
+
+    def test_integral_arm_and_cursor_of_other_types(self):
+        fb, cur = replay_step(self.build(), np.int64(1), 2.0)
+        assert fb.step_consumed and fb.reward == 1.0 and cur == 5
+
+
+@pytest.mark.skipif(env_module._step is None, reason="the compiled steps are not built")
+@settings(max_examples=200, deadline=None)
+@given(arms=st.lists(st.integers(0, 9), max_size=30), data=st.data())
+def test_compiled_scan_picks_replay_steps_row(arms, data):
+    # run_rounds' forward scan against replay_step, for every arm and cursor
+    # of a random small log: the same row, so the same reward and next cursor.
+    clicks = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(arms),
+                                max_size=len(arms)))
+    env = ReplayLogEnv(arms, clicks, np.zeros((len(arms), 100)))
+    log = env_module._step.ffi.from_buffer("int64_t[]", env.arms)
+    for arm in range(env.n_arms):
+        for cursor in range(len(env) + 1):
+            row = env_module._step.lib.replay_scan(log, len(env), cursor, arm)
+            fb, after = replay_step(env, arm, cursor)
+            assert fb.step_consumed == (row < len(env))
+            assert after == (row + 1 if fb.step_consumed else len(env))
+            assert fb.reward == (env.clicks[row] if fb.step_consumed else 0.0)
 
 
 class TestSyntheticHybrid:

@@ -249,6 +249,25 @@ HYBRID = dict(variance_scale=50.0, theta_min=4, kappa=1.0, floor_alpha_at_zero=T
 # On two_class_bumps(0, ...)'s 0/1 rewards a window that is half ones sits on
 # this k's rounding boundary, where only the exact variance picks k.
 BOUNDARY = dict(theta_min=1, theta_max=2, variance_scale=2.0)
+# The news-replay k window; with gamma_cov = 0.05, the benchmark's lnucb-ta.
+NEWS = dict(theta_min=10, theta_max=40)
+
+
+def news_log(rows, seed=3):
+    """A news-format log as the benchmark writes one, built in memory: a
+    uniform logging policy over 10 arms, clicks that favour one direction
+    per arm."""
+    rng = np.random.default_rng([seed, 102])
+    dirs = rng.standard_normal((10, 100))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = rng.standard_normal((rows, 100))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    arms = rng.integers(0, 10, size=rows)
+    p = np.clip(0.75 + 2.0 * np.einsum("ij,ij->i", X, dirs[arms]), 0.02, 0.98)
+    return ReplayLogEnv(arms, (rng.uniform(size=rows) < p) * 1.0, X)
+
+
+NEWS_LOG = news_log(5000)
 
 
 def run_state(policy):
@@ -257,12 +276,12 @@ def run_state(policy):
 
 
 def result_bits(result):
-    return [result.matched_steps] + [a.tobytes() for a in (
+    return [result.matched_steps] + [a if a is None else a.tobytes() for a in (
         result.cumulative_reward, result.mean_reward, result.cumulative_regret)]
 
 
 @needs_run
-@pytest.mark.parametrize("kind", ["synthetic", "classification"])
+@pytest.mark.parametrize("kind", ["synthetic", "classification", "replay"])
 @pytest.mark.parametrize("pid, params", [
     ("lnucb-ta", {}), ("lnucb-ta", {"gamma_cov": 0.05}), ("lnucb-ta", {"store_capacity": 20}),
     ("lnucb-ta", {"gamma_cov": 0.05, "store_capacity": 20}), ("linucb", {}),
@@ -273,10 +292,13 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
     # byte-equal.  On the way the compiled run hands the rounds whose update
     # declines (a full uncapped row, a k only the exact variance picks) to
     # select and update, which grow rows, and runs each gamma_cov = 0 drift
-    # check between two C calls.
-    env = build_env(SUITE) if kind == "synthetic" else two_class_bumps(0, 400)
+    # check between two C calls.  A replay's rounds read the cursor's row,
+    # which C and Python move alike, and run to T with rows to spare.
+    env = {"synthetic": build_env(SUITE), "classification": two_class_bumps(0, 400),
+           "replay": NEWS_LOG}[kind]
     if pid == "lnucb-ta":
-        params = {**(HYBRID if kind == "synthetic" else BOUNDARY), **params}
+        params = {**{"synthetic": HYBRID, "classification": BOUNDARY, "replay": NEWS}[kind],
+                  **params}
     events = Counter()
 
     def spy(owner, name, event):
@@ -301,7 +323,7 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
         runs.append((result_bits(result), run_state(policy)))
         if not trace:
             seen = dict(events)
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] and runs[0][0][0] == 400
     assert seen.get("select", 0) == seen.get("numpy update", 0) < 40, seen
     if params.get("gamma_cov", 0.0) == 0.0:
         assert seen.get("drift check", 0) > 0, seen
@@ -342,6 +364,71 @@ def test_a_bad_round_raises_after_the_same_rounds(where, value, message, rounds)
     assert states[0] == states[1]
 
 
+def poisoned(log, round, value):
+    """log with the row that round reads in an untraced lnucb-ta run (the
+    news k window, seed 3) set to value."""
+    episode = log.episode(3, round)
+    run_policy(SimpleNamespace(episode=lambda seed, T: episode),
+               make_policy("lnucb-ta", 10, 100, seed=3, **NEWS), round, 3)
+    contexts = log.contexts.copy()
+    contexts[episode.at[0]] = value
+    return ReplayLogEnv(log.arms, log.clicks, contexts)
+
+
+TA = ("lnucb-ta", 10, NEWS)
+REPLAY_ENDS = {  # log, policy, T, then the run's rounds or the error it raises
+    "log runs dry": (lambda: news_log(600), TA, 400, 64),
+    "T first": (lambda: NEWS_LOG, TA, 100, 100),
+    "arm never logged": (lambda: ReplayLogEnv(np.where(NEWS_LOG.arms == 9, 8, NEWS_LOG.arms),
+                                              NEWS_LOG.clicks, NEWS_LOG.contexts),
+                         TA, 400, 163),
+    "no match": (lambda: ReplayLogEnv(NEWS_LOG.arms + (NEWS_LOG.arms == 0),
+                                      NEWS_LOG.clicks, NEWS_LOG.contexts), TA, 400,
+                 (DataError, "no rounds executed")),
+    "NaN row": (lambda: poisoned(NEWS_LOG, 150, np.nan), TA, 400,
+                (ValueError, "context is non-finite")),
+    "1e160 row": (lambda: poisoned(NEWS_LOG, 150, 1e160), TA, 400,
+                  (ValueError, "context is non-finite or its squared norm overflows")),
+    # A wide bound soon takes linucb to the arms it has not played.
+    "12 arms": (lambda: NEWS_LOG, ("linucb", 12, {"alpha": 10.0}), 400,
+                (ValueError, "arm 10 out of range")),
+}
+
+
+@needs_run
+@pytest.mark.parametrize("end", sorted(REPLAY_ENDS))
+def test_a_replay_run_ends_as_the_per_round_loop(end, monkeypatch):
+    # Each way a replay run ends: after the same rounds and updates, and
+    # with the same result or error, in C as in the per-round loop.  The
+    # scan's own end (no row logged with the arm) leaves the select done and
+    # the update not, and a row or an arm C cannot take goes to Python,
+    # whose select or replay_step raises: the untraced run scores in Python
+    # only the rounds whose update declines, and the 12-arm run's last one.
+    build, (pid, arms, params), T, want = REPLAY_ENDS[end]
+    log = build()
+    calls = Counter()
+    for owner, name in ((LNUCBTA, "_scores"), (RidgeState, "_check")):
+        monkeypatch.setattr(owner, name, lambda *args, f=getattr(owner, name), name=name: (
+            calls.update([name]), f(*args))[1])
+    runs = []
+    for trace in (False, True):
+        if trace:
+            assert calls["_scores"] - calls["_check"] == (end == "12 arms"), calls
+        policy = make_policy(pid, arms, 100, seed=3, **params)
+        if isinstance(want, int):
+            result, _ = run_policy(log, policy, T, 3, trace=trace)
+            outcome = result_bits(result)
+            assert result.matched_steps == want
+        else:
+            with pytest.raises(want[0], match=want[1]) as error:
+                run_policy(log, policy, T, 3, trace=trace)
+            outcome = str(error.value)
+        runs.append((outcome, policy.stats.per_arm_count.sum(), run_state(policy)))
+    assert runs[0] == runs[1]
+    if end in ("NaN row", "1e160 row"):
+        assert runs[0][1] == 150
+
+
 @needs_run
 @pytest.mark.parametrize("pid", ["lnucb-ta", "linucb", "lin-knn-ucb"])
 def test_compiled_run_is_active(pid, monkeypatch):
@@ -353,11 +440,11 @@ def test_compiled_run_is_active(pid, monkeypatch):
 
     monkeypatch.setattr(Policy, "select", per_round)
     monkeypatch.setattr(Policy, "update", per_round)
-    env = build_env(SUITE)
     params = {} if pid == "linucb" else {"store_capacity": 10}
-    policy = make_policy(pid, env.n_arms, env.dim, seed=3, **params)
-    result, _ = run_policy(env, policy, 300, 3)
-    assert result.matched_steps == policy.stats.per_arm_count.sum() == 300
+    for env in (build_env(SUITE), NEWS_LOG):
+        policy = make_policy(pid, env.n_arms, env.dim, seed=3, **params)
+        result, _ = run_policy(env, policy, 300, 3)
+        assert result.matched_steps == policy.stats.per_arm_count.sum() == 300
 
 
 @needs_run
