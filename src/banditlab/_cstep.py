@@ -1,6 +1,6 @@
-"""The compiled steps, built with cffi: ``score_pass``, a round's whole score
-pass (see ``NeighborBank._query``), the ridge updates of ``linear``, and
-``news_parse``, which reads the news logs ``env.load_news_csv`` accepts."""
+"""The compiled steps, loaded once as ``STEP`` and ``BLAS`` (below): a round's
+``score_pass`` and ``update_round``, an LNUCB-TA run of them (``run_rounds``),
+which need both, and ``news_parse`` for ``env.load_news_csv``."""
 import ctypes
 import hashlib
 import re
@@ -33,16 +33,26 @@ typedef void gemv_t(int, int, int64_t, int64_t, double, const double *, int64_t,
 typedef double ddot_t(int64_t, const double *, int64_t, const double *, int64_t);
 typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
                      double *, int *, int *);
-/* A policy's stacks (n arms of d x d or d), stats and table: rows linear,
-   knn, alpha, width, ucb, then n x d scratch.  Widths: 1 from L, 2 inverses.
-   Per ridge: its running bound (scales) and its rank-one updates since the
-   last drift check (drift), which falls due at every. */
+/* A policy's stacks (n arms of d x d or d), stats (stat_sum NULL: none) and
+   table: rows linear, knn, alpha, width, ucb, then n x d scratch.  Widths: 1
+   from L, 2 inverses.  Per ridge: its running bound (scales) and its rank-one
+   updates since the last drift check (drift), which falls due at every. */
 typedef struct {
     double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, *scales, scale_max, gamma,
         alpha0, kappa;
-    int64_t *stat_count, *drift, n, widths, flags, every;
-    intptr_t trtrs, potrf, potrs;
+    int64_t *stat_count, *drift, n, d, widths, flags, every;
+    intptr_t trtrs, potrf, potrs, gemv, ddot;
 } round_t;
+
+/* A knn.NeighborBank (see its _args): per arm, contexts and rounds (lens
+   long) with the window [start, end), k, four running sums, and a row of
+   the stride-wide norms and rewards; cap (-1: none), theta_min lo, theta_max
+   hi, variance_scale, scratch, the pass's results res, and round_t's BLAS. */
+typedef struct {
+    double **ctx, *sums, *norm2, *rewards, vscale, *scratch, *res;
+    int64_t **rounds, *lens, *start, *end, *ks, d, stride, cap, lo, hi;
+    intptr_t gemv, ddot;
+} bank_t;
 
 /* out = a x for a row-major n x d a: ddot for one row, else dgemv (row-major,
    not transposed), as ndarray.dot calls them; with_blas checks the bits. */
@@ -81,23 +91,21 @@ static double max0(double v) { return v > 0.0 || v != v ? v : 0.0; }  /* np.maxi
    k-th distance and k; zeros if not applied.  Then p's table (flags: 1 k-NN
    scores, 2 attention, 4 floored) and ucb's argmax, np.argmax's (else 0). */
 int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t *ks,
-                   int strict, int64_t k_cols, const round_t *p, int64_t d,
-                   double *const *ctx, int64_t *const *rounds, const int64_t *lens,
-                   int64_t *start, int64_t *end, int64_t *bank_ks, double *sums,
-                   double *norm2, double *rewards, int64_t stride, int64_t cap, int64_t lo,
-                   int64_t hi, double vscale, double *scratch, double *res, intptr_t gemv,
-                   intptr_t ddot)
+                   int strict, int64_t k_cols, const round_t *p, const bank_t *bk)
 {
+    const int64_t d = bk->d, stride = bk->stride;
+    const intptr_t gemv = bk->gemv, ddot = bk->ddot;
     const double *x = (const double *)xs, xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
-    double *dot = scratch, *best = dot + stride, *sel = best + k_cols, *u_max = res + n;
+    double *dot = bk->scratch, *best = dot + stride, *sel = best + k_cols, *res = bk->res;
+    double *u_max = res + n;
     int64_t *k_used = (int64_t *)(u_max + n), top = 0;
     for (int64_t j = 0; j < n; j++) {
-        int64_t a = rows[j], size = end[a] - start[a], k = ks[j], m = 0;
+        int64_t a = rows[j], size = bk->end[a] - bk->start[a], k = ks[j], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
         res[j] = u_max[j] = 0.0, k_used[j] = 0;
         if (size < k) continue;
-        matvec(size, d, ctx[a] + start[a] * d, x, dot, gemv, ddot);
-        const double *nr = norm2 + a * stride, *rw = rewards + a * stride;
+        matvec(size, d, bk->ctx[a] + bk->start[a] * d, x, dot, gemv, ddot);
+        const double *nr = bk->norm2 + a * stride, *rw = bk->rewards + a * stride;
         for (int64_t c = 0; c < size; c++) {  /* rewards move with their d2 */
             double d2 = dot[c] * -2.0 + nr[c] + xx;
             if (d2 < 0.0) d2 = 0.0;
@@ -150,8 +158,8 @@ typedef void potrs_t(char *, int *, int *, double *, int *, double *, int *, int
 
 /* sigma += x x^T and b += r x, then inv -= v v^T / s if inv is given.
    Returns the smallest diagonal entry of inv (infinity without one). */
-double ridge_rank_one(const double *x, double *sigma, double *b, const double *v,
-                      double *inv, int d, double r, double s)
+static double ridge_rank_one(const double *x, double *sigma, double *b, const double *v,
+                             double *inv, int d, double r, double s)
 {
     double low = INFINITY;
     for (int i = 0; i < d; i++) {
@@ -168,9 +176,9 @@ double ridge_rank_one(const double *x, double *sigma, double *b, const double *v
    zeroed), then the update of sigma and b and dpotrs(chol, b) into mu.
    Returns dpotrf's info: nonzero leaves sigma, b and mu as they were and
    refactors sigma into the chol it had. */
-int ridge_factor(const double *x, double *sigma, double *b, double *chol,
-                 double *mu, int d, double r, double shift, intptr_t potrf,
-                 intptr_t potrs)
+static int ridge_factor(const double *x, double *sigma, double *b, double *chol,
+                        double *mu, int d, double r, double shift, intptr_t potrf,
+                        intptr_t potrs)
 {
     int one = 1, info, again;
     for (int i = 0; i < d; i++) {  /* the sum is symmetric */
@@ -204,42 +212,42 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
     return k < lo ? lo : k > hi ? hi : k;
 }
 
-/* LNUCBTA._update of arm a: every check, then p's ridge (a shifted sigma
-   can still fail to factor), stats and, with add, the entry and its k.
-   Returns -1, having changed nothing, where a check fails, sigma does not
-   factor, an uncapped row is full or only the exact variance picks k (the
-   numpy update then raises, grows or decides); else 0, or, for an inverse,
-   1 where its drift check falls due and 2 where it lost a diagonal entry
-   (RidgeState._rank_one_done then counts the update and runs the check). */
+/* A policy's update of arm a: every check, then p's ridge (residual r - knn,
+   e = u_max^2; a shifted sigma can still fail to factor), stats (if any) and,
+   with add, bk's entry and k; no p: the add alone, no bk: no add.  Returns -1,
+   having changed nothing, where a check fails, sigma does not factor, an
+   uncapped row is full or only the exact variance picks k (the numpy update
+   then raises, grows or decides); else 0, or, for an inverse, 1 where its drift
+   check falls due and 2 where it lost a diagonal entry (see _rank_one_done). */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
-                     int64_t round, int add, round_t *p, int64_t d, double *const *ctx,
-                     int64_t *const *rounds, const int64_t *lens, int64_t *start,
-                     int64_t *end, int64_t *bank_ks, double *sums, double *norm2,
-                     double *rewards, int64_t stride, int64_t cap, int64_t lo, int64_t hi,
-                     double vscale, double *scratch, double *res, intptr_t gemv, intptr_t ddot)
+                     int64_t round, int add, round_t *p, bank_t *bk)
 {
+    const int64_t d = bk ? bk->d : p->d;
+    const intptr_t ddot = bk ? bk->ddot : p->ddot;
     const double *x = (const double *)xs, resid = r - knn, e = u_max * u_max;
-    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1), total = p ? p->stat_sum[a] + r : 0.0;
+    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
+    const double total = p && p->stat_sum ? p->stat_sum[a] + r : 0.0;
     const double next = p ? p->scales[a] + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
-    int64_t st = start[a], en = end[a], n = en - st, k = lo, due = 0;
-    double s[4], *nr = norm2 + a * stride, *rw = rewards + a * stride;
-    if (p && !(next <= p->scale_max)) return -1;
-    if (add) {
-        memcpy(s, sums + 4 * a, sizeof s);
-        if (n == cap) fold(s, rw[0], -1.0);
+    double s[4];
+    int64_t k = 0, due = 0;
+    if ((p && !(next <= p->scale_max)) || !isfinite(total)) return -1;
+    if (add) {  /* knn.NeighborBank._sums_after, then _fresh_k */
+        const int64_t n = bk->end[a] - bk->start[a], m = n == bk->cap ? n : n + 1;
+        memcpy(s, bk->sums + 4 * a, sizeof s);
+        if (n == bk->cap) fold(s, bk->rewards[a * bk->stride], -1.0);
         fold(s, r, 1.0);
-        if (!isfinite(8.0 * (s[2] + s[3])) || (cap < 0 && en == lens[a])) return -1;
-        const int64_t m = n == cap ? n : n + 1;  /* knn.NeighborBank._fresh_k */
-        if (lo < hi && m >= 2) {
+        if (!isfinite(8.0 * (s[2] + s[3])) || (bk->cap < 0 && bk->end[a] == bk->lens[a]))
+            return -1;
+        k = bk->lo;
+        if (bk->lo < bk->hi && m >= 2) {
             const double u = 0x1p-52, mean = s[0] / m, z = (s[1] + u * s[3]) / m;
             const double r1 = u * (s[2] / m + m * sqrt(z)), mm = fabs(mean) + r1;
             const double v = s[1] / m - mean * mean, var = 0.0 > v ? 0.0 : v, err = 2.0 * (
                 u * (s[3] / m + m * z + 4 * z + 4 * mm * mm) + r1 * (mm + fabs(mean)));
-            k = pick_k((0.0 > var - err ? 0.0 : var - err) * vscale, lo, hi);
-            if (k < hi && k != pick_k((var + err) * vscale, lo, hi)) return -1;
+            k = pick_k((0.0 > var - err ? 0.0 : var - err) * bk->vscale, bk->lo, bk->hi);
+            if (k < bk->hi && k != pick_k((var + err) * bk->vscale, bk->lo, bk->hi)) return -1;
         }
     }
-    if (!isfinite(total)) return -1;
     if (p) {
         double *sig = p->sigmas + a * d * d, *b = p->bs + a * d, *sq = p->squares + a * d * d;
         if (p->gamma > 0.0) {
@@ -247,34 +255,37 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
                              p->potrf, p->potrs))
                 return -1;
         } else {  /* Sherman-Morrison: v = inv x, then mu = inv b */
-            matvec(d, d, sq, x, p->v, gemv, ddot);
+            matvec(d, d, sq, x, p->v, p->gemv, ddot);
             due = ridge_rank_one(x, sig, b, p->v, sq, (int)d, resid,
                                  1.0 + ((ddot_t *)ddot)(d, x, 1, p->v, 1)) > 0.0
                 ? p->drift[a] + 1 == p->every : 2;
             p->drift[a] += !due;
-            matvec(d, d, sq, b, p->mu + a * d, gemv, ddot);
+            matvec(d, d, sq, b, p->mu + a * d, p->gemv, ddot);
         }
-        p->scales[a] = next, p->stat_sum[a] = total, p->stat_count[a]++;
+        p->scales[a] = next;
+        if (p->stat_sum) p->stat_sum[a] = total, p->stat_count[a]++;
     }
-    if (add) {
-        for (int64_t i = 0; n == cap && i + 1 < n; i++) nr[i] = nr[i + 1], rw[i] = rw[i + 1];
-        if (n == cap) n--, st++;  /* the oldest entry went */
-        if (en == lens[a]) {  /* a capped window back to 0 */
-            memmove(ctx[a], ctx[a] + st * d, sizeof(double) * n * d);
-            memmove(rounds[a], rounds[a] + st, sizeof(int64_t) * n), st = 0, en = n;
+    if (add) {  /* a full capped row drops its oldest entry, a window at the end moves to 0 */
+        int64_t st = bk->start[a], en = bk->end[a], n = en - st;
+        double *nr = bk->norm2 + a * bk->stride, *rw = bk->rewards + a * bk->stride;
+        for (int64_t i = 0; n == bk->cap && i + 1 < n; i++) nr[i] = nr[i + 1], rw[i] = rw[i + 1];
+        if (n == bk->cap) n--, st++;
+        if (en == bk->lens[a]) {
+            memmove(bk->ctx[a], bk->ctx[a] + st * d, sizeof(double) * n * d);
+            memmove(bk->rounds[a], bk->rounds[a] + st, sizeof(int64_t) * n), st = 0, en = n;
         }
-        memcpy(ctx[a] + en * d, x, sizeof(double) * d);
-        rounds[a][en] = round;
+        memcpy(bk->ctx[a] + en * d, x, sizeof(double) * d);
+        bk->rounds[a][en] = round;
         nr[n] = xx, rw[n] = r;
-        memcpy(sums + 4 * a, s, sizeof s);
-        start[a] = st, end[a] = en + 1, bank_ks[a] = lo < hi ? k : bank_ks[a];
+        memcpy(bk->sums + 4 * a, s, sizeof s);
+        bk->start[a] = st, bk->end[a] = en + 1, bk->ks[a] = bk->lo < bk->hi ? k : bk->ks[a];
     }
     return due;
 }
 
 /* The first row from cursor of a log of rows logged arms that shows arm a,
    else rows: replay_step's scan. */
-int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int64_t a)
+static int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int64_t a)
 {
     while (cursor < rows && log[cursor] != a) cursor++;
     return cursor;
@@ -293,14 +304,9 @@ int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int64_t a)
    whose drift check falls due. */
 int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int64_t arms,
                    const int64_t *log, int64_t *at, double *out, int64_t *adds, int64_t *due,
-                   const int64_t *rows, int add, round_t *p, int64_t d, double *const *ctx,
-                   int64_t *const *rounds, const int64_t *lens, int64_t *start, int64_t *end,
-                   int64_t *bank_ks, double *sums, double *norm2, double *rewards,
-                   int64_t stride, int64_t cap, int64_t lo, int64_t hi, double vscale,
-                   double *scratch, double *res, intptr_t gemv, intptr_t ddot)
+                   const int64_t *rows, int add, round_t *p, bank_t *bk)
 {
-#define BANK d, ctx, rounds, lens, start, end, bank_ks, sums, norm2, rewards, stride, cap, \
-    lo, hi, vscale, scratch, res, gemv, ddot
+    const int64_t d = p->d, m = add ? p->n : 0, k_cols = bk->hi < bk->stride ? bk->hi : bk->stride;
     for (due[0] = 0; t < n; t++) {
         const int64_t row = log ? at[0] : t;
         if (log && row >= at[1]) return t;
@@ -308,14 +314,13 @@ int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int
         double xx = 0.0, r;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
         if (!(xx <= 0x1p1000)) return t;  /* NaN, inf or near as_context's bound */
-        const int64_t m = add ? p->n : 0, k_cols = hi < stride ? hi : stride;
-        const int64_t a = score_pass((const char *)x, m, rows, bank_ks, 1, k_cols, p, BANK);
+        const int64_t a = score_pass((const char *)x, m, rows, bk->ks, 1, k_cols, p, bk);
         if (a >= arms) return t;  /* replay_step raises */
         const int64_t i = log ? replay_scan(log, at[1], row, a) : t * arms + a;
         if (log && i == at[1]) return at[0] = i, t;
         if (!isfinite(r = rw[i])) return t;
-        due[0] = update_round(a, (const char *)x, r, m ? res[a] : 0.0, m ? res[m + a] : 0.0,
-                              *adds, add, p, BANK);
+        due[0] = update_round(a, (const char *)x, r, m ? bk->res[a] : 0.0,
+                              m ? bk->res[m + a] : 0.0, *adds, add, p, bk);
         if (due[0] < 0) return t;
         *adds += add, out[t] = r;
         if (log) at[0] = i + 1;
@@ -416,7 +421,7 @@ BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
 def with_blas(module):
-    """(module, the addresses of numpy's own dgemv and ddot), or (None, None)
+    """The addresses of numpy's own dgemv and ddot for the module, or None
     without the module or a BLAS_SYMBOLS symbol, or unless each gives numpy's
     bits: ``matvec`` (``dot``, ``matmul``) on every CHECK_SHAPES shape,
     ``row_sums`` (``add.reduce``, 1-D and axis=1) on CHECK_SUMS, and a table
@@ -425,37 +430,37 @@ def with_blas(module):
         lib, buf = ctypes.CDLL(np._core._multiarray_umath.__file__), module.ffi.from_buffer
         blas = [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
     except (AttributeError, OSError):
-        return None, None
+        return None
     pool = np.sin(np.arange(1.0, 1.0 + max(n * d for n, d in CHECK_SHAPES)) * 1.7)
     for n, d in CHECK_SHAPES:
         a, x, out = pool[:n * d].reshape(n, d), pool[-d:], np.empty(n)
         module.lib.matvec(n, d, *(buf("double[]", v) for v in (a, x, out)), *blas)
         if not out.tobytes() == a.dot(x).tobytes() == (a @ x).tobytes():
-            return None, None
+            return None
     for k in CHECK_SUMS:  # strided rows, as a selection's first k columns
         rows = pool[:3 * k + 6].reshape(3, k + 2).copy()
         rows[0, ::3], rows[2] = 0.0, -0.0
         out = np.array([0.0 + module.lib.pairwise(buf("double[]", r), k) for r in rows])
         if not out.tobytes() == np.add.reduce(rows[:, :k], axis=1).tobytes() == np.array(
                 [np.add.reduce(r[:k]) for r in rows]).tobytes():
-            return None, None
+            return None
     n, d, null, params, table = 7, 3, module.ffi.NULL, AttentionParams(1.5, 0.25), np.zeros((8, 7))
     x, mu, sq, sums = pool[:3], pool[:21].reshape(7, 3), pool[:63].reshape(7, 3, 3), pool[-7:]
     counts = np.arange(n) % 4
     local = sums / np.maximum(counts, 1)
     rates = exploration_rates(params, counts, float(np.add.reduce(local) / n), local)
     linear, width = mu @ x, np.sqrt(np.maximum((sq @ x) @ x, 0.0))
+    bank = module.ffi.new("bank_t *", {"d": d, "gemv": blas[0], "ddot": blas[1]})
     for flags, alpha in ((2, rates), (6, np.maximum(rates, 0.0))):
         p = module.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
             ("table", table), ("mu", mu), ("squares", sq), ("stat_sum", sums))},
             "stat_count": buf("int64_t[]", counts), "alpha0": params.alpha0,
             "kappa": params.kappa, "n": n, "widths": 2, "flags": flags})
-        top = module.lib.score_pass(x.tobytes(), 0, null, null, 1, 1, p, d, *(null,) * 9,
-                                    0, 0, 0, 0, 0.0, null, null, *blas)
+        top = module.lib.score_pass(x.tobytes(), 0, null, null, 1, 1, p, bank)
         want = np.array([linear, np.zeros(n), alpha, width, linear + 0.0 + alpha * width])
         if top != want[4].argmax() or table[:5].tobytes() != want.tobytes():
-            return None, None
-    return module, tuple(blas)
+            return None
+    return tuple(blas)
 
 
 _BUILD = """import os, sys, cffi
@@ -490,13 +495,16 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
             with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
                 subprocess.run([sys.executable, "-c", _BUILD, CDEF, SOURCE, tmp,
                                 str(target)], capture_output=True, timeout=120)
-            for old in [*target.parent.glob("_csteps.*"),
-                        *target.parent.glob("_knn_step.*")]:  # the former name
+            for old in target.parent.glob("_csteps.*"):
                 if not old.name.startswith(target.name):
                     old.unlink(missing_ok=True)
         loader = ExtensionFileLoader("_csteps", str(target))
         module = module_from_spec(spec_from_loader("_csteps", loader))
         loader.exec_module(module)
     except (ImportError, OSError, subprocess.TimeoutExpired):
-        return None  # knn and linear run their numpy steps instead
+        return None  # the numpy round and the csv loop run instead
     return module
+
+
+STEP = load()  # the compiled steps, or None
+BLAS = with_blas(STEP)  # the (dgemv, ddot) STEP's round calls, or None for the numpy round

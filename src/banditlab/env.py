@@ -15,8 +15,6 @@ from .core import as_int, as_nonneg, as_positive
 
 
 ENV_STREAM_SALT = 1  # entropy tag for the per-run context/noise stream
-# load_news_csv's compiled parse step, or None for the csv loop alone.
-_step = _cstep.load()
 
 
 @functools.cache
@@ -38,6 +36,13 @@ class RoundFeedback:
     reward: float
     step_consumed: bool = True
     oracle_reward: Optional[float] = None
+
+
+def _finite_rows(X: np.ndarray, row_name) -> None:
+    """DataError naming row_name(index) of the first row with a non-finite entry."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise DataError(f"row {row_name(int(np.flatnonzero(~finite)[0]))}: non-finite feature")
 
 
 def _row_norms(X: np.ndarray, row_name) -> np.ndarray:
@@ -199,9 +204,7 @@ def load_classification_csv(path, label_column: int = -1, shuffle_seed: int = 0,
     if not features:
         raise DataError("empty dataset")
     X = np.asarray(features, dtype=np.float64)
-    if not np.all(np.isfinite(X)):
-        row = lines[int(np.flatnonzero(~np.isfinite(X).all(axis=1))[0])]
-        raise DataError(f"row {row}: non-finite feature")
+    _finite_rows(X, lines.__getitem__)
     _row_norms(X, lines.__getitem__)
     seen = {}
     labels = np.empty(len(labels_raw), dtype=np.int64)
@@ -235,6 +238,7 @@ class ReplayLogEnv:
             raise ValueError("logged arm outside [0, 10)")
         if n and not np.isin(clicks, (0.0, 1.0)).all():
             raise ValueError("clicks must be 0 or 1")
+        _finite_rows(contexts, lambda i: i + 1)
         self.arms = arms
         self.clicks = clicks
         self.contexts = contexts
@@ -291,14 +295,14 @@ def load_news_csv(path) -> ReplayLogEnv:
     value as float() reads it.  A log it declines, which includes every log
     that raises DataError, is read by the csv loop below.
     """
-    if _step is not None:
+    if _cstep.STEP is not None:
         with open(path, "rb") as fh:
             data = fh.read()
         rows = min(data.count(b"\n"), len(data) // 203) + 1  # a row is >= 203 bytes
-        buf = _step.ffi.from_buffer
+        buf = _cstep.STEP.ffi.from_buffer
         arms, clicks = np.empty(rows, np.int64), np.empty(rows)
         contexts = np.empty((rows, 100))
-        n = _step.lib.news_parse(data, len(data), rows, buf("int64_t[]", arms),
+        n = _cstep.STEP.lib.news_parse(data, len(data), rows, buf("int64_t[]", arms),
                                  buf("double[]", clicks), buf("double[]", contexts))
         del data  # before the loop reads the file again
         if n > 0:
@@ -327,10 +331,7 @@ def load_news_csv(path) -> ReplayLogEnv:
     if not arms:
         raise DataError("empty dataset")
     contexts = np.frombuffer(features, dtype=np.float64).reshape(len(arms), 100)
-    finite = np.isfinite(contexts).all(axis=1)
-    if not finite.all():
-        row = lines[int(np.flatnonzero(~finite)[0])]
-        raise DataError(f"row {row}: non-finite feature")
+    _finite_rows(contexts, lines.__getitem__)  # by file line, before ReplayLogEnv's check
     return ReplayLogEnv(np.asarray(arms), np.asarray(clicks), contexts)
 
 

@@ -12,8 +12,6 @@ from . import _cstep
 from .core import as_context, as_int, as_positive, as_reward
 
 _FINITE_MAX = np.finfo(np.float64).max
-# NeighborBank's compiled pass and the BLAS it calls, or None for the numpy step.
-_step, _BLAS = _cstep.with_blas(_cstep.load())
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,8 @@ class NeighborBank:
         self._rewards = np.zeros((n_arms, width))
         # int64 arrays that the compiled steps read and write in place; lists
         # for the numpy step, and for a theta past int64 (such a k can only gate).
-        ints = (list if _step is None or self.theta_max >= 2 ** 63
-                else functools.partial(_step.ffi.new, "int64_t[]"))
+        ints = (list if _cstep.BLAS is None or self.theta_max >= 2 ** 63
+                else functools.partial(_cstep.STEP.ffi.new, "int64_t[]"))
         self._start = ints([0] * n_arms)
         self._end = ints([0] * n_arms)
         # Per row: reward sum, squared-reward sum, and the sums of their
@@ -143,8 +141,8 @@ class NeighborBank:
         """
         round = int(self._adds[0]) if round is None else round
         c = self._args() if sums is None else None  # given sums: checked once, by the caller
-        if c and _step.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
-                                        _step.ffi.NULL, *c) >= 0:
+        if c and _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
+                                              _cstep.STEP.ffi.NULL, c) >= 0:
             self._adds[0] += 1
             return
         sums = self._sums_after(arm, reward) if sums is None else sums
@@ -210,22 +208,26 @@ class NeighborBank:
         """
         return self._query(self._all_rows, x, self._ks, strict)[0]
 
-    def _args(self) -> Optional[tuple]:
-        """The bank's arguments to the compiled steps (see ``_cstep``), taken
-        once per reallocation; None for the numpy step, or a bank of lists."""
-        if _step is None or isinstance(self._start, list):
+    def _args(self):
+        """The bank's ``bank_t`` (see ``_cstep``), built once per reallocation,
+        with the owners of its pointers; None for the numpy step or a list bank."""
+        if _cstep.BLAS is None or isinstance(self._start, list):
             return None
         if self._c is None:  # reset by _grow
-            ffi, buf, width = _step.ffi, _step.ffi.from_buffer, self._norm2.shape[1]
-            self._c = (self.dim, ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
-                       ffi.new("int64_t *[]", [buf("int64_t[]", r) for r in self._rounds]),
-                       ffi.new("int64_t[]", [len(r) for r in self._rounds]), self._start,
-                       self._end, self._ks, *(buf("double[]", a) for a in (
-                           self._sums, self._norm2, self._rewards)), width,
-                       -1 if self.capacity is None else self.capacity, self.theta_min,
-                       self.theta_max, self.variance_scale, buf("double[]", np.empty(3 * width)),
-                       buf("double[]", self._res), *_BLAS)
-        return self._c
+            ffi, buf, width = _cstep.STEP.ffi, _cstep.STEP.ffi.from_buffer, self._norm2.shape[1]
+            owners = {
+                "ctx": ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
+                "rounds": ffi.new("int64_t *[]", [buf("int64_t[]", r) for r in self._rounds]),
+                "lens": ffi.new("int64_t[]", [len(r) for r in self._rounds]),
+                "scratch": buf("double[]", np.empty(3 * width)),
+                **{k: buf("double[]", getattr(self, "_" + k)) for k in (
+                    "sums", "norm2", "rewards", "res")}}
+            self._c = ffi.new("bank_t *", {
+                **owners, "start": self._start, "end": self._end, "ks": self._ks, "d": self.dim,
+                "stride": width, "cap": -1 if self.capacity is None else self.capacity,
+                "lo": self.theta_min, "hi": self.theta_max, "vscale": self.variance_scale,
+                "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1]}), owners
+        return self._c[0]
 
     def _query(self, arms, x: np.ndarray, ks, strict: bool, table=None):
         """One k-NN pass over the given rows for already-validated input.
@@ -233,9 +235,9 @@ class NeighborBank:
         Per arm this selects the k entries first in (distance, round) order:
         ties go to the lower round, u_max is the k-th distance, and the
         score sums rewards in that order.  Returns (KnnBatch, the argmax of
-        a policy's ucb, or None): the compiled ``_step`` makes the pass, and
-        fills a policy's ``table`` (a ``round_t``, see ``_cstep.score_pass``),
-        in one C call; the numpy ``_select`` makes the pass alone.
+        a policy's ucb, or None): ``_cstep.score_pass`` makes the pass and
+        fills a policy's ``table`` (a ``round_t``) in one C call; the numpy
+        ``_select`` makes the pass alone.
         """
         n, width = len(arms), self._norm2.shape[1]
         # An applied row's k is at most its window, so k_cols columns hold every
@@ -245,8 +247,8 @@ class NeighborBank:
         ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
         c = self._args()
         if c:
-            best = _step.lib.score_pass(x.tobytes(), n, arms, ks, strict, k_cols,
-                                        table or _step.ffi.NULL, *c)
+            best = _cstep.STEP.lib.score_pass(x.tobytes(), n, arms, ks, strict, k_cols,
+                                              table or _cstep.STEP.ffi.NULL, c)
             r = self._res[:3 * n].copy()
             return KnnBatch(r[:n], r[n:2 * n], r[2 * n:].view(np.int64)), best
         out = np.zeros(n * (k_cols + 2))

@@ -17,14 +17,12 @@ INVERSE_DRIFT_TOL = 1e-6
 # Rank-one inverse updates between two O(d^3) drift checks.  Round-off grows
 # by a few ulps per update, far below the tolerance over this many.
 DRIFT_CHECK_EVERY = 32
-# The compiled ridge step, or None for the numpy/f2py step.
-_step = _cstep.load()
 
 
 @functools.cache
 def _lapack():
-    """scipy.linalg.lapack and, for the compiled step, the addresses of the
-    routines it wraps (or None), loaded by the first shifted ridge."""
+    """scipy.linalg.lapack and, for a policy's compiled update, the addresses
+    of the routines it wraps (or None), loaded by the first shifted ridge."""
     # Imported here: scipy.linalg costs ~6 MB RSS that gamma_cov=0 runs never need.
     from scipy.linalg import cython_lapack, lapack
     return lapack, _cstep.lapack_routines(cython_lapack)
@@ -48,16 +46,13 @@ class RidgeState:
       triangular solve.  Forming sigma^-1 here would cost an O(d^3) inverse
       per update; sigma_inv is solved from L only when it is read.
 
-    At d=100 the factored path costs more than a rank-one update plus a
-    stacked product: on a 2-core VM, linucb went from 130-150 to 200-230
-    us/round when it was tried for gamma_cov = 0.  So each ridge keeps the
-    cheaper of the two.
+    The factored path, tried for gamma_cov = 0 too, cost linucb at d=100 about
+    half again per round (see README), so each ridge keeps the cheaper one.
 
-    The compiled step (``_cstep``) runs an update's elementwise work and
-    LAPACK calls in one C call, with numpy's order of operations and the
-    routines scipy.linalg.lapack wraps, so its bits are the numpy/f2py
-    step's.  ``rows`` puts mu_hat, the inverse or L^T, sigma, b and the
-    one-entry running bound and drift count in a policy's stacks.
+    This numpy/f2py update is the reference and fallback of a policy's
+    compiled one (``_cstep.update_round``), which has its bits.  ``rows`` puts
+    mu_hat, the inverse or L^T, sigma, b, the running bound and the drift
+    count in a policy's stacks.
     """
 
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0,
@@ -83,7 +78,6 @@ class RidgeState:
         else:
             self._inv = square
             np.fill_diagonal(square, 1.0 / self.lam)
-        self._c = None  # the compiled step's pointers into the arrays above
 
     @property
     def sigma_inv(self) -> np.ndarray:
@@ -126,7 +120,7 @@ class RidgeState:
             raise ValueError("residual must be finite")
         if not (math.isfinite(e_knn) and e_knn >= 0):
             raise ValueError("e_knn must be finite and >= 0")
-        self._update(x, residual, e_knn)
+        self._rank_one_done(self._update(x, residual, e_knn, self._check(x, residual, e_knn)))
 
     def _check(self, x: np.ndarray, residual: float, e_knn: float) -> float:
         """The running bound after this update, or ValueError if it overflows:
@@ -142,50 +136,38 @@ class RidgeState:
         return scale
 
     def _update(self, x: np.ndarray, residual: float, e_knn: float,
-                scale: Optional[float] = None) -> None:
-        """update() for a checked context, finite residual and e_knn >= 0;
-        one that could overflow, or a shifted sigma that is not positive
-        definite, raises before anything changes.  ``scale`` is _check's
-        result, if the caller has run it."""
-        scale = self._check(x, residual, e_knn) if scale is None else scale
+                scale: float) -> Optional[bool]:
+        """update() for a checked context, finite residual, e_knn >= 0 and
+        _check's ``scale``, but for the drift check: returns _rank_one_done's
+        ``lost`` (None after a factored update).  A shifted sigma that is not
+        positive definite raises before anything changes."""
         residual = float(residual)
-        step = _step if self.chol is None or _lapack()[1] else None
-        if step is not None:  # pointers into the arrays kept are taken once
-            x = np.ascontiguousarray(x)
-            self._c = self._c or _buffers(step, self.sigma, self.b, self._inv if
-                                          self.chol is None else self.chol.T, self.mu_hat)
         if self.chol is not None:
+            sigma = self.sigma + x[:, None] * x
             inflate = self.gamma_cov * float(e_knn)
-            if step is None:
-                sigma = self.sigma + x[:, None] * x
-                if inflate > 0.0:
-                    # sigma is C-contiguous: this steps along its diagonal in place.
-                    sigma.reshape(-1)[::self.dim + 1] += inflate
-                self._factor(sigma, self.b + residual * x)
-            elif step.lib.ridge_factor(*_buffers(step, x), *self._c, self.dim, residual,
-                                       inflate, *_lapack()[1][:2]):
-                raise np.linalg.LinAlgError("sigma is not positive definite")
+            if inflate > 0.0:
+                # sigma is C-contiguous: this steps along its diagonal in place.
+                sigma.reshape(-1)[::self.dim + 1] += inflate
+            self._factor(sigma, self.b + residual * x)
             self._scale[0] = scale
-            return
+            return None
         # Sherman-Morrison rank-one inverse update.
         v = self._inv @ x
         s = 1.0 + float(x.dot(v))
-        if step is None:
-            self.sigma += x[:, None] * x
-            self.b += residual * x
-            self._inv -= v[:, None] * v / s
-            low = np.diagonal(self._inv).min()
-        else:
-            low = step.lib.ridge_rank_one(*_buffers(step, x), *self._c[:2], *_buffers(step, v),
-                                          self._c[2], self.dim, residual, s)
+        self.sigma += x[:, None] * x
+        self.b += residual * x
+        self._inv -= v[:, None] * v / s
         self._scale[0] = scale
         np.matmul(self._inv, self.b, out=self.mu_hat)
-        self._rank_one_done(not low > 0.0)
+        return not np.diagonal(self._inv).min() > 0.0
 
-    def _rank_one_done(self, lost: bool) -> None:
-        """After a rank-one update: rebuild the inverse, and mu_hat, where it
-        ``lost`` a diagonal entry (round-off left it not positive definite) or
-        drifted past the tolerance, checked every DRIFT_CHECK_EVERY updates."""
+    def _rank_one_done(self, lost: Optional[bool]) -> None:
+        """After a rank-one update (nothing after a factored one, lost None):
+        count it, and rebuild the inverse, and mu_hat, where it ``lost`` a
+        diagonal entry (round-off left it not positive definite) or drifted
+        past the tolerance, checked every DRIFT_CHECK_EVERY updates."""
+        if lost is None:
+            return
         self._rank_one_updates[0] += 1
         if lost or self._rank_one_updates[0] == DRIFT_CHECK_EVERY:
             self._rank_one_updates[0] = 0
@@ -196,12 +178,6 @@ class RidgeState:
 
     def det_sigma(self) -> float:
         return float(np.linalg.det(self.sigma))
-
-
-def _buffers(step, *arrays: np.ndarray) -> list:
-    """The compiled step's pointers into these arrays; ValueError unless
-    each is C-contiguous."""
-    return [step.ffi.from_buffer("double[]", a) for a in arrays]
 
 
 def widths_sq(ridges: Sequence[RidgeState], squares: np.ndarray,

@@ -11,12 +11,75 @@ from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
                    as_nonneg, as_positive, round_rng)
-from . import knn as _knn, linear as _linear
+from . import _cstep
 from .knn import KnnBatch, NeighborBank
-from .linear import RidgeState, _lapack, widths_sq
+from .linear import DRIFT_CHECK_EVERY, RidgeState, _lapack, widths_sq
 
 
-class LNUCBTA(Policy):
+class _Ridges:
+    """A policy's ridges as rows of stacks (mu_hat, the inverse or L^T, sigma,
+    b, bound and drift count) and the ``round_t`` (see ``_cstep``) that hands
+    them, its stats and table to C: one call scores every arm or updates one."""
+
+    def _init_ridges(self, lam: float, gamma_cov: float = 0.0, **scoring) -> None:
+        n, d = self.n_arms, self.dim
+        self._mu_stack, self._bs = np.zeros((n, d)), np.zeros((n, d))
+        self._squares, self._sigmas = np.zeros((n, d, d)), np.zeros((n, d, d))
+        self._scales, self._drifts = np.zeros((n, 1)), np.zeros((n, 1), np.int64)
+        self.ridges = [RidgeState(d, lam, gamma_cov, rows) for rows in zip(
+            self._mu_stack, self._squares, self._sigmas, self._bs, self._scales, self._drifts)]
+        # The compiled round's table (and n x d scratch) and its round_t.
+        self._table_rows, self._c = np.zeros((5 + d, n)), None
+        lapack = (0, 0, 0) if self.ridges[0].chol is None else _lapack()[1]
+        stats = getattr(self, "stats", None)
+        if lapack and _cstep.BLAS and (not hasattr(self, "bank") or self.bank._args()):
+            buf = _cstep.STEP.ffi.from_buffer
+            self._c = _cstep.STEP.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
+                ("table", self._table_rows), ("mu", self._mu_stack), ("squares", self._squares),
+                ("sigmas", self._sigmas), ("bs", self._bs), ("v", self._table_rows[5:]),
+                ("scales", self._scales))}, "drift": buf("int64_t[]", self._drifts),
+                **({} if stats is None else {"stat_sum": buf("double[]", stats.per_arm_sum),
+                                             "stat_count": buf("int64_t[]", stats.per_arm_count)}),
+                "every": DRIFT_CHECK_EVERY, "scale_max": self.ridges[0]._scale_max,
+                "gamma": self.ridges[0].gamma_cov, "n": n, "d": d,
+                "widths": 2 if lapack[2] == 0 else 1, "trtrs": lapack[2], "potrf": lapack[0],
+                "potrs": lapack[1], "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1], **scoring})
+
+    def _compiled(self) -> Optional[tuple]:
+        """(round_t, bank_t or NULL) for the compiled steps, or None for numpy's."""
+        bank = getattr(self, "bank", None)
+        args = bank._args() if bank else _cstep.BLAS and _cstep.STEP.ffi.NULL
+        return None if self._c is None or args is None else (self._c, args)
+
+    def _ridge_update(self, arm: int, x: np.ndarray, reward: float, knn: float = 0.0,
+                      u_max: float = 0.0, add: bool = False) -> None:
+        """Fold (x, reward - knn) into the arm's ridge (e = u_max^2), add (x,
+        reward) to the bank if ``add`` and record it in the stats, if any: in
+        one C call unless it declines, else in numpy, every check (the ridge's
+        first) before any change (the ridge's first), the drift check last."""
+        ridge, stats = self.ridges[arm], getattr(self, "stats", None)
+        bank, c = getattr(self, "bank", None), self._compiled()
+        if c:
+            due = _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, knn, u_max,
+                                               int(bank._adds[0]) if add else 0, add, *c)
+            if due >= 0:
+                if add:
+                    bank._adds[0] += 1
+                if due:  # the drift check C leaves due
+                    ridge._rank_one_done(due == 2)
+                return
+        scale = ridge._check(x, reward - knn, u_max * u_max)
+        sums = bank._sums_after(arm, reward) if add else None
+        total = None if stats is None else stats._sum_after(arm, reward)
+        lost = ridge._update(x, reward - knn, u_max * u_max, scale)
+        if add:
+            bank._add(arm, x, reward, sums=sums)
+        if stats is not None:
+            stats.record(arm, reward, total)
+        ridge._rank_one_done(lost)
+
+
+class LNUCBTA(Policy, _Ridges):
     """Hybrid linear + adaptive k-NN policy with temporal-attention exploration.
 
     Per-arm disjoint ridge regression fits the residual reward minus the k-NN
@@ -41,43 +104,21 @@ class LNUCBTA(Policy):
         self.use_knn = as_bool(use_knn, "use_knn")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min, theta_max,
                                  variance_scale)
-        # Each ridge keeps mu_hat, its inverse or factor, sigma, b, bound and drift
-        # count as rows of these stacks: one compiled call scores every arm, or updates one.
-        n, d = self.n_arms, self.dim
-        self._mu_stack, self._bs = np.zeros((n, d)), np.zeros((n, d))
-        self._squares, self._sigmas = np.zeros((n, d, d)), np.zeros((n, d, d))
-        self._scales, self._drifts = np.zeros((n, 1)), np.zeros((n, 1), np.int64)
-        self.ridges = [RidgeState(dim, lam, gamma_cov, rows) for rows in zip(
-            self._mu_stack, self._squares, self._sigmas, self._bs, self._scales, self._drifts)]
         self.stats = RewardStats(n_arms)
         self._attention = AttentionParams(alpha0, kappa)
         # (context bytes, ScoreTable, KnnBatch, argmax) of the last select()
         # or scores().  The stores change only in update(), which consumes and
         # clears it, so a match on the context is what a fresh query returns.
         self._kept: Optional[tuple] = None
-        # The compiled round's table (and n x d scratch) and its round_t (see
-        # _cstep), where the bank's pointers are taken too.
-        lapack = (0, 0, 0) if self.ridges[0].chol is None else _lapack()[1]
-        self._table_rows, self._c = np.zeros((5 + d, n)), None
-        if lapack and self.bank._args() is not None:
-            buf = _knn._step.ffi.from_buffer
-            self._c = _knn._step.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
-                ("table", self._table_rows), ("mu", self._mu_stack), ("squares", self._squares),
-                ("sigmas", self._sigmas), ("bs", self._bs), ("v", self._table_rows[5:]),
-                ("stat_sum", self.stats.per_arm_sum), ("scales", self._scales))},
-                "stat_count": buf("int64_t[]", self.stats.per_arm_count),
-                "drift": buf("int64_t[]", self._drifts), "every": _linear.DRIFT_CHECK_EVERY,
-                "scale_max": self.ridges[0]._scale_max, "gamma": self.ridges[0].gamma_cov,
-                "alpha0": self._attention.alpha0, "kappa": self._attention.kappa, "n": n,
-                "widths": 2 if lapack[2] == 0 else 1, "flags": self.use_knn + 2 * self.use_attention
-                + 4 * (self.use_attention and self.floor_alpha_at_zero),
-                "trtrs": lapack[2], "potrf": lapack[0], "potrs": lapack[1]})
+        self._init_ridges(lam, gamma_cov, alpha0=self._attention.alpha0,
+                          kappa=self._attention.kappa, flags=self.use_knn + 2 * self.use_attention
+                          + 4 * (self.use_attention and self.floor_alpha_at_zero))
 
     def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch], Optional[int]]:
         """The score table, k-NN pass and, from the compiled round, the
         lowest-index argmax, for a checked context."""
         bank = self.bank
-        if self._c and bank._args():  # else the numpy step
+        if self._compiled():  # else the numpy step
             batch, best = bank._query(bank._all_rows if self.use_knn else [], x, bank._ks,
                                       True, self._c)
             return ScoreTable(*self._table_rows[:5].copy()), batch if self.use_knn else None, best
@@ -118,36 +159,18 @@ class LNUCBTA(Policy):
         kept, self._kept = self._kept, None
         # The residual target is frozen at the selection-round k-NN score, so
         # the pass runs before the add.
-        xb, knn, u_max, sums = x.tobytes(), 0.0, 0.0, None
+        knn = u_max = 0.0
         if self.use_knn:
-            batch = kept[2] if kept is not None and kept[0] == xb else self.bank._pass(x, True)
+            batch = (kept[2] if kept is not None and kept[0] == x.tobytes()
+                     else self.bank._pass(x, True))
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
-        ridge, bank, c = self.ridges[arm], self.bank, self._c
-        if c and bank._args() and _linear._step:  # one call, unless it declines
-            due = _knn._step.lib.update_round(arm, xb, reward, knn, u_max, int(bank._adds[0]),
-                                              self.use_knn, c, *bank._args())
-            if due >= 0:
-                bank._adds[0] += self.use_knn
-                if due:
-                    ridge._rank_one_done(due == 2)
-                return
-        # The numpy update.  Each check runs once, the ridge's first (it
-        # names an update that overflows both), then the changes: the
-        # ridge's first, as it can still refuse a shifted sigma.
-        scale = ridge._check(x, reward - knn, u_max * u_max)
-        if self.use_knn:
-            sums = self.bank._sums_after(arm, reward)
-        total = self.stats._sum_after(arm, reward)
-        ridge._update(x, reward - knn, u_max * u_max, scale)
-        if self.use_knn:
-            self.bank._add(arm, x, reward, sums=sums)
-        self.stats.record(arm, reward, total)
+        self._ridge_update(arm, x, reward, knn, u_max, self.use_knn)
 
     def _runs_in_c(self) -> bool:
         """Whether _run can take rounds: the compiled steps, the lowest-index
         rule and no subclass, whose methods a run must call."""
         return (type(self) is LNUCBTA and self.tie_break == "lowest-index"
-                and bool(self._c and self.bank._args() and _linear._step))
+                and self._compiled() is not None)
 
     def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
              log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
@@ -155,14 +178,14 @@ class LNUCBTA(Policy):
         drift check it leaves due; returns the round select and update take,
         or the round the episode ran out at.  log and at are a replay log's
         arms and cursor (``_ReplayEpisode.log``), else None."""
-        step, bank = _knn._step, self.bank
+        step, bank = _cstep.STEP, self.bank
         buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
         replay = [step.ffi.NULL if a is None else buf("int64_t[]", a) for a in (log, at)]
         while True:
             t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
                                     buf("double[]", rewards), arms, *replay,
                                     buf("double[]", out), buf("int64_t[]", bank._adds), due,
-                                    bank._all_rows, self.use_knn, self._c, *bank._args())
+                                    bank._all_rows, self.use_knn, *self._compiled())
             if due[0] <= 0:
                 return t
             self.ridges[due[1]]._rank_one_done(due[0] == 2)
@@ -328,31 +351,30 @@ class BetaThompson(Policy, _BetaCounts):
         self._count(arm, reward)
 
 
-class _RidgeDraws:
+class _RidgeDraws(_Ridges):
     """Per-arm ridge posteriors and their Cholesky-factored Gaussian draws.
 
     Shared by the linear Thompson policies; each arm's factor of Sigma^-1 is
     computed lazily and dropped when that arm's ridge state changes.
     """
 
-    def _init_ridges(self, v: float, lam: float) -> None:
+    def _init_draws(self, v: float, lam: float) -> None:
         self.v = as_nonneg(v, "v")
-        self.ridge = [RidgeState(self.dim, lam) for _ in range(self.n_arms)]
+        self._init_ridges(lam)
         self._chol = [None] * self.n_arms
 
     def _noise(self, rng: np.random.Generator, arm: int) -> np.ndarray:
         """chol(Sigma^-1) @ z for the arm's next standard-normal draw z."""
         if self._chol[arm] is None:
-            self._chol[arm] = np.linalg.cholesky(self.ridge[arm].sigma_inv)
+            self._chol[arm] = np.linalg.cholesky(self.ridges[arm].sigma_inv)
         return self._chol[arm] @ rng.standard_normal(self.dim)
 
-    def _fold(self, arm: int, x: np.ndarray, reward: float,
-              scale: Optional[float] = None) -> None:
-        self.ridge[arm]._update(x, reward, 0.0, scale)
+    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
+        self._ridge_update(arm, x, reward, add=hasattr(self, "bank"))
         self._chol[arm] = None
 
 
-class LinThompson(Policy, _RidgeDraws):
+class LinThompson(_RidgeDraws, Policy):
     """Disjoint linear Thompson sampling: score x . mu_tilde, mu_tilde ~ N(mu_hat, v^2 Sigma^-1)."""
 
     name = "linthompson"
@@ -360,17 +382,14 @@ class LinThompson(Policy, _RidgeDraws):
     def __init__(self, n_arms: int, dim: int, v: float = 1.0, lam: float = 1.0,
                  seed: int = 0, tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
-        self._init_ridges(v, lam)
+        self._init_draws(v, lam)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         out = np.empty((self.n_arms, self.dim))
         for a in range(self.n_arms):
-            out[a] = self.ridge[a].mu_hat + self.v * self._noise(rng, a)
+            out[a] = self.ridges[a].mu_hat + self.v * self._noise(rng, a)
         return out @ x
-
-    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self._fold(arm, x, reward)
 
 
 class KnnUCB(Policy):
@@ -525,7 +544,7 @@ class EnhancedBetaThompson(_EnhancedBase, _BetaCounts):
         self._count(arm, reward)
 
 
-class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
+class EnhancedLinThompson(_RidgeDraws, _EnhancedBase):
     """Linear Thompson sampling with attention-scaled draws and knn shift."""
 
     name = "enhanced-linthompson"
@@ -533,25 +552,17 @@ class EnhancedLinThompson(_EnhancedBase, _RidgeDraws):
     def __init__(self, n_arms: int, dim: int, v: float = 1.0, lam: float = 1.0,
                  **kw):
         super().__init__(n_arms, dim, **kw)
-        self._init_ridges(v, lam)
+        self._init_draws(v, lam)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = round_rng(self.seed, round)
         w = self.attention_weights() * self.n_arms
         out = np.empty(self.n_arms)
         for a in range(self.n_arms):
-            mean = self.ridge[a].predict(x)
+            mean = self.ridges[a].predict(x)
             draw = mean + self.v * float(x @ self._noise(rng, a))
             out[a] = mean + (draw - mean) * w[a]
         return out + self.knn_vector(x)
-
-    def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        # Both checks, the ridge's first, then the changes; see LNUCBTA._update.
-        scale = self.ridge[arm]._check(x, reward, 0.0)
-        sums = self.bank._sums_after(arm, reward)
-        self._fold(arm, x, reward, scale)
-        self.bank._add(arm, x, reward, sums=sums)
-        self.stats.record(arm, reward)
 
 
 # Policy id -> factory(n_arms, dim, seed=..., **params).  Each id's accepted

@@ -9,38 +9,35 @@ from typing import Dict, Tuple
 import numpy as np
 import pytest
 
-from banditlab import env, knn, linear
+from banditlab import _cstep
 from banditlab.knn import NeighborBank
 from banditlab.runner import Cell, EnvSpec, execute_cells
 
-
-def _steps(module):
-    """A module's steps to check: None (its numpy, f2py or csv path), then
-    its compiled step where that is built."""
-    return [None] + ([module._step] if module._step is not None else [])
-
-
-RIDGE_STEPS = _steps(linear)  # ridge updates
-PASS_STEPS = _steps(knn)  # the score pass: k-NN, mu_hat . x, factored widths
-PARSE_STEPS = _steps(env)  # load_news_csv
+# The steps to check: None (numpy's round, or the csv loop), then the
+# compiled one where it is built.  PASS_STEPS are BLAS values for the
+# round, PARSE_STEPS STEP values for load_news_csv.
+PASS_STEPS = [None] + ([_cstep.BLAS] if _cstep.BLAS else [])
+PARSE_STEPS = [None] + ([_cstep.STEP] if _cstep.STEP else [])
 PASS_IDS = ["numpy", "compiled"][:len(PASS_STEPS)]
 PARSE_IDS = ["loop", "compiled"][:len(PARSE_STEPS)]
 
 
 @contextlib.contextmanager
-def compiled_step(module, step):
-    """Run ``module``'s compiled work with this step (None: without it)."""
-    saved, module._step = module._step, step
+def compiled_step(step=_cstep.STEP, blas=_cstep.BLAS):
+    """Run with these ``_cstep.STEP`` and ``BLAS`` (None: without them); no
+    BLAS without STEP, as _cstep loads them."""
+    saved = _cstep.STEP, _cstep.BLAS
+    _cstep.STEP, _cstep.BLAS = step, blas if step else None
     try:
         yield
     finally:
-        module._step = saved
+        _cstep.STEP, _cstep.BLAS = saved
 
 
 @pytest.fixture(params=PASS_STEPS, ids=PASS_IDS)
 def each_pass(request):
-    """Run the test under each score pass: numpy's, then the compiled round."""
-    with compiled_step(knn, request.param):
+    """Run the test under each round: numpy's, then the compiled one."""
+    with compiled_step(blas=request.param):
         yield request.param
 
 
@@ -72,8 +69,8 @@ def held(obj, path="policy"):
         for k, v in vars(obj).items():
             if k not in ("_c", "_kept", "_table_rows"):
                 yield from held(v, f"{path}.{k}")
-    elif type(obj).__module__ == "_cffi_backend":
-        yield path, list(obj)
+    elif type(obj).__module__ == "_cffi_backend":  # as the list a numpy-only bank keeps
+        yield from held(list(obj), path)
     else:
         yield path, obj
 

@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from banditlab import env as env_module
 from banditlab.cli import (coerce_value, fmt, main as cli_main, parse_grid,
                            parse_seeds)
 from banditlab.metrics import DiagnosticsParams, regret_bound_curve
@@ -558,7 +557,7 @@ class TestErrorPaths:
         data = tmp_path / "bad.csv"
         data.write_bytes(b"1,0," + b",".join([b"0.5"] * 100) + b"\n" + bad
                          + b"\n")
-        with compiled_step(env_module, step):
+        with compiled_step(step):
             rc = cli_main(["run", "--env", env, "--data", str(data), "--policy",
                            "random", "--T", "5", "--seeds", "0",
                            "--out", str(tmp_path / "o")])

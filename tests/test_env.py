@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
-from banditlab import env as env_module
+from banditlab import _cstep, env as env_module
 from banditlab.env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                            RoundFeedback, SyntheticHybridEnv,
                            load_classification_csv, load_news_csv,
                            replay_step, synthetic_hybrid, two_class_bumps)
+from banditlab.policies import make_policy
+from banditlab.runner import run_policy
 from conftest import PARSE_IDS, PARSE_STEPS, compiled_step
 
 
@@ -242,7 +244,7 @@ def test_overlong_cell_names_its_line(tmp_path, kind, step):
     # The csv module refuses cells over 131,072 characters.
     p = tmp_path / "big.csv"
     p.write_text(BOTH_ROW + "\n" + "1," * 101 + "2" * 200_000 + "\n")
-    with compiled_step(env_module, step), pytest.raises(
+    with compiled_step(step), pytest.raises(
             DataError, match="row 3: field larger than field limit"):
         LOADERS[kind](p)
 
@@ -256,7 +258,7 @@ def test_bytes_that_are_not_utf8_name_their_offset(tmp_path, kind, offset, step)
     data[offset] = 0xFF
     p = tmp_path / "bad.csv"
     p.write_bytes(bytes(data))
-    with compiled_step(env_module, step), pytest.raises(
+    with compiled_step(step), pytest.raises(
             DataError, match=f"^byte {offset}: not UTF-8$"):
         LOADERS[kind](p)
 
@@ -299,7 +301,7 @@ def test_loaders_return_an_env_or_raise_data_error(tmp_path_factory, data,
                  lambda: load_classification_csv(p, label_column,
                                                  has_header=has_header)):
         try:
-            with compiled_step(env_module, step):
+            with compiled_step(step):
                 env = load()
         except DataError:
             continue
@@ -341,7 +343,7 @@ def _news_outcome(path, step):
     """load_news_csv's three arrays as (dtype, shape, C-contiguity, bytes),
     or its DataError message."""
     try:
-        with compiled_step(env_module, step):
+        with compiled_step(step):
             env = load_news_csv(path)
     except DataError as error:
         return str(error)
@@ -363,7 +365,7 @@ def test_compiled_parse_reads_a_plain_log_itself(tmp_path, monkeypatch):
     p = tmp_path / "log.csv"
     p.write_text(make_log_text([1, 10, 3], [0, 1, 1]).replace("\n", "\r\n\n"))
     monkeypatch.setattr(env_module, "_csv_rows", None)  # no fallback to the loop
-    with compiled_step(env_module, PARSE_STEPS[1]):
+    with compiled_step(PARSE_STEPS[1]):
         env = load_news_csv(p)
     assert env.arms.tolist() == [0, 9, 2] and env.contexts.shape == (3, 100)
 
@@ -387,7 +389,7 @@ def test_compiled_parse_declines_what_it_does_not_read(tmp_path, monkeypatch,
     calls, loop = [], env_module._csv_rows
     monkeypatch.setattr(env_module, "_csv_rows",
                         lambda path: calls.append(path) or loop(path))
-    with compiled_step(env_module, PARSE_STEPS[1]):
+    with compiled_step(PARSE_STEPS[1]):
         try:
             load_news_csv(p)
         except DataError:
@@ -425,7 +427,7 @@ def make_log_text(arms, clicks, seed=0):
 class TestNewsReplay:
     @pytest.fixture(autouse=True, params=PARSE_STEPS, ids=PARSE_IDS)
     def each_parse_step(self, request):
-        with compiled_step(env_module, request.param):
+        with compiled_step(request.param):
             yield
 
     def test_load_and_shapes(self, tmp_path):
@@ -496,6 +498,12 @@ class TestNewsReplay:
         assert ReplayLogEnv([1.0, 9.0], [0.0, 1.0], ctx).arms.tolist() == [1, 9]
         with pytest.raises(ValueError, match="align"):
             ReplayLogEnv([[0], [1]], [0.0, 1.0], ctx)
+        # A run would read a non-finite row only if its cursor landed there.
+        for value in (np.nan, np.inf, -np.inf):
+            bad = np.zeros((3, 100))
+            bad[1, 57] = value
+            with pytest.raises(DataError, match="^row 2: non-finite feature$"):
+                ReplayLogEnv([0, 1, 2], [0.0, 1.0, 0.0], bad)
         # A compiled run reads the log's arrays in place: a strided input is
         # copied once, here, and a contiguous one (a loader's) not at all.
         wide = np.zeros((2, 200))
@@ -558,23 +566,26 @@ class TestReplayStep:
         assert fb.step_consumed and fb.reward == 1.0 and cur == 5
 
 
-@pytest.mark.skipif(env_module._step is None, reason="the compiled steps are not built")
+@pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled steps are not built")
 @settings(max_examples=200, deadline=None)
-@given(arms=st.lists(st.integers(0, 9), max_size=30), data=st.data())
-def test_compiled_scan_picks_replay_steps_row(arms, data):
-    # run_rounds' forward scan against replay_step, for every arm and cursor
-    # of a random small log: the same row, so the same reward and next cursor.
+@given(arms=st.lists(st.integers(0, 9), max_size=30), seed=st.integers(0, 10_000),
+       data=st.data())
+def test_compiled_scan_picks_replay_steps_row(arms, seed, data):
+    # run_rounds' forward scan against replay_step, on random small logs: a
+    # linucb run in C ends after the same rounds with the same rewards, or
+    # the same error, as the per-round loop's.
     clicks = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(arms),
                                 max_size=len(arms)))
-    env = ReplayLogEnv(arms, clicks, np.zeros((len(arms), 100)))
-    log = env_module._step.ffi.from_buffer("int64_t[]", env.arms)
-    for arm in range(env.n_arms):
-        for cursor in range(len(env) + 1):
-            row = env_module._step.lib.replay_scan(log, len(env), cursor, arm)
-            fb, after = replay_step(env, arm, cursor)
-            assert fb.step_consumed == (row < len(env))
-            assert after == (row + 1 if fb.step_consumed else len(env))
-            assert fb.reward == (env.clicks[row] if fb.step_consumed else 0.0)
+    env = ReplayLogEnv(arms, clicks, np.random.default_rng(seed).standard_normal((len(arms), 100)))
+    outcomes = []
+    for trace in (False, True):
+        try:
+            result, _ = run_policy(env, make_policy("linucb", 10, 100, alpha=3.0), 40, seed,
+                                   trace=trace)
+            outcomes.append((result.matched_steps, result.cumulative_reward.tobytes()))
+        except DataError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestSyntheticHybrid:

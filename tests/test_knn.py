@@ -106,7 +106,7 @@ class TestNeighborBank:
     def test_round_past_int64_changes_nothing(self, step):
         # A full capped row evicts before it stores: a round that no int64
         # slot holds must raise before that, under each step.
-        with compiled_step(knn, step):
+        with compiled_step(blas=step):
             store = NeighborStore(2, capacity=2)
             for t in range(2):
                 store.add([0.0, float(t)], 0.5 + t, t)
@@ -181,7 +181,7 @@ class TestKnnScore:
         rng = np.random.default_rng(1)
         store = _filled_store(rng, 4, 3)
         for step in PASS_STEPS:
-            with compiled_step(knn, step):
+            with compiled_step(blas=step):
                 assert knn_score(store, np.zeros(3), 5) == KnnScore.not_applied()
                 # A k far past the store gates without sizing anything by k.
                 for k in (10**9, 10**30):
@@ -192,7 +192,7 @@ class TestKnnScore:
 
     def test_a_k_past_int64_gates_under_each_step(self):
         for step in PASS_STEPS:
-            with compiled_step(knn, step):
+            with compiled_step(blas=step):
                 bank = NeighborBank(2, 2, None, 10**30, 10**30)
                 for t in range(5):
                     bank.add(t % 2, np.full(2, float(t)), 0.5, t)
@@ -271,7 +271,7 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
     x = base[0] if seed % 2 else rng.standard_normal(d)
     ks = rng.integers(1, 9, size=n_arms).tolist()
     for step in PASS_STEPS:
-        with compiled_step(knn, step):
+        with compiled_step(blas=step):
             got = bank._query(bank._all_rows, x, ks, strict)[0]
         for a in range(n_arms):
             store = bank.store(a)
@@ -345,7 +345,7 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
         for gate in (not strict, strict):  # the policy's own pass last
             for step in PASS_STEPS:
                 before = calls[0]
-                with compiled_step(knn, step):
+                with compiled_step(blas=step):
                     got = query(self, arms, x, ks, gate, stacks)
                 if step is None:
                     passes["bincount" if calls[0] > before else "common"] += 1
@@ -366,13 +366,13 @@ def _pass_bits(bank, arms, x, ks, strict):
     """Each step's (score, u_max, k_used) of one pass, as dtype and bytes."""
     out = []
     for step in PASS_STEPS:
-        with compiled_step(knn, step):
+        with compiled_step(blas=step):
             got = bank._query(arms, x, ks, strict)[0]
         out.append([(f.dtype.str, f.tobytes()) for f in got])
     return out
 
 
-@pytest.mark.skipif(knn._step is None, reason="the compiled step is not built")
+@pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled step is not built")
 @settings(max_examples=120, deadline=None)
 @given(
     n_arms=st.integers(1, 5),
@@ -407,58 +407,27 @@ def test_compiled_and_numpy_steps_return_the_same_bits(
         assert compiled_bits == numpy_bits
 
 
-# One run each of lnucb-ta, lin-knn-ucb and knn-ucb: a digest of every
-# round's scores.
-_SCORES_DIGEST = """
-import hashlib
-import numpy as np
-from banditlab.policies import make_policy
-
-def scores_digest():
-    h = hashlib.sha256()
-    for pid, params in [("lnucb-ta", dict(gamma_cov=0.05, store_capacity=9)),
-                        ("lin-knn-ucb", {}), ("knn-ucb", {})]:
-        rng = np.random.default_rng(5)
-        policy = make_policy(pid, 4, 3, theta_max=4, variance_scale=50.0, **params)
-        for t in range(200):
-            x = rng.standard_normal(3)
-            h.update(policy.scores(x, t).tobytes())
-            policy.update(policy.select(x, t), x, float(rng.uniform()))
-    return h.hexdigest()
-"""
-
-
-@pytest.mark.skipif(knn._step is None, reason="the compiled pass is not built")
+@pytest.mark.skipif(_cstep.STEP is None, reason="the compiled steps are not built")
 @pytest.mark.parametrize("symbols", [
     ("scipy_cblas_dgemv64_", "no_such_symbol"),
     ("scipy_cblas_dgemv64_", "scipy_cblas_dsdot64_"),  # ddot's signature
     ("scipy_cblas_sgemv64_", "scipy_cblas_ddot64_"),  # dgemv's, but float
 ], ids=["missing", "ddot-mismatch", "dgemv-mismatch"])
 def test_failed_blas_self_check_runs_the_numpy_pass(symbols, monkeypatch):
-    module = knn._step
-    assert _cstep.with_blas(module) == (module, knn._BLAS)
+    # Such a BLAS leaves BLAS None and STEP loaded: the mix that
+    # test_without_blas_every_policy_runs_numpy_with_the_same_bits runs.
+    assert _cstep.with_blas(_cstep.STEP) == _cstep.BLAS is not None
     monkeypatch.setattr(_cstep, "BLAS_SYMBOLS", symbols)
-    assert _cstep.with_blas(module) == (None, None)
-    # Loaded that way, knn runs the numpy pass, with the compiled pass's bits.
-    code = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); "
-            "from banditlab import _cstep, knn; _cstep.BLAS_SYMBOLS = tuple(sys.argv[2:]); "
-            "print(importlib.reload(knn)._step is None)\n"
-            + _SCORES_DIGEST + "print(scores_digest())")
-    src = str(Path(knn.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code, src, *symbols],
-                          capture_output=True, text=True, timeout=300)
-    namespace = {}
-    exec(_SCORES_DIGEST, namespace)
-    assert proc.stdout.split() == ["True", namespace["scores_digest"]()], proc.stderr
+    assert _cstep.with_blas(_cstep.STEP) is None
 
 
 needs_build = pytest.mark.skipif(not CAN_BUILD, reason="no cffi or no cc")
-needs_pass = pytest.mark.skipif(knn._step is None, reason="the compiled pass is not built")
+needs_pass = pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled pass is not built")
 
 
 @needs_build
 def test_compiled_step_is_active():
-    assert knn._step is not None
+    assert _cstep.STEP is not None and _cstep.BLAS is not None
 
 
 @needs_build
@@ -488,7 +457,7 @@ def test_compiled_round_is_active(params, monkeypatch):
 def _rates_table(sums, counts, width, alpha0, kappa, flags):
     """score_pass's table and argmax for no k-NN rows, with these stats and
     widths (widths 0 leaves them), and mu x for mu = x = [1, -1]."""
-    ffi, buf = knn._step.ffi, knn._step.ffi.from_buffer
+    ffi, buf = _cstep.STEP.ffi, _cstep.STEP.ffi.from_buffer
     n, x = len(sums), np.array([1.0, -1.0])
     table, mu = np.zeros((7, n)), np.tile(x, (n, 1))
     table[3] = width
@@ -496,9 +465,8 @@ def _rates_table(sums, counts, width, alpha0, kappa, flags):
                               "stat_sum": buf("double[]", sums),
                               "stat_count": buf("int64_t[]", counts), "alpha0": alpha0,
                               "kappa": kappa, "n": n, "flags": flags})
-    best = knn._step.lib.score_pass(x.tobytes(), 0, ffi.NULL, ffi.NULL, 1, 1, p, 2,
-                                    *(ffi.NULL,) * 9, 0, 0, 0, 0, 0.0, ffi.NULL, ffi.NULL,
-                                    *knn._BLAS)
+    bank = ffi.new("bank_t *", {"d": 2, "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1]})
+    best = _cstep.STEP.lib.score_pass(x.tobytes(), 0, ffi.NULL, ffi.NULL, 1, 1, p, bank)
     return table[:5], best
 
 
@@ -560,7 +528,7 @@ def test_compiled_row_sums_equal_add_reduce(k, rows, pad, scale, zeros, seed):
     if zeros != "none":
         mask = rng.uniform(size=(rows, k)) < (1.0 if zeros == "all-negative" else 0.3)
         a[:, :k][mask] = -0.0 if "negative" in zeros else 0.0
-    out = np.array([0.0 + knn._step.lib.pairwise(knn._step.ffi.from_buffer("double[]", r), k)
+    out = np.array([0.0 + _cstep.STEP.lib.pairwise(_cstep.STEP.ffi.from_buffer("double[]", r), k)
                     for r in a])  # add.reduce adds the sum to its identity
     assert out.tobytes() == np.add.reduce(a[:, :k], axis=1).tobytes()
     assert out.tobytes() == np.array([np.add.reduce(r[:k]) for r in a]).tobytes()
@@ -568,10 +536,8 @@ def test_compiled_row_sums_equal_add_reduce(k, rows, pad, scale, zeros, seed):
 
 @needs_build
 def test_concurrent_first_loads_share_one_artifact(tmp_path):
-    # The artifacts and markers of other sources go when a new one is built,
-    # and so do those of the step's former name.
-    for stale in ("_csteps.0123456789abcdef.so", "_csteps.fedcba9876543210.so.failed",
-                  "_knn_step.0123456789abcdef.so"):
+    # The artifacts and markers of other sources go when a new one is built.
+    for stale in ("_csteps.0123456789abcdef.so", "_csteps.fedcba9876543210.so.failed"):
         (tmp_path / stale).touch()
     src = str(Path(knn.__file__).resolve().parents[1])
     code = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
@@ -583,7 +549,7 @@ def test_concurrent_first_loads_share_one_artifact(tmp_path):
     outs = [p.communicate(timeout=300)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     assert outs == ["True\n", "True\n"]
-    assert [p.name for p in tmp_path.iterdir()] == [Path(knn._step.__file__).name]
+    assert [p.name for p in tmp_path.iterdir()] == [Path(_cstep.STEP.__file__).name]
 
 
 @needs_build

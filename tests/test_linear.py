@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import test_acceptance
-from banditlab import linear
+from banditlab import _cstep, linear
 from banditlab.linear import (DRIFT_CHECK_EVERY, ConfidenceBall, RidgeState,
                               solve_batch, widths_sq)
-from conftest import RIDGE_STEPS, compiled_step
+from banditlab.policies import _Ridges
+from conftest import compiled_step
 
 
 def _random_updates(state, rng, T, with_inflation=False):
@@ -153,7 +153,6 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     assert s.width_sq(probe) >= 0.0
 
 
-@pytest.mark.parametrize("step", RIDGE_STEPS)
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 8),
@@ -162,16 +161,15 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     n=st.integers(0, 40),
     seed=st.integers(0, 10_000),
 )
-def test_factored_ridge_matches_direct_solves(step, d, lam, gamma, n, seed):
+def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
     # Shifted ridges keep L with L L^T = sigma; about a third of the
     # updates carry e = 0 and are refactored like the others.
     rng = np.random.default_rng(seed)
-    with compiled_step(linear, step):
-        s = RidgeState(d, lam, gamma_cov=gamma)
-        assert s.chol is not None
-        for _ in range(n):
-            e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
-            s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
+    s = RidgeState(d, lam, gamma_cov=gamma)
+    assert s.chol is not None
+    for _ in range(n):
+        e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
+        s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
     scale = np.abs(s.sigma).max()
     assert np.array_equal(s.chol, np.tril(s.chol))
     assert np.abs(s.chol @ s.chol.T - s.sigma).max() <= 1e-12 * scale
@@ -184,49 +182,59 @@ def test_factored_ridge_matches_direct_solves(step, d, lam, gamma, n, seed):
                        atol=1e-12)
 
 
-@pytest.mark.parametrize("step", RIDGE_STEPS)
-def test_determinant_identity_under_each_ridge_step(step):
-    with compiled_step(linear, step):
-        test_acceptance.test_c02_determinant_expansion_identity()
+class _ThreeRidges(_Ridges):
+    """A policy's three stacked ridges alone: no bank, no stats."""
+
+    n_arms = 3
+
+    def __init__(self, dim, lam, gamma_cov):
+        self.dim = dim
+        self._init_ridges(lam, gamma_cov)
 
 
-def _ridge_bits(step, d, lam, gamma, seed, n):
-    """Every array three stacked ridges expose after n updates under a step."""
+def _ridge_bits(compiled, d, lam, gamma, seed, n):
+    """Every array three stacked ridges expose after n updates: through a
+    policy's update (``update_round``, unless it declines), or each ridge's
+    numpy update with e = u_max * u_max."""
     rng = np.random.default_rng(seed)
-    with compiled_step(linear, step):
-        mu_hats, squares = np.empty((3, d)), np.empty((3, d, d))
-        sigmas, bs = np.empty((3, d, d)), np.empty((3, d))
-        ridges = [RidgeState(d, lam, gamma, rows) for rows in zip(
-            mu_hats, squares, sigmas, bs, np.empty((3, 1)), np.empty((3, 1), np.int64))]
+    with compiled_step(blas=_cstep.BLAS if compiled else None):
+        stacked = _ThreeRidges(d, lam, gamma)
+        assert (stacked._compiled() is not None) == compiled
         for t in range(n):
-            e = float(rng.uniform(0.0, 2.0)) if t % 3 else 0.0
-            ridges[t % 3].update(rng.standard_normal(d),
-                                 float(rng.standard_normal()), e)
-        x = rng.standard_normal(d)
-        w2 = widths_sq(ridges, squares, x)
+            x, r = rng.standard_normal(d), float(rng.standard_normal())
+            u_max = float(rng.uniform(0.0, 1.5)) if t % 3 else 0.0
+            if compiled:
+                stacked._ridge_update(t % 3, x, r, 0.0, u_max)
+            else:
+                stacked.ridges[t % 3].update(x, r, u_max * u_max)
+        ridges, x = stacked.ridges, rng.standard_normal(d)
+        w2 = widths_sq(ridges, stacked._squares, x)
         if gamma > 0.0:  # the stacked product has its own bits
             assert w2.tobytes() == np.array([r.width_sq(x) for r in ridges]).tobytes()
         bits = [w2]
         for r in ridges:
-            bits += [r.sigma, r.b, r.mu_hat, r.sigma_inv]
+            bits += [r.sigma, r.b, r.mu_hat, r.sigma_inv, r._scale, r._rank_one_updates]
             if r.chol is not None:
                 assert not np.triu(r.chol, 1).any()
                 bits.append(r.chol)
     return [np.ascontiguousarray(a).tobytes() for a in bits]
 
 
-@pytest.mark.skipif(len(RIDGE_STEPS) < 2, reason="the compiled step is not built")
+@pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled steps are not built")
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 100])
 @pytest.mark.parametrize("gamma", [0.0, 0.05, 0.7])
 @settings(max_examples=5, deadline=None)
 @given(lam=st.floats(0.1, 5.0), seed=st.integers(0, 10_000))
 def test_compiled_ridge_step_keeps_every_bit(d, gamma, lam, seed):
-    # 210 updates over three arms: each gamma = 0 arm runs its drift check twice.
-    numpy_bits = _ridge_bits(None, d, lam, gamma, seed, 210)
-    assert _ridge_bits(RIDGE_STEPS[1], d, lam, gamma, seed, 210) == numpy_bits
+    # 210 updates over three arms: each gamma = 0 arm runs its drift check
+    # twice, and none of the compiled ones declines to numpy's update.
+    numpy_bits = _ridge_bits(False, d, lam, gamma, seed, 210)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RidgeState, "_update", None)
+        assert _ridge_bits(True, d, lam, gamma, seed, 210) == numpy_bits
 
 
-@pytest.mark.skipif(linear._step is None, reason="the compiled step is not built")
+@pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled steps are not built")
 def test_compiled_ridge_step_finds_its_lapack_routines():
     assert linear._lapack()[1] is not None
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banditlab
-from banditlab import cli, knn, linear
+from banditlab import cli
 from banditlab.attention import RewardStats
 from banditlab.core import Policy, as_context, round_rng
 from banditlab.knn import NeighborBank
@@ -24,7 +24,7 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
                                 linucb, make_policy)
-from conftest import (PASS_IDS, PASS_STEPS, RIDGE_STEPS, compiled_step, held,
+from conftest import (PASS_IDS, PASS_STEPS, compiled_step, held,
                       held_bytes)
 
 # Every id with a ridge accepts lam; lnucb-ta also runs a shifted ridge.
@@ -170,7 +170,7 @@ def test_selection_and_scoring_are_pure():
 def test_score_table_widths_equal_each_ridge_width(gamma_cov, step):
     # Shifted ridges are scored one triangular solve per arm, exactly as
     # RidgeState.width_sq computes it; unshifted ones by the stacked inverses.
-    with compiled_step(knn, step):
+    with compiled_step(blas=step):
         _check_widths(gamma_cov)
 
 
@@ -205,7 +205,7 @@ def _check_widths(gamma_cov):
 def test_update_without_prior_scoring_matches_memoized_path(config, step):
     # An update with no scoring pass before it queries its arm through
     # knn_score; the result must equal the memo of the selection pass.
-    with compiled_step(knn, step):
+    with compiled_step(blas=step):
         _check_memo(config)
 
 
@@ -262,7 +262,7 @@ def test_fused_pass_and_numpy_path_give_the_same_bits(
              else rng.standard_normal(d))
         bits = []
         for step in PASS_STEPS:
-            with compiled_step(knn, step):
+            with compiled_step(blas=step):
                 table, batch, best = policy._table(x)
             fields = [table.linear, table.knn, table.alpha, table.width, table.ucb,
                       *(batch if flags[0] else ())]
@@ -270,6 +270,35 @@ def test_fused_pass_and_numpy_path_give_the_same_bits(
             assert best == (None if step is None else int(table.ucb.argmax()))
         assert bits[1] == bits[0]
         policy.update(policy.select(x, t), x, float(rng.choice([0.0, 0.05, 1.0])))
+
+
+@pytest.mark.skipif(len(PASS_STEPS) < 2, reason="the compiled steps are not built")
+@pytest.mark.parametrize("pid, params", [
+    ("linthompson", {}), ("linthompson", {"lam": 0.1, "v": 0.3}), ("enhanced-linthompson", {}),
+    ("enhanced-linthompson", {"store_capacity": 9, "theta_max": 4, "variance_scale": 50.0})])
+@pytest.mark.parametrize("d", [3, 10])
+def test_thompson_twins_keep_every_bit(pid, params, d, monkeypatch):
+    # 240 updates over three arms, 80 per arm (two drift checks each),
+    # through update_round and through numpy's update: every round's
+    # scores and everything the policy holds are byte-equal.  Only the
+    # bank's rare cases (a row that grows, a k only the exact variance
+    # picks) decline to the numpy update.
+    calls = []
+    monkeypatch.setattr(RidgeState, "_check", lambda *args, f=RidgeState._check: (
+        calls.append(args[0]), f(*args))[1])
+    runs = []
+    for step in PASS_STEPS:
+        rng, scores = np.random.default_rng(d), []
+        calls.clear()
+        with compiled_step(blas=step):
+            policy = make_policy(pid, 3, d, seed=5, **params)
+            for t in range(240):
+                x = rng.standard_normal(d)
+                scores.append(policy.scores(x, t).tobytes())
+                policy.update(t % 3, x, float(rng.choice([0.0, 0.5, 1.0])))
+        runs.append((scores, held_bytes(policy)))
+    assert runs[1] == runs[0]
+    assert len(calls) < 24 if pid == "enhanced-linthompson" else not calls
 
 
 @pytest.mark.usefixtures("each_pass")
@@ -469,7 +498,7 @@ class TestMakePolicy:
         policy = make_policy(pid, 3, 2, **params)
         want = ["_check", "_sum_after"] + (["_sums_after"] if getattr(
             policy, "use_knn", True) else [])
-        if each_pass is not None and pid == "lnucb-ta":
+        if each_pass is not None:
             want = []  # the compiled update makes each check once, in C
         for t in range(4):
             calls.clear()
@@ -492,60 +521,54 @@ class TestMakePolicy:
     @pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
     def test_overflowing_knn_reward_changes_nothing(self, pid, step):
         # 1e200 is finite, but its square overflows the k-NN running sums.
-        with compiled_step(knn, step):
+        with compiled_step(blas=step):
             assert_rejected_update_changes_nothing(pid, {"reward": 1e200},
                                                    "overflows")
 
-    @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
     @pytest.mark.usefixtures("each_pass")
-    def test_overflowing_ridge_reward_changes_nothing(self, pid, params, step):
+    def test_overflowing_ridge_reward_changes_nothing(self, pid, params):
         # 1e308 * ||x|| overflows b; the k-NN ids check the ridge before the add.
-        with compiled_step(linear, step):
-            assert_rejected_update_changes_nothing(
-                pid, {"reward": 1e308}, "ridge update overflows", **params)
+        assert_rejected_update_changes_nothing(
+            pid, {"reward": 1e308}, "ridge update overflows", **params)
 
-    @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.usefixtures("each_pass")
-    def test_shifted_ridge_that_cannot_factor_changes_nothing(self, step):
+    def test_shifted_ridge_that_cannot_factor_changes_nothing(self):
         # sigma + x x^T rounds to a singular matrix: x x^T's entries are 1e18,
         # whose spacing is 128, and sigma's are far smaller.
         params = dict(gamma_cov=0.05, lam=1e-10)
-        with compiled_step(linear, step):
-            assert_rejected_update_changes_nothing(
-                "lnucb-ta", {"x": [1e9, 1e9], "reward": 1.0},
-                "not positive definite", use_knn=False, **params)
-            # With k-NN on, an arm with no neighbors adds no shift either, and
-            # the bank must not keep the entry the ridge refused.
-            policy, twin = (make_policy("lnucb-ta", 2, 2, **params) for _ in "ab")
-            with pytest.raises(ValueError, match="not positive definite"):
-                policy.update(0, [1e9, 1e9], 1.0)
-            assert hybrid_state(policy) == hybrid_state(twin)
-            for each in (policy, twin):
-                each.update(0, [0.3, 0.1], 0.5)
-            assert hybrid_state(policy) == hybrid_state(twin)
+        assert_rejected_update_changes_nothing(
+            "lnucb-ta", {"x": [1e9, 1e9], "reward": 1.0},
+            "not positive definite", use_knn=False, **params)
+        # With k-NN on, an arm with no neighbors adds no shift either, and
+        # the bank must not keep the entry the ridge refused.
+        policy, twin = (make_policy("lnucb-ta", 2, 2, **params) for _ in "ab")
+        with pytest.raises(ValueError, match="not positive definite"):
+            policy.update(0, [1e9, 1e9], 1.0)
+        assert hybrid_state(policy) == hybrid_state(twin)
+        for each in (policy, twin):
+            each.update(0, [0.3, 0.1], 0.5)
+        assert hybrid_state(policy) == hybrid_state(twin)
 
-    @pytest.mark.parametrize("step", RIDGE_STEPS)
     @pytest.mark.parametrize("pid, params", RIDGE_CASES)
     @pytest.mark.usefixtures("each_pass")
-    def test_ridge_stops_before_sigma_overflows(self, pid, params, step):
+    def test_ridge_stops_before_sigma_overflows(self, pid, params):
         # [1e153, 0] is an accepted context, and 179 of them overflow sigma.
         # The first one leaves a Sherman-Morrison inverse with a zero
         # diagonal entry, which the Thompson ids could not sample from.
         big = np.array([1e153, 0.0])
-        with compiled_step(linear, step):
-            policy, twin = (make_policy(pid, 3, 2, seed=4, **params) for _ in "ab")
-            for _ in range(200):
-                try:
-                    policy.update(0, big, 1.0)
-                except ValueError as error:
-                    assert "ridge update overflows" in str(error)
-                    break
-                twin.update(0, big, 1.0)
-            else:
-                pytest.fail("no update was rejected")
-            for x, t in itertools.product([big, np.array([0.3, -0.2])], (0, 1)):
-                assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
+        policy, twin = (make_policy(pid, 3, 2, seed=4, **params) for _ in "ab")
+        for _ in range(200):
+            try:
+                policy.update(0, big, 1.0)
+            except ValueError as error:
+                assert "ridge update overflows" in str(error)
+                break
+            twin.update(0, big, 1.0)
+        else:
+            pytest.fail("no update was rejected")
+        for x, t in itertools.product([big, np.array([0.3, -0.2])], (0, 1)):
+            assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
 
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
     @pytest.mark.parametrize("n_arms, dim, message", [
@@ -635,7 +658,7 @@ def test_hostile_update_is_finite_or_changes_nothing(pid, n, capped, hostile, se
     assert as_context(x_bad) is not None
     for step in PASS_STEPS:
         rng = np.random.default_rng(seed)
-        with compiled_step(knn, step):
+        with compiled_step(blas=step):
             policy, twin = (make_policy(pid, 3, 2, seed=1, **params) for _ in "ab")
             for t in range(n):
                 x, r = rng.standard_normal(2), float(rng.uniform(-1.0, 2.0))

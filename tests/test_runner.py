@@ -8,7 +8,7 @@ import pytest
 
 import banditlab
 import banditlab.cli  # noqa: F401  (the tracer wraps every layer's module)
-from banditlab import knn, linear
+from banditlab import _cstep, knn
 from banditlab.core import Policy
 from banditlab.env import DataError, ReplayLogEnv, two_class_bumps
 from banditlab.knn import NeighborBank
@@ -240,8 +240,7 @@ class TestExecuteCells:
         assert result.horizon == 25
 
 
-needs_run = pytest.mark.skipif(knn._step is None or linear._step is None,
-                               reason="the compiled steps are not built")
+needs_run = pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled steps are not built")
 SUITE = EnvSpec(kind="synthetic", d=10, n_arms=5, bump_count=3, noise_sigma=0.06,
                 env_seed=0, radius=0.7)
 HYBRID = dict(variance_scale=50.0, theta_min=4, kappa=1.0, floor_alpha_at_zero=True,
@@ -338,17 +337,18 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
         assert seen.get("exact k", 0) > 0, seen
 
 
-@needs_run
 @pytest.mark.parametrize("where, value, message, rounds", [
     ("contexts", np.nan, "context is non-finite", 250),
     ("realized", np.inf, "reward must be finite", 250),
     ("contexts", 1e160, "context is non-finite or its squared norm overflows", 250),
     ("contexts", 4e150, "Singular matrix", 279)])
+@pytest.mark.usefixtures("each_pass")
 def test_a_bad_round_raises_after_the_same_rounds(where, value, message, rounds):
     # Round 250 of a hand-built stream holds a value the compiled run cannot
     # certify, so select and update take that round: they raise as the
     # per-round loop does, leaving the same state.  as_context accepts
-    # 4e150, and a drift check's inverse of the sigma it leaves fails later.
+    # 4e150, and a drift check's inverse of the sigma it leaves fails later,
+    # after that update's bank add and stats record, under either update.
     stream = build_env(SUITE).episode(3, 300)
     bad = dataclasses.replace(stream, contexts=stream.contexts.copy(),
                               realized=stream.realized.copy())
@@ -385,8 +385,9 @@ REPLAY_ENDS = {  # log, policy, T, then the run's rounds or the error it raises
     "no match": (lambda: ReplayLogEnv(NEWS_LOG.arms + (NEWS_LOG.arms == 0),
                                       NEWS_LOG.clicks, NEWS_LOG.contexts), TA, 400,
                  (DataError, "no rounds executed")),
+    # ReplayLogEnv refuses this log when it is built.
     "NaN row": (lambda: poisoned(NEWS_LOG, 150, np.nan), TA, 400,
-                (ValueError, "context is non-finite")),
+                (DataError, r"^row \d+: non-finite feature$")),
     "1e160 row": (lambda: poisoned(NEWS_LOG, 150, 1e160), TA, 400,
                   (ValueError, "context is non-finite or its squared norm overflows")),
     # A wide bound soon takes linucb to the arms it has not played.
@@ -405,6 +406,10 @@ def test_a_replay_run_ends_as_the_per_round_loop(end, monkeypatch):
     # whose select or replay_step raises: the untraced run scores in Python
     # only the rounds whose update declines, and the 12-arm run's last one.
     build, (pid, arms, params), T, want = REPLAY_ENDS[end]
+    if end == "NaN row":
+        with pytest.raises(want[0], match=want[1]):
+            build()
+        return
     log = build()
     calls = Counter()
     for owner, name in ((LNUCBTA, "_scores"), (RidgeState, "_check")):
@@ -425,7 +430,7 @@ def test_a_replay_run_ends_as_the_per_round_loop(end, monkeypatch):
             outcome = str(error.value)
         runs.append((outcome, policy.stats.per_arm_count.sum(), run_state(policy)))
     assert runs[0] == runs[1]
-    if end in ("NaN row", "1e160 row"):
+    if end == "1e160 row":
         assert runs[0][1] == 150
 
 
@@ -451,9 +456,56 @@ def test_compiled_run_is_active(pid, monkeypatch):
 def test_only_the_compiled_steps_and_the_lowest_index_rule_run_in_c():
     assert make_policy("lnucb-ta", 3, 2)._runs_in_c()
     assert not make_policy("lnucb-ta", 3, 2, tie_break="seeded-random")._runs_in_c()
-    for module in (knn, linear):
-        with compiled_step(module, None):
+    for step, blas in ((None, None), (_cstep.STEP, None)):
+        with compiled_step(step, blas):
             assert not make_policy("linucb", 3, 2)._runs_in_c()
+
+
+def mix_spec(kind, tmp_path):
+    """The EnvSpec of a suite, news or classification cell; news and
+    classification read CSVs written here from news_log and two_class_bumps."""
+    if kind == "synthetic":
+        return SUITE
+    path = tmp_path / f"{kind}.csv"
+    if kind == "news":
+        log = news_log(3000)
+        rows = [[a + 1, int(c), *x] for a, c, x in zip(
+            log.arms.tolist(), log.clicks.tolist(), log.contexts.tolist())]
+    else:
+        env = two_class_bumps(0, 400)
+        rows = [[*x, label] for x, label in zip(env.contexts.tolist(), env.labels.tolist())]
+    path.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    return EnvSpec(kind=kind, path=str(path))
+
+
+@needs_run
+@pytest.mark.parametrize("kind, pid, params, T", [
+    ("synthetic", "lnucb-ta", {**HYBRID, "gamma_cov": 0.05}, 2000),
+    ("news", "lnucb-ta", {**NEWS, "gamma_cov": 0.05}, 1000),
+    ("classification", "linthompson", {}, 400),
+    ("classification", "enhanced-linthompson", {}, 400)])
+def test_without_blas_every_policy_runs_numpy_with_the_same_bits(kind, pid, params, T,
+                                                                 tmp_path, monkeypatch):
+    # The one mix of the compiled steps a machine reaches besides all or
+    # none: STEP loaded, BLAS None (numpy without the scipy_cblas_*64_
+    # exports, or a failed with_blas check).  Every update is then numpy's,
+    # the news log is still parsed in C (the csv loop is gone here), and
+    # the run's bits are those of a fully compiled run.
+    spec, checks = mix_spec(kind, tmp_path), []
+    if kind == "news":
+        monkeypatch.setattr("banditlab.env._csv_rows", None)
+    monkeypatch.setattr(RidgeState, "_check", lambda *args, f=RidgeState._check: (
+        checks.append(args[0]), f(*args))[1])
+    runs = []
+    for blas in (_cstep.BLAS, None):
+        checks.clear()
+        with compiled_step(_cstep.STEP, blas):
+            env = spec.build()
+            policy = make_policy(pid, env.n_arms, env.dim, seed=3, **params)
+            result, _ = run_policy(env, policy, T, 3)
+        runs.append((result_bits(result), run_state(policy)))
+    assert runs[1] == runs[0]
+    assert len(checks) == result.matched_steps > 0  # numpy's update, each round
 
 
 @pytest.mark.parametrize("pid, params", [("lnucb-ta", HYBRID), ("linucb", {}),
