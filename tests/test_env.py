@@ -498,12 +498,6 @@ class TestNewsReplay:
         assert ReplayLogEnv([1.0, 9.0], [0.0, 1.0], ctx).arms.tolist() == [1, 9]
         with pytest.raises(ValueError, match="align"):
             ReplayLogEnv([[0], [1]], [0.0, 1.0], ctx)
-        # A run would read a non-finite row only if its cursor landed there.
-        for value in (np.nan, np.inf, -np.inf):
-            bad = np.zeros((3, 100))
-            bad[1, 57] = value
-            with pytest.raises(DataError, match="^row 2: non-finite feature$"):
-                ReplayLogEnv([0, 1, 2], [0.0, 1.0, 0.0], bad)
         # A compiled run reads the log's arrays in place: a strided input is
         # copied once, here, and a contiguous one (a loader's) not at all.
         wide = np.zeros((2, 200))
@@ -513,6 +507,18 @@ class TestNewsReplay:
         arms, clicks, contexts = np.array([0, 1]), np.array([0.0, 1.0]), np.zeros((2, 100))
         env = ReplayLogEnv(arms, clicks, contexts)
         assert env.arms is arms and env.clicks is clicks and env.contexts is contexts
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_replay_log_names_its_non_finite_row(value, row):
+    # A run would read a non-finite row only if its cursor landed there, so
+    # the log is refused when it is built, by its first such row.
+    bad = np.zeros((3, 100))
+    bad[row, 57] = value
+    bad[2, 3] = np.nan
+    with pytest.raises(DataError, match=f"^row {row + 1}: non-finite feature$"):
+        ReplayLogEnv([0, 1, 2], [0.0, 1.0, 0.0], bad)
 
 
 class TestReplayStep:

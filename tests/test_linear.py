@@ -10,7 +10,7 @@ from banditlab import _cstep, linear
 from banditlab.linear import (DRIFT_CHECK_EVERY, ConfidenceBall, RidgeState,
                               solve_batch, widths_sq)
 from banditlab.policies import _Ridges
-from conftest import compiled_step
+from conftest import PASS_IDS, PASS_STEPS, compiled_step
 
 
 def _random_updates(state, rng, T, with_inflation=False):
@@ -153,6 +153,17 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     assert s.width_sq(probe) >= 0.0
 
 
+class _ThreeRidges(_Ridges):
+    """A policy's three stacked ridges alone: no bank, no stats."""
+
+    n_arms = 3
+
+    def __init__(self, dim, lam, gamma_cov):
+        self.dim = dim
+        self._init_ridges(lam, gamma_cov)
+
+
+@pytest.mark.parametrize("blas", PASS_STEPS, ids=PASS_IDS)
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(1, 8),
@@ -161,15 +172,20 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     n=st.integers(0, 40),
     seed=st.integers(0, 10_000),
 )
-def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
+def test_factored_ridge_matches_direct_solves(blas, d, lam, gamma, n, seed):
     # Shifted ridges keep L with L L^T = sigma; about a third of the
-    # updates carry e = 0 and are refactored like the others.
+    # updates carry e = 0 and are refactored like the others.  Each update
+    # is a policy's: update_round under the compiled round, numpy's else.
     rng = np.random.default_rng(seed)
-    s = RidgeState(d, lam, gamma_cov=gamma)
-    assert s.chol is not None
-    for _ in range(n):
-        e = float(rng.uniform(0.0, 2.0)) if rng.uniform() < 0.7 else 0.0
-        s.update(rng.standard_normal(d), float(rng.standard_normal()), e)
+    with compiled_step(blas=blas):
+        stacked = _ThreeRidges(d, lam, gamma)
+        assert (stacked._compiled() is not None) == (blas is not None)
+        s = stacked.ridges[0]
+        assert s.chol is not None
+        for _ in range(n):
+            u_max = float(rng.uniform(0.0, 1.5)) if rng.uniform() < 0.7 else 0.0
+            stacked._ridge_update(0, rng.standard_normal(d), float(rng.standard_normal()),
+                                  0.0, u_max)
     scale = np.abs(s.sigma).max()
     assert np.array_equal(s.chol, np.tril(s.chol))
     assert np.abs(s.chol @ s.chol.T - s.sigma).max() <= 1e-12 * scale
@@ -182,14 +198,31 @@ def test_factored_ridge_matches_direct_solves(d, lam, gamma, n, seed):
                        atol=1e-12)
 
 
-class _ThreeRidges(_Ridges):
-    """A policy's three stacked ridges alone: no bank, no stats."""
-
-    n_arms = 3
-
-    def __init__(self, dim, lam, gamma_cov):
-        self.dim = dim
-        self._init_ridges(lam, gamma_cov)
+def test_determinant_identity_under_each_ridge_step(each_pass, monkeypatch):
+    # c02's identity through a policy's update: update_round under the
+    # compiled round, none of whose updates declines to numpy's, and each
+    # ridge's numpy update else.  An update adds gamma * u_max^2 * I + x x^T,
+    # so det(sigma') = (1 + x^T S^-1 x) det(S) with S the shifted sigma.
+    if each_pass is not None:
+        monkeypatch.setattr(RidgeState, "_update", None)
+    rng = np.random.default_rng(11)
+    worst, checked = 0.0, 0
+    for _ in range(40):
+        d = int(rng.integers(1, 6))
+        gamma = float(rng.choice([0.0, 0.05, 0.5]))
+        stacked = _ThreeRidges(d, float(rng.uniform(0.5, 2.0)), gamma)
+        assert (stacked._compiled() is not None) == (each_pass is not None)
+        for t in range(60):
+            ridge, x = stacked.ridges[t % 3], rng.standard_normal(d)
+            u_max = float(rng.uniform(0.0, 1.5)) if t % 4 else 0.0
+            shifted = ridge.sigma + gamma * u_max * u_max * np.eye(d)
+            w2 = float(x @ np.linalg.solve(shifted, x))
+            det_before = float(np.linalg.det(shifted))
+            stacked._ridge_update(t % 3, x, float(rng.standard_normal()), 0.0, u_max)
+            det_after = float(np.linalg.det(ridge.sigma))
+            worst = max(worst, abs(det_after - (1.0 + w2) * det_before) / det_after)
+            checked += 1
+    assert checked == 2400 and worst <= 1e-6
 
 
 def _ridge_bits(compiled, d, lam, gamma, seed, n):

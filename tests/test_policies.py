@@ -276,7 +276,7 @@ def test_fused_pass_and_numpy_path_give_the_same_bits(
 @pytest.mark.parametrize("pid, params", [
     ("linthompson", {}), ("linthompson", {"lam": 0.1, "v": 0.3}), ("enhanced-linthompson", {}),
     ("enhanced-linthompson", {"store_capacity": 9, "theta_max": 4, "variance_scale": 50.0})])
-@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("d", [1, 3, 10])
 def test_thompson_twins_keep_every_bit(pid, params, d, monkeypatch):
     # 240 updates over three arms, 80 per arm (two drift checks each),
     # through update_round and through numpy's update: every round's

@@ -481,7 +481,11 @@ def mix_spec(kind, tmp_path):
 @needs_run
 @pytest.mark.parametrize("kind, pid, params, T", [
     ("synthetic", "lnucb-ta", {**HYBRID, "gamma_cov": 0.05}, 2000),
+    ("synthetic", "linucb", {}, 2000),
+    ("synthetic", "lin-knn-ucb", {"store_capacity": 50}, 2000),
     ("news", "lnucb-ta", {**NEWS, "gamma_cov": 0.05}, 1000),
+    ("news", "lin-knn-ucb", {}, 1000),
+    ("classification", "lnucb-ta", HYBRID, 400),
     ("classification", "linthompson", {}, 400),
     ("classification", "enhanced-linthompson", {}, 400)])
 def test_without_blas_every_policy_runs_numpy_with_the_same_bits(kind, pid, params, T,
