@@ -68,13 +68,20 @@ def exploration_rates(params: AttentionParams, counts: np.ndarray, g: float,
 def softmax_attention(counts, gamma_sm: float) -> np.ndarray:
     """Softmax over -gamma_sm * counts, computed with max-subtraction.
 
-    gamma_sm = 0 is accepted and gives exactly uniform weights.
+    gamma_sm = 0 is accepted and gives exactly uniform weights.  Where the
+    largest of -gamma_sm * counts overflows, the weights are their limit:
+    the least-pulled arms share them equally.
     """
     gamma_sm = as_nonneg(gamma_sm, "gamma_sm")
     c = np.asarray(counts, dtype=np.float64)
     if c.size == 0:
         raise ValueError("counts must be nonempty")
-    z = -gamma_sm * c
-    z -= z.max()
+    with np.errstate(over="ignore"):
+        z = -gamma_sm * c
+    top = z.max()
+    if not math.isfinite(top):
+        w = (c == c.min()) * 1.0
+        return w / w.sum()
+    z -= top
     w = np.exp(z)
     return w / w.sum()

@@ -11,8 +11,6 @@ import numpy as np
 from . import _cstep
 from .core import as_context, as_int, as_positive, as_reward
 
-_FINITE_MAX = np.finfo(np.float64).max
-
 
 @dataclass(frozen=True)
 class KnnScore:
@@ -29,15 +27,14 @@ class KnnScore:
 
 
 class NeighborBank:
-    """(context, reward, round) histories of several arms in padded rows.
+    """(context, reward, round) histories of several arms in shared rows.
 
     Arm a's n entries sit oldest-first in columns [0, n) of row a of the
     shared norm and reward arrays, and at positions [start, end) of its own
-    context and round arrays.  Every column from n on holds an infinite
-    squared norm, so it reads as infinitely far and one pass over the padded
-    rows, as wide as the longest window, scores all arms at once (see
-    ``_pass``).  Rounds are strictly increasing per arm, so entry order is
-    insertion order.
+    context and round arrays.  Columns from n on are unused; their squared
+    norms stay infinite.  A pass (``_pass``) scores each arm over exactly
+    its own window.  Rounds are strictly increasing per arm, so entry order
+    is insertion order.
 
     Without a capacity the arrays double in length on growth.  With one,
     the shared rows are capacity wide and a full arm drops its oldest entry
@@ -236,92 +233,49 @@ class NeighborBank:
         ties go to the lower round, u_max is the k-th distance, and the
         score sums rewards in that order.  Returns (KnnBatch, the argmax of
         a policy's ucb, or None): ``_cstep.score_pass`` makes the pass and
-        fills a policy's ``table`` (a ``round_t``) in one C call; the numpy
-        ``_select`` makes the pass alone.
+        fills a policy's ``table`` (a ``round_t``) in one C call; without it
+        ``_scan`` scores one arm at a time.
         """
-        n, width = len(arms), self._norm2.shape[1]
-        # An applied row's k is at most its window, so k_cols columns hold every
-        # selection; a larger k only gates, and is clipped to fit in C.
-        top = self.theta_max if ks is self._ks else max(ks)
-        k_cols = max(1, min(top, width))
-        ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
-        c = self._args()
+        n, c = len(arms), self._args()
         if c:
+            # An applied row's k is at most its window, so k_cols columns hold every
+            # selection; a larger k only gates, and is clipped to fit in C.
+            top = self.theta_max if ks is self._ks else max(ks)
+            k_cols = max(1, min(top, self._norm2.shape[1]))
+            ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
             best = _cstep.STEP.lib.score_pass(x.tobytes(), n, arms, ks, strict, k_cols,
                                               table or _cstep.STEP.ffi.NULL, c)
             r = self._res[:3 * n].copy()
             return KnnBatch(r[:n], r[n:2 * n], r[2 * n:].view(np.int64)), best
-        out = np.zeros(n * (k_cols + 2))
-        sel, u_max = out[:n * k_cols].reshape(n, k_cols), out[n * k_cols:n * (k_cols + 1)]
-        k_used = out[n * (k_cols + 1):].view(np.int64)
-        xx, sizes = float(x.dot(x)), [self._end[a] - self._start[a] for a in arms]
-        # One matvec per arm over exactly its window: BLAS results depend
-        # on the row count, and this keeps them equal to a one-store query.
-        dot = np.zeros((n, max(sizes, default=0)))
-        for j, a in enumerate(arms):
-            s = self._start[a]
-            self._ctx[a][s:s + sizes[j]].dot(x, out=dot[j, :sizes[j]])
-        k = self._select(arms, sizes, ks, strict, xx, dot, sel, u_max, k_used)
-        if k > 0:  # every applied arm uses k; the others' rows are zeros
-            score = np.add.reduce(sel[:, :k], axis=1) / k
-        else:  # row j's own 1-D reduce: its first k_j rewards, in order
-            score = np.array([np.add.reduce(r[:kj]) / kj if kj else 0.0
-                              for r, kj in zip(sel, k_used.tolist())])
-        return KnnBatch(score, u_max, k_used), None
+        score, d2k, k_used = np.zeros(n), np.zeros(n), np.zeros(n, np.int64)
+        xx = float(x.dot(x))
+        for j, (a, k) in enumerate(zip(arms, ks)):
+            size = self._end[a] - self._start[a]
+            k = k if strict else min(k, max(size, 1))
+            if size >= k:
+                score[j], d2k[j] = self._scan(a, x, xx, k)
+                k_used[j] = k
+        return KnnBatch(score, np.sqrt(d2k), k_used), None
 
-    def _select(self, arms, sizes, ks, strict, xx, dot, sel, u_max, k_used) -> int:
-        """The numpy twin of _cstep's score_pass selection: its contract and bits."""
-        if not strict:
-            ks = [min(k, max(size, 1)) for k, size in zip(ks, sizes)]
-        live = [j for j, (k, size) in enumerate(zip(ks, sizes)) if size >= k]
-        if not live:
-            return 0
-        k_live = [ks[j] for j in live]
-        k_max, width, shortest = max(k_live), dot.shape[1], min(sizes[j] for j in live)
-        # Slices, not gathers, where every row applies (the common case).
-        at = slice(None) if len(live) == len(arms) else live
-        every = at == slice(None) and arms is self._all_rows
-        rows = at if every else np.array([arms[j] for j in live])
-        k_used[at] = k_live
-        # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached row norms.
-        d2 = dot[at]
-        d2 *= -2.0
-        d2 += self._norm2[rows, :width]
+    def _scan(self, arm: int, x: np.ndarray, xx: float, k: int):
+        """score_pass's numpy twin for one arm holding at least k entries: the
+        add.reduce of its first k rewards over k, and the k-th squared distance."""
+        s, n = self._start[arm], self._end[arm] - self._start[arm]
+        # One matvec over exactly the window: BLAS results depend on the row count.
+        d2 = self._ctx[arm][s:s + n].dot(x)
+        d2 *= -2.0  # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached norms
+        d2 += self._norm2[arm, :n]
         d2 += xx
         np.maximum(d2, 0.0, out=d2)
-        # Candidates are all entries no farther than the row's k_max-th
-        # smallest distance (every finite entry of a shorter row), ties
-        # included, so each arm's first k in (distance, round) order are
-        # among them.
-        if width > k_max:
-            # The method on a copy is np.partition without its wrapper's cost.
+        # Stable sorts: equal distances keep column order, which is round order.
+        if k < n:  # only the entries no farther than the k-th distance, ties included
             cut = d2.copy()
-            cut.partition(k_max - 1, axis=1)
-            cut = cut[:, k_max - 1:k_max]
-            np.minimum(cut, _FINITE_MAX, out=cut)
+            cut.partition(k - 1)
+            near = (d2 <= cut[k - 1]).nonzero()[0]
+            sel = near[d2[near].argsort(kind="stable")[:k]]
         else:
-            cut = _FINITE_MAX
-        flat = (d2 <= cut).ravel().nonzero()[0]
-        row, col = np.divmod(flat, width)
-        dist = d2.ravel()[flat]
-        # Stable: equal distances keep column order, which is round order.
-        order = np.lexsort((dist, row))
-        dist = dist[order]
-        rewards = self._rewards[row if every else rows[row], col][order]
-        # Lay each row's first k_max candidates out as one matrix row.
-        shape = (len(live), k_max)
-        if flat.size == shape[0] * k_max and shortest >= k_max:
-            dist, rewards = dist.reshape(shape), rewards.reshape(shape)
-        else:  # ties at a cut, or rows shorter than k_max
-            counts = np.bincount(row, minlength=shape[0])
-            first = np.cumsum(counts) - counts
-            take = np.minimum(first[:, None] + np.arange(k_max),
-                              (first + counts - 1)[:, None])
-            dist, rewards = dist[take], rewards[take]
-        u_max[at] = np.sqrt(dist[:, k_max - 1] if min(k_live) == k_max else
-                            dist[range(shape[0]), [k - 1 for k in k_live]])
-        sel[at, :k_max] = rewards
-        return k_max if min(k_live) == k_max else -1
+            sel = d2.argsort(kind="stable")
+        return np.add.reduce(self._rewards[arm][sel]) / k, d2[sel[-1]]
 
 
 def _fold(sums: list, reward: float, sign: float) -> None:
@@ -415,8 +369,7 @@ def select_k(variance: float, theta_min: int, theta_max: int) -> int:
 
     Round-half-up to an integer, then clamp to [theta_min, theta_max].
     """
-    theta_min = int(theta_min)
-    theta_max = int(theta_max)
+    theta_min, theta_max = as_int(theta_min, "theta_min"), as_int(theta_max, "theta_max")
     if not 1 <= theta_min <= theta_max:
         raise ValueError("need 1 <= theta_min <= theta_max")
     if not variance >= 0:  # +inf, like every variance >= 1, gives theta_max
@@ -444,8 +397,7 @@ def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
 
 def knn_score_bruteforce(store: NeighborStore, x, k: int) -> KnnScore:
     """Full-sort oracle with the same contract as knn_score; test use only."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_int(k, "k", 1)
     x = as_context(x, store.dim)
     n = len(store)
     if n < k:

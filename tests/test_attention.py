@@ -108,6 +108,19 @@ class TestSoftmaxAttention:
         assert np.isfinite(w).all()
         assert w.sum() == pytest.approx(1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_exponents_take_their_limit(self):
+        # -1e308 * c overflows for every c here: the least-pulled arms share.
+        assert softmax_attention([2, 3], 1e308).tolist() == [1.0, 0.0]
+        assert softmax_attention([2, 2, 5], 1e308).tolist() == [0.5, 0.5, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_ordinary_weights_keep_their_bits(self):
+        w = softmax_attention([3, 0, 7, 2], 1.25)
+        assert [v.hex() for v in w.tolist()] == [
+            "0x1.5c76099514c20p-6", "0x1.cf0789dc2c379p-1",
+            "0x1.2c886403c88c5p-13", "0x1.300fea87572e7p-4"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             softmax_attention(np.array([1.0]), -0.5)

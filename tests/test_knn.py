@@ -175,6 +175,15 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(float("nan"), 1, 3)
 
+    def test_thetas_must_be_integers(self):
+        with pytest.raises(ValueError, match="theta_min must be an integer"):
+            select_k(0.5, 1.5, 3.9)
+        with pytest.raises(ValueError, match="theta_max must be an integer"):
+            select_k(0.5, 1, 3.9)
+        with pytest.raises(ValueError, match="theta_max must be an integer"):
+            select_k(0.5, 1, True)
+        assert select_k(0.5, 2.0, 7.0) == 5
+
 
 class TestKnnScore:
     def test_gate_requires_k_entries(self):
@@ -233,6 +242,15 @@ class TestKnnScore:
             knn_score(store, np.zeros(2), 0)
         with pytest.raises(ValueError, match="k must be an integer"):
             knn_score(store, np.zeros(2), 2.5)
+
+    def test_oracle_checks_k_as_knn_score_does(self):
+        store = _filled_store(np.random.default_rng(3), 4, 2)
+        for k in (2.5, True, 0):
+            with pytest.raises(ValueError) as want:
+                knn_score(store, np.zeros(2), k)
+            with pytest.raises(ValueError) as got:
+                knn_score_bruteforce(store, np.zeros(2), k)
+            assert str(got.value) == str(want.value)
 
 
 @settings(max_examples=80, deadline=None)
@@ -320,9 +338,8 @@ def test_incremental_k_falls_back_on_a_rounding_boundary(monkeypatch):
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
 def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     # Every round's bank pass, in both gating modes and under each step,
-    # against the full-sort oracle per arm along a real capped run.  In the
-    # numpy step bincount runs only on the tie, short-row and mixed-k
-    # branch; both it and the common branch must have run on the way.
+    # against the full-sort oracle per arm along a real capped run.  Arm
+    # windows longer than, equal to and shorter than k must all occur.
     spec = EnvSpec(kind="synthetic", d=10, n_arms=5, bump_count=3,
                    noise_sigma=0.06, env_seed=0, radius=0.7)
     env = build_env(spec)
@@ -332,34 +349,29 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     policy = make_policy(pid, env.n_arms, env.dim, seed=3, store_capacity=7,
                          variance_scale=50.0, **params)
     bank = policy.bank
-    passes = {"common": 0, "bincount": 0}
-    calls, bincount, query = [0], np.bincount, NeighborBank._query
-
-    def spied_bincount(*args, **kwargs):
-        calls[0] += 1
-        return bincount(*args, **kwargs)
+    windows = {"longer": 0, "equal": 0, "shorter": 0}
+    query = NeighborBank._query
 
     def checked_query(self, arms, x, ks, strict, stacks=None):
         if self is not bank:
             return query(self, arms, x, ks, strict, stacks)
+        for a, k in zip(arms, ks):
+            n = len(self.store(a))
+            windows["longer" if n > k else "equal" if n == k else "shorter"] += 1
         for gate in (not strict, strict):  # the policy's own pass last
             for step in PASS_STEPS:
-                before = calls[0]
                 with compiled_step(blas=step):
                     got = query(self, arms, x, ks, gate, stacks)
-                if step is None:
-                    passes["bincount" if calls[0] > before else "common"] += 1
                 for a, k in zip(arms, ks):
                     store = self.store(a)
                     k = k if gate else min(k, max(len(store), 1))
                     assert got[0].row(a) == knn_score_bruteforce(store, x, k)
         return got
 
-    monkeypatch.setattr(np, "bincount", spied_bincount)
     monkeypatch.setattr(NeighborBank, "_query", checked_query)
     run_policy(env, policy, 300, 3, trace=True)  # the per-round loop: a pass each select
     assert max(len(bank.store(a)) for a in range(env.n_arms)) == 7
-    assert passes["common"] > 0 and passes["bincount"] > 0, passes
+    assert min(windows.values()) > 0, windows
 
 
 def _pass_bits(bank, arms, x, ks, strict):
@@ -440,7 +452,7 @@ def test_compiled_round_is_active(params, monkeypatch):
     def numpy_round(*args, **kwargs):
         raise AssertionError("the numpy round ran")
 
-    for owner, name in [(NeighborBank, "_select"), (NeighborBank, "_sums_after"),
+    for owner, name in [(NeighborBank, "_scan"), (NeighborBank, "_sums_after"),
                         (RidgeState, "_check"), (RidgeState, "_update"),
                         (RewardStats, "record"), (RewardStats, "local_means"),
                         (policies, "exploration_rates"), (policies, "widths_sq"),
