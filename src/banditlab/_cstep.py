@@ -45,11 +45,11 @@ typedef struct {
 } round_t;
 
 /* A knn.NeighborBank (see its _args): per arm, contexts and rounds (lens
-   long) with the window [start, end), k, four running sums, and a row of
-   the stride-wide norms and rewards; cap (-1: none), theta_min lo, theta_max
-   hi, variance_scale, scratch, the pass's results res, and round_t's BLAS. */
+   long) with the window [start, end), k, and a row of the stride-wide norms
+   and rewards; cap (-1: none), theta_min lo, theta_max hi, variance_scale,
+   scratch (3 x stride), the pass's results res, and round_t's BLAS. */
 typedef struct {
-    double **ctx, *sums, *norm2, *rewards, vscale, *scratch, *res;
+    double **ctx, *norm2, *rewards, vscale, *scratch, *res;
     int64_t **rounds, *lens, *start, *end, *ks, d, stride, cap, lo, hi;
     intptr_t gemv, ddot;
 } bank_t;
@@ -202,9 +202,6 @@ static int ridge_factor(const double *x, double *sigma, double *b, double *chol,
     return info;
 }
 
-static void fold(double *s, double r, double sign)  /* knn._fold */
-{ s[0] += sign * r, s[1] += sign * (r * r), s[2] += fabs(s[0]), s[3] += fabs(s[1]); }
-
 static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
 {
     v = 0.0 > v ? 0.0 : v;
@@ -214,10 +211,10 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
 
 /* A policy's update of arm a: every check, then p's ridge (residual r - knn,
    e = u_max^2; a shifted sigma can still fail to factor), stats (if any) and,
-   with add, bk's entry and k; no p: the add alone, no bk: no add.  Returns -1,
-   having changed nothing, where a check fails, sigma does not factor, an
-   uncapped row is full or only the exact variance picks k (the numpy update
-   then raises, grows or decides); else 0, or, for an inverse, 1 where its drift
+   with add, bk's entry and k, knn._variance's of the window; no p: the add
+   alone, no bk: no add.  Returns -1, having changed nothing, where a check
+   fails, sigma does not factor or an uncapped row is full (the numpy update
+   then raises or grows it); else 0, or, for an inverse, 1 where its drift
    check falls due and 2 where it lost a diagonal entry (see _rank_one_done). */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
                      int64_t round, int add, round_t *p, bank_t *bk)
@@ -228,25 +225,16 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
     const double total = p && p->stat_sum ? p->stat_sum[a] + r : 0.0;
     const double next = p ? p->scales[a] + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
-    double s[4];
-    int64_t k = 0, due = 0;
+    double *r2 = bk ? bk->scratch : NULL;  /* the kept rewards' squares */
+    int64_t due = 0;
     if ((p && !(next <= p->scale_max)) || !isfinite(total)) return -1;
-    if (add) {  /* knn.NeighborBank._sums_after, then _fresh_k */
-        const int64_t n = bk->end[a] - bk->start[a], m = n == bk->cap ? n : n + 1;
-        memcpy(s, bk->sums + 4 * a, sizeof s);
-        if (n == bk->cap) fold(s, bk->rewards[a * bk->stride], -1.0);
-        fold(s, r, 1.0);
-        if (!isfinite(8.0 * (s[2] + s[3])) || (bk->cap < 0 && bk->end[a] == bk->lens[a]))
+    if (add) {  /* knn.NeighborBank._check_reward, and room in an uncapped row */
+        const double *rw = bk->rewards + a * bk->stride;
+        const int64_t n = bk->end[a] - bk->start[a], full = n == bk->cap;
+        for (int64_t i = full; i < n; i++) r2[i - full] = rw[i] * rw[i];
+        if (!isfinite(8.0 * ((0.0 + pairwise(r2, n - full)) + r * r))
+            || (bk->cap < 0 && bk->end[a] == bk->lens[a]))
             return -1;
-        k = bk->lo;
-        if (bk->lo < bk->hi && m >= 2) {
-            const double u = 0x1p-52, mean = s[0] / m, z = (s[1] + u * s[3]) / m;
-            const double r1 = u * (s[2] / m + m * sqrt(z)), mm = fabs(mean) + r1;
-            const double v = s[1] / m - mean * mean, var = 0.0 > v ? 0.0 : v, err = 2.0 * (
-                u * (s[3] / m + m * z + 4 * z + 4 * mm * mm) + r1 * (mm + fabs(mean)));
-            k = pick_k((0.0 > var - err ? 0.0 : var - err) * bk->vscale, bk->lo, bk->hi);
-            if (k < bk->hi && k != pick_k((var + err) * bk->vscale, bk->lo, bk->hi)) return -1;
-        }
     }
     if (p) {
         double *sig = p->sigmas + a * d * d, *b = p->bs + a * d, *sq = p->squares + a * d * d;
@@ -276,9 +264,13 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
         }
         memcpy(bk->ctx[a] + en * d, x, sizeof(double) * d);
         bk->rounds[a][en] = round;
-        nr[n] = xx, rw[n] = r;
-        memcpy(bk->sums + 4 * a, s, sizeof s);
-        bk->start[a] = st, bk->end[a] = en + 1, bk->ks[a] = bk->lo < bk->hi ? k : bk->ks[a];
+        nr[n] = xx, rw[n] = r, r2[n] = r * r;
+        bk->start[a] = st, bk->end[a] = en + 1;
+        if (bk->lo < bk->hi) {  /* knn._variance of the window, 0 below two entries */
+            const double w = n + 1, mean = (0.0 + pairwise(rw, n + 1)) / w;
+            const double v = n ? (0.0 + pairwise(r2, n + 1)) / w - mean * mean : 0.0;
+            bk->ks[a] = pick_k((0.0 > v ? 0.0 : v) * bk->vscale, bk->lo, bk->hi);
+        }
     }
     return due;
 }
@@ -416,7 +408,9 @@ def lapack_routines(cython_lapack):
 
 
 CHECK_SHAPES = ((1, 1), (1, 10), (1, 100), (2, 1), (9, 1), (5, 10), (3, 100), (3100, 3), (2, 4100))
-CHECK_SUMS = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 300)  # each branch of the pairwise sum
+# Each branch of the pairwise sum, and window-sized sums (8,193: past numpy's
+# default ufunc buffer).
+CHECK_SUMS = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 300, 1000, 8193)
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
@@ -431,7 +425,8 @@ def with_blas(module):
         blas = [ctypes.cast(getattr(lib, name), ctypes.c_void_p).value for name in BLAS_SYMBOLS]
     except (AttributeError, OSError):
         return None
-    pool = np.sin(np.arange(1.0, 1.0 + max(n * d for n, d in CHECK_SHAPES)) * 1.7)
+    pool = np.sin(np.arange(1.0, 1.0 + max(max(n * d for n, d in CHECK_SHAPES),
+                                           3 * max(CHECK_SUMS) + 6)) * 1.7)
     for n, d in CHECK_SHAPES:
         a, x, out = pool[:n * d].reshape(n, d), pool[-d:], np.empty(n)
         module.lib.matvec(n, d, *(buf("double[]", v) for v in (a, x, out)), *blas)

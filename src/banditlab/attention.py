@@ -54,8 +54,7 @@ def exploration_rate(params: AttentionParams, N: int, g: float, n: float) -> flo
 
     Negative values (possible with negative rewards) pass through unmodified.
     """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    N = as_int(N, "N", 0)
     return params.alpha0 / (N + 1) * (params.kappa * g + (1.0 - params.kappa) * n)
 
 

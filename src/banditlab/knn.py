@@ -44,9 +44,9 @@ class NeighborBank:
     one O(capacity * dim) copy per capacity adds.
 
     The bank owns each arm's adaptive k, select_k of its reward variance
-    times variance_scale (the defaults pin k at 1), kept in O(1) per add by
-    running reward sums (see ``_fresh_k``).  Policies feed it through
-    ``_add`` and score every arm with its own k in one ``_pass`` per round.
+    times variance_scale (the defaults pin k at 1), taken from the whole
+    window after each add.  Policies feed it through ``_add`` and score
+    every arm with its own k in one ``_pass`` per round.
     """
 
     def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None,
@@ -75,9 +75,6 @@ class NeighborBank:
                 else functools.partial(_cstep.STEP.ffi.new, "int64_t[]"))
         self._start = ints([0] * n_arms)
         self._end = ints([0] * n_arms)
-        # Per row: reward sum, squared-reward sum, and the sums of their
-        # absolute running values, which bound their rounding error.
-        self._sums = np.zeros((n_arms, 4))
         self._all_rows = ints(list(range(n_arms)))
         self._ks = ints([self.theta_min] * n_arms)  # an empty row's variance is 0
         self._adds = np.zeros(1, np.int64)  # the add count, in an array C writes
@@ -112,37 +109,35 @@ class NeighborBank:
             raise ValueError("rounds must be strictly increasing")
         self._add(arm, x, as_reward(reward), round)
 
-    def _sums_after(self, arm: int, reward: float) -> list:
-        """The arm's running sums once ``reward`` is added (and, when the arm
-        is full, its oldest entry evicted); changes nothing.  A reward that
-        would overflow them raises ValueError."""
-        sums = self._sums[arm].tolist()
-        if self._end[arm] - self._start[arm] == self.capacity:
-            _fold(sums, float(self._rewards[arm, 0]), -1.0)
-        _fold(sums, reward, 1.0)
-        # 8x headroom keeps _fresh_k's error bound, at most a few times the
-        # squared-reward sums, finite as well.
-        if not math.isfinite(8.0 * (sums[2] + sums[3])):
-            raise ValueError(f"reward {reward!r} overflows arm {arm}'s "
-                             "running reward sums")
-        return sums
+    def _check_reward(self, arm: int, reward: float) -> None:
+        """ValueError, changing nothing, where 8 times the sum of the arm's
+        squared rewards once ``reward`` is added (and, when the arm is full,
+        its oldest entry evicted) overflows: the headroom keeps
+        reward_variance finite."""
+        n = self._end[arm] - self._start[arm]
+        kept = self._rewards[arm, int(n == self.capacity):n]
+        if not math.isfinite(8.0 * (float(np.add.reduce(kept * kept)) + reward * reward)):
+            raise ValueError(f"reward {reward!r} overflows arm {arm}'s reward sums")
 
     def _add(self, arm: int, x: np.ndarray, reward: float,
-             round: Optional[int] = None, sums: Optional[list] = None) -> None:
+             round: Optional[int] = None) -> None:
         """add() for a checked context and reward, at a round after the arm's last.
 
-        Without a round the entry is stamped with the bank's add count.  A
-        reward that would overflow the arm's running sums (``sums``, if the
-        caller ran _sums_after) raises before anything changes.  The
-        compiled update makes the add in one call, unless it declines.
+        Without a round the entry is stamped with the bank's add count.  The
+        compiled update makes the add in one call, unless it declines; a
+        reward _check_reward rejects raises before anything changes.
         """
         round = int(self._adds[0]) if round is None else round
-        c = self._args() if sums is None else None  # given sums: checked once, by the caller
+        c = self._args()
         if c and _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
                                               _cstep.STEP.ffi.NULL, c) >= 0:
             self._adds[0] += 1
             return
-        sums = self._sums_after(arm, reward) if sums is None else sums
+        self._check_reward(arm, reward)
+        self._put(arm, x, reward, round)
+
+    def _put(self, arm: int, x: np.ndarray, reward: float, round: int) -> None:
+        """_add's numpy half, for a reward _check_reward passed."""
         start, end = self._start[arm], self._end[arm]
         n = end - start
         full = n == self.capacity  # the oldest entry is evicted
@@ -162,39 +157,10 @@ class NeighborBank:
         self._rounds[arm][end] = round
         self._norm2[arm, n] = float(x.dot(x))
         self._rewards[arm, n] = reward
-        self._sums[arm] = sums
         self._start[arm], self._end[arm] = start, end + 1
         if self.theta_min < self.theta_max:
-            self._ks[arm] = self._fresh_k(arm)
-
-    def _fresh_k(self, arm: int) -> int:
-        """select_k of the arm's ``reward_variance`` times variance_scale.
-
-        v, reward_variance's formula on the running sums, is within err of
-        it.  Each running sum is off by at most u times its absolute-value
-        sum (e1, e2); each sum reward_variance takes over n values is off by
-        at most n*u times their absolute sum, at most sqrt(n*T2) or T2 for T2
-        the exact sum of squares; each side rounds four times after summing.
-        u = 2^-52, twice the unit roundoff, absorbs second-order terms; err
-        is doubled for its own rounding.  select_k is monotone, so equal ks
-        at v - err and v + err are the exact rule's k; otherwise the exact
-        variance decides.
-        """
-        lo, hi, scale = self.theta_min, self.theta_max, self.variance_scale
-        n = self._end[arm] - self._start[arm]
-        if n < 2:
-            return lo
-        s1, s2, e1, e2 = self._sums[arm].tolist()
-        mean, u = s1 / n, 2.0 ** -52
-        z = (s2 + u * e2) / n  # >= T2 / n
-        r1 = u * (e1 / n + n * math.sqrt(z))  # bounds the error of the mean
-        m = abs(mean) + r1
-        err = u * (e2 / n + n * z + 4 * z + 4 * m * m) + r1 * (m + abs(mean))
-        v, err = max(s2 / n - mean * mean, 0.0), 2.0 * err
-        k = select_k(max(v - err, 0.0) * scale, lo, hi)
-        if k < hi and k != select_k((v + err) * scale, lo, hi):
-            k = select_k(reward_variance(self.store(arm)) * scale, lo, hi)
-        return k
+            self._ks[arm] = select_k(_variance(self._rewards[arm, :n + 1]) * self.variance_scale,
+                                     self.theta_min, self.theta_max)
 
     def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
         """Every arm's k-NN score for a checked context, with its own k.
@@ -217,8 +183,8 @@ class NeighborBank:
                 "rounds": ffi.new("int64_t *[]", [buf("int64_t[]", r) for r in self._rounds]),
                 "lens": ffi.new("int64_t[]", [len(r) for r in self._rounds]),
                 "scratch": buf("double[]", np.empty(3 * width)),
-                **{k: buf("double[]", getattr(self, "_" + k)) for k in (
-                    "sums", "norm2", "rewards", "res")}}
+                **{k: buf("double[]", getattr(self, "_" + k))
+                   for k in ("norm2", "rewards", "res")}}
             self._c = ffi.new("bank_t *", {
                 **owners, "start": self._start, "end": self._end, "ks": self._ks, "d": self.dim,
                 "stride": width, "cap": -1 if self.capacity is None else self.capacity,
@@ -276,14 +242,6 @@ class NeighborBank:
         else:
             sel = d2.argsort(kind="stable")
         return np.add.reduce(self._rewards[arm][sel]) / k, d2[sel[-1]]
-
-
-def _fold(sums: list, reward: float, sign: float) -> None:
-    """Add (sign 1) or remove (sign -1) a reward in a row's running sums."""
-    sums[0] += sign * reward
-    sums[1] += sign * (reward * reward)
-    sums[2] += abs(sums[0])
-    sums[3] += abs(sums[1])
 
 
 class KnnBatch(NamedTuple):
@@ -355,10 +313,14 @@ class NeighborStore:
 
 def reward_variance(store: NeighborStore) -> float:
     """Population variance of stored rewards; 0 with fewer than 2 entries."""
-    n = len(store)
+    return _variance(store.rewards)
+
+
+def _variance(r: np.ndarray) -> float:
+    """reward_variance of the rewards r, a row slice as update_round reads it."""
+    n = len(r)
     if n < 2:
         return 0.0
-    r = store.rewards
     # add.reduce(r) / n is r.mean() bit for bit, without its overhead.
     mean = float(np.add.reduce(r) / n)
     return max(float(np.add.reduce(r * r) / n) - mean * mean, 0.0)

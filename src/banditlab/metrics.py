@@ -106,9 +106,7 @@ def beta_bound(params: DiagnosticsParams, t: float) -> float:
 
 def regret_bound_curve(params: DiagnosticsParams, horizon: int) -> np.ndarray:
     """b * sigma * sqrt(t (d ln(1 + t B^2 W^2/(d sigma^2) + u/(d sigma^2)) + ln(4/delta)))."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    t = np.arange(1, horizon + 1, dtype=np.float64)
+    t = np.arange(1, as_int(horizon, "horizon", 1) + 1, dtype=np.float64)
     s2 = params.sigma * params.sigma
     inner = (params.d * np.log(1.0 + t * params.B ** 2 * params.W ** 2 / (params.d * s2)
                                + params.u_sq_sum / (params.d * s2))

@@ -69,11 +69,12 @@ class _Ridges:
                     ridge._rank_one_done(due == 2)
                 return
         scale = ridge._check(x, reward - knn, u_max * u_max)
-        sums = bank._sums_after(arm, reward) if add else None
+        if add:
+            bank._check_reward(arm, reward)
         total = None if stats is None else stats._sum_after(arm, reward)
         lost = ridge._update(x, reward - knn, u_max * u_max, scale)
         if add:
-            bank._add(arm, x, reward, sums=sums)
+            bank._put(arm, x, reward, int(bank._adds[0]))
         if stats is not None:
             stats.record(arm, reward, total)
         ridge._rank_one_done(lost)
@@ -485,7 +486,9 @@ class _EnhancedBase(Policy):
         return self.bank._pass(x, True).score
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        self.bank._add(arm, x, reward)  # first: its check also bounds the stats
+        # First: the bank accepts rewards of at most sqrt(DBL_MAX / 8), whose
+        # sums the stats' check then never rejects.
+        self.bank._add(arm, x, reward)
         self.stats.record(arm, reward)
 
 

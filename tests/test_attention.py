@@ -34,6 +34,18 @@ class TestExplorationRate:
         with pytest.raises(ValueError):
             exploration_rate(p, -1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("N", [2.5, True, "3", None])
+    def test_pull_count_must_be_an_integer(self, N):
+        p = AttentionParams(alpha0=1.0, kappa=0.5)
+        with pytest.raises(ValueError, match="N must be an integer"):
+            exploration_rate(p, N, 0.5, 0.5)
+
+    def test_integral_pull_counts_keep_their_rate(self):
+        p = AttentionParams(alpha0=2.0, kappa=0.25)
+        want = exploration_rate(p, 3, 0.4, 0.8)
+        assert exploration_rate(p, 3.0, 0.4, 0.8) == exploration_rate(
+            p, np.int64(3), 0.4, 0.8) == want
+
     def test_negative_rewards_pass_through(self):
         p = AttentionParams(alpha0=1.0, kappa=0.0)
         assert exploration_rate(p, 0, 0.0, -0.5) == -0.5

@@ -19,7 +19,7 @@ from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            knn_score_bruteforce, reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
-from conftest import PASS_IDS, PASS_STEPS, compiled_step
+from conftest import PASS_IDS, PASS_STEPS, compiled_step, held_bytes
 
 
 CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
@@ -314,25 +314,64 @@ def test_incremental_k_equals_the_exact_rule(capacity, thetas, scale, levels,
     # Rewards from a small set put the interpolated k exactly on .5
     # boundaries (0.1 and 0.3, inexact in binary, land within rounding of
     # one); runs up to 12x a capacity copy capped windows back often.
-    rng = np.random.default_rng(seed)
-    bank = NeighborBank(2, 2, capacity, thetas[0], thetas[1], scale)
-    for _ in range(n):
-        arm = int(rng.integers(2))
-        bank._add(arm, rng.standard_normal(2), float(rng.choice(levels)))
-        v = reward_variance(bank.store(arm)) * scale
-        assert bank._ks[arm] == select_k(v, *thetas)
+    # Under each round; the two keep the same ks.
+    runs = []
+    for step in PASS_STEPS:
+        rng, ks = np.random.default_rng(seed), []
+        with compiled_step(blas=step):
+            bank = NeighborBank(2, 2, capacity, thetas[0], thetas[1], scale)
+            for _ in range(n):
+                arm = int(rng.integers(2))
+                bank._add(arm, rng.standard_normal(2), float(rng.choice(levels)))
+                v = reward_variance(bank.store(arm)) * scale
+                assert bank._ks[arm] == select_k(v, *thetas)
+                ks.append(list(bank._ks))
+        runs.append(ks)
+    assert runs[-1] == runs[0]
 
 
-def test_incremental_k_falls_back_on_a_rounding_boundary(monkeypatch):
+def test_incremental_k_falls_back_on_a_rounding_boundary():
     # Alternating 0/1 rewards give variance 0.25: 1 + 1 * (0.25 * 2) + 0.5
-    # is exactly 2, so only the exact rule can tell k = 2 from k = 1.
-    exact = []
-    monkeypatch.setattr(knn, "reward_variance",
-                        lambda store: exact.append(1) or reward_variance(store))
-    bank = NeighborBank(1, 1, None, 1, 2, 2.0)
-    for t in range(40):
-        bank._add(0, np.zeros(1), float(t % 2))
-    assert bank._ks[0] == 2 and exact
+    # is exactly 2, so a variance a rounding error low would give k = 1.
+    for step in PASS_STEPS:
+        with compiled_step(blas=step):
+            bank = NeighborBank(1, 1, None, 1, 2, 2.0)
+            for t in range(40):
+                bank._add(0, np.zeros(1), float(t % 2))
+            assert reward_variance(bank.store(0)) == 0.25 and bank._ks[0] == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("capacity", [None, 1, 3])
+@pytest.mark.parametrize("step", PASS_STEPS, ids=PASS_IDS)
+def test_reward_at_the_overflow_boundary_changes_nothing(capacity, step, monkeypatch):
+    # 8 * (the kept rewards' squared sum + reward^2) must be finite.  With a
+    # primer of 2^510 kept (evicted at capacity 1), the least reward past
+    # that bound is rejected, either sign, and changes nothing; the next
+    # smaller one is accepted, in C under the compiled round.
+    primer = 2.0 ** 510
+    kept = 0.0 if capacity == 1 else primer * primer
+    r = math.sqrt(sys.float_info.max / 8.0 - kept)
+    while not math.isfinite(8.0 * (kept + r * r)):
+        r = math.nextafter(r, 0.0)
+    while math.isfinite(8.0 * (kept + r * r)):
+        r = math.nextafter(r, math.inf)
+    puts = []
+    monkeypatch.setattr(NeighborBank, "_put", lambda *args, f=NeighborBank._put: (
+        puts.append(args[3]), f(*args))[1])
+    with compiled_step(blas=step):
+        bank = NeighborBank(2, 2, capacity, 1, 3)
+        bank.add(0, [1.0, 0.0], primer, 0)
+        before = held_bytes(bank)
+        for bad in (r, -r):
+            with pytest.raises(ValueError, match=r"overflows arm 0's reward sums"):
+                bank.add(0, [0.0, 1.0], bad, 1)
+            assert held_bytes(bank) == before
+        below = math.nextafter(r, 0.0)
+        bank.add(0, [0.0, 1.0], below, 1)
+    assert bank.store(0).rewards[-1] == below
+    assert bank._ks[0] == select_k(reward_variance(bank.store(0)), 1, 3)
+    assert puts == ([] if step else [primer, below])
 
 
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
@@ -452,7 +491,8 @@ def test_compiled_round_is_active(params, monkeypatch):
     def numpy_round(*args, **kwargs):
         raise AssertionError("the numpy round ran")
 
-    for owner, name in [(NeighborBank, "_scan"), (NeighborBank, "_sums_after"),
+    for owner, name in [(NeighborBank, "_scan"), (NeighborBank, "_check_reward"),
+                        (NeighborBank, "_put"),
                         (RidgeState, "_check"), (RidgeState, "_update"),
                         (RewardStats, "record"), (RewardStats, "local_means"),
                         (policies, "exploration_rates"), (policies, "widths_sq"),
@@ -523,7 +563,7 @@ def test_compiled_rates_floor_and_argmax_equal_numpy(sums, counts, width, alpha0
 @needs_pass
 @settings(max_examples=200, deadline=None)
 @given(
-    k=st.integers(1, 300),
+    k=st.integers(1, 300) | st.sampled_from([1000, 8193, 20_001]),
     rows=st.integers(1, 4),
     pad=st.integers(0, 3),
     scale=st.sampled_from([1.0, 1e-300, 1e300]),
@@ -531,9 +571,10 @@ def test_compiled_rates_floor_and_argmax_equal_numpy(sums, counts, width, alpha0
     seed=st.integers(0, 100_000),
 )
 def test_compiled_row_sums_equal_add_reduce(k, rows, pad, scale, zeros, seed):
-    # The k-NN score's reward sum in C, against numpy's add.reduce 1-D and
-    # along axis=1 of padded rows (inf past k, as the norms' padding): every
-    # branch of the pairwise sum, signed zeros and both ends of the range.
+    # The k-NN score's reward sum in C, and the variance's sums at window
+    # lengths, against numpy's add.reduce 1-D and along axis=1 of padded
+    # rows (inf past k, as the norms' padding): every branch of the pairwise
+    # sum, signed zeros and both ends of the range.
     rng = np.random.default_rng(seed)
     a = np.full((rows, k + pad), np.inf)
     a[:, :k] = rng.standard_normal((rows, k)) * scale

@@ -64,6 +64,15 @@ class TestBoundFormulas:
         with pytest.raises(ValueError):
             regret_bound_curve(DiagnosticsParams(), 0)
 
+    @pytest.mark.parametrize("horizon", [2.5, True, "3", None])
+    def test_regret_curve_horizon_must_be_an_integer(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            regret_bound_curve(DiagnosticsParams(), horizon)
+
+    def test_regret_curve_takes_an_integral_float_horizon(self):
+        want = regret_bound_curve(DiagnosticsParams(), 3)
+        assert regret_bound_curve(DiagnosticsParams(), 3.0).tobytes() == want.tobytes()
+
     def test_params_validation(self):
         for bad in (dict(sigma=0.0), dict(B=-1.0), dict(W=0.0), dict(b=0.0),
                     dict(d=0), dict(delta=0.0), dict(delta=1.0),

@@ -280,9 +280,8 @@ def test_fused_pass_and_numpy_path_give_the_same_bits(
 def test_thompson_twins_keep_every_bit(pid, params, d, monkeypatch):
     # 240 updates over three arms, 80 per arm (two drift checks each),
     # through update_round and through numpy's update: every round's
-    # scores and everything the policy holds are byte-equal.  Only the
-    # bank's rare cases (a row that grows, a k only the exact variance
-    # picks) decline to the numpy update.
+    # scores and everything the policy holds are byte-equal.  Only a row
+    # that grows declines to the numpy update.
     calls = []
     monkeypatch.setattr(RidgeState, "_check", lambda *args, f=RidgeState._check: (
         calls.append(args[0]), f(*args))[1])
@@ -489,14 +488,14 @@ class TestMakePolicy:
     def test_each_overflow_check_runs_once_per_update(self, pid, params, each_pass,
                                                       monkeypatch):
         calls = []
-        for owner, name in [(RidgeState, "_check"), (NeighborBank, "_sums_after"),
+        for owner, name in [(RidgeState, "_check"), (NeighborBank, "_check_reward"),
                             (RewardStats, "_sum_after")]:
             def spy(*args, _name=name, _f=getattr(owner, name)):
                 calls.append(_name)
                 return _f(*args)
             monkeypatch.setattr(owner, name, spy)
         policy = make_policy(pid, 3, 2, **params)
-        want = ["_check", "_sum_after"] + (["_sums_after"] if getattr(
+        want = ["_check", "_sum_after"] + (["_check_reward"] if getattr(
             policy, "use_knn", True) else [])
         if each_pass is not None:
             want = []  # the compiled update makes each check once, in C
@@ -600,7 +599,7 @@ def hybrid_state(policy):
     for r in policy.ridges:
         arrays += [r.sigma, r.b, r.mu_hat, r.chol]
     return ([a.tobytes() for a in arrays], *map(list, (bank._start, bank._end, bank._ks)),
-            bank._sums.tolist(), bank._adds, [r._scale for r in policy.ridges])
+            bank._adds, [r._scale for r in policy.ridges])
 
 
 def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **params):

@@ -8,7 +8,7 @@ import pytest
 
 import banditlab
 import banditlab.cli  # noqa: F401  (the tracer wraps every layer's module)
-from banditlab import _cstep, knn
+from banditlab import _cstep
 from banditlab.core import Policy
 from banditlab.env import DataError, ReplayLogEnv, two_class_bumps
 from banditlab.knn import NeighborBank
@@ -289,9 +289,9 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
     # 400 rounds in C, against a twin run through the per-round loop
     # (trace=True): every RunResult array and everything the policy holds is
     # byte-equal.  On the way the compiled run hands the rounds whose update
-    # declines (a full uncapped row, a k only the exact variance picks) to
-    # select and update, which grow rows, and runs each gamma_cov = 0 drift
-    # check between two C calls.  A replay's rounds read the cursor's row,
+    # declines, each a full uncapped row, to select and update, which grow
+    # it, and runs each gamma_cov = 0 drift check between two C calls.  Every
+    # numpy update is a row growth.  A replay's rounds read the cursor's row,
     # which C and Python move alike, and run to T with rows to spare.
     env = {"synthetic": build_env(SUITE), "classification": two_class_bumps(0, 400),
            "replay": NEWS_LOG}[kind]
@@ -312,7 +312,6 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
     spy(LNUCBTA, "_scores", "select")
     spy(RidgeState, "_check", "numpy update")
     spy(NeighborBank, "_grow", "grow")
-    spy(knn, "reward_variance", "exact k")
     spy(RidgeState, "_rank_one_done",
         lambda args: "drift check" if args[0]._rank_one_updates[0] == 0 else "counted")
     runs = []
@@ -324,6 +323,7 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
             seen = dict(events)
     assert runs[0] == runs[1] and runs[0][0][0] == 400
     assert seen.get("select", 0) == seen.get("numpy update", 0) < 40, seen
+    assert seen.get("numpy update", 0) == seen.get("grow", 0), seen
     if params.get("gamma_cov", 0.0) == 0.0:
         assert seen.get("drift check", 0) > 0, seen
     if pid == "linucb":
@@ -333,8 +333,6 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
         assert "grow" not in seen and max(sizes) == 20, (seen, sizes)
     else:
         assert 0 < seen["grow"] <= seen["numpy update"], seen
-    if pid == "lnucb-ta" and kind == "classification":
-        assert seen.get("exact k", 0) > 0, seen
 
 
 @pytest.mark.parametrize("where, value, message, rounds", [
