@@ -36,7 +36,8 @@ typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
 /* A policy's stacks (n arms of d x d or d), stats (stat_sum NULL: none) and
    table: rows linear, knn, alpha, width, ucb, then n x d scratch.  Widths: 1
    from L, 2 inverses.  Per ridge: its running bound (scales) and its rank-one
-   updates since the last drift check (drift), which falls due at every. */
+   updates since the last drift check (drift), which falls due at every.
+   flags 8 is knn-ucb's kind: a table of ucb alone, with rho in alpha0. */
 typedef struct {
     double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, *scales, scale_max, gamma,
         alpha0, kappa;
@@ -85,11 +86,19 @@ double pairwise(const double *a, int64_t n)
 
 static double max0(double v) { return v > 0.0 || v != v ? v : 0.0; }  /* np.maximum(v, 0.0) */
 
+static int64_t argmax(const double *v, int64_t n)  /* np.argmax's: the first NaN wins */
+{
+    int64_t top = 0;
+    for (int64_t a = 1; a < n; a++)
+        if (!(v[a] <= v[top]) && v[top] == v[top]) top = a;
+    return top;
+}
+
 /* Per row j, arm rows[j] holding k = ks[j] entries (strict = 0 lowers k to
    what it holds): its window times x, its first k in (d2, column) order,
    and into res (score, u_max, k_used) their rewards' add.reduce / k, the
    k-th distance and k; zeros if not applied.  Then p's table (flags: 1 k-NN
-   scores, 2 attention, 4 floored) and ucb's argmax, np.argmax's (else 0). */
+   scores, 2 attention, 4 floored, 8 knn-ucb's) and ucb's argmax (else 0). */
 int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t *ks,
                    int strict, int64_t k_cols, const round_t *p, const bank_t *bk)
 {
@@ -98,7 +107,7 @@ int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t
     const double *x = (const double *)xs, xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
     double *dot = bk->scratch, *best = dot + stride, *sel = best + k_cols, *res = bk->res;
     double *u_max = res + n;
-    int64_t *k_used = (int64_t *)(u_max + n), top = 0;
+    int64_t *k_used = (int64_t *)(u_max + n);
     for (int64_t j = 0; j < n; j++) {
         int64_t a = rows[j], size = bk->end[a] - bk->start[a], k = ks[j], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
@@ -126,6 +135,10 @@ int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t
     const int64_t m = p->n;
     double *linear = p->table, *knn = linear + m, *alpha = knn + m, *width = alpha + m;
     double *ucb = width + m, *tmp = ucb + m;
+    if (p->flags & 8) {  /* np.where(applied, score + rho * u_max, inf) */
+        for (int64_t a = 0; a < m; a++) ucb[a] = k_used[a] ? res[a] + p->alpha0 * u_max[a] : INFINITY;
+        return argmax(ucb, m);
+    }
     matvec(m, d, p->mu, x, linear, gemv, ddot);
     for (int64_t a = 0; a < m; a++) {  /* the local means, in alpha for now */
         int one = 1, info, di = (int)d;
@@ -146,9 +159,8 @@ int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t
                                   * (p->kappa * g + (1.0 - p->kappa) * alpha[a]) : p->alpha0;
         if (p->flags & 4) alpha[a] = max0(alpha[a]);
         ucb[a] = linear[a] + knn[a] + alpha[a] * width[a];
-        if (!(ucb[a] <= ucb[top]) && ucb[top] == ucb[top]) top = a;
     }
-    return top;
+    return argmax(ucb, m);
 }
 
 /* The ridge steps: numpy's elementwise order of operations, and the LAPACK
@@ -213,9 +225,10 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
    e = u_max^2; a shifted sigma can still fail to factor), stats (if any) and,
    with add, bk's entry and k, knn._variance's of the window; no p: the add
    alone, no bk: no add.  Returns -1, having changed nothing, where a check
-   fails, sigma does not factor or an uncapped row is full (the numpy update
-   then raises or grows it); else 0, or, for an inverse, 1 where its drift
-   check falls due and 2 where it lost a diagonal entry (see _rank_one_done). */
+   fails or sigma does not factor (the numpy update then raises); else the
+   sum of 4 where the add filled an uncapped row, which Python grows before
+   the next add, and, for an inverse, 1 where its drift check falls due or 2
+   where it lost a diagonal entry (see _rank_one_done). */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
                      int64_t round, int add, round_t *p, bank_t *bk)
 {
@@ -228,13 +241,11 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     double *r2 = bk ? bk->scratch : NULL;  /* the kept rewards' squares */
     int64_t due = 0;
     if ((p && !(next <= p->scale_max)) || !isfinite(total)) return -1;
-    if (add) {  /* knn.NeighborBank._check_reward, and room in an uncapped row */
+    if (add) {  /* knn.NeighborBank._check_reward */
         const double *rw = bk->rewards + a * bk->stride;
         const int64_t n = bk->end[a] - bk->start[a], full = n == bk->cap;
         for (int64_t i = full; i < n; i++) r2[i - full] = rw[i] * rw[i];
-        if (!isfinite(8.0 * ((0.0 + pairwise(r2, n - full)) + r * r))
-            || (bk->cap < 0 && bk->end[a] == bk->lens[a]))
-            return -1;
+        if (!isfinite(8.0 * ((0.0 + pairwise(r2, n - full)) + r * r))) return -1;
     }
     if (p) {
         double *sig = p->sigmas + a * d * d, *b = p->bs + a * d, *sq = p->squares + a * d * d;
@@ -271,6 +282,7 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
             const double v = n ? (0.0 + pairwise(r2, n + 1)) / w - mean * mean : 0.0;
             bk->ks[a] = pick_k((0.0 > v ? 0.0 : v) * bk->vscale, bk->lo, bk->hi);
         }
+        if (bk->cap < 0 && en + 1 == bk->lens[a]) due += 4;
     }
     return due;
 }
@@ -283,21 +295,24 @@ static int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int
     return cursor;
 }
 
-/* LNUCBTA p's rounds t to n - 1 with add = use_knn: the context certified
-   (finite, its squared norm far from overflow), score_pass's arm, update_round,
-   the reward into out.  Round t's context is row t of xs and its reward
+/* Policy p's rounds t to n - 1: the context certified (finite, its squared
+   norm far from overflow), score_pass's arm, update_round, the reward into
+   out.  An LNUCBTA p passes the strict k and, with k-NN scores (flags 1),
+   adds; knn-ucb's (flags 9) passes the non-strict k, and its update is the
+   bank add alone.  Round t's context is row t of xs and its reward
    rw[t * arms + a]; with a replay log (logged arms log, at = cursor and row
    count, clicks rw) it is the cursor's row, and the reward is the click of
    the first row from there logged with a, just past which the cursor moves.
    Returns n; the round Python takes, unchanged, whose context or reward is
    not certified, whose arm is at or past arms or whose update declines; the
    round the log runs out at (a scan without a match moves the cursor to the
-   end); or, with due = (update_round's 1 or 2, the arm), the round after one
-   whose drift check falls due. */
+   end); or, with due = (update_round's positive code, the arm), the round
+   after one that leaves a drift check due or a row to grow. */
 int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int64_t arms,
                    const int64_t *log, int64_t *at, double *out, int64_t *adds, int64_t *due,
-                   const int64_t *rows, int add, round_t *p, bank_t *bk)
+                   const int64_t *rows, round_t *p, bank_t *bk)
 {
+    const int add = p->flags & 1, knn_ucb = p->flags & 8;
     const int64_t d = p->d, m = add ? p->n : 0, k_cols = bk->hi < bk->stride ? bk->hi : bk->stride;
     for (due[0] = 0; t < n; t++) {
         const int64_t row = log ? at[0] : t;
@@ -306,13 +321,13 @@ int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int
         double xx = 0.0, r;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
         if (!(xx <= 0x1p1000)) return t;  /* NaN, inf or near as_context's bound */
-        const int64_t a = score_pass((const char *)x, m, rows, bk->ks, 1, k_cols, p, bk);
+        const int64_t a = score_pass((const char *)x, m, rows, bk->ks, !knn_ucb, k_cols, p, bk);
         if (a >= arms) return t;  /* replay_step raises */
         const int64_t i = log ? replay_scan(log, at[1], row, a) : t * arms + a;
         if (log && i == at[1]) return at[0] = i, t;
         if (!isfinite(r = rw[i])) return t;
         due[0] = update_round(a, (const char *)x, r, m ? bk->res[a] : 0.0,
-                              m ? bk->res[m + a] : 0.0, *adds, add, p, bk);
+                              m ? bk->res[m + a] : 0.0, *adds, add, knn_ucb ? NULL : p, bk);
         if (due[0] < 0) return t;
         *adds += add, out[t] = r;
         if (log) at[0] = i + 1;

@@ -31,10 +31,14 @@ def as_context(values, dim: Optional[int] = None) -> np.ndarray:
     return x
 
 
+_EXACT = 2 ** 1023  # float() of a smaller int is finite and whole
+
+
 def as_int(value, name: str, lower: Optional[int] = None) -> int:
     """value as an int (3.0 is 3) of at least ``lower`` when given; a bool,
     2.5 or a smaller value raises ValueError naming it."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+    if not (type(value) is int and -_EXACT < value < _EXACT) and (  # which passes the checks
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if lower is not None and value < lower:
@@ -212,6 +216,10 @@ class Policy(ABC):
         """The arm select() returns for these scores."""
         rng = round_rng(self.seed, round) if self.tie_break == "seeded-random" else None
         return argmax_tiebreak(scores, self.tie_break, rng)
+
+    def _runs_in_c(self) -> bool:
+        """Whether ``_run`` takes an untraced run's rounds in C (policies)."""
+        return False
 
     def _check_arm(self, arm: int) -> int:
         arm = as_int(arm, "arm", 0)

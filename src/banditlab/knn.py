@@ -36,12 +36,12 @@ class NeighborBank:
     its own window.  Rounds are strictly increasing per arm, so entry order
     is insertion order.
 
-    Without a capacity the arrays double in length on growth.  With one,
-    the shared rows are capacity wide and a full arm drops its oldest entry
-    by shifting its row one column left, an O(capacity) move per add.  Its
-    contexts and rounds are twice the capacity long: the window start moves
-    forward, and a window that reaches the end is copied back to position 0,
-    one O(capacity * dim) copy per capacity adds.
+    Without a capacity the arrays double in length once an add fills them.
+    With one, the shared rows are capacity wide and a full arm drops its
+    oldest entry by shifting its row one column left, an O(capacity) move
+    per add.  Its contexts and rounds are twice the capacity long: the
+    window start moves forward, and a window that reaches the end is copied
+    back to position 0, one O(capacity * dim) copy per capacity adds.
 
     The bank owns each arm's adaptive k, select_k of its reward variance
     times variance_scale (the defaults pin k at 1), taken from the whole
@@ -125,13 +125,17 @@ class NeighborBank:
 
         Without a round the entry is stamped with the bank's add count.  The
         compiled update makes the add in one call, unless it declines; a
-        reward _check_reward rejects raises before anything changes.
+        reward _check_reward rejects raises before anything changes.  Either
+        grows an uncapped row the add fills.
         """
         round = int(self._adds[0]) if round is None else round
         c = self._args()
-        if c and _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
-                                              _cstep.STEP.ffi.NULL, c) >= 0:
+        code = c and _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
+                                                  _cstep.STEP.ffi.NULL, c)
+        if c and code >= 0:
             self._adds[0] += 1
+            if code:  # 4: the row is full
+                self._grow(arm)
             return
         self._check_reward(arm, reward)
         self._put(arm, x, reward, round)
@@ -146,13 +150,10 @@ class NeighborBank:
             for buf in (self._norm2, self._rewards):
                 buf[arm, :n - 1] = buf[arm, 1:n]
             start, n = start + 1, n - 1
-        if end == len(self._rounds[arm]):
-            if self.capacity is None:
-                self._grow(arm)
-            else:
-                for buf in (self._ctx[arm], self._rounds[arm]):
-                    buf[:n] = buf[start:end]
-                start, end = 0, n
+        if end == len(self._rounds[arm]):  # a capped window moves to 0
+            for buf in (self._ctx[arm], self._rounds[arm]):
+                buf[:n] = buf[start:end]
+            start, end = 0, n
         self._ctx[arm][end] = x
         self._rounds[arm][end] = round
         self._norm2[arm, n] = float(x.dot(x))
@@ -161,6 +162,8 @@ class NeighborBank:
         if self.theta_min < self.theta_max:
             self._ks[arm] = select_k(_variance(self._rewards[arm, :n + 1]) * self.variance_scale,
                                      self.theta_min, self.theta_max)
+        if self.capacity is None and end + 1 == len(self._rounds[arm]):
+            self._grow(arm)  # the row is full, as update_round reports it
 
     def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
         """Every arm's k-NN score for a checked context, with its own k.

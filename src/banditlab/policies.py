@@ -16,7 +16,51 @@ from .knn import KnnBatch, NeighborBank
 from .linear import DRIFT_CHECK_EVERY, RidgeState, _lapack, widths_sq
 
 
-class _Ridges:
+class _Compiled:
+    """What the compiled steps take of a policy: its ``round_t`` (``_c``, see
+    ``_cstep``; None for numpy's round) and its bank's ``bank_t``.  LNUCBTA
+    and KnnUCB run whole runs through them too."""
+
+    def _compiled(self) -> Optional[tuple]:
+        """(round_t, bank_t or NULL) for the compiled steps, or None for numpy's."""
+        bank = getattr(self, "bank", None)
+        args = bank._args() if bank else _cstep.BLAS and _cstep.STEP.ffi.NULL
+        return None if self._c is None or args is None else (self._c, args)
+
+    def _done(self, arm: int, code: int) -> None:
+        """After update_round's code for the arm: grow the row its add filled
+        (4), then run the drift check it left due (1, or 2: a lost diagonal)."""
+        if code & 4:
+            self.bank._grow(arm)
+        if code & 3:
+            self.ridges[arm]._rank_one_done(code & 3 == 2)
+
+    def _runs_in_c(self) -> bool:
+        """Whether _run can take rounds: the compiled steps, the lowest-index
+        rule and no subclass, whose methods a run must call."""
+        return (type(self) in (LNUCBTA, KnnUCB) and self.tie_break == "lowest-index"
+                and self._compiled() is not None)
+
+    def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
+             log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
+        """``_cstep.run_rounds`` from round t, each reward into out, and each
+        row growth and drift check it leaves; returns the round select and
+        update take, or the round the episode ran out at.  log and at are a
+        replay log's arms and cursor (``_ReplayEpisode.log``), else None."""
+        step, bank = _cstep.STEP, self.bank
+        buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
+        replay = [step.ffi.NULL if a is None else buf("int64_t[]", a) for a in (log, at)]
+        while True:
+            t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
+                                    buf("double[]", rewards), arms, *replay,
+                                    buf("double[]", out), buf("int64_t[]", bank._adds), due,
+                                    bank._all_rows, *self._compiled())
+            if due[0] <= 0:
+                return t
+            self._done(due[1], due[0])
+
+
+class _Ridges(_Compiled):
     """A policy's ridges as rows of stacks (mu_hat, the inverse or L^T, sigma,
     b, bound and drift count) and the ``round_t`` (see ``_cstep``) that hands
     them, its stats and table to C: one call scores every arm or updates one."""
@@ -45,12 +89,6 @@ class _Ridges:
                 "widths": 2 if lapack[2] == 0 else 1, "trtrs": lapack[2], "potrf": lapack[0],
                 "potrs": lapack[1], "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1], **scoring})
 
-    def _compiled(self) -> Optional[tuple]:
-        """(round_t, bank_t or NULL) for the compiled steps, or None for numpy's."""
-        bank = getattr(self, "bank", None)
-        args = bank._args() if bank else _cstep.BLAS and _cstep.STEP.ffi.NULL
-        return None if self._c is None or args is None else (self._c, args)
-
     def _ridge_update(self, arm: int, x: np.ndarray, reward: float, knn: float = 0.0,
                       u_max: float = 0.0, add: bool = False) -> None:
         """Fold (x, reward - knn) into the arm's ridge (e = u_max^2), add (x,
@@ -65,8 +103,7 @@ class _Ridges:
             if due >= 0:
                 if add:
                     bank._adds[0] += 1
-                if due:  # the drift check C leaves due
-                    ridge._rank_one_done(due == 2)
+                self._done(arm, due)
                 return
         scale = ridge._check(x, reward - knn, u_max * u_max)
         if add:
@@ -80,7 +117,7 @@ class _Ridges:
         ridge._rank_one_done(lost)
 
 
-class LNUCBTA(Policy, _Ridges):
+class LNUCBTA(_Ridges, Policy):
     """Hybrid linear + adaptive k-NN policy with temporal-attention exploration.
 
     Per-arm disjoint ridge regression fits the residual reward minus the k-NN
@@ -166,30 +203,6 @@ class LNUCBTA(Policy, _Ridges):
                      else self.bank._pass(x, True))
             knn, u_max = float(batch.score[arm]), float(batch.u_max[arm])
         self._ridge_update(arm, x, reward, knn, u_max, self.use_knn)
-
-    def _runs_in_c(self) -> bool:
-        """Whether _run can take rounds: the compiled steps, the lowest-index
-        rule and no subclass, whose methods a run must call."""
-        return (type(self) is LNUCBTA and self.tie_break == "lowest-index"
-                and self._compiled() is not None)
-
-    def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
-             log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
-        """``_cstep.run_rounds`` from round t, each reward into out, and each
-        drift check it leaves due; returns the round select and update take,
-        or the round the episode ran out at.  log and at are a replay log's
-        arms and cursor (``_ReplayEpisode.log``), else None."""
-        step, bank = _cstep.STEP, self.bank
-        buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
-        replay = [step.ffi.NULL if a is None else buf("int64_t[]", a) for a in (log, at)]
-        while True:
-            t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
-                                    buf("double[]", rewards), arms, *replay,
-                                    buf("double[]", out), buf("int64_t[]", bank._adds), due,
-                                    bank._all_rows, self.use_knn, *self._compiled())
-            if due[0] <= 0:
-                return t
-            self.ridges[due[1]]._rank_one_done(due[0] == 2)
 
 
 def linucb(n_arms: int, dim: int, alpha: float = 1.0, lam: float = 1.0,
@@ -393,7 +406,7 @@ class LinThompson(_RidgeDraws, Policy):
         return out @ x
 
 
-class KnnUCB(Policy):
+class KnnUCB(_Compiled, Policy):
     """Neighbor-mean estimate plus a distance-scaled bonus rho * u_k.
 
     Stand-in for the nonparametric UCB baseline family: the adaptive k of the
@@ -412,6 +425,12 @@ class KnnUCB(Policy):
         self.rho = as_nonneg(rho, "rho")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
                                  theta_max, variance_scale)
+        # The run's round_t: k-NN scores and knn-ucb's ucb (flags 9), in a table.
+        self._table_rows, self._c = np.zeros((5, self.n_arms)), None
+        if self.bank._args():
+            self._c = _cstep.STEP.ffi.new("round_t *", {
+                "table": _cstep.STEP.ffi.from_buffer("double[]", self._table_rows),
+                "alpha0": self.rho, "n": self.n_arms, "d": self.dim, "flags": 9})
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank._pass(x, False)

@@ -12,7 +12,7 @@ from .core import Policy, ScoreBreakdown, as_int
 from .env import (DataError, load_classification_csv, load_news_csv,
                   synthetic_hybrid)
 from .metrics import RunResult
-from .policies import LNUCBTA, make_policy
+from .policies import make_policy
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,12 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
 def _array_rounds(episode, policy: Policy, T: int):
     """``policy._run``'s (contexts, rewards, arm count, logged arms, cursor)
     for the episode, with its oracle rewards (none for a replay log), or None:
-    no such arrays, no run in C, or a select or update not Policy's own (a
-    subclass's, or a wrapper with __wrapped__)."""
+    no such arrays, a policy whose ``_runs_in_c()`` does not hold (any but an
+    lnucb-ta, linucb, lin-knn-ucb or knn-ucb that can run in C), or a select
+    or update not Policy's own (a subclass's, or a wrapper with __wrapped__)."""
     own = all(getattr(getattr(policy, v), "__func__", None) is getattr(Policy, v)
               and not hasattr(getattr(Policy, v), "__wrapped__") for v in ("select", "update"))
-    if not (own and isinstance(policy, LNUCBTA) and policy._runs_in_c()):
+    if not (own and policy._runs_in_c()):
         return None
     if hasattr(episode, "log"):  # ReplayLogEnv holds its arrays contiguous
         got = episode.log()

@@ -374,6 +374,26 @@ def test_reward_at_the_overflow_boundary_changes_nothing(capacity, step, monkeyp
     assert puts == ([] if step else [primer, below])
 
 
+@pytest.mark.usefixtures("each_pass")
+def test_an_uncapped_row_grows_once_an_add_fills_it():
+    # Under either round a row doubles right after the add that fills it, so
+    # both rounds hold arrays of the same shapes after every add, and the
+    # compiled add never meets a full row.  An add rejected where it would
+    # fill the row changes nothing: growth follows a committed add only.
+    bank = NeighborBank(2, 3, None, 1, 3)
+    for t in range(33):
+        if t == 15:
+            before = held_bytes(bank)
+            with pytest.raises(ValueError, match="overflows arm 0's reward sums"):
+                bank.add(0, [1.0, 1.0, 0.0], 1e300, t)
+            assert held_bytes(bank) == before
+        bank.add(0, [float(t), 1.0, 0.0], 0.5 * (t % 3), t)
+        want = 16 if t < 15 else 32 if t < 31 else 64
+        assert len(bank._rounds[0]) == len(bank._ctx[0]) == bank._norm2.shape[1] == want
+        assert len(bank._rounds[1]) == 16
+    assert np.array_equal(bank.store(0).rounds, np.arange(33))
+
+
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])
 def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     # Every round's bank pass, in both gating modes and under each step,
@@ -558,6 +578,29 @@ def test_compiled_rates_floor_and_argmax_equal_numpy(sums, counts, width, alpha0
     want = np.where(np.isnan(want), np.nan, want)
     assert got.tobytes() == want.tobytes()
     assert best == int(ucb.argmax())
+
+
+@needs_pass
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=6), theta=st.integers(1, 4),
+       rho=st.sampled_from([0.0, 0.5, 1.0, 1e300, sys.float_info.max]),
+       seed=st.integers(0, 2 ** 16))
+def test_knn_ucb_kind_equals_its_np_where(sizes, theta, rho, seed):
+    # knn-ucb's score kind (flags 9), as its compiled run calls it, against
+    # KnnUCB._scores on the same bank: score + rho * u_max, +inf where an
+    # arm holds nothing, a huge rho's infinite bonus, and np.argmax's pick.
+    rng = np.random.default_rng(seed)
+    policy = make_policy("knn-ucb", len(sizes), 2, rho=rho, theta_min=theta, theta_max=theta)
+    for a, n in enumerate(sizes):
+        for _ in range(n):  # a grid of contexts, so distances tie
+            policy.update(a, rng.integers(-2, 3, 2) * 0.5, float(rng.integers(0, 3)))
+    x = rng.integers(-2, 3, 2) * 0.5
+    with np.errstate(over="ignore"):  # numpy warns where the bonus overflows, C does not
+        want, bank = policy.scores(x, 0), policy.bank
+    best = _cstep.STEP.lib.score_pass(x.tobytes(), len(sizes), bank._all_rows, bank._ks, 0,
+                                      theta, *policy._compiled())
+    assert policy._table_rows[4].tobytes() == want.tobytes()
+    assert best == int(want.argmax())
 
 
 @needs_pass
