@@ -3,15 +3,15 @@ exploration, baseline algorithms, environments, and a benchmark harness."""
 
 __version__ = "0.1.0"
 
-from .attention import (AttentionParams, RewardStats, exploration_rate,
-                        exploration_rates, softmax_attention)
+from .attention import (AttentionParams, RewardStats, exploration_rates,
+                        softmax_attention)
 from .core import (Policy, ScoreBreakdown, argmax_tiebreak, as_context,
                    round_rng)
 from .env import (ClassificationBanditEnv, DataError, ReplayLogEnv,
                   SyntheticHybridEnv, load_classification_csv, load_news_csv,
                   replay_step, synthetic_hybrid, two_class_bumps)
-from .knn import KnnScore, NeighborStore, knn_score, knn_score_bruteforce, select_k
-from .linear import ConfidenceBall, RidgeState, solve_batch
+from .knn import KnnScore, NeighborStore, knn_score, select_k
+from .linear import RidgeState
 from .metrics import (AggregateResult, DiagnosticsParams, RunResult, aggregate,
                       beta_bound, beta_formula, regret_bound_curve,
                       regret_series, robustness_std, sublinearity_exponent)
@@ -22,15 +22,13 @@ from .runner import Cell, EnvSpec, execute_cells, run_cell, run_policy
 
 __all__ = [
     "__version__",
-    "AttentionParams", "RewardStats", "exploration_rate", "exploration_rates",
-    "softmax_attention",
+    "AttentionParams", "RewardStats", "exploration_rates", "softmax_attention",
     "Policy", "ScoreBreakdown", "argmax_tiebreak", "as_context", "round_rng",
     "ClassificationBanditEnv", "DataError", "ReplayLogEnv",
     "SyntheticHybridEnv", "load_classification_csv", "load_news_csv",
     "replay_step", "synthetic_hybrid", "two_class_bumps",
-    "KnnScore", "NeighborStore", "knn_score", "knn_score_bruteforce",
-    "select_k",
-    "ConfidenceBall", "RidgeState", "solve_batch",
+    "KnnScore", "NeighborStore", "knn_score", "select_k",
+    "RidgeState",
     "AggregateResult", "DiagnosticsParams", "RunResult", "aggregate",
     "beta_bound", "beta_formula", "regret_bound_curve", "regret_series",
     "robustness_std", "sublinearity_exponent",

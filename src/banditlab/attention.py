@@ -49,18 +49,10 @@ class RewardStats:
         return self.per_arm_sum / np.maximum(self.per_arm_count, 1)
 
 
-def exploration_rate(params: AttentionParams, N: int, g: float, n: float) -> float:
-    """alpha0 / (N + 1) * (kappa*g + (1 - kappa)*n).
-
-    Negative values (possible with negative rewards) pass through unmodified.
-    """
-    N = as_int(N, "N", 0)
-    return params.alpha0 / (N + 1) * (params.kappa * g + (1.0 - params.kappa) * n)
-
-
 def exploration_rates(params: AttentionParams, counts: np.ndarray, g: float,
                       local: np.ndarray) -> np.ndarray:
-    """Vectorized exploration_rate across arms."""
+    """alpha0 / (N + 1) * (kappa*g + (1 - kappa)*n) for each arm's pull count N
+    and local mean n; negative values pass through unmodified."""
     return params.alpha0 / (counts + 1.0) * (params.kappa * g + (1.0 - params.kappa) * local)
 
 

@@ -359,19 +359,3 @@ def knn_score(store: NeighborStore, x, k: int) -> KnnScore:
     x = as_context(x, store.dim)
     return _score_prechecked(store, x, k)
 
-
-def knn_score_bruteforce(store: NeighborStore, x, k: int) -> KnnScore:
-    """Full-sort oracle with the same contract as knn_score; test use only."""
-    k = as_int(k, "k", 1)
-    x = as_context(x, store.dim)
-    n = len(store)
-    if n < k:
-        return KnnScore.not_applied()
-    norm2 = store._bank._norm2[store._arm, :n]
-    d2 = norm2 - 2.0 * (store.contexts @ x) + float(x @ x)
-    np.maximum(d2, 0.0, out=d2)
-    order = np.lexsort((store.rounds, d2))
-    sel = order[:k]
-    score = float(np.add.reduce(store.rewards[sel]) / k)
-    u_max = float(np.sqrt(d2[sel[-1]]))
-    return KnnScore(score=score, k_used=k, u_max=u_max, applied=True)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -102,12 +101,8 @@ class RidgeState:
         x = as_context(x, self.dim)
         return float(self.mu_hat @ x)
 
-    def width_sq(self, x) -> float:
-        """x^T sigma^-1 x, floored at 0 against round-off."""
-        return self._width_sq(as_context(x, self.dim))
-
     def _width_sq(self, x: np.ndarray) -> float:
-        """width_sq for an already validated context."""
+        """x^T sigma^-1 x for a checked context, floored at 0 against round-off."""
         if self.chol is None:
             return max(float(x @ (self._inv @ x)), 0.0)
         v, _ = _lapack()[0].dtrtrs(self.chol, x, lower=1)
@@ -176,60 +171,12 @@ class RidgeState:
                 self._inv[...] = np.linalg.inv(self.sigma)
                 np.matmul(self._inv, self.b, out=self.mu_hat)
 
-    def det_sigma(self) -> float:
-        return float(np.linalg.det(self.sigma))
-
 
 def widths_sq(ridges: Sequence[RidgeState], squares: np.ndarray,
               x: np.ndarray) -> np.ndarray:
-    """Each ridge's width_sq for a checked context, where squares[a] holds
+    """Each ridge's _width_sq for a checked context, where squares[a] holds
     ridges[a]'s inverse or L^T (the rows it was built with)."""
     if ridges[0].chol is None:
         return np.maximum((squares @ x) @ x, 0.0)
     return np.array([r._width_sq(x) for r in ridges])
 
-
-@dataclass
-class ConfidenceBall:
-    """Ellipsoid {mu : (mu - center)^T shape (mu - center) <= radius_sq}."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    radius_sq: float
-
-    def __post_init__(self):
-        self.radius_sq = as_nonneg(self.radius_sq, "radius_sq")
-
-    def boundary_point(self, direction) -> np.ndarray:
-        """The boundary point center + sqrt(radius_sq) * shape^{-1/2} u, u = unit direction."""
-        u = np.asarray(direction, dtype=np.float64)
-        norm = np.linalg.norm(u)
-        if norm == 0:
-            raise ValueError("direction must be nonzero")
-        u = u / norm
-        vals, vecs = np.linalg.eigh(self.shape)
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        return self.center + np.sqrt(self.radius_sq) * (inv_sqrt @ u)
-
-
-def solve_batch(contexts: Sequence, residuals: Sequence[float], lam: float,
-                dim: Optional[int] = None) -> np.ndarray:
-    """Direct batch ridge solve of (X^T X + lam I) mu = X^T y.
-
-    Test oracle for the incremental state; empty data returns the zero vector
-    (``dim`` required in that case).
-    """
-    lam = as_positive(lam, "lam")
-    rows = [as_context(c) for c in contexts]
-    if not rows:
-        if dim is None:
-            raise ValueError("dim required for empty data")
-        return np.zeros(int(dim))
-    X = np.vstack(rows)
-    y = np.asarray(residuals, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError("residuals length must match contexts")
-    d = X.shape[1]
-    if dim is not None and d != dim:
-        raise ValueError("context dimension mismatch")
-    return np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ y)

@@ -164,16 +164,18 @@ class LNUCBTA(_Ridges, Policy):
         linear = self._mu_stack @ x
         width = np.sqrt(widths_sq(self.ridges, self._squares, x))
         knn = batch.score.copy() if self.use_knn else np.zeros(self.n_arms)
-        if self.use_attention:
-            local = self.stats.local_means()
-            g = float(np.add.reduce(local) / self.n_arms)  # local.mean(), bit for bit
-            alpha = exploration_rates(self._attention, self.stats.per_arm_count,
-                                      g, local)
-            if self.floor_alpha_at_zero:
-                np.maximum(alpha, 0.0, out=alpha)
-        else:
-            alpha = np.full(self.n_arms, self._attention.alpha0)
-        ucb = linear + knn + alpha * width
+        # Silent where a rate or bonus overflows (inf, or NaN as inf * 0), as in C.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.use_attention:
+                local = self.stats.local_means()
+                g = float(np.add.reduce(local) / self.n_arms)  # local.mean(), bit for bit
+                alpha = exploration_rates(self._attention, self.stats.per_arm_count,
+                                          g, local)
+                if self.floor_alpha_at_zero:
+                    np.maximum(alpha, 0.0, out=alpha)
+            else:
+                alpha = np.full(self.n_arms, self._attention.alpha0)
+            ucb = linear + knn + alpha * width
         return ScoreTable(linear=linear, knn=knn, alpha=alpha, width=width,
                           ucb=ucb), batch, None
 
@@ -434,8 +436,9 @@ class KnnUCB(_Compiled, Policy):
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank._pass(x, False)
-        return np.where(batch.applied, batch.score + self.rho * batch.u_max,
-                        np.inf)
+        with np.errstate(over="ignore"):  # an infinite bonus, as in C
+            return np.where(batch.applied, batch.score + self.rho * batch.u_max,
+                            np.inf)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         self.bank._add(arm, x, reward)
@@ -505,10 +508,9 @@ class _EnhancedBase(Policy):
         return self.bank._pass(x, True).score
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
-        # First: the bank accepts rewards of at most sqrt(DBL_MAX / 8), whose
-        # sums the stats' check then never rejects.
+        total = self.stats._sum_after(arm, reward)  # both checks (this, _add's) before any change
         self.bank._add(arm, x, reward)
-        self.stats.record(arm, reward)
+        self.stats.record(arm, reward, total)
 
 
 class EnhancedEpsilonGreedy(_EnhancedBase):

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
-from banditlab.attention import AttentionParams, exploration_rate
+from banditlab.attention import AttentionParams
 from banditlab.cli import main as cli_main
 from banditlab.env import two_class_bumps
-from banditlab.knn import NeighborStore, knn_score, knn_score_bruteforce
-from banditlab.linear import ConfidenceBall, RidgeState, solve_batch
+from banditlab.knn import NeighborStore, knn_score
+from banditlab.linear import RidgeState
 from banditlab.metrics import (DiagnosticsParams, beta_bound,
                                sublinearity_exponent)
 from banditlab.policies import make_policy
@@ -21,6 +21,8 @@ from banditlab.runner import Cell, EnvSpec, execute_cells, run_policy
 
 from conftest import (ALPHA0_GRID, EPS_GRID, HYBRID_PARAMS, SUITE_SEEDS,
                       SUITE_SPEC, SUITE_T, alpha0_of)
+from oracles import (ConfidenceBall, det_sigma, exploration_rate,
+                     knn_score_bruteforce, solve_batch, width_sq)
 
 
 def test_c01_incremental_ridge_matches_batch_solve():
@@ -71,11 +73,11 @@ def test_c02_determinant_expansion_identity():
                 det_before = float(np.linalg.det(shifted))
                 inflated += 1
             else:
-                w2 = state.width_sq(x)
-                det_before = state.det_sigma()
+                w2 = width_sq(state, x)
+                det_before = det_sigma(state)
             state.update(x, float(rng.standard_normal()), e)
             predicted = (1.0 + w2) * det_before
-            rel = abs(state.det_sigma() - predicted) / abs(state.det_sigma())
+            rel = abs(det_sigma(state) - predicted) / abs(det_sigma(state))
             worst = max(worst, rel)
             checked += 1
     assert checked == 10_000
@@ -121,7 +123,7 @@ def test_c04_log_det_growth_bound():
             if n > 0:
                 x = x * (B * rng.uniform() / n)
             state.update(x, 0.0)
-        growth = math.log(state.det_sigma()) - log_det0
+        growth = math.log(det_sigma(state)) - log_det0
         bound = d * math.log(1.0 + (T * B * B + 0.0) / (d * lam))
         assert growth <= bound + 1e-6
 

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from banditlab.attention import (AttentionParams, RewardStats, exploration_rate,
-                                 exploration_rates, softmax_attention)
+from banditlab.attention import (AttentionParams, RewardStats, exploration_rates,
+                                 softmax_attention)
 from banditlab.policies import LNUCBTA
+from oracles import exploration_rate
 
 
 class TestAttentionParams:

@@ -16,10 +16,11 @@ from banditlab import _cstep, core, knn, policies
 from banditlab.attention import AttentionParams, RewardStats, exploration_rates
 from banditlab.linear import RidgeState
 from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
-                           knn_score_bruteforce, reward_variance, select_k)
+                           reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
 from conftest import PASS_IDS, PASS_STEPS, compiled_step, held_bytes
+from oracles import knn_score_bruteforce
 
 
 CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
@@ -595,8 +596,7 @@ def test_knn_ucb_kind_equals_its_np_where(sizes, theta, rho, seed):
         for _ in range(n):  # a grid of contexts, so distances tie
             policy.update(a, rng.integers(-2, 3, 2) * 0.5, float(rng.integers(0, 3)))
     x = rng.integers(-2, 3, 2) * 0.5
-    with np.errstate(over="ignore"):  # numpy warns where the bonus overflows, C does not
-        want, bank = policy.scores(x, 0), policy.bank
+    want, bank = policy.scores(x, 0), policy.bank
     best = _cstep.STEP.lib.score_pass(x.tobytes(), len(sizes), bank._all_rows, bank._ks, 0,
                                       theta, *policy._compiled())
     assert policy._table_rows[4].tobytes() == want.tobytes()

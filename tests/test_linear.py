@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlab import _cstep, linear
-from banditlab.linear import (DRIFT_CHECK_EVERY, ConfidenceBall, RidgeState,
-                              solve_batch, widths_sq)
+from banditlab.linear import DRIFT_CHECK_EVERY, RidgeState, widths_sq
 from banditlab.policies import _Ridges
 from conftest import PASS_IDS, PASS_STEPS, compiled_step
+from oracles import ConfidenceBall, det_sigma, solve_batch, width_sq
 
 
 def _random_updates(state, rng, T, with_inflation=False):
@@ -50,8 +50,8 @@ class TestRidgeState:
     def test_fresh_state_geometry(self):
         s = RidgeState(3, 2.0)
         assert s.predict(np.ones(3)) == 0.0
-        assert s.width_sq(np.ones(3)) == pytest.approx(3.0 / 2.0)
-        assert s.det_sigma() == pytest.approx(8.0)
+        assert width_sq(s, np.ones(3)) == pytest.approx(3.0 / 2.0)
+        assert det_sigma(s) == pytest.approx(8.0)
 
     def test_sherman_morrison_matches_direct_inverse(self):
         rng = np.random.default_rng(0)
@@ -92,10 +92,10 @@ class TestRidgeState:
         rng = np.random.default_rng(2)
         s = RidgeState(5, 1.0)
         probe = rng.standard_normal(5)
-        prev = math.sqrt(s.width_sq(probe))
+        prev = math.sqrt(width_sq(s, probe))
         for _ in range(100):
             s.update(rng.standard_normal(5), float(rng.standard_normal()))
-            cur = math.sqrt(s.width_sq(probe))
+            cur = math.sqrt(width_sq(s, probe))
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -104,10 +104,10 @@ class TestRidgeState:
         s = RidgeState(4, 1.0)
         for _ in range(300):
             x = rng.standard_normal(4)
-            before = s.det_sigma()
-            w2 = s.width_sq(x)
+            before = det_sigma(s)
+            w2 = width_sq(s, x)
             s.update(x, 0.0)
-            assert s.det_sigma() == pytest.approx((1.0 + w2) * before, rel=1e-9)
+            assert det_sigma(s) == pytest.approx((1.0 + w2) * before, rel=1e-9)
 
     def test_log_det_growth_bound_with_inflation(self):
         # With isotropic inflation the trace argument gives
@@ -128,7 +128,7 @@ class TestRidgeState:
                 e = float(rng.uniform(0.0, 2.0))
                 s.update(x, 0.0, e)
                 e_sum += s.gamma_cov * e
-            growth = math.log(s.det_sigma()) - d * math.log(lam)
+            growth = math.log(det_sigma(s)) - d * math.log(lam)
             bound = d * math.log(1.0 + (T * B * B + d * e_sum) / (d * lam))
             assert growth <= bound + 1e-6
 
@@ -150,7 +150,7 @@ def test_sigma_stays_symmetric_positive_definite(d, lam, n, seed):
     assert np.linalg.eigvalsh(s.sigma).min() >= lam - 1e-9
     assert np.isfinite(s.mu_hat).all()
     probe = rng.standard_normal(d)
-    assert s.width_sq(probe) >= 0.0
+    assert width_sq(s, probe) >= 0.0
 
 
 class _ThreeRidges(_Ridges):
@@ -192,8 +192,8 @@ def test_factored_ridge_matches_direct_solves(blas, d, lam, gamma, n, seed):
     assert np.allclose(s.mu_hat, np.linalg.solve(s.sigma, s.b),
                        rtol=1e-9, atol=1e-12)
     x = rng.standard_normal(d)
-    assert s.width_sq(x) == pytest.approx(float(x @ np.linalg.solve(s.sigma, x)),
-                                          rel=1e-9, abs=1e-15)
+    assert width_sq(s, x) == pytest.approx(float(x @ np.linalg.solve(s.sigma, x)),
+                                           rel=1e-9, abs=1e-15)
     assert np.allclose(s.sigma_inv, np.linalg.inv(s.sigma), rtol=1e-9,
                        atol=1e-12)
 
@@ -243,7 +243,7 @@ def _ridge_bits(compiled, d, lam, gamma, seed, n):
         ridges, x = stacked.ridges, rng.standard_normal(d)
         w2 = widths_sq(ridges, stacked._squares, x)
         if gamma > 0.0:  # the stacked product has its own bits
-            assert w2.tobytes() == np.array([r.width_sq(x) for r in ridges]).tobytes()
+            assert w2.tobytes() == np.array([width_sq(r, x) for r in ridges]).tobytes()
         bits = [w2]
         for r in ridges:
             bits += [r.sigma, r.b, r.mu_hat, r.sigma_inv, r._scale, r._rank_one_updates]

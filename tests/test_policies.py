@@ -26,6 +26,7 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 linucb, make_policy)
 from conftest import (PASS_IDS, PASS_STEPS, compiled_step, held,
                       held_bytes)
+from oracles import width_sq
 
 # Every id with a ridge accepts lam; lnucb-ta also runs a shifted ridge.
 RIDGE_CASES = ([(pid, {}) for pid in sorted(POLICY_PARAM_KEYS)
@@ -169,7 +170,8 @@ def test_selection_and_scoring_are_pure():
 @pytest.mark.parametrize("gamma_cov", [0.0, 0.05])
 def test_score_table_widths_equal_each_ridge_width(gamma_cov, step):
     # Shifted ridges are scored one triangular solve per arm, exactly as
-    # RidgeState.width_sq computes it; unshifted ones by the stacked inverses.
+    # RidgeState._width_sq (the oracles' width_sq) computes it; unshifted ones
+    # by the stacked inverses.
     with compiled_step(blas=step):
         _check_widths(gamma_cov)
 
@@ -181,7 +183,7 @@ def _check_widths(gamma_cov):
     for t in range(60):
         x = rng.standard_normal(6)
         table = policy.score_table(x, t)
-        want = [math.sqrt(r.width_sq(x)) for r in policy.ridges]
+        want = [math.sqrt(width_sq(r, x)) for r in policy.ridges]
         if gamma_cov > 0:
             assert table.width.tolist() == want
         else:
@@ -568,6 +570,23 @@ class TestMakePolicy:
             pytest.fail("no update was rejected")
         for x, t in itertools.product([big, np.array([0.3, -0.2])], (0, 1)):
             assert np.array_equal(policy.scores(x, t), twin.scores(x, t))
+
+    def test_an_overflowing_rate_scores_the_same_nan_under_both_rounds(self):
+        # alpha0 * g overflows to inf, and inf times a zero context's zero
+        # width is NaN: both rounds write the same NaN scores without a
+        # warning, and select arm 0, the first NaN.
+        tables = []
+        for step in PASS_STEPS:
+            with compiled_step(blas=step):
+                policy = make_policy("lnucb-ta", 2, 2, alpha0=1e300, use_knn=False)
+                for arm in (0, 1, 0, 1):
+                    policy.update(arm, [1.0, 0.5 * arm], 1e150)
+                assert (policy._compiled() is not None) == (step is not None)
+                scores = policy.scores(np.zeros(2), 4)
+                assert np.isnan(scores).all() and policy.select(np.zeros(2), 4) == 0
+                tables.append([scores.tobytes()] + [
+                    v.tobytes() for v in vars(policy.score_table(np.zeros(2), 4)).values()])
+        assert all(t == tables[0] for t in tables)
 
     @pytest.mark.parametrize("pid", sorted(PINNED_PARAM_KEYS))
     @pytest.mark.parametrize("n_arms, dim, message", [

@@ -337,6 +337,23 @@ def test_compiled_run_equals_the_per_round_loop(kind, pid, params, monkeypatch):
         assert seen.get("grow", 0) > 0, seen
 
 
+@pytest.mark.parametrize("pid, params", [
+    ("lnucb-ta", {"alpha0": 1.7e308, "lam": 0.1}), ("linucb", {"alpha": 1.7e308, "lam": 0.1}),
+    ("knn-ucb", {"rho": 1.7e308})])
+@pytest.mark.usefixtures("each_pass")
+def test_an_overflowing_bonus_runs_silently_traced_or_not(pid, params):
+    # A bonus near DBL_MAX overflows to inf in C and in numpy alike: numpy's
+    # scores raise no RuntimeWarning (an error here), and the traced and
+    # untraced runs give the same rewards.
+    env = build_env(EnvSpec(kind="synthetic", env_seed=0))
+    runs = []
+    for trace in (False, True):
+        policy = make_policy(pid, env.n_arms, env.dim, seed=1, **params)
+        result, _ = run_policy(env, policy, 300, 1, trace=trace)
+        runs.append(result_bits(result))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("where, value, message, rounds", [
     ("contexts", np.nan, "context is non-finite", 250),
     ("realized", np.inf, "reward must be finite", 250),
