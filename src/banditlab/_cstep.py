@@ -1,6 +1,6 @@
 """The compiled steps, loaded once as ``STEP`` and ``BLAS`` (below): a round's
-``score_pass`` and ``update_round``, an LNUCB-TA run of them (``run_rounds``),
-which need both, and ``news_parse`` for ``env.load_news_csv``."""
+``score_pass`` and ``update_round``, which need both, whole runs of them for
+four policy ids (``run_rounds``), and ``news_parse`` for ``load_news_csv``."""
 import ctypes
 import hashlib
 import re
@@ -287,53 +287,54 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     return due;
 }
 
-/* The first row from cursor of a log of rows logged arms that shows arm a,
-   else rows: replay_step's scan. */
-static int64_t replay_scan(const int64_t *log, int64_t rows, int64_t cursor, int64_t a)
-{
-    while (cursor < rows && log[cursor] != a) cursor++;
-    return cursor;
-}
+/* A run (_Compiled._run): round t of n, the episode's contexts xs, rewards rw
+   and arm count, a replay log's logged arms and at (its cursor and row count;
+   NULL for an array episode), the reward buffer out, the bank's add count and
+   every arm's row, and the (code, arm) of the last return. */
+typedef struct {
+    const double *xs, *rw;
+    double *out;
+    const int64_t *log, *rows;
+    int64_t *at, *adds, t, n, arms, code, arm;
+} run_t;
 
-/* Policy p's rounds t to n - 1: the context certified (finite, its squared
+/* Policy p's rounds of run r: the context certified (finite, its squared
    norm far from overflow), score_pass's arm, update_round, the reward into
    out.  An LNUCBTA p passes the strict k and, with k-NN scores (flags 1),
    adds; knn-ucb's (flags 9) passes the non-strict k, and its update is the
    bank add alone.  Round t's context is row t of xs and its reward
-   rw[t * arms + a]; with a replay log (logged arms log, at = cursor and row
-   count, clicks rw) it is the cursor's row, and the reward is the click of
-   the first row from there logged with a, just past which the cursor moves.
-   Returns n; the round Python takes, unchanged, whose context or reward is
-   not certified, whose arm is at or past arms or whose update declines; the
-   round the log runs out at (a scan without a match moves the cursor to the
-   end); or, with due = (update_round's positive code, the arm), the round
-   after one that leaves a drift check due or a row to grow. */
-int64_t run_rounds(int64_t t, int64_t n, const double *xs, const double *rw, int64_t arms,
-                   const int64_t *log, int64_t *at, double *out, int64_t *adds, int64_t *due,
-                   const int64_t *rows, round_t *p, bank_t *bk)
+   rw[t * arms + a]; a replay's is the cursor's row and the click of the
+   first row from there logged with a, just past which the cursor moves.
+   Returns 0 at n; at the round Python takes, unchanged, whose context or
+   reward is not certified, whose arm is at or past arms or whose update
+   declines; or at the round the log runs out at (a scan without a match
+   moves the cursor to the end).  Else, after a round whose update leaves a
+   drift check due or a row to grow, update_round's code, with the arm. */
+int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
 {
     const int add = p->flags & 1, knn_ucb = p->flags & 8;
     const int64_t d = p->d, m = add ? p->n : 0, k_cols = bk->hi < bk->stride ? bk->hi : bk->stride;
-    for (due[0] = 0; t < n; t++) {
-        const int64_t row = log ? at[0] : t;
-        if (log && row >= at[1]) return t;
-        const double *x = xs + row * d;
-        double xx = 0.0, r;
+    for (r->code = 0; r->t < r->n; r->t++) {
+        const int64_t row = r->log ? r->at[0] : r->t;
+        if (r->log && row >= r->at[1]) return 0;
+        const double *x = r->xs + row * d;
+        double xx = 0.0, v;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
-        if (!(xx <= 0x1p1000)) return t;  /* NaN, inf or near as_context's bound */
-        const int64_t a = score_pass((const char *)x, m, rows, bk->ks, !knn_ucb, k_cols, p, bk);
-        if (a >= arms) return t;  /* replay_step raises */
-        const int64_t i = log ? replay_scan(log, at[1], row, a) : t * arms + a;
-        if (log && i == at[1]) return at[0] = i, t;
-        if (!isfinite(r = rw[i])) return t;
-        due[0] = update_round(a, (const char *)x, r, m ? bk->res[a] : 0.0,
-                              m ? bk->res[m + a] : 0.0, *adds, add, knn_ucb ? NULL : p, bk);
-        if (due[0] < 0) return t;
-        *adds += add, out[t] = r;
-        if (log) at[0] = i + 1;
-        if (due[0]) return due[1] = a, t + 1;
+        if (!(xx <= 0x1p1000)) return 0;  /* NaN, inf or near as_context's bound */
+        const int64_t a = score_pass((const char *)x, m, r->rows, bk->ks, !knn_ucb, k_cols, p, bk);
+        if (a >= r->arms) return 0;  /* replay_step raises */
+        int64_t i = r->log ? row : r->t * r->arms + a;
+        while (r->log && i < r->at[1] && r->log[i] != a) i++;  /* replay_step's scan */
+        if (r->log && i == r->at[1]) return r->at[0] = i, 0;
+        if (!isfinite(v = r->rw[i])) return 0;
+        r->code = update_round(a, (const char *)x, v, m ? bk->res[a] : 0.0,
+                               m ? bk->res[m + a] : 0.0, *r->adds, add, knn_ucb ? NULL : p, bk);
+        if (r->code < 0) return r->code = 0;
+        *r->adds += add, r->out[r->t] = v;
+        if (r->log) r->at[0] = i + 1;
+        if (r->code) return r->arm = a, r->t++, r->code;
     }
-    return n;
+    return 0;
 }
 
 static locale_t c_locale;  /* strtod_l's, made when the module loads */

@@ -38,7 +38,7 @@ class RewardStats:
         return total
 
     def record(self, arm: int, reward: float, total: Optional[float] = None) -> None:
-        if not 0 <= arm < self.n_arms:
+        if (arm := as_int(arm, "arm", 0)) >= self.n_arms:
             raise ValueError(f"arm {arm} out of range")
         self.per_arm_sum[arm] = (self._sum_after(arm, as_reward(reward))
                                  if total is None else total)

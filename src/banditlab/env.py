@@ -282,7 +282,7 @@ class _ReplayEpisode:
         return fb
 
     def log(self):
-        """``LNUCBTA._run``'s contexts, rewards (the clicks), arm count,
+        """``_Compiled._run``'s contexts, rewards (the clicks), arm count,
         logged arms and cursor: the log's own arrays, and ``at``."""
         env = self.env
         return env.contexts, env.clicks, env.n_arms, env.arms, self.at

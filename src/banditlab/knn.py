@@ -98,7 +98,7 @@ class NeighborBank:
         self._c = None
 
     def add(self, arm: int, context, reward: float, round: int) -> None:
-        arm, round = as_int(arm, "arm", 0), as_int(round, "round")
+        arm, round = as_int(arm, "arm", 0), as_int(round, "round", 0)
         if arm >= self.n_arms:
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         if round >= 2 ** 63:  # no int64 slot holds it

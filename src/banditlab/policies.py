@@ -47,17 +47,16 @@ class _Compiled:
         row growth and drift check it leaves; returns the round select and
         update take, or the round the episode ran out at.  log and at are a
         replay log's arms and cursor (``_ReplayEpisode.log``), else None."""
-        step, bank = _cstep.STEP, self.bank
-        buf, due = step.ffi.from_buffer, step.ffi.new("int64_t[2]")
-        replay = [step.ffi.NULL if a is None else buf("int64_t[]", a) for a in (log, at)]
-        while True:
-            t = step.lib.run_rounds(t, len(out), buf("double[]", contexts),
-                                    buf("double[]", rewards), arms, *replay,
-                                    buf("double[]", out), buf("int64_t[]", bank._adds), due,
-                                    bank._all_rows, *self._compiled())
-            if due[0] <= 0:
-                return t
-            self._done(due[1], due[0])
+        step, buf, bank = _cstep.STEP, _cstep.STEP.ffi.from_buffer, self.bank
+        owners = {"xs": buf("double[]", contexts), "rw": buf("double[]", rewards),
+                  "out": buf("double[]", out), "adds": buf("int64_t[]", bank._adds),
+                  **({} if log is None else {"log": buf("int64_t[]", log),
+                                             "at": buf("int64_t[]", at)})}
+        run = step.ffi.new("run_t *", {**owners, "rows": bank._all_rows, "t": t,
+                                       "n": len(out), "arms": arms})  # owners outlive it
+        while step.lib.run_rounds(run, *self._compiled()):
+            self._done(run.arm, run.code)  # a grown row rebuilds the bank_t
+        return run.t
 
 
 class _Ridges(_Compiled):

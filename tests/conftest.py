@@ -1,5 +1,6 @@
 """Shared benchmark fixtures: the synthetic suite every ordering test reuses."""
 import contextlib
+import hashlib
 import importlib.util
 import time
 from dataclasses import dataclass, field
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from banditlab import _cstep
+from banditlab.env import ReplayLogEnv
 from banditlab.knn import NeighborBank
 from banditlab.runner import Cell, EnvSpec, execute_cells
 
@@ -75,6 +77,29 @@ def held(obj, path="policy"):
         yield path, obj
 
 
+def news_log(rows, seed=3):
+    """A news-format log as the benchmark writes one, built in memory: a
+    uniform logging policy over 10 arms, clicks that favour one direction
+    per arm."""
+    rng = np.random.default_rng([seed, 102])
+    dirs = rng.standard_normal((10, 100))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    X = rng.standard_normal((rows, 100))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    arms = rng.integers(0, 10, size=rows)
+    p = np.clip(0.75 + 2.0 * np.einsum("ij,ij->i", X, dirs[arms]), 0.02, 0.98)
+    return ReplayLogEnv(arms, (rng.uniform(size=rows) < p) * 1.0, X)
+
+
+def reward_digest(results) -> str:
+    """The first 16 hex digits of a sha256 over the runs' cumulative_reward
+    bytes, in the order given: the result bits tests/pinned.json pins."""
+    h = hashlib.sha256()
+    for result in results:
+        h.update(result.cumulative_reward.tobytes())
+    return h.hexdigest()[:16]
+
+
 def held_bytes(policy):
     return [(path, (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
              else repr(v)) for path, v in held(policy)]
@@ -107,11 +132,14 @@ EPS_GRID = (0.01, 0.05, 0.1, 0.2, 0.25, 0.5)
 
 @dataclass
 class SuiteData:
-    """Final rewards per (policy, slug, seed) plus the wall time of the run."""
+    """Final rewards per (policy, slug, seed) plus the wall time of the run,
+    and the reward_digest of each policy's runs and of each cell's run."""
 
     finals: Dict[Tuple[str, str], np.ndarray] = field(default_factory=dict)
     mean_rewards: Dict[Tuple[str, str], np.ndarray] = field(default_factory=dict)
     wall_s: float = 0.0
+    digests: Dict[str, str] = field(default_factory=dict)
+    cell_digests: Dict[Cell, str] = field(default_factory=dict)
 
     def keys_for(self, policy_id: str):
         return [k for k in self.finals if k[0] == policy_id]
@@ -153,7 +181,9 @@ def synthetic_suite() -> SuiteData:
     for cell, result in pairs:
         by_key.setdefault((cell.policy_id, cell.slug), {})[cell.seed] = (
             result.final_cumulative_reward(), result.final_mean_reward())
-    data = SuiteData(wall_s=wall)
+    data = SuiteData(wall_s=wall, cell_digests={c: reward_digest([r]) for c, r in pairs})
+    for pid in dict.fromkeys(cell.policy_id for cell, _ in pairs):
+        data.digests[pid] = reward_digest(r for c, r in pairs if c.policy_id == pid)
     for key, per_seed in by_key.items():
         data.finals[key] = np.array([per_seed[s][0] for s in SUITE_SEEDS])
         data.mean_rewards[key] = np.array([per_seed[s][1] for s in SUITE_SEEDS])

@@ -93,6 +93,10 @@ class TestRewardStats:
         stats = RewardStats(2)
         with pytest.raises(ValueError):
             stats.record(2, 1.0)
+        with pytest.raises(ValueError, match="arm must be an integer, got True"):
+            stats.record(True, 1.0)
+        with pytest.raises(ValueError, match="arm must be an integer, got 1.5"):
+            stats.record(1.5, 1.0)
         with pytest.raises(ValueError):
             stats.record(0, float("nan"))
         with pytest.raises(ValueError):

@@ -95,6 +95,7 @@ class TestNeighborBank:
             bank.add(2, np.ones(2), 1.0, 0)
         for arm, round, message in [(0, 2.7, "round must be an integer, got 2.7"),
                                     (0, True, "round must be an integer"),
+                                    (0, -1, "round must be >= 0"),
                                     (1.5, 3, "arm must be an integer, got 1.5"),
                                     (-1, 3, "arm must be >= 0")]:
             with pytest.raises(ValueError, match=message):

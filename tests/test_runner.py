@@ -16,7 +16,7 @@ from banditlab.linear import RidgeState
 from banditlab.policies import LNUCBTA, POLICIES, KnnUCB, RandomPolicy, make_policy
 from banditlab.runner import (Cell, EnvSpec, build_env, execute_cells,
                               param_slug, run_cell, run_policy)
-from conftest import compiled_step, held_bytes, load_spans
+from conftest import compiled_step, held_bytes, load_spans, news_log
 
 SMALL = EnvSpec(kind="synthetic", d=4, n_arms=3, bump_count=1,
                 noise_sigma=0.05, env_seed=0)
@@ -250,20 +250,6 @@ HYBRID = dict(variance_scale=50.0, theta_min=4, kappa=1.0, floor_alpha_at_zero=T
 BOUNDARY = dict(theta_min=1, theta_max=2, variance_scale=2.0)
 # The news-replay k window; with gamma_cov = 0.05, the benchmark's lnucb-ta.
 NEWS = dict(theta_min=10, theta_max=40)
-
-
-def news_log(rows, seed=3):
-    """A news-format log as the benchmark writes one, built in memory: a
-    uniform logging policy over 10 arms, clicks that favour one direction
-    per arm."""
-    rng = np.random.default_rng([seed, 102])
-    dirs = rng.standard_normal((10, 100))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    X = rng.standard_normal((rows, 100))
-    X /= np.linalg.norm(X, axis=1)[:, None]
-    arms = rng.integers(0, 10, size=rows)
-    p = np.clip(0.75 + 2.0 * np.einsum("ij,ij->i", X, dirs[arms]), 0.02, 0.98)
-    return ReplayLogEnv(arms, (rng.uniform(size=rows) < p) * 1.0, X)
 
 
 NEWS_LOG = news_log(5000)
