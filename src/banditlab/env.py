@@ -68,7 +68,10 @@ class ClassificationBanditEnv:
     def __init__(self, contexts, labels, shuffle_seed: int = 0,
                  class_names: Optional[Sequence] = None, normalize: bool = False):
         contexts = np.asarray(contexts, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":  # a bool, 0.5 or NaN is no label
+            labels = np.array([as_int(v, "label") for v in labels.tolist()], np.int64)
+        labels = labels.astype(np.int64, copy=False)
         if contexts.ndim != 2 or contexts.shape[0] != labels.shape[0]:
             raise ValueError("contexts and labels must align")
         if contexts.shape[0] == 0:
@@ -94,9 +97,6 @@ class ClassificationBanditEnv:
     def episode(self, seed: int, T: int) -> "ClassificationBanditEnv":
         """Rows are read in the env's shuffled order, so a run needs no state."""
         return self
-
-    def exhausted(self, t: int) -> bool:
-        return t >= len(self)
 
     def context(self, t: int) -> np.ndarray:
         return self.contexts[t]
@@ -261,25 +261,16 @@ class ReplayLogEnv:
 class _ReplayEpisode:
     """One pass over a replay log; the cursor moves just past each match.
 
-    A round's context is the log row at the cursor; the run ends when the
-    cursor reaches the end of the log or a scan finds no match.  ``at``
-    holds the cursor and the log's row count: ``log`` hands it to a compiled
-    run with the log's arrays, and the run moves the cursor in place.
+    A round's context is the log row at the cursor, and ``replay_step``
+    from there gives its reward; the run ends when the cursor reaches the
+    end of the log or a scan finds no match.  ``at`` holds the cursor and
+    the log's row count: ``log`` hands it with the log's arrays to the run,
+    whose rounds, in C or in Python, move the cursor in place.
     """
 
     def __init__(self, env: ReplayLogEnv):
         self.env = env
         self.at = np.array([0, len(env)], dtype=np.int64)
-
-    def exhausted(self, t: int) -> bool:
-        return self.at[0] >= self.at[1]
-
-    def context(self, t: int) -> np.ndarray:
-        return self.env.contexts[self.at[0]]
-
-    def feedback(self, t: int, arm: int) -> RoundFeedback:
-        fb, self.at[0] = replay_step(self.env, arm, int(self.at[0]))
-        return fb
 
     def log(self):
         """``_Compiled._run``'s contexts, rewards (the clicks), arm count,
@@ -367,25 +358,11 @@ class HybridStream:
     def __len__(self) -> int:
         return self.contexts.shape[0]
 
-    def exhausted(self, t: int) -> bool:
-        return t >= len(self)
-
-    def context(self, t: int) -> np.ndarray:
-        return self.contexts[t]
-
-    def feedback(self, t: int, arm: int) -> RoundFeedback:
-        return RoundFeedback(
-            reward=float(self.realized[t, arm]),
-            oracle_reward=float(self.realized[t, self.oracle_arm[t]]))
-
     def arrays(self, T: int, n_arms: int):
-        """ClassificationBanditEnv.arrays, or None where feedback would raise."""
+        """ClassificationBanditEnv.arrays: every arm's realized reward."""
         n = min(T, len(self))
-        try:
-            return (self.contexts[:n], self.realized[:n],
-                    self.realized[np.arange(n), self.oracle_arm[:n]])
-        except IndexError:
-            return None
+        return (self.contexts[:n], self.realized[:n],
+                self.realized[np.arange(n), self.oracle_arm[:n]])
 
 
 class SyntheticHybridEnv:
@@ -467,7 +444,8 @@ class SyntheticHybridEnv:
 
     def episode(self, seed: int, T: int) -> HybridStream:
         """The run's T rounds, drawn from a stream keyed by the run seed."""
-        return self.play_batch(np.random.default_rng([seed, ENV_STREAM_SALT]), T)
+        rng = np.random.default_rng([as_int(seed, "seed", 0), ENV_STREAM_SALT])
+        return self.play_batch(rng, T)
 
     def play_batch(self, rng: np.random.Generator, T: int) -> HybridStream:
         """T rounds at once: all context draws first, then all noise draws.
@@ -476,8 +454,7 @@ class SyntheticHybridEnv:
         CDF on [-1 - min, 1 - max] of the expected rewards) added to every
         arm, which keeps realized rewards inside [-1, 1].
         """
-        if T < 1:
-            raise ValueError("T must be >= 1")
+        T = as_int(T, "T", 1)
         idx = rng.choice(self.CONTEXT_CLUSTERS, size=T, p=self.cluster_probs)
         Z = rng.standard_normal((T, self.dim))
         X = self.cluster_centers[idx] + self._cluster_sigma * Z

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Policy, ScoreBreakdown, as_int
 from .env import (DataError, load_classification_csv, load_news_csv,
-                  synthetic_hybrid)
+                  replay_step, synthetic_hybrid)
 from .metrics import RunResult
 from .policies import make_policy
 
@@ -113,14 +113,13 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
                params_label: str = "default"):
     """Drive one policy through one environment for up to T rounds.
 
-    ``env.episode(seed, T)`` gives the run's rounds: ``exhausted(t)``,
-    ``context(t)`` and ``feedback(t, arm)``, whose ``step_consumed`` is
-    False when the round never happened and whose ``oracle_reward`` is set
-    when the env knows the best arm's reward.
+    ``env.episode(seed, T)`` gives the run's rounds: ``arrays(T, n_arms)``,
+    the contexts, every arm's rewards and the oracle rewards, whose round t
+    reads row t; or a replay's ``log()`` (``_ReplayEpisode``), whose round
+    reads the cursor's row and ``replay_step`` from the cursor.
 
-    An untraced run of an array episode or a replay log runs in C where it
-    can (``_array_rounds``); a round C leaves to Python resumes at the same
-    round, and for a replay at the cursor C left.
+    An untraced run takes its rounds in C where it can (``_in_c``); a
+    round C leaves to Python resumes at the same round and cursor.
 
     Returns (RunResult, trace_rows); trace_rows, one ScoreBreakdown of the
     chosen arm per round, is None unless requested.
@@ -130,61 +129,65 @@ def run_policy(env, policy: Policy, T: int, seed: int, trace: bool = False,
         raise TypeError(f"unsupported environment {type(env).__name__}")
     t0 = time.perf_counter()
     episode = env.episode(seed, T)
-    arrays = None if trace else _array_rounds(episode, policy, T)
+    rounds, oracle = _record(episode, policy, T)
+    contexts, table, _, log, at = rounds
+    in_c = not trace and _in_c(policy, rounds)
     # At most one round per row: a replay round consumes its matched row.
-    rewards, oracle = ([], []) if arrays is None else (
-        np.empty(min(T, len(arrays[0][0]))), arrays[1])
+    rewards = np.empty(min(T, len(contexts)))
     trace_rows: Optional[List[ScoreBreakdown]] = [] if trace else None
     t = 0
-    while t < T and not episode.exhausted(t):
-        if arrays is not None:
-            t = policy._run(*arrays[0], t, rewards)
-            if t == T or episode.exhausted(t):
+    while t < len(rewards) and (log is None or at[0] < at[1]):
+        if in_c:
+            t = policy._run(*rounds, t, rewards)
+            if t == len(rewards) or (log is not None and at[0] == at[1]):
                 break
-        x = episode.context(t)
+        x = contexts[t if log is None else at[0]]
         arm = policy.select(x, t)
-        fb = episode.feedback(t, arm)
-        if not fb.step_consumed:
-            break
+        if log is None:
+            reward = table[t, arm]
+        else:
+            fb, at[0] = replay_step(episode.env, arm, int(at[0]))
+            if not fb.step_consumed:
+                break
+            reward = fb.reward
         if trace:
             trace_rows.append(policy.selected_table().row(arm))
-        policy.update(arm, x, fb.reward)
-        if arrays is not None:
-            rewards[t] = fb.reward
-        else:
-            rewards.append(fb.reward)
-            if fb.oracle_reward is not None:
-                oracle.append(fb.oracle_reward)
+        policy.update(arm, x, reward)
+        rewards[t] = reward
         t += 1
 
     if not t:
         raise DataError("no rounds executed (no replay matches?)")
     runtime = time.perf_counter() - t0
     result = RunResult.from_rewards(policy.name, params_label, seed, rewards[:t],
-                                    oracle_rewards=oracle if len(oracle) else None,
+                                    oracle_rewards=None if oracle is None else oracle[:t],
                                     matched_steps=t, runtime_s=runtime)
     return result, trace_rows
 
 
-def _array_rounds(episode, policy: Policy, T: int):
-    """``policy._run``'s (contexts, rewards, arm count, logged arms, cursor)
-    for the episode, with its oracle rewards (none for a replay log), or None:
-    no such arrays, a policy whose ``_runs_in_c()`` does not hold (any but an
-    lnucb-ta, linucb, lin-knn-ucb or knn-ucb that can run in C), or a select
-    or update not Policy's own (a subclass's, or a wrapper with __wrapped__)."""
+def _record(episode, policy: Policy, T: int):
+    """The run's rounds as ``policy._run`` takes them, (contexts, rewards,
+    arm count, logged arms, cursor), with the oracle rewards (None for a
+    replay log): a replay's ``log()``, or ``arrays``' as float64 rows."""
+    if hasattr(episode, "log"):
+        return episode.log(), None
+    if not hasattr(episode, "arrays"):
+        raise TypeError(f"episode {type(episode).__name__} has neither "
+                        "arrays(T, n_arms) nor log()")
+    contexts, rewards, oracle = episode.arrays(T, policy.n_arms)
+    contexts, rewards = (np.ascontiguousarray(a, dtype=np.float64) for a in (contexts, rewards))
+    return (contexts, rewards, rewards.shape[1], None, None), oracle
+
+
+def _in_c(policy: Policy, rounds) -> bool:
+    """Whether ``policy._run`` takes the rounds: the policy's context width
+    and arms, its ``_runs_in_c()`` (an lnucb-ta, linucb, lin-knn-ucb or
+    knn-ucb that can run in C), and Policy's own select and update (not a
+    subclass's, nor a wrapper with __wrapped__)."""
     own = all(getattr(getattr(policy, v), "__func__", None) is getattr(Policy, v)
               and not hasattr(getattr(Policy, v), "__wrapped__") for v in ("select", "update"))
-    if not (own and policy._runs_in_c()):
-        return None
-    if hasattr(episode, "log"):  # ReplayLogEnv holds its arrays contiguous
-        got = episode.log()
-        return (got, []) if got[0].shape[1] == policy.dim else None
-    got = episode.arrays(T, policy.n_arms) if hasattr(episode, "arrays") else None
-    if got is None or any(a.ndim != 2 or a.dtype != np.float64 for a in got[:2]) or (
-            got[0].shape[1] != policy.dim or got[1].shape[1] < policy.n_arms):
-        return None
-    rounds = np.ascontiguousarray(got[0]), np.ascontiguousarray(got[1])
-    return (*rounds, got[1].shape[1], None, None), got[2]
+    return (own and policy._runs_in_c() and rounds[0].shape[1] == policy.dim
+            and (rounds[3] is not None or rounds[2] >= policy.n_arms))
 
 
 def run_cell(env_spec: EnvSpec, cell: Cell, trace: bool = False):

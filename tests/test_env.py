@@ -102,6 +102,12 @@ class TestClassificationEnv:
             ClassificationBanditEnv(np.eye(2), [0, -1])
         with pytest.raises(ValueError, match="shuffle_seed must be >= 0"):
             ClassificationBanditEnv(np.eye(2), [0, 1], shuffle_seed=-1)
+        # A label is an arm index: no float is cut to one, no bool read as one.
+        for labels, shown in (([0.5, 1.7], "0.5"), ([True, False], "True"),
+                              ([np.nan, 1.0], "nan")):
+            with pytest.raises(ValueError, match=f"label must be an integer, got {shown}"):
+                ClassificationBanditEnv(np.eye(2), labels)
+        assert ClassificationBanditEnv(np.eye(2), [1.0, 0.0]).labels.dtype == np.int64
 
     def test_arm_count_and_metadata(self):
         env = ClassificationBanditEnv(np.eye(4), [0, 2, 1, 2],
@@ -618,6 +624,22 @@ class TestSyntheticHybrid:
             kw.update(bad)
             with pytest.raises(ValueError, match=match):
                 SyntheticHybridEnv(**kw)
+
+    def test_play_batch_and_episode_check_horizon_and_seed_by_name(self):
+        env = synthetic_hybrid(0, 4, 3, 1, 0.05)
+        for T, match in ((2.5, "T must be an integer, got 2.5"),
+                         (True, "T must be an integer, got True"),
+                         ("3", "T must be an integer, got '3'"), (0, "T must be >= 1")):
+            with pytest.raises(ValueError, match=match):
+                env.play_batch(np.random.default_rng(0), T)
+            with pytest.raises(ValueError, match=match):
+                env.episode(0, T)
+        for seed, match in ((2.5, "seed must be an integer, got 2.5"),
+                            (True, "seed must be an integer, got True"),
+                            ("3", "seed must be an integer, got '3'"), (-1, "seed must be >= 0")):
+            with pytest.raises(ValueError, match=match):
+                env.episode(seed, 5)
+        assert np.array_equal(env.episode(2.0, 5.0).realized, env.episode(2, 5).realized)
 
     def test_same_seed_same_structure(self):
         a = synthetic_hybrid(5, 8, 4, 2, 0.05)

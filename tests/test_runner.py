@@ -152,10 +152,10 @@ class TestRunPolicy:
         twin = make_policy(pid, env.n_arms, env.dim, seed=0)
         episode = env.episode(0, 30)
         for t, row in enumerate(rows):
-            x = episode.context(t)
+            x = episode.contexts[t]
             arm = twin.select(x, t)
             assert twin.score_table(x, t).row(arm) == row
-            twin.update(arm, x, episode.feedback(t, arm).reward)
+            twin.update(arm, x, episode.realized[t, arm])
 
     def test_classification_clamps_horizon(self, tmp_path):
         p = tmp_path / "c.csv"
@@ -207,6 +207,15 @@ class TestRunPolicy:
             run_policy(env, RandomPolicy(env.n_arms), 0, 0)
         with pytest.raises(TypeError, match="unsupported environment"):
             run_policy(object(), RandomPolicy(2), 10, 0)
+
+    def test_an_episode_without_arrays_or_log_is_refused_by_name(self):
+        # A run reads its rounds from arrays(T, n_arms) or a replay's log();
+        # an episode with neither is refused before round 0.
+        env = SimpleNamespace(episode=lambda seed, T: SimpleNamespace(context=None))
+        policy = RandomPolicy(2, 3)
+        with pytest.raises(TypeError, match=r"episode SimpleNamespace has neither "
+                                            r"arrays\(T, n_arms\) nor log\(\)"):
+            run_policy(env, policy, 10, 0)
 
 
 class TestExecuteCells:
@@ -455,6 +464,31 @@ def test_compiled_run_is_active(pid, params, monkeypatch):
         result, _ = run_policy(env, policy, 300, 3)
         updates = policy.bank._adds[0] if pid == "knn-ucb" else policy.stats.per_arm_count.sum()
         assert result.matched_steps == updates == 300
+
+
+@needs_run
+def test_an_episode_of_arrays_alone_runs_in_c_and_in_python_alike(monkeypatch):
+    # The one episode protocol: an episode that offers only arrays(T,
+    # n_arms), a suite stream's, runs untraced in C with no Python select,
+    # and traced through the per-round loop; both runs and a run of the
+    # suite env itself give byte-equal results.
+    stream = build_env(SUITE).episode(3, 300)
+    arrays_env = SimpleNamespace(episode=lambda seed, T: SimpleNamespace(arrays=stream.arrays))
+    select, selects = Policy.select, []
+
+    def counted(self, x, round):
+        selects[-1] += 1
+        return select(self, x, round)
+
+    monkeypatch.setattr(Policy, "select", counted)
+    runs = []
+    for env, trace in ((arrays_env, False), (arrays_env, True), (build_env(SUITE), False)):
+        selects.append(0)
+        policy = make_policy("lnucb-ta", 5, 10, seed=3, **HYBRID)
+        result, _ = run_policy(env, policy, 300, 3, trace=trace)
+        runs.append(result_bits(result))
+    assert selects == [0, 300, 0]
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] == 300
 
 
 @needs_run
