@@ -1,8 +1,9 @@
 """The compiled steps, loaded once as ``STEP`` and ``BLAS`` (below): a round's
 ``score_pass`` and ``update_round``, which need both, whole runs of them for
-four policy ids (``run_rounds``), and ``news_parse`` for ``load_news_csv``."""
+four policy ids (``run_rounds``), ``news_parse`` and ``round_seed`` (below)."""
 import ctypes
 import hashlib
+import itertools
 import re
 import shutil
 import subprocess
@@ -402,6 +403,40 @@ int64_t news_parse(const char *s, int64_t len, int64_t max_rows, int64_t *arms,
     }
     return -1;
 }
+
+static inline uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)  /* SeedSequence's */
+{
+    return v ^= *h, *h *= mult, v *= *h, v ^ v >> 16;
+}
+
+/* default_rng([seed, round])'s PCG64 state into the pcg64_state at state (a
+   PCG64's ctypes.state_address): SeedSequence's entropy words (0 is one word
+   0, else the 32-bit words up to the top non-zero one, low first), mix_entropy
+   into a pool of 4, generate_state(4, uint64), pcg_setseq_128_srandom_r, and
+   no buffered half word.  Without 128-bit integers it writes nothing. */
+void round_seed(intptr_t state, uint64_t seed, uint64_t round)
+{
+#if defined(__SIZEOF_INT128__)
+    struct { __uint128_t *pcg; int has_uint32; uint32_t uinteger; } *g = (void *)state;
+    uint32_t words[4] = {0}, pool[4], out[8], h = 0x43b0d7e5, m;
+    __uint128_t w[4];
+    for (int i = 0, n = 0; i < 2; i++)  /* each value's words, at least one */
+        for (uint64_t v = i ? round : seed, more = 1; more; more = v >>= 32) words[n++] = v;
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(words[i], &h, 0x931e8875);
+    for (int s = 0; s < 4; s++)  /* pool[d] = mix(pool[d], hashmix(pool[s])), d != s */
+        for (int d = 0; d < 4; d++)
+            if (s != d)
+                m = 0xca01f9dd * pool[d] - 0x4973f715 * hashmix(pool[s], &h, 0x931e8875),
+                pool[d] = m ^ m >> 16;
+    h = 0x8b51f9dd;
+    for (int i = 0; i < 8; i++) out[i] = hashmix(pool[i % 4], &h, 0x58f38ded);
+    for (int k = 0; k < 4; k++) w[k] = out[2 * k] | (uint64_t)out[2 * k + 1] << 32;
+    g->pcg[1] = (w[2] << 64 | w[3]) << 1 | 1;  /* inc, then state: two steps from 0 */
+    g->pcg[0] = (g->pcg[1] + (w[0] << 64 | w[1]))
+        * ((__uint128_t)2549297995355413924ULL << 64 | 4865540595714422341ULL) + g->pcg[1];
+    g->has_uint32 = 0, g->uinteger = 0;
+#endif
+}
 """
 # The exported functions' prototypes.
 CDEF = "".join(f"{p};\n" for p in re.findall(
@@ -428,6 +463,7 @@ CHECK_SHAPES = ((1, 1), (1, 10), (1, 100), (2, 1), (9, 1), (5, 10), (3, 100), (3
 # default ufunc buffer).
 CHECK_SUMS = (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 300, 1000, 8193)
 BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+SEED_CASES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63 - 1, 2 ** 64 - 1)
 
 
 def with_blas(module):
@@ -472,6 +508,21 @@ def with_blas(module):
         if top != want[4].argmax() or table[:5].tobytes() != want.tobytes():
             return None
     return tuple(blas)
+
+
+def checked_seeding(round_seed):
+    """round_seed (``round_seed``'s signature) if a generator it reseeds at each
+    SEED_CASES pair draws as ``default_rng([seed, round])`` in each kind the
+    policies draw, else None (no 128-bit integers, another PCG64 layout)."""
+    gen = np.random.default_rng(0)
+    for seed, round in itertools.product(SEED_CASES, repeat=2):
+        round_seed(gen.bit_generator.ctypes.state_address, seed, round)
+        draws = [[g.uniform(), g.integers(2), *g.beta([0.3, 0.7, 2.5], [0.5, 0.9, 4.0]),
+                  *g.standard_normal(7), *g.uniform(size=4)]  # integers(2) keeps half a word
+                 for g in (gen, np.random.default_rng([seed, round]))]
+        if np.array(draws[0]).tobytes() != np.array(draws[1]).tobytes():
+            return None
+    return round_seed
 
 
 _BUILD = """import os, sys, cffi
@@ -519,3 +570,4 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
 
 STEP = load()  # the compiled steps, or None
 BLAS = with_blas(STEP)  # the (dgemv, ddot) STEP's round calls, or None for the numpy round
+ROUND_SEED = STEP and checked_seeding(STEP.lib.round_seed)  # Policy._rng's, or None: round_rng

@@ -1,6 +1,7 @@
 """Shared domain types, deterministic randomness, and the policy interface."""
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from abc import ABC, abstractmethod
@@ -91,11 +92,19 @@ TIE_BREAKS = ("lowest-index", "seeded-random")
 def round_rng(seed: int, round: int) -> np.random.Generator:
     """Generator keyed by (seed, round).
 
-    Stochastic policies draw per-call randomness from here instead of a
-    stored generator, so select() never mutates policy state and repeated
-    calls with the same arguments return the same choice.
+    Stochastic policies draw per-call randomness with these bits (through
+    Policy._rng, which reseeds a kept generator to them in C where it can),
+    so select() never mutates policy state and repeated calls with the same
+    arguments return the same choice.
     """
     return np.random.default_rng([seed, round])
+
+
+@functools.cache
+def _steps():
+    """banditlab._cstep, imported at first use: it imports attention, which imports core."""
+    from . import _cstep
+    return _cstep
 
 
 def argmax_tiebreak(
@@ -214,8 +223,21 @@ class Policy(ABC):
 
     def _choose(self, scores: np.ndarray, round: int) -> int:
         """The arm select() returns for these scores."""
-        rng = round_rng(self.seed, round) if self.tie_break == "seeded-random" else None
+        rng = self._rng(round) if self.tie_break == "seeded-random" else None
         return argmax_tiebreak(scores, self.tie_break, rng)
+
+    def _rng(self, round: int) -> np.random.Generator:
+        """round_rng(self.seed, round)'s generator: this policy's kept one,
+        reseeded in C by ``_cstep.ROUND_SEED``, or round_rng itself where that
+        is None or seed or round is not below 2**64."""
+        seeding = _steps().ROUND_SEED
+        if seeding is None or not (0 <= round < 2 ** 64 and self.seed < 2 ** 64):
+            return round_rng(self.seed, round)
+        if not hasattr(self, "_gen"):
+            self._gen = np.random.default_rng(0)
+        # The address is read each time: a copied policy reseeds its own copy.
+        seeding(self._gen.bit_generator.ctypes.state_address, self.seed, round)
+        return self._gen
 
     def _runs_in_c(self) -> bool:
         """Whether ``_run`` takes an untraced run's rounds in C (policies)."""

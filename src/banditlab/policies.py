@@ -10,7 +10,7 @@ import numpy as np
 from .attention import (AttentionParams, RewardStats, exploration_rates,
                         softmax_attention)
 from .core import (Policy, ScoreTable, argmax_tiebreak, as_bool, as_context,
-                   as_nonneg, as_positive, round_rng)
+                   as_nonneg, as_positive)
 from . import _cstep
 from .knn import KnnBatch, NeighborBank
 from .linear import DRIFT_CHECK_EVERY, RidgeState, _lapack, widths_sq
@@ -323,7 +323,7 @@ class EpsilonGreedy(Policy):
         return self.stats.local_means()
 
     def _choose(self, scores: np.ndarray, round: int) -> int:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         if self.eps > 0.0 and rng.uniform() < self.eps:
             return int(rng.integers(self.n_arms))
         return argmax_tiebreak(scores, self.tie_break, rng)
@@ -359,7 +359,7 @@ class BetaThompson(Policy, _BetaCounts):
         self._init_counts(prior_a, prior_b)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         return rng.beta(self.prior_a + self._succ, self.prior_b + self._fail)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
@@ -400,7 +400,7 @@ class LinThompson(_RidgeDraws, Policy):
         self._init_draws(v, lam)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         out = np.empty((self.n_arms, self.dim))
         for a in range(self.n_arms):
             out[a] = self.ridges[a].mu_hat + self.v * self._noise(rng, a)
@@ -475,7 +475,7 @@ class RandomPolicy(Policy):
         super().__init__(n_arms, dim, seed)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        return round_rng(self.seed, round).uniform(size=self.n_arms)
+        return self._rng(round).uniform(size=self.n_arms)
 
     def _update(self, arm: int, x: np.ndarray, reward: float) -> None:
         pass  # nothing to learn
@@ -529,7 +529,7 @@ class EnhancedEpsilonGreedy(_EnhancedBase):
         return self.stats.local_means() + self.knn_vector(x)
 
     def _choose(self, scores: np.ndarray, round: int) -> int:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         greedy = argmax_tiebreak(scores, "lowest-index")
         eps_eff = self.eps * float(self.attention_weights()[greedy])
         if eps_eff > 0.0 and rng.uniform() < eps_eff:
@@ -554,7 +554,7 @@ class EnhancedBetaThompson(_EnhancedBase, _BetaCounts):
         self._init_counts(prior_a, prior_b)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         a = self.prior_a + self._succ
         b = self.prior_b + self._fail
         draw = rng.beta(a, b)
@@ -578,7 +578,7 @@ class EnhancedLinThompson(_RidgeDraws, _EnhancedBase):
         self._init_draws(v, lam)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
-        rng = round_rng(self.seed, round)
+        rng = self._rng(round)
         w = self.attention_weights() * self.n_arms
         out = np.empty(self.n_arms)
         for a in range(self.n_arms):

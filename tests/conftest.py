@@ -2,6 +2,8 @@
 import contextlib
 import hashlib
 import importlib.util
+import shutil
+import sysconfig
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,18 +24,24 @@ PASS_STEPS = [None] + ([_cstep.BLAS] if _cstep.BLAS else [])
 PARSE_STEPS = [None] + ([_cstep.STEP] if _cstep.STEP else [])
 PASS_IDS = ["numpy", "compiled"][:len(PASS_STEPS)]
 PARSE_IDS = ["loop", "compiled"][:len(PARSE_STEPS)]
+# Where this holds, _cstep builds the compiled steps: the is-active tests
+# fail if they do not load.
+CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
+    (sysconfig.get_config_var("CC") or "cc").split()[0]) is not None)
 
 
 @contextlib.contextmanager
 def compiled_step(step=_cstep.STEP, blas=_cstep.BLAS):
     """Run with these ``_cstep.STEP`` and ``BLAS`` (None: without them); no
-    BLAS without STEP, as _cstep loads them."""
-    saved = _cstep.STEP, _cstep.BLAS
+    BLAS without STEP, as _cstep loads them.  Numpy's round (no BLAS) also
+    seeds each round's generator in numpy (``ROUND_SEED`` None)."""
+    saved = _cstep.STEP, _cstep.BLAS, _cstep.ROUND_SEED
     _cstep.STEP, _cstep.BLAS = step, blas if step else None
+    _cstep.ROUND_SEED = saved[2] if _cstep.BLAS else None
     try:
         yield
     finally:
-        _cstep.STEP, _cstep.BLAS = saved
+        _cstep.STEP, _cstep.BLAS, _cstep.ROUND_SEED = saved
 
 
 @pytest.fixture(params=PASS_STEPS, ids=PASS_IDS)
@@ -55,8 +63,9 @@ def load_spans():
 def held(obj, path="policy"):
     """(path, value) of every array, int array and number a policy holds,
     through its banditlab objects, lists and tuples.  The compiled steps'
-    pointers and output buffers, and the pass kept for update(), are
-    scratch; a bank's contexts and rounds count over their windows."""
+    pointers and output buffers, the pass kept for update() and the
+    generator reseeded every round are scratch; a bank's contexts and
+    rounds count over their windows."""
     if isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from held(v, f"{path}[{i}]")
@@ -69,7 +78,7 @@ def held(obj, path="policy"):
                 yield from held(v, f"{path}.{k}")
     elif type(obj).__module__.startswith("banditlab."):
         for k, v in vars(obj).items():
-            if k not in ("_c", "_kept", "_table_rows"):
+            if k not in ("_c", "_kept", "_table_rows", "_gen"):
                 yield from held(v, f"{path}.{k}")
     elif type(obj).__module__ == "_cffi_backend":  # as the list a numpy-only bank keeps
         yield from held(list(obj), path)

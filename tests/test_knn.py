@@ -1,10 +1,7 @@
 """Neighbor store behavior and the adaptive-k query against independent oracles."""
-import importlib.util
 import math
-import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +16,8 @@ from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
                            reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
-from conftest import PASS_IDS, PASS_STEPS, compiled_step, held_bytes
+from conftest import CAN_BUILD, PASS_IDS, PASS_STEPS, compiled_step, held_bytes
 from oracles import knn_score_bruteforce
-
-
-CAN_BUILD = (importlib.util.find_spec("cffi") is not None and shutil.which(
-    (sysconfig.get_config_var("CC") or "cc").split()[0]) is not None)
 
 
 def _filled_store(rng, n, d, capacity=None, duplicate_from=None):
