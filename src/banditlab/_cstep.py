@@ -2,6 +2,7 @@
 ``score_pass`` and ``update_round``, which need both, whole runs of them for
 four policy ids (``run_rounds``), ``news_parse`` and ``round_seed`` (below)."""
 import ctypes
+import functools
 import hashlib
 import itertools
 import re
@@ -48,11 +49,11 @@ typedef struct {
 
 /* A knn.NeighborBank (see its _args): per arm, contexts and rounds (lens
    long) with the window [start, end), k, and a row of the stride-wide norms
-   and rewards; cap (-1: none), theta_min lo, theta_max hi, variance_scale,
-   scratch (3 x stride), the pass's results res, and round_t's BLAS. */
+   and rewards; its add count, cap (-1: none), theta_min lo, theta_max hi (at
+   most 2^53), variance_scale, scratch (3 x stride), results res, BLAS. */
 typedef struct {
     double **ctx, *norm2, *rewards, vscale, *scratch, *res;
-    int64_t **rounds, *lens, *start, *end, *ks, d, stride, cap, lo, hi;
+    int64_t **rounds, *lens, *start, *end, *ks, *adds, d, stride, cap, lo, hi;
     intptr_t gemv, ddot;
 } bank_t;
 
@@ -95,22 +96,24 @@ static int64_t argmax(const double *v, int64_t n)  /* np.argmax's: the first NaN
     return top;
 }
 
-/* Per row j, arm rows[j] holding k = ks[j] entries (strict = 0 lowers k to
-   what it holds): its window times x, its first k in (d2, column) order,
-   and into res (score, u_max, k_used) their rewards' add.reduce / k, the
-   k-th distance and k; zeros if not applied.  Then p's table (flags: 1 k-NN
-   scores, 2 attention, 4 floored, 8 knn-ucb's) and ucb's argmax (else 0). */
+/* Per row j, arm rows[j] (NULL: j) holding k = ks[j] (NULL: its own k)
+   entries (strict = 0 lowers k to what it holds): its window times x, its
+   first k in (d2, column) order, and into res (score, u_max, k_used) their
+   rewards' add.reduce / k, the k-th distance and k; zeros if not applied.
+   Then p's table (flags: 1 k-NN scores, 2 attention, 4 floored, 8 knn-ucb's)
+   and ucb's argmax (else 0). */
 int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t *ks,
-                   int strict, int64_t k_cols, const round_t *p, const bank_t *bk)
+                   int strict, const round_t *p, const bank_t *bk)
 {
     const int64_t d = bk->d, stride = bk->stride;
     const intptr_t gemv = bk->gemv, ddot = bk->ddot;
     const double *x = (const double *)xs, xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
-    double *dot = bk->scratch, *best = dot + stride, *sel = best + k_cols, *res = bk->res;
+    double *dot = bk->scratch, *best = dot + stride, *sel = best + stride, *res = bk->res;
     double *u_max = res + n;
     int64_t *k_used = (int64_t *)(u_max + n);
-    for (int64_t j = 0; j < n; j++) {
-        int64_t a = rows[j], size = bk->end[a] - bk->start[a], k = ks[j], m = 0;
+    for (int64_t j = 0; j < n; j++) {  /* an applied k is at most size <= stride */
+        const int64_t a = rows ? rows[j] : j, size = bk->end[a] - bk->start[a];
+        int64_t k = ks ? ks[j] : bk->ks[a], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
         res[j] = u_max[j] = 0.0, k_used[j] = 0;
         if (size < k) continue;
@@ -224,7 +227,7 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
 
 /* A policy's update of arm a: every check, then p's ridge (residual r - knn,
    e = u_max^2; a shifted sigma can still fail to factor), stats (if any) and,
-   with add, bk's entry and k, knn._variance's of the window; no p: the add
+   with add, bk's entry, add count and k, knn._variance's of the window; no p: the add
    alone, no bk: no add.  Returns -1, having changed nothing, where a check
    fails or sigma does not factor (the numpy update then raises); else the
    sum of 4 where the add filled an uncapped row, which Python grows before
@@ -277,7 +280,7 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
         memcpy(bk->ctx[a] + en * d, x, sizeof(double) * d);
         bk->rounds[a][en] = round;
         nr[n] = xx, rw[n] = r, r2[n] = r * r;
-        bk->start[a] = st, bk->end[a] = en + 1;
+        bk->start[a] = st, bk->end[a] = en + 1, ++*bk->adds;
         if (bk->lo < bk->hi) {  /* knn._variance of the window, 0 below two entries */
             const double w = n + 1, mean = (0.0 + pairwise(rw, n + 1)) / w;
             const double v = n ? (0.0 + pairwise(r2, n + 1)) / w - mean * mean : 0.0;
@@ -290,13 +293,13 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
 
 /* A run (_Compiled._run): round t of n, the episode's contexts xs, rewards rw
    and arm count, a replay log's logged arms and at (its cursor and row count;
-   NULL for an array episode), the reward buffer out, the bank's add count and
-   every arm's row, and the (code, arm) of the last return. */
+   NULL for an array episode), the reward buffer out, and the (code, arm) of
+   the last return. */
 typedef struct {
     const double *xs, *rw;
     double *out;
-    const int64_t *log, *rows;
-    int64_t *at, *adds, t, n, arms, code, arm;
+    const int64_t *log;
+    int64_t *at, t, n, arms, code, arm;
 } run_t;
 
 /* Policy p's rounds of run r: the context certified (finite, its squared
@@ -314,7 +317,7 @@ typedef struct {
 int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
 {
     const int add = p->flags & 1, knn_ucb = p->flags & 8;
-    const int64_t d = p->d, m = add ? p->n : 0, k_cols = bk->hi < bk->stride ? bk->hi : bk->stride;
+    const int64_t d = p->d, m = add ? p->n : 0;
     for (r->code = 0; r->t < r->n; r->t++) {
         const int64_t row = r->log ? r->at[0] : r->t;
         if (r->log && row >= r->at[1]) return 0;
@@ -322,16 +325,16 @@ int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
         double xx = 0.0, v;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
         if (!(xx <= 0x1p1000)) return 0;  /* NaN, inf or near as_context's bound */
-        const int64_t a = score_pass((const char *)x, m, r->rows, bk->ks, !knn_ucb, k_cols, p, bk);
+        const int64_t a = score_pass((const char *)x, m, NULL, NULL, !knn_ucb, p, bk);
         if (a >= r->arms) return 0;  /* replay_step raises */
         int64_t i = r->log ? row : r->t * r->arms + a;
         while (r->log && i < r->at[1] && r->log[i] != a) i++;  /* replay_step's scan */
         if (r->log && i == r->at[1]) return r->at[0] = i, 0;
         if (!isfinite(v = r->rw[i])) return 0;
         r->code = update_round(a, (const char *)x, v, m ? bk->res[a] : 0.0,
-                               m ? bk->res[m + a] : 0.0, *r->adds, add, knn_ucb ? NULL : p, bk);
+                               m ? bk->res[m + a] : 0.0, *bk->adds, add, knn_ucb ? NULL : p, bk);
         if (r->code < 0) return r->code = 0;
-        *r->adds += add, r->out[r->t] = v;
+        r->out[r->t] = v;
         if (r->log) r->at[0] = i + 1;
         if (r->code) return r->arm = a, r->t++, r->code;
     }
@@ -466,8 +469,39 @@ BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 SEED_CASES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63 - 1, 2 ** 64 - 1)
 
 
+def struct(kind: str, **fields):
+    """A new ``kind`` (round_t, bank_t or run_t) from keyword fields (None: 0); a pointer
+    points into its value's buffer (a list: an array of pointers), which it keeps alive."""
+    ffi, arrays, init, items = STEP.ffi, _arrays(kind), {}, []
+    for k, v in fields.items():
+        if isinstance(v, list):  # an array of pointers into the items' buffers
+            items.append([ffi.from_buffer(arrays[k][1], a) for a in v])
+            init[k] = ffi.new(arrays[k][0], items[-1])
+        elif v is not None:
+            init[k] = ffi.from_buffer(arrays[k][0], v) if arrays[k] else v
+    return ffi.gc(ffi.new(kind + " *", init), lambda _: (init, items))
+
+
+@functools.cache
+def _arrays(kind: str) -> dict:
+    """Per field of ``kind``: the array type it and its items point into (() if none)."""
+    def arrays(ctype):
+        return (STEP.ffi.typeof(STEP.ffi.getctype(ctype.item, "[]")),) + arrays(ctype.item) \
+            if ctype.kind == "pointer" else ()
+    return {k: arrays(f.type) for k, f in STEP.ffi.typeof(kind).fields}
+
+
+class Cached:
+    """The owner of a struct cached in ``_c``; a copy (deepcopy, pickle) builds its own."""
+
+    _c = None
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_c"}
+
+
 def with_blas(module):
-    """The addresses of numpy's own dgemv and ddot for the module, or None
+    """The addresses of numpy's own dgemv and ddot for the module (STEP), or None
     without the module or a BLAS_SYMBOLS symbol, or unless each gives numpy's
     bits: ``matvec`` (``dot``, ``matmul``) on every CHECK_SHAPES shape,
     ``row_sums`` (``add.reduce``, 1-D and axis=1) on CHECK_SUMS, and a table
@@ -497,13 +531,11 @@ def with_blas(module):
     local = sums / np.maximum(counts, 1)
     rates = exploration_rates(params, counts, float(np.add.reduce(local) / n), local)
     linear, width = mu @ x, np.sqrt(np.maximum((sq @ x) @ x, 0.0))
-    bank = module.ffi.new("bank_t *", {"d": d, "gemv": blas[0], "ddot": blas[1]})
+    bank = struct("bank_t", d=d, gemv=blas[0], ddot=blas[1])
     for flags, alpha in ((2, rates), (6, np.maximum(rates, 0.0))):
-        p = module.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
-            ("table", table), ("mu", mu), ("squares", sq), ("stat_sum", sums))},
-            "stat_count": buf("int64_t[]", counts), "alpha0": params.alpha0,
-            "kappa": params.kappa, "n": n, "widths": 2, "flags": flags})
-        top = module.lib.score_pass(x.tobytes(), 0, null, null, 1, 1, p, bank)
+        p = struct("round_t", table=table, mu=mu, squares=sq, stat_sum=sums, stat_count=counts,
+                   alpha0=params.alpha0, kappa=params.kappa, n=n, widths=2, flags=flags)
+        top = module.lib.score_pass(x.tobytes(), 0, null, null, 1, p, bank)
         want = np.array([linear, np.zeros(n), alpha, width, linear + 0.0 + alpha * width])
         if top != want[4].argmax() or table[:5].tobytes() != want.tobytes():
             return None

@@ -68,14 +68,11 @@ def coerce_value(raw: str):
         return False
     if low in ("none", "null", ""):
         return None
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
+    for parse in (int, float):
+        try:
+            return parse(s)
+        except ValueError:
+            pass
     return s
 
 
@@ -303,7 +300,7 @@ class Experiment:
         self.policies = _collect_policies(args, self.config)
         self.seeds = parse_seeds(str(opts.get("seeds", "0")))
         self.T = _typed(opts, "T", 1000)
-        self.jobs = _typed(opts, "jobs", 1)
+        self.jobs = as_int(_typed(opts, "jobs", 1), "jobs", 1)
         self.trace = _typed(opts, "trace", False)
         if self.trace and args.command != "run":
             raise CliError(f"{args.command} does not take trace (--trace or "
@@ -401,9 +398,8 @@ def cmd_sweep(args) -> int:
 def cmd_bound(args) -> int:
     params = DiagnosticsParams(**{f.name: getattr(args, f.name)
                                   for f in fields(DiagnosticsParams)})
-    curve = regret_bound_curve(params, args.T)
-    lines = ["round,regret_bound"]
-    lines += [f"{t + 1},{fmt(curve[t])}" for t in range(args.T)]
+    curve = regret_bound_curve(params, as_int(args.T, "T", 1))
+    lines = ["round,regret_bound"] + [f"{t + 1},{fmt(v)}" for t, v in enumerate(curve)]
     atomic_write_text(os.path.join(args.out, "bound.csv"),
                       "\n".join(lines) + "\n")
     return 0

@@ -1,8 +1,8 @@
 """Per-arm neighbor store and the variance-adaptive k-NN reward estimator."""
 from __future__ import annotations
 
-import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -26,27 +26,30 @@ class KnnScore:
         return KnnScore(score=0.0, k_used=0, u_max=0.0, applied=False)
 
 
-class NeighborBank:
+# The largest theta_max: both rounds' select_k is exact up to here, and a k
+# that large only gates, since no store holds that many entries.
+THETA_MAX = 2 ** 53
+
+
+class NeighborBank(_cstep.Cached):
     """(context, reward, round) histories of several arms in shared rows.
 
     Arm a's n entries sit oldest-first in columns [0, n) of row a of the
-    shared norm and reward arrays, and at positions [start, end) of its own
-    context and round arrays.  Columns from n on are unused; their squared
-    norms stay infinite.  A pass (``_pass``) scores each arm over exactly
-    its own window.  Rounds are strictly increasing per arm, so entry order
-    is insertion order.
+    shared norm and reward arrays (the rest: infinite norms), and at
+    [start, end) of its own context and round arrays.  Rounds are strictly
+    increasing per arm, so entry order is insertion order.
 
     Without a capacity the arrays double in length once an add fills them.
     With one, the shared rows are capacity wide and a full arm drops its
-    oldest entry by shifting its row one column left, an O(capacity) move
-    per add.  Its contexts and rounds are twice the capacity long: the
-    window start moves forward, and a window that reaches the end is copied
-    back to position 0, one O(capacity * dim) copy per capacity adds.
+    oldest entry by shifting its row one column left.  Its contexts and
+    rounds are twice the capacity long: the window start moves forward, and
+    a window that reaches the end is copied back to position 0.
 
-    The bank owns each arm's adaptive k, select_k of its reward variance
-    times variance_scale (the defaults pin k at 1), taken from the whole
-    window after each add.  Policies feed it through ``_add`` and score
-    every arm with its own k in one ``_pass`` per round.
+    The bank owns each arm's adaptive k, select_k of its window's reward
+    variance times variance_scale (the defaults pin k at 1) after each add.
+    Policies feed it through ``_add`` and score every arm with its own k in
+    one ``_pass`` per round.  Each arm's window and k are int64
+    ``array.array``s, which the compiled steps write in place.
     """
 
     def __init__(self, n_arms: int, dim: int, capacity: Optional[int] = None,
@@ -59,8 +62,8 @@ class NeighborBank:
         # theta_max first: a fixed k passes it as theta_min too.
         self.theta_max = as_int(theta_max, "theta_max")
         self.theta_min = as_int(theta_min, "theta_min")
-        if not 1 <= self.theta_min <= self.theta_max:
-            raise ValueError("need 1 <= theta_min <= theta_max")
+        if not 1 <= self.theta_min <= self.theta_max <= THETA_MAX:
+            raise ValueError("need 1 <= theta_min <= theta_max <= 2**53")
         self.variance_scale = as_positive(variance_scale, "variance_scale")
         self.capacity = capacity
         length = 2 * capacity if capacity is not None else 16
@@ -69,17 +72,10 @@ class NeighborBank:
         width = capacity if capacity is not None else length
         self._norm2 = np.full((n_arms, width), np.inf)
         self._rewards = np.zeros((n_arms, width))
-        # int64 arrays that the compiled steps read and write in place; lists
-        # for the numpy step, and for a theta past int64 (such a k can only gate).
-        ints = (list if _cstep.BLAS is None or self.theta_max >= 2 ** 63
-                else functools.partial(_cstep.STEP.ffi.new, "int64_t[]"))
-        self._start = ints([0] * n_arms)
-        self._end = ints([0] * n_arms)
-        self._all_rows = ints(list(range(n_arms)))
-        self._ks = ints([self.theta_min] * n_arms)  # an empty row's variance is 0
+        self._start, self._end = array("q", [0] * n_arms), array("q", [0] * n_arms)
+        self._ks = array("q", [self.theta_min] * n_arms)  # an empty row's variance is 0
         self._adds = np.zeros(1, np.int64)  # the add count, in an array C writes
         self._res = np.zeros(3 * n_arms)  # the compiled pass's KnnBatch fields
-        self._c = None  # see _args
 
     def store(self, arm: int) -> "NeighborStore":
         """A NeighborStore view of one arm's entries."""
@@ -110,10 +106,9 @@ class NeighborBank:
         self._add(arm, x, as_reward(reward), round)
 
     def _check_reward(self, arm: int, reward: float) -> None:
-        """ValueError, changing nothing, where 8 times the sum of the arm's
-        squared rewards once ``reward`` is added (and, when the arm is full,
-        its oldest entry evicted) overflows: the headroom keeps
-        reward_variance finite."""
+        """ValueError, changing nothing, where 8 times the sum of the arm's squared
+        rewards with ``reward`` (less the oldest, when the arm is full) overflows:
+        the headroom keeps reward_variance finite."""
         n = self._end[arm] - self._start[arm]
         kept = self._rewards[arm, int(n == self.capacity):n]
         if not math.isfinite(8.0 * (float(np.add.reduce(kept * kept)) + reward * reward)):
@@ -121,19 +116,15 @@ class NeighborBank:
 
     def _add(self, arm: int, x: np.ndarray, reward: float,
              round: Optional[int] = None) -> None:
-        """add() for a checked context and reward, at a round after the arm's last.
-
-        Without a round the entry is stamped with the bank's add count.  The
-        compiled update makes the add in one call, unless it declines; a
-        reward _check_reward rejects raises before anything changes.  Either
-        grows an uncapped row the add fills.
-        """
+        """add() for a checked context and reward, at a round after the arm's
+        last (None: the bank's add count).  The compiled update makes the add
+        in one call, unless it declines; a reward _check_reward rejects raises
+        before anything changes.  Either grows an uncapped row the add fills."""
         round = int(self._adds[0]) if round is None else round
         c = self._args()
         code = c and _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, 0.0, 0.0, round, 1,
                                                   _cstep.STEP.ffi.NULL, c)
         if c and code >= 0:
-            self._adds[0] += 1
             if code:  # 4: the row is full
                 self._grow(arm)
             return
@@ -166,59 +157,47 @@ class NeighborBank:
             self._grow(arm)  # the row is full, as update_round reports it
 
     def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
-        """Every arm's k-NN score for a checked context, with its own k.
-
-        strict=True gates an arm off while it holds fewer than k entries;
-        strict=False lowers k to the number held instead (an empty arm is
-        still not applied).
-        """
-        return self._query(self._all_rows, x, self._ks, strict)[0]
+        """Every arm's k-NN score for a checked context, with its own k:
+        strict=True gates an arm off while it holds fewer than k entries,
+        strict=False lowers k to the number held (an empty arm still gates)."""
+        return self._query(None, x, None, strict)[0]
 
     def _args(self):
-        """The bank's ``bank_t`` (see ``_cstep``), built once per reallocation,
-        with the owners of its pointers; None for the numpy step or a list bank."""
-        if _cstep.BLAS is None or isinstance(self._start, list):
+        """The bank's ``bank_t``, built on first use and after ``_grow``; None
+        for the numpy round.  Its scratch and row lengths are the struct's."""
+        if _cstep.BLAS is None:
             return None
-        if self._c is None:  # reset by _grow
-            ffi, buf, width = _cstep.STEP.ffi, _cstep.STEP.ffi.from_buffer, self._norm2.shape[1]
-            owners = {
-                "ctx": ffi.new("double *[]", [buf("double[]", c) for c in self._ctx]),
-                "rounds": ffi.new("int64_t *[]", [buf("int64_t[]", r) for r in self._rounds]),
-                "lens": ffi.new("int64_t[]", [len(r) for r in self._rounds]),
-                "scratch": buf("double[]", np.empty(3 * width)),
-                **{k: buf("double[]", getattr(self, "_" + k))
-                   for k in ("norm2", "rewards", "res")}}
-            self._c = ffi.new("bank_t *", {
-                **owners, "start": self._start, "end": self._end, "ks": self._ks, "d": self.dim,
-                "stride": width, "cap": -1 if self.capacity is None else self.capacity,
-                "lo": self.theta_min, "hi": self.theta_max, "vscale": self.variance_scale,
-                "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1]}), owners
-        return self._c[0]
+        if self._c is None:
+            width = self._norm2.shape[1]
+            self._c = _cstep.struct(
+                "bank_t", ctx=self._ctx, rounds=self._rounds,
+                lens=array("q", map(len, self._rounds)), scratch=np.empty(3 * width),
+                norm2=self._norm2, rewards=self._rewards, res=self._res, start=self._start,
+                end=self._end, ks=self._ks, adds=self._adds, d=self.dim, stride=width,
+                cap=-1 if self.capacity is None else self.capacity, lo=self.theta_min,
+                hi=self.theta_max, vscale=self.variance_scale, gemv=_cstep.BLAS[0],
+                ddot=_cstep.BLAS[1])
+        return self._c
 
     def _query(self, arms, x: np.ndarray, ks, strict: bool, table=None):
-        """One k-NN pass over the given rows for already-validated input.
-
-        Per arm this selects the k entries first in (distance, round) order:
-        ties go to the lower round, u_max is the k-th distance, and the
-        score sums rewards in that order.  Returns (KnnBatch, the argmax of
-        a policy's ucb, or None): ``_cstep.score_pass`` makes the pass and
-        fills a policy's ``table`` (a ``round_t``) in one C call; without it
-        ``_scan`` scores one arm at a time.
-        """
-        n, c = len(arms), self._args()
-        if c:
-            # An applied row's k is at most its window, so k_cols columns hold every
-            # selection; a larger k only gates, and is clipped to fit in C.
-            top = self.theta_max if ks is self._ks else max(ks)
-            k_cols = max(1, min(top, self._norm2.shape[1]))
-            ks = [min(k, k_cols + 1) for k in ks] if top > k_cols else ks
-            best = _cstep.STEP.lib.score_pass(x.tobytes(), n, arms, ks, strict, k_cols,
-                                              table or _cstep.STEP.ffi.NULL, c)
+        """One k-NN pass for a checked context over the given rows (None: every
+        arm) with the given ks (None: each arm's own): per arm, the k entries
+        first in (distance, round) order, u_max the k-th distance, the score
+        their rewards' sum in that order.  Returns (KnnBatch, the argmax of a
+        policy's ucb, or None): ``score_pass`` also fills a policy's ``table``
+        (a ``round_t``); without the compiled round ``_scan`` scores each arm."""
+        n, c = self.n_arms if arms is None else len(arms), self._args()
+        if c:  # a k past any window only gates, so past THETA_MAX it is clipped to fit C
+            null = _cstep.STEP.ffi.NULL
+            best = _cstep.STEP.lib.score_pass(
+                x.tobytes(), n, null if arms is None else arms,
+                null if ks is None else [min(k, THETA_MAX) for k in ks], strict, table or null, c)
             r = self._res[:3 * n].copy()
             return KnnBatch(r[:n], r[n:2 * n], r[2 * n:].view(np.int64)), best
         score, d2k, k_used = np.zeros(n), np.zeros(n), np.zeros(n, np.int64)
         xx = float(x.dot(x))
-        for j, (a, k) in enumerate(zip(arms, ks)):
+        arms = range(self.n_arms) if arms is None else arms
+        for j, (a, k) in enumerate(zip(arms, self._ks if ks is None else ks)):
             size = self._end[a] - self._start[a]
             k = k if strict else min(k, max(size, 1))
             if size >= k:
@@ -273,14 +252,12 @@ class NeighborStore:
     """
 
     def __init__(self, dim: int, capacity: Optional[int] = None):
-        self._bank = NeighborBank(1, dim, capacity)
-        self._arm = 0
+        self._bank, self._arm = NeighborBank(1, dim, capacity), 0
 
     @classmethod
     def _row(cls, bank: NeighborBank, arm: int) -> "NeighborStore":
         store = cls.__new__(cls)
-        store._bank = bank
-        store._arm = arm
+        store._bank, store._arm = bank, arm
         return store
 
     @property

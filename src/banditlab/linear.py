@@ -45,13 +45,9 @@ class RidgeState:
       triangular solve.  Forming sigma^-1 here would cost an O(d^3) inverse
       per update; sigma_inv is solved from L only when it is read.
 
-    The factored path, tried for gamma_cov = 0 too, cost linucb at d=100 about
-    half again per round (see README), so each ridge keeps the cheaper one.
-
     This numpy/f2py update is the reference and fallback of a policy's
-    compiled one (``_cstep.update_round``), which has its bits.  ``rows`` puts
-    mu_hat, the inverse or L^T, sigma, b, the running bound and the drift
-    count in a policy's stacks.
+    compiled one (``_cstep.update_round``), which has its bits.  ``rows``
+    (see ``_bind``) puts the ridge in a policy's stacks.
     """
 
     def __init__(self, dim: int, lam: float, gamma_cov: float = 0.0,
@@ -61,22 +57,22 @@ class RidgeState:
         self.gamma_cov = as_nonneg(gamma_cov, "gamma_cov")
         d = self.dim
         rows = rows or [np.empty(s) for s in (d, (d, d), (d, d), d, 1)] + [np.empty(1, np.int64)]
-        self.mu_hat, square, self.sigma, self.b, self._scale, self._rank_one_updates = rows
-        self.mu_hat[...], square[...], self.b[...] = 0.0, 0.0, 0.0
+        self._bind(rows)
+        self.mu_hat[...], rows[1][...], self.b[...] = 0.0, 0.0, 0.0
         self.sigma[...] = self.lam * np.eye(d)
         # See _check (its running bound, and the largest one) and _rank_one_done.
         self._scale[0], self._rank_one_updates[0] = self.lam * d, 0
         self._scale_max = sys.float_info.max / 8.0 * min(self.lam, 1.0) ** 2
-        # Exactly one of the two is kept: the inverse (gamma_cov = 0) or the
-        # lower Cholesky factor of sigma (gamma_cov > 0).
-        self._inv: Optional[np.ndarray] = None
-        self.chol: Optional[np.ndarray] = None
-        if self.gamma_cov > 0.0:
-            self.chol = square.T
+        if self.chol is not None:
             self._factor(self.sigma, self.b)
         else:
-            self._inv = square
-            np.fill_diagonal(square, 1.0 / self.lam)
+            np.fill_diagonal(self._inv, 1.0 / self.lam)
+
+    def _bind(self, rows) -> None:
+        """Keep mu_hat, the inverse or L^T, sigma, b, bound and drift count in rows."""
+        self.mu_hat, square, self.sigma, self.b, self._scale, self._rank_one_updates = rows
+        # Either the inverse (gamma_cov = 0) or sigma's lower Cholesky factor.
+        self._inv, self.chol = (None, square.T) if self.gamma_cov > 0.0 else (square, None)
 
     @property
     def sigma_inv(self) -> np.ndarray:

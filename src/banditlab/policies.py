@@ -16,15 +16,17 @@ from .knn import KnnBatch, NeighborBank
 from .linear import DRIFT_CHECK_EVERY, RidgeState, _lapack, widths_sq
 
 
-class _Compiled:
-    """What the compiled steps take of a policy: its ``round_t`` (``_c``, see
-    ``_cstep``; None for numpy's round) and its bank's ``bank_t``.  LNUCBTA
+class _Compiled(_cstep.Cached):
+    """What the compiled steps take of a policy: its ``round_t``, cached from its
+    ``_fields()`` (None: numpy's round only), and its bank's ``bank_t``.  LNUCBTA
     and KnnUCB run whole runs through them too."""
 
     def _compiled(self) -> Optional[tuple]:
         """(round_t, bank_t or NULL) for the compiled steps, or None for numpy's."""
         bank = getattr(self, "bank", None)
         args = bank._args() if bank else _cstep.BLAS and _cstep.STEP.ffi.NULL
+        if args is not None and self._c is None and (fields := self._fields()):
+            self._c = _cstep.struct("round_t", **fields)
         return None if self._c is None or args is None else (self._c, args)
 
     def _done(self, arm: int, code: int) -> None:
@@ -43,18 +45,12 @@ class _Compiled:
 
     def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
              log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
-        """``_cstep.run_rounds`` from round t, each reward into out, and each
-        row growth and drift check it leaves; returns the round select and
-        update take, or the round the episode ran out at.  log and at are a
-        replay log's arms and cursor (``_ReplayEpisode.log``), else None."""
-        step, buf, bank = _cstep.STEP, _cstep.STEP.ffi.from_buffer, self.bank
-        owners = {"xs": buf("double[]", contexts), "rw": buf("double[]", rewards),
-                  "out": buf("double[]", out), "adds": buf("int64_t[]", bank._adds),
-                  **({} if log is None else {"log": buf("int64_t[]", log),
-                                             "at": buf("int64_t[]", at)})}
-        run = step.ffi.new("run_t *", {**owners, "rows": bank._all_rows, "t": t,
-                                       "n": len(out), "arms": arms})  # owners outlive it
-        while step.lib.run_rounds(run, *self._compiled()):
+        """``_cstep.run_rounds`` from round t, each reward into out, and each row
+        growth and drift check it leaves; returns the round select and update take,
+        or the episode's end.  log, at: a replay's arms and cursor, else None."""
+        run = _cstep.struct("run_t", xs=contexts, rw=rewards, out=out, log=log, at=at, t=t,
+                            n=len(out), arms=arms)
+        while _cstep.STEP.lib.run_rounds(run, *self._compiled()):
             self._done(run.arm, run.code)  # a grown row rebuilds the bank_t
         return run.t
 
@@ -69,24 +65,32 @@ class _Ridges(_Compiled):
         self._mu_stack, self._bs = np.zeros((n, d)), np.zeros((n, d))
         self._squares, self._sigmas = np.zeros((n, d, d)), np.zeros((n, d, d))
         self._scales, self._drifts = np.zeros((n, 1)), np.zeros((n, 1), np.int64)
-        self.ridges = [RidgeState(d, lam, gamma_cov, rows) for rows in zip(
-            self._mu_stack, self._squares, self._sigmas, self._bs, self._scales, self._drifts)]
-        # The compiled round's table (and n x d scratch) and its round_t.
-        self._table_rows, self._c = np.zeros((5 + d, n)), None
-        lapack = (0, 0, 0) if self.ridges[0].chol is None else _lapack()[1]
-        stats = getattr(self, "stats", None)
-        if lapack and _cstep.BLAS and (not hasattr(self, "bank") or self.bank._args()):
-            buf = _cstep.STEP.ffi.from_buffer
-            self._c = _cstep.STEP.ffi.new("round_t *", {**{k: buf("double[]", v) for k, v in (
-                ("table", self._table_rows), ("mu", self._mu_stack), ("squares", self._squares),
-                ("sigmas", self._sigmas), ("bs", self._bs), ("v", self._table_rows[5:]),
-                ("scales", self._scales))}, "drift": buf("int64_t[]", self._drifts),
-                **({} if stats is None else {"stat_sum": buf("double[]", stats.per_arm_sum),
-                                             "stat_count": buf("int64_t[]", stats.per_arm_count)}),
-                "every": DRIFT_CHECK_EVERY, "scale_max": self.ridges[0]._scale_max,
-                "gamma": self.ridges[0].gamma_cov, "n": n, "d": d,
-                "widths": 2 if lapack[2] == 0 else 1, "trtrs": lapack[2], "potrf": lapack[0],
-                "potrs": lapack[1], "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1], **scoring})
+        self.ridges = [RidgeState(d, lam, gamma_cov, rows) for rows in self._rows()]
+        self._table_rows = np.zeros((5 + d, n))  # the compiled round's table, n x d scratch
+        self._scoring = scoring  # the round_t's score fields
+        self._compiled()  # here, outside a run's clock; a copy builds its own at first use
+
+    def _rows(self):
+        return zip(self._mu_stack, self._squares, self._sigmas, self._bs, self._scales,
+                   self._drifts)
+
+    def __setstate__(self, state) -> None:
+        # A copy's stacks are new arrays: its ridges view their rows again.
+        vars(self).update(state)
+        for ridge, rows in zip(self.ridges, self._rows()):
+            ridge._bind(rows)
+
+    def _fields(self) -> Optional[dict]:
+        ridge, stats = self.ridges[0], getattr(self, "stats", None)
+        lapack = (0, 0, 0) if ridge.chol is None else _lapack()[1]
+        return lapack and dict(
+            table=self._table_rows, mu=self._mu_stack, squares=self._squares,
+            sigmas=self._sigmas, bs=self._bs, v=self._table_rows[5:], scales=self._scales,
+            drift=self._drifts, stat_sum=stats and stats.per_arm_sum,
+            stat_count=stats and stats.per_arm_count, every=DRIFT_CHECK_EVERY,
+            scale_max=ridge._scale_max, gamma=ridge.gamma_cov, n=self.n_arms, d=self.dim,
+            widths=2 if lapack[2] == 0 else 1, trtrs=lapack[2], potrf=lapack[0],
+            potrs=lapack[1], gemv=_cstep.BLAS[0], ddot=_cstep.BLAS[1], **self._scoring)
 
     def _ridge_update(self, arm: int, x: np.ndarray, reward: float, knn: float = 0.0,
                       u_max: float = 0.0, add: bool = False) -> None:
@@ -100,8 +104,6 @@ class _Ridges(_Compiled):
             due = _cstep.STEP.lib.update_round(arm, x.tobytes(), reward, knn, u_max,
                                                int(bank._adds[0]) if add else 0, add, *c)
             if due >= 0:
-                if add:
-                    bank._adds[0] += 1
                 self._done(arm, due)
                 return
         scale = ridge._check(x, reward - knn, u_max * u_max)
@@ -154,10 +156,9 @@ class LNUCBTA(_Ridges, Policy):
     def _table(self, x: np.ndarray) -> Tuple[ScoreTable, Optional[KnnBatch], Optional[int]]:
         """The score table, k-NN pass and, from the compiled round, the
         lowest-index argmax, for a checked context."""
-        bank = self.bank
-        if self._compiled():  # else the numpy step
-            batch, best = bank._query(bank._all_rows if self.use_knn else [], x, bank._ks,
-                                      True, self._c)
+        bank, c = self.bank, self._compiled()
+        if c:  # else the numpy step
+            batch, best = bank._query(None if self.use_knn else [], x, None, True, c[0])
             return ScoreTable(*self._table_rows[:5].copy()), batch if self.use_knn else None, best
         batch = bank._pass(x, True) if self.use_knn else None
         linear = self._mu_stack @ x
@@ -426,12 +427,10 @@ class KnnUCB(_Compiled, Policy):
         self.rho = as_nonneg(rho, "rho")
         self.bank = NeighborBank(n_arms, dim, store_capacity, theta_min,
                                  theta_max, variance_scale)
-        # The run's round_t: k-NN scores and knn-ucb's ucb (flags 9), in a table.
-        self._table_rows, self._c = np.zeros((5, self.n_arms)), None
-        if self.bank._args():
-            self._c = _cstep.STEP.ffi.new("round_t *", {
-                "table": _cstep.STEP.ffi.from_buffer("double[]", self._table_rows),
-                "alpha0": self.rho, "n": self.n_arms, "d": self.dim, "flags": 9})
+        self._table_rows = np.zeros((5, self.n_arms))
+
+    def _fields(self) -> dict:  # the run's k-NN scores and knn-ucb's ucb (flags 9)
+        return dict(table=self._table_rows, alpha0=self.rho, n=self.n_arms, d=self.dim, flags=9)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         batch = self.bank._pass(x, False)

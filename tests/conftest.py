@@ -80,8 +80,6 @@ def held(obj, path="policy"):
         for k, v in vars(obj).items():
             if k not in ("_c", "_kept", "_table_rows", "_gen"):
                 yield from held(v, f"{path}.{k}")
-    elif type(obj).__module__ == "_cffi_backend":  # as the list a numpy-only bank keeps
-        yield from held(list(obj), path)
     else:
         yield path, obj
 

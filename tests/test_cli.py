@@ -323,6 +323,12 @@ class TestBound:
         assert read(tmp_path / "bound.csv") == "round,regret_bound\n" + "".join(
             f"{t + 1},{fmt(curve[t])}\n" for t in range(50))
 
+    def test_rejects_a_horizon_below_one_by_its_flag(self, tmp_path, capsys):
+        rc = cli_main(["bound", "--T", "0", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "T must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rejects_bad_delta(self, tmp_path):
         rc = cli_main(["bound", "--delta", "2.0", "--T", "5",
                        "--out", str(tmp_path / "o")])
@@ -489,6 +495,8 @@ class TestErrorPaths:
          "no selected policy accepts --param adaptive_k"),
         ("linucb", "alpha=-1", "alpha must be >= 0"),
         ("lin-knn-ucb", "alpha=nan", "alpha must be >= 0"),
+        ("knn-ucb", f"theta_max={2 ** 53 + 1}", "theta_max <= 2**53"),
+        ("lnucb-ta", f"theta_max={2 ** 63}", "theta_max <= 2**53"),
     ])
     def test_bad_policy_param_values_exit_2(self, tmp_path, capsys, pid, param,
                                            message):
@@ -505,8 +513,10 @@ class TestErrorPaths:
         (["--env-seed", "-1"], "env_seed must be >= 0"),
         (["--env", "classification", "--shuffle-seed", "-1"],
          "shuffle_seed must be >= 0"),
+        (["--jobs", "0"], "jobs must be >= 1"),
+        (["--jobs", "-3"], "jobs must be >= 1"),
     ], ids=["radius-nan", "radius-negative", "radius-zero", "env-seed",
-            "shuffle-seed"])
+            "shuffle-seed", "jobs-zero", "jobs-negative"])
     def test_bad_env_flags_name_the_flag(self, tmp_path, capsys, flags,
                                          message):
         env = (["--data", str(make_classification_csv(tmp_path))]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from banditlab import _cstep, core, knn, policies
 from banditlab.attention import AttentionParams, RewardStats, exploration_rates
 from banditlab.linear import RidgeState
-from banditlab.knn import (KnnScore, NeighborBank, NeighborStore, knn_score,
+from banditlab.knn import (THETA_MAX, KnnScore, NeighborBank, NeighborStore, knn_score,
                            reward_variance, select_k)
 from banditlab.policies import make_policy
 from banditlab.runner import EnvSpec, build_env, run_policy
@@ -194,14 +194,28 @@ class TestKnnScore:
                 assert (knn_score(store, np.zeros(3), 4.0)
                         == knn_score(store, np.zeros(3), 4))
 
-    def test_a_k_past_int64_gates_under_each_step(self):
+    def test_a_k_at_the_theta_max_bound_gates_under_each_step(self):
         for step in PASS_STEPS:
             with compiled_step(blas=step):
-                bank = NeighborBank(2, 2, None, 10**30, 10**30)
+                bank = NeighborBank(2, 2, None, THETA_MAX, THETA_MAX)
                 for t in range(5):
                     bank.add(t % 2, np.full(2, float(t)), 0.5, t)
                 assert not bank._pass(np.ones(2), True).applied.any()
                 assert bank._pass(np.ones(2), False).k_used.tolist() == [3, 2]
+
+    def test_theta_max_is_bounded_so_both_rounds_pick_the_same_k(self):
+        # Rewards 0, 1, 0, 1 send arm 0's k to theta_max: at the bound the
+        # compiled add picks numpy's k, and one past it raises by name.
+        ks = []
+        for step in PASS_STEPS:
+            with compiled_step(blas=step):
+                bank = NeighborBank(2, 2, None, 1, THETA_MAX, 10.0)
+                for t, reward in enumerate([0.0, 1.0, 0.0, 1.0]):
+                    bank.add(0, np.full(2, float(t)), reward, t)
+                ks.append(list(bank._ks))
+        assert ks == [[THETA_MAX, 1]] * len(PASS_STEPS)
+        with pytest.raises(ValueError, match=r"theta_max <= 2\*\*53"):
+            NeighborBank(2, 2, None, 1, THETA_MAX + 1)
 
     def test_matches_handrolled_oracle(self):
         # Independent check with plain sorted distances, no library internals.
@@ -285,7 +299,7 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
     ks = rng.integers(1, 9, size=n_arms).tolist()
     for step in PASS_STEPS:
         with compiled_step(blas=step):
-            got = bank._query(bank._all_rows, x, ks, strict)[0]
+            got = bank._query(None, x, ks, strict)[0]
         for a in range(n_arms):
             store = bank.store(a)
             k = ks[a] if strict else min(ks[a], max(len(store), 1))
@@ -409,14 +423,16 @@ def test_capped_trajectory_pass_equals_per_store_oracle(pid, monkeypatch):
     def checked_query(self, arms, x, ks, strict, stacks=None):
         if self is not bank:
             return query(self, arms, x, ks, strict, stacks)
-        for a, k in zip(arms, ks):
+        rows = list(zip(range(self.n_arms) if arms is None else arms,
+                        self._ks if ks is None else ks))
+        for a, k in rows:
             n = len(self.store(a))
             windows["longer" if n > k else "equal" if n == k else "shorter"] += 1
         for gate in (not strict, strict):  # the policy's own pass last
             for step in PASS_STEPS:
                 with compiled_step(blas=step):
                     got = query(self, arms, x, ks, gate, stacks)
-                for a, k in zip(arms, ks):
+                for a, k in rows:
                     store = self.store(a)
                     k = k if gate else min(k, max(len(store), 1))
                     assert got[0].row(a) == knn_score_bruteforce(store, x, k)
@@ -467,7 +483,7 @@ def test_compiled_and_numpy_steps_return_the_same_bits(
     x = base[0] if seed % 2 else rng.standard_normal(d)
     rows = list(range(n_arms))
     ks = [int(k) for k in rng.integers(1, theta_max + 2, size=n_arms)]
-    for arms, kk, gate in [(rows, bank._ks, strict), (rows, ks, strict),
+    for arms, kk, gate in [(None, None, strict), (None, ks, strict), (rows, ks, strict),
                            *(([a], [bank._ks[a]], True) for a in rows)]:
         numpy_bits, compiled_bits = _pass_bits(bank, arms, x, kk, gate)
         assert compiled_bits == numpy_bits
@@ -524,16 +540,14 @@ def test_compiled_round_is_active(params, monkeypatch):
 def _rates_table(sums, counts, width, alpha0, kappa, flags):
     """score_pass's table and argmax for no k-NN rows, with these stats and
     widths (widths 0 leaves them), and mu x for mu = x = [1, -1]."""
-    ffi, buf = _cstep.STEP.ffi, _cstep.STEP.ffi.from_buffer
+    ffi = _cstep.STEP.ffi
     n, x = len(sums), np.array([1.0, -1.0])
     table, mu = np.zeros((7, n)), np.tile(x, (n, 1))
     table[3] = width
-    p = ffi.new("round_t *", {"table": buf("double[]", table), "mu": buf("double[]", mu),
-                              "stat_sum": buf("double[]", sums),
-                              "stat_count": buf("int64_t[]", counts), "alpha0": alpha0,
-                              "kappa": kappa, "n": n, "flags": flags})
-    bank = ffi.new("bank_t *", {"d": 2, "gemv": _cstep.BLAS[0], "ddot": _cstep.BLAS[1]})
-    best = _cstep.STEP.lib.score_pass(x.tobytes(), 0, ffi.NULL, ffi.NULL, 1, 1, p, bank)
+    p = _cstep.struct("round_t", table=table, mu=mu, stat_sum=sums, stat_count=counts,
+                      alpha0=alpha0, kappa=kappa, n=n, flags=flags)
+    bank = _cstep.struct("bank_t", d=2, gemv=_cstep.BLAS[0], ddot=_cstep.BLAS[1])
+    best = _cstep.STEP.lib.score_pass(x.tobytes(), 0, ffi.NULL, ffi.NULL, 1, p, bank)
     return table[:5], best
 
 
@@ -591,8 +605,9 @@ def test_knn_ucb_kind_equals_its_np_where(sizes, theta, rho, seed):
             policy.update(a, rng.integers(-2, 3, 2) * 0.5, float(rng.integers(0, 3)))
     x = rng.integers(-2, 3, 2) * 0.5
     want, bank = policy.scores(x, 0), policy.bank
-    best = _cstep.STEP.lib.score_pass(x.tobytes(), len(sizes), bank._all_rows, bank._ks, 0,
-                                      theta, *policy._compiled())
+    null = _cstep.STEP.ffi.NULL
+    best = _cstep.STEP.lib.score_pass(x.tobytes(), len(sizes), null, null, 0,
+                                      *policy._compiled())
     assert policy._table_rows[4].tobytes() == want.tobytes()
     assert best == int(want.argmax())
 

@@ -1,8 +1,10 @@
 """Policy behavior: the hybrid rule against an independent simulator, its
 flag reductions, and the baseline algorithms."""
+import copy
 import inspect
 import itertools
 import math
+import pickle
 import sys
 from types import SimpleNamespace
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import banditlab
-from banditlab import cli
+from banditlab import _cstep, cli
 from banditlab.attention import RewardStats
 from banditlab.core import Policy, as_context, round_rng
 from banditlab.knn import NeighborBank
@@ -23,7 +25,7 @@ from banditlab.policies import (LNUCBTA, POLICIES, POLICY_PARAM_KEYS,
                                 EnhancedLinThompson, EpsilonGreedy, KLUCB,
                                 KnnKLUCB, KnnUCB, LinThompson, RandomPolicy,
                                 UCB, bernoulli_kl, klucb_upper, lin_knn_ucb,
-                                linucb, make_policy)
+                                _Ridges, linucb, make_policy)
 from conftest import (PASS_IDS, PASS_STEPS, compiled_step, held,
                       held_bytes)
 from oracles import width_sq
@@ -846,3 +848,68 @@ def test_components_check_n_arms_and_dim_by_name(build, name, value, message):
     # Each component built on its own checks its sizes as a policy does.
     with pytest.raises(ValueError, match=f"{name} {message}"):
         build(value)
+
+
+def _run_rounds(policy, start, xs, rewards):
+    """The arms the policy picks from round start on, each updated with its
+    reward from the rewards table."""
+    arms = []
+    for t, x in enumerate(xs, start):
+        arms.append(policy.select(x, t))
+        policy.update(arms[-1], x, float(rewards[t - start, arms[-1]]))
+    return arms
+
+
+# Every id, and the hybrid with a shifted ridge and capped rows: 50 rounds on
+# 3 arms grow every uncapped row after the copy and take a drift check.
+COPY_CASES = [(pid, {}) for pid in POLICIES] + [
+    ("lnucb-ta", {"gamma_cov": 0.05, "store_capacity": 5, "variance_scale": 20.0}),
+    ("knn-ucb", {"store_capacity": 5, "variance_scale": 20.0})]
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+@pytest.mark.parametrize("pid, params", COPY_CASES)
+def test_a_copy_made_mid_run_goes_on_like_the_original(each_pass, pid, params, how):
+    # A copy holds arrays alone: it rebuilds its C structs from its own
+    # buffers, and its ridges view its own stacks, so it selects what the
+    # original selects for 50 more rounds and ends holding the same state.
+    rng = np.random.default_rng(6)
+    xs, rewards = rng.standard_normal((100, 2)), rng.uniform(size=(100, 3))
+    policy = make_policy(pid, 3, 2, seed=5, **params)
+    _run_rounds(policy, 0, xs[:50], rewards[:50])
+    twin = copy.deepcopy(policy) if how == "deepcopy" else pickle.loads(pickle.dumps(policy))
+    assert _run_rounds(twin, 50, xs[50:], rewards[50:]) == _run_rounds(
+        policy, 50, xs[50:], rewards[50:])
+    assert held_bytes(twin) == held_bytes(policy)
+
+
+def c_data(obj, path="policy"):
+    """The path of each cffi object obj holds outside a ``_c`` cache, through
+    its banditlab objects, lists, tuples and dicts."""
+    if type(obj).__module__ == "_cffi_backend":
+        yield path
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            yield from c_data(v, f"{path}[{i}]")
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from c_data(v, f"{path}[{k!r}]")
+    elif type(obj).__module__.startswith("banditlab."):
+        for k, v in vars(obj).items():
+            if k != "_c":
+                yield from c_data(v, f"{path}.{k}")
+
+
+@pytest.mark.skipif(_cstep.BLAS is None, reason="the compiled steps are not built")
+@pytest.mark.parametrize("pid", sorted(POLICIES))
+def test_c_data_lives_only_in_the_struct_caches(pid):
+    # Under the compiled round, after rounds that built every struct, a
+    # policy and its bank hold arrays alone; a cffi object sits only in _c.
+    rng = np.random.default_rng(2)
+    policy = make_policy(pid, 3, 2, seed=1)
+    _run_rounds(policy, 0, rng.standard_normal((40, 2)), rng.uniform(size=(40, 3)))
+    policy.select(rng.standard_normal(2), 40)  # after a row growth dropped a bank_t
+    assert list(c_data(policy)) == []
+    # The walk saw built caches: a ridge policy's round_t and every bank_t.
+    assert (getattr(policy, "_c", None) is not None) == isinstance(policy, _Ridges)
+    assert not hasattr(policy, "bank") or policy.bank._c is not None

@@ -1,5 +1,6 @@
 """Run orchestration: env construction, slugs, and the run loop conventions."""
 import dataclasses
+import pickle
 from collections import Counter
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import banditlab.cli  # noqa: F401  (the tracer wraps every layer's module)
 from banditlab import _cstep
 from banditlab.core import Policy
 from banditlab.env import DataError, ReplayLogEnv, two_class_bumps
-from banditlab.knn import NeighborBank
+from banditlab.knn import THETA_MAX, NeighborBank
 from banditlab.linear import RidgeState
 from banditlab.policies import LNUCBTA, POLICIES, KnnUCB, RandomPolicy, make_policy
 from banditlab.runner import (Cell, EnvSpec, build_env, execute_cells,
@@ -139,7 +140,7 @@ class TestRunPolicy:
         query = NeighborBank._query
 
         def counted_query(self, *args):
-            queries[0] += len(args[0]) > 0  # no rows: linucb's compiled ridge scores
+            queries[0] += args[0] != []  # no rows: linucb's compiled ridge scores
             return query(self, *args)
 
         monkeypatch.setattr(NeighborBank, "_query", counted_query)
@@ -467,6 +468,40 @@ def test_compiled_run_is_active(pid, params, monkeypatch):
 
 
 @needs_run
+@pytest.mark.parametrize("pid", ["lnucb-ta", "linucb", "lin-knn-ucb", "knn-ucb"])
+def test_an_unpickled_policy_runs_in_c_like_its_original(pid, monkeypatch):
+    # Pickled after a compiled run built its structs, a policy rebuilds them
+    # from its own arrays: its runs call neither select nor update, and give
+    # the bits and state of the original's.
+    def per_round(*args, **kwargs):
+        raise AssertionError("the per-round loop ran")
+
+    for env in (build_env(SUITE), NEWS_LOG):
+        policy = make_policy(pid, env.n_arms, env.dim, seed=3, **(HYBRID if pid == "lnucb-ta" else {}))
+        run_policy(env, policy, 40, 2)
+        twin = pickle.loads(pickle.dumps(policy))
+        with monkeypatch.context() as patch:
+            patch.setattr(Policy, "select", per_round)
+            patch.setattr(Policy, "update", per_round)
+            runs = [result_bits(run_policy(env, p, 300, 3)[0]) for p in (twin, policy)]
+        assert runs[0] == runs[1] and runs[0][0] == 300
+        assert held_bytes(twin) == held_bytes(policy)
+
+
+@needs_run
+@pytest.mark.parametrize("pid", ["lnucb-ta", "knn-ucb"])
+def test_a_k_at_the_theta_max_bound_runs_alike_under_both_rounds(pid):
+    # variance_scale 1e6 sends each k to theta_max, 2**53, where C's k is
+    # numpy's; at 2**63 - 1 C's cast to int64 wrapped to k 1.
+    runs = []
+    for blas in (None, _cstep.BLAS):
+        with compiled_step(blas=blas):
+            policy = make_policy(pid, 5, 10, seed=1, theta_max=THETA_MAX, variance_scale=1e6)
+            runs.append(result_bits(run_policy(build_env(SUITE), policy, 300, 1)[0]))
+    assert runs[0] == runs[1]
+
+
+@needs_run
 def test_an_episode_of_arrays_alone_runs_in_c_and_in_python_alike(monkeypatch):
     # The one episode protocol: an episode that offers only arrays(T,
     # n_arms), a suite stream's, runs untraced in C with no Python select,
@@ -496,7 +531,8 @@ def test_only_the_compiled_steps_and_the_lowest_index_rule_run_in_c():
     for pid in ("lnucb-ta", "knn-ucb"):
         assert make_policy(pid, 3, 2)._runs_in_c()
         assert not make_policy(pid, 3, 2, tie_break="seeded-random")._runs_in_c()
-        assert not make_policy(pid, 3, 2, theta_max=2 ** 63)._runs_in_c()  # a list bank
+        with pytest.raises(ValueError, match=r"theta_max <= 2\*\*53"):
+            make_policy(pid, 3, 2, theta_max=2 ** 53 + 1)
     assert not make_policy("knn-kl-ucb", 3, 2)._runs_in_c()  # a subclass
     for step, blas in ((None, None), (_cstep.STEP, None)):
         with compiled_step(step, blas):
