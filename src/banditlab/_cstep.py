@@ -11,6 +11,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+import weakref
 from importlib.machinery import ExtensionFileLoader
 from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
@@ -20,8 +21,8 @@ import numpy as np
 from .attention import AttentionParams, exploration_rates
 
 # d2 = max(dot * -2 + norm2 + xx, 0) in numpy's order of operations, hence
-# -ffp-contract=off.  Insertion with a strict < keeps each row's first k
-# entries in (d2, column) order, so ties go to the lower round.
+# -ffp-contract=off.  Insertion with a strict < keeps each window's first k
+# entries in (d2, position) order, so ties go to the lower round.
 SOURCE = r"""
 #define _GNU_SOURCE  /* strtod_l */
 #include <locale.h>
@@ -47,13 +48,13 @@ typedef struct {
     intptr_t trtrs, potrf, potrs, gemv, ddot;
 } round_t;
 
-/* A knn.NeighborBank (see its _args): per arm, contexts and rounds (lens
-   long) with the window [start, end), k, and a row of the stride-wide norms
-   and rewards; its add count, cap (-1: none), theta_min lo, theta_max hi (at
-   most 2^53), variance_scale, scratch (3 x stride), results res, BLAS. */
+/* A knn.NeighborBank (see its _args): per arm, contexts, rounds, squared
+   norms and rewards (lens long) with the window [start, end) in all four,
+   and k; its add count, cap (-1: none), theta_min lo, theta_max hi (at most
+   2^53), variance_scale, scratch (3 x the longest lens), results res, BLAS. */
 typedef struct {
-    double **ctx, *norm2, *rewards, vscale, *scratch, *res;
-    int64_t **rounds, *lens, *start, *end, *ks, *adds, d, stride, cap, lo, hi;
+    double **ctx, **norm2, **rewards, vscale, *scratch, *res;
+    int64_t **rounds, *lens, *start, *end, *ks, *adds, d, cap, lo, hi;
     intptr_t gemv, ddot;
 } bank_t;
 
@@ -98,27 +99,27 @@ static int64_t argmax(const double *v, int64_t n)  /* np.argmax's: the first NaN
 
 /* Per row j, arm rows[j] (NULL: j) holding k = ks[j] (NULL: its own k)
    entries (strict = 0 lowers k to what it holds): its window times x, its
-   first k in (d2, column) order, and into res (score, u_max, k_used) their
+   first k in (d2, position) order, and into res (score, u_max, k_used) their
    rewards' add.reduce / k, the k-th distance and k; zeros if not applied.
    Then p's table (flags: 1 k-NN scores, 2 attention, 4 floored, 8 knn-ucb's)
    and ucb's argmax (else 0). */
 int64_t score_pass(const char *xs, int64_t n, const int64_t *rows, const int64_t *ks,
                    int strict, const round_t *p, const bank_t *bk)
 {
-    const int64_t d = bk->d, stride = bk->stride;
+    const int64_t d = bk->d;
     const intptr_t gemv = bk->gemv, ddot = bk->ddot;
     const double *x = (const double *)xs, xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
-    double *dot = bk->scratch, *best = dot + stride, *sel = best + stride, *res = bk->res;
-    double *u_max = res + n;
+    double *dot = bk->scratch, *res = bk->res, *u_max = res + n;
     int64_t *k_used = (int64_t *)(u_max + n);
-    for (int64_t j = 0; j < n; j++) {  /* an applied k is at most size <= stride */
-        const int64_t a = rows ? rows[j] : j, size = bk->end[a] - bk->start[a];
+    for (int64_t j = 0; j < n; j++) {
+        const int64_t a = rows ? rows[j] : j, st = bk->start[a], size = bk->end[a] - st;
         int64_t k = ks ? ks[j] : bk->ks[a], m = 0;
         if (!strict && k > size) k = size > 1 ? size : 1;
         res[j] = u_max[j] = 0.0, k_used[j] = 0;
         if (size < k) continue;
-        matvec(size, d, bk->ctx[a] + bk->start[a] * d, x, dot, gemv, ddot);
-        const double *nr = bk->norm2 + a * stride, *rw = bk->rewards + a * stride;
+        double *best = dot + size, *sel = best + k;  /* size + 2k <= 3 lens */
+        matvec(size, d, bk->ctx[a] + st * d, x, dot, gemv, ddot);
+        const double *nr = bk->norm2[a] + st, *rw = bk->rewards[a] + st;
         for (int64_t c = 0; c < size; c++) {  /* rewards move with their d2 */
             double d2 = dot[c] * -2.0 + nr[c] + xx;
             if (d2 < 0.0) d2 = 0.0;
@@ -218,7 +219,7 @@ static int ridge_factor(const double *x, double *sigma, double *b, double *chol,
     return info;
 }
 
-static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
+static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn._pick_k */
 {
     v = 0.0 > v ? 0.0 : v;
     const int64_t k = (int64_t)floor((double)lo + (double)(hi - lo) * (1.0 < v ? 1.0 : v) + 0.5);
@@ -230,7 +231,7 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn.select_k */
    with add, bk's entry, add count and k, knn._variance's of the window; no p: the add
    alone, no bk: no add.  Returns -1, having changed nothing, where a check
    fails or sigma does not factor (the numpy update then raises); else the
-   sum of 4 where the add filled an uncapped row, which Python grows before
+   sum of 4 where the add filled an uncapped arm, which Python grows before
    the next add, and, for an inverse, 1 where its drift check falls due or 2
    where it lost a diagonal entry (see _rank_one_done). */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
@@ -246,9 +247,9 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     int64_t due = 0;
     if ((p && !(next <= p->scale_max)) || !isfinite(total)) return -1;
     if (add) {  /* knn.NeighborBank._check_reward */
-        const double *rw = bk->rewards + a * bk->stride;
         const int64_t n = bk->end[a] - bk->start[a], full = n == bk->cap;
-        for (int64_t i = full; i < n; i++) r2[i - full] = rw[i] * rw[i];
+        const double *rw = bk->rewards[a] + bk->start[a] + full;
+        for (int64_t i = 0; i < n - full; i++) r2[i] = rw[i] * rw[i];
         if (!isfinite(8.0 * ((0.0 + pairwise(r2, n - full)) + r * r))) return -1;
     }
     if (p) {
@@ -268,21 +269,21 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
         p->scales[a] = next;
         if (p->stat_sum) p->stat_sum[a] = total, p->stat_count[a]++;
     }
-    if (add) {  /* a full capped row drops its oldest entry, a window at the end moves to 0 */
+    if (add) {  /* a full capped arm drops its oldest entry, a window at the end moves to 0 */
         int64_t st = bk->start[a], en = bk->end[a], n = en - st;
-        double *nr = bk->norm2 + a * bk->stride, *rw = bk->rewards + a * bk->stride;
-        for (int64_t i = 0; n == bk->cap && i + 1 < n; i++) nr[i] = nr[i + 1], rw[i] = rw[i + 1];
+        double *nr = bk->norm2[a], *rw = bk->rewards[a];
         if (n == bk->cap) n--, st++;
         if (en == bk->lens[a]) {
             memmove(bk->ctx[a], bk->ctx[a] + st * d, sizeof(double) * n * d);
-            memmove(bk->rounds[a], bk->rounds[a] + st, sizeof(int64_t) * n), st = 0, en = n;
+            memmove(bk->rounds[a], bk->rounds[a] + st, sizeof(int64_t) * n);
+            memmove(nr, nr + st, sizeof(double) * n);
+            memmove(rw, rw + st, sizeof(double) * n), st = 0, en = n;
         }
         memcpy(bk->ctx[a] + en * d, x, sizeof(double) * d);
-        bk->rounds[a][en] = round;
-        nr[n] = xx, rw[n] = r, r2[n] = r * r;
+        bk->rounds[a][en] = round, nr[en] = xx, rw[en] = r, r2[n] = r * r;
         bk->start[a] = st, bk->end[a] = en + 1, ++*bk->adds;
         if (bk->lo < bk->hi) {  /* knn._variance of the window, 0 below two entries */
-            const double w = n + 1, mean = (0.0 + pairwise(rw, n + 1)) / w;
+            const double w = n + 1, mean = (0.0 + pairwise(rw + st, n + 1)) / w;
             const double v = n ? (0.0 + pairwise(r2, n + 1)) / w - mean * mean : 0.0;
             bk->ks[a] = pick_k((0.0 > v ? 0.0 : v) * bk->vscale, bk->lo, bk->hi);
         }
@@ -313,7 +314,7 @@ typedef struct {
    reward is not certified, whose arm is at or past arms or whose update
    declines; or at the round the log runs out at (a scan without a match
    moves the cursor to the end).  Else, after a round whose update leaves a
-   drift check due or a row to grow, update_round's code, with the arm. */
+   drift check due or an arm to grow, update_round's code, with the arm. */
 int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
 {
     const int add = p->flags & 1, knn_ucb = p->flags & 8;
@@ -469,17 +470,33 @@ BLAS_SYMBOLS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 SEED_CASES = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63 - 1, 2 ** 64 - 1)
 
 
+_KEPT = weakref.WeakKeyDictionary()  # per struct, the buffers its pointers point into
+
+
 def struct(kind: str, **fields):
     """A new ``kind`` (round_t, bank_t or run_t) from keyword fields (None: 0); a pointer
     points into its value's buffer (a list: an array of pointers), which it keeps alive."""
-    ffi, arrays, init, items = STEP.ffi, _arrays(kind), {}, []
+    ffi, arrays, init, items = STEP.ffi, _arrays(kind), {}, {}
     for k, v in fields.items():
         if isinstance(v, list):  # an array of pointers into the items' buffers
-            items.append([ffi.from_buffer(arrays[k][1], a) for a in v])
-            init[k] = ffi.new(arrays[k][0], items[-1])
+            items[k] = [ffi.from_buffer(arrays[k][1], a) for a in v]
+            init[k] = ffi.new(arrays[k][0], items[k])
         elif v is not None:
             init[k] = ffi.from_buffer(arrays[k][0], v) if arrays[k] else v
-    return ffi.gc(ffi.new(kind + " *", init), lambda _: (init, items))
+    c = ffi.new(kind + " *", init)
+    _KEPT[c] = init, items
+    return c
+
+
+def point(c, field: str, value, i=None) -> None:
+    """Point struct c's field (i: item i of its array of pointers) into value's
+    buffer, which c keeps alive in place of the one it pointed into."""
+    buf = STEP.ffi.from_buffer(_arrays(STEP.ffi.typeof(c).item.cname)[field][i is not None], value)
+    if i is None:
+        setattr(c, field, buf)
+        _KEPT[c][0][field] = buf
+    else:
+        getattr(c, field)[i] = _KEPT[c][1][field][i] = buf
 
 
 @functools.cache
@@ -521,9 +538,10 @@ def with_blas(module):
     for k in CHECK_SUMS:  # strided rows, as a selection's first k columns
         rows = pool[:3 * k + 6].reshape(3, k + 2).copy()
         rows[0, ::3], rows[2] = 0.0, -0.0
-        out = np.array([0.0 + module.lib.pairwise(buf("double[]", r), k) for r in rows])
-        if not out.tobytes() == np.add.reduce(rows[:, :k], axis=1).tobytes() == np.array(
-                [np.add.reduce(r[:k]) for r in rows]).tobytes():
+        windows = [*rows, rows[0, 1:]]  # and one at an odd column, as after an eviction
+        out = np.array([0.0 + module.lib.pairwise(buf("double[]", r), k) for r in windows])
+        if out.tobytes() != np.array([np.add.reduce(r[:k]) for r in windows]).tobytes() \
+                or out[:3].tobytes() != np.add.reduce(rows[:, :k], axis=1).tobytes():
             return None
     n, d, null, params, table = 7, 3, module.ffi.NULL, AttentionParams(1.5, 0.25), np.zeros((8, 7))
     x, mu, sq, sums = pool[:3], pool[:21].reshape(7, 3), pool[:63].reshape(7, 3, 3), pool[-7:]

@@ -32,18 +32,17 @@ THETA_MAX = 2 ** 53
 
 
 class NeighborBank(_cstep.Cached):
-    """(context, reward, round) histories of several arms in shared rows.
+    """(context, reward, round) histories of several arms.
 
-    Arm a's n entries sit oldest-first in columns [0, n) of row a of the
-    shared norm and reward arrays (the rest: infinite norms), and at
-    [start, end) of its own context and round arrays.  Rounds are strictly
-    increasing per arm, so entry order is insertion order.
+    Each arm keeps four arrays of one length: its contexts, rounds, squared
+    norms and rewards.  Its n entries sit oldest-first at [start, end) of
+    all four.  Rounds are strictly increasing per arm, so entry order is
+    insertion order.
 
-    Without a capacity the arrays double in length once an add fills them.
-    With one, the shared rows are capacity wide and a full arm drops its
-    oldest entry by shifting its row one column left.  Its contexts and
-    rounds are twice the capacity long: the window start moves forward, and
-    a window that reaches the end is copied back to position 0.
+    Without a capacity the arrays are 16 long and double once an add fills
+    them.  With one, they are twice the capacity long: a full arm drops its
+    oldest entry by moving start forward, and a window that reaches the end
+    is copied back to position 0.
 
     The bank owns each arm's adaptive k, select_k of its window's reward
     variance times variance_scale (the defaults pin k at 1) after each add.
@@ -68,12 +67,11 @@ class NeighborBank(_cstep.Cached):
         self.capacity = capacity
         length = 2 * capacity if capacity is not None else 16
         self._ctx = [np.empty((length, dim)) for _ in range(n_arms)]
-        self._rounds = [np.zeros(length, dtype=np.int64) for _ in range(n_arms)]
-        width = capacity if capacity is not None else length
-        self._norm2 = np.full((n_arms, width), np.inf)
-        self._rewards = np.zeros((n_arms, width))
+        self._rounds = [np.empty(length, np.int64) for _ in range(n_arms)]
+        self._norm2 = [np.empty(length) for _ in range(n_arms)]
+        self._rewards = [np.empty(length) for _ in range(n_arms)]
         self._start, self._end = array("q", [0] * n_arms), array("q", [0] * n_arms)
-        self._ks = array("q", [self.theta_min] * n_arms)  # an empty row's variance is 0
+        self._ks = array("q", [self.theta_min] * n_arms)  # an empty arm's variance is 0
         self._adds = np.zeros(1, np.int64)  # the add count, in an array C writes
         self._res = np.zeros(3 * n_arms)  # the compiled pass's KnnBatch fields
 
@@ -83,15 +81,22 @@ class NeighborBank(_cstep.Cached):
             raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
         return NeighborStore._row(self, arm)
 
+    def _arrays(self):
+        """The per-arm lists of contexts, rounds, squared norms and rewards."""
+        return self._ctx, self._rounds, self._norm2, self._rewards
+
     def _grow(self, arm: int) -> None:
-        for bufs in (self._ctx, self._rounds):
+        """Double an uncapped arm's four arrays, and point the cached bank_t at
+        them (with a larger scratch if this arm is now the longest)."""
+        wide, c = max(map(len, self._rounds)), self._c
+        for name, bufs in zip(("ctx", "rounds", "norm2", "rewards"), self._arrays()):
             bufs[arm] = np.concatenate([bufs[arm], np.empty_like(bufs[arm])])
-        width = self._norm2.shape[1]
-        if len(self._rounds[arm]) > width:
-            pad = ((0, 0), (0, width))
-            self._norm2 = np.pad(self._norm2, pad, constant_values=np.inf)
-            self._rewards = np.pad(self._rewards, pad)
-        self._c = None
+            if c is not None:
+                _cstep.point(c, name, bufs[arm], arm)
+        if c is not None:
+            c.lens[arm] = n = len(self._rounds[arm])
+            if n > wide:
+                _cstep.point(c, "scratch", np.empty(3 * n))
 
     def add(self, arm: int, context, reward: float, round: int) -> None:
         arm, round = as_int(arm, "arm", 0), as_int(round, "round", 0)
@@ -109,8 +114,8 @@ class NeighborBank(_cstep.Cached):
         """ValueError, changing nothing, where 8 times the sum of the arm's squared
         rewards with ``reward`` (less the oldest, when the arm is full) overflows:
         the headroom keeps reward_variance finite."""
-        n = self._end[arm] - self._start[arm]
-        kept = self._rewards[arm, int(n == self.capacity):n]
+        start, end = self._start[arm], self._end[arm]
+        kept = self._rewards[arm][start + (end - start == self.capacity):end]
         if not math.isfinite(8.0 * (float(np.add.reduce(kept * kept)) + reward * reward)):
             raise ValueError(f"reward {reward!r} overflows arm {arm}'s reward sums")
 
@@ -135,26 +140,21 @@ class NeighborBank(_cstep.Cached):
         """_add's numpy half, for a reward _check_reward passed."""
         start, end = self._start[arm], self._end[arm]
         n = end - start
-        full = n == self.capacity  # the oldest entry is evicted
         self._adds[0] += 1
-        if full:
-            for buf in (self._norm2, self._rewards):
-                buf[arm, :n - 1] = buf[arm, 1:n]
+        if n == self.capacity:  # the oldest entry is evicted
             start, n = start + 1, n - 1
         if end == len(self._rounds[arm]):  # a capped window moves to 0
-            for buf in (self._ctx[arm], self._rounds[arm]):
-                buf[:n] = buf[start:end]
+            for bufs in self._arrays():
+                bufs[arm][:n] = bufs[arm][start:end]
             start, end = 0, n
-        self._ctx[arm][end] = x
-        self._rounds[arm][end] = round
-        self._norm2[arm, n] = float(x.dot(x))
-        self._rewards[arm, n] = reward
+        for bufs, v in zip(self._arrays(), (x, round, float(x.dot(x)), reward)):
+            bufs[arm][end] = v
         self._start[arm], self._end[arm] = start, end + 1
         if self.theta_min < self.theta_max:
-            self._ks[arm] = select_k(_variance(self._rewards[arm, :n + 1]) * self.variance_scale,
-                                     self.theta_min, self.theta_max)
+            self._ks[arm] = _pick_k(_variance(self._rewards[arm][start:end + 1])
+                                    * self.variance_scale, self.theta_min, self.theta_max)
         if self.capacity is None and end + 1 == len(self._rounds[arm]):
-            self._grow(arm)  # the row is full, as update_round reports it
+            self._grow(arm)  # the arm is full, as update_round reports it
 
     def _pass(self, x: np.ndarray, strict: bool) -> "KnnBatch":
         """Every arm's k-NN score for a checked context, with its own k:
@@ -163,20 +163,19 @@ class NeighborBank(_cstep.Cached):
         return self._query(None, x, None, strict)[0]
 
     def _args(self):
-        """The bank's ``bank_t``, built on first use and after ``_grow``; None
-        for the numpy round.  Its scratch and row lengths are the struct's."""
+        """The bank's ``bank_t``, built on first use (``_grow`` re-points it);
+        None for the numpy round.  Its scratch and array lengths are the struct's."""
         if _cstep.BLAS is None:
             return None
         if self._c is None:
-            width = self._norm2.shape[1]
+            lens = array("q", map(len, self._rounds))
             self._c = _cstep.struct(
-                "bank_t", ctx=self._ctx, rounds=self._rounds,
-                lens=array("q", map(len, self._rounds)), scratch=np.empty(3 * width),
-                norm2=self._norm2, rewards=self._rewards, res=self._res, start=self._start,
-                end=self._end, ks=self._ks, adds=self._adds, d=self.dim, stride=width,
-                cap=-1 if self.capacity is None else self.capacity, lo=self.theta_min,
-                hi=self.theta_max, vscale=self.variance_scale, gemv=_cstep.BLAS[0],
-                ddot=_cstep.BLAS[1])
+                "bank_t", ctx=self._ctx, rounds=self._rounds, norm2=self._norm2,
+                rewards=self._rewards, lens=lens, scratch=np.empty(3 * max(lens)),
+                res=self._res, start=self._start, end=self._end, ks=self._ks,
+                adds=self._adds, d=self.dim, cap=-1 if self.capacity is None else self.capacity,
+                lo=self.theta_min, hi=self.theta_max, vscale=self.variance_scale,
+                gemv=_cstep.BLAS[0], ddot=_cstep.BLAS[1])
         return self._c
 
     def _query(self, arms, x: np.ndarray, ks, strict: bool, table=None):
@@ -212,10 +211,10 @@ class NeighborBank(_cstep.Cached):
         # One matvec over exactly the window: BLAS results depend on the row count.
         d2 = self._ctx[arm][s:s + n].dot(x)
         d2 *= -2.0  # ||c - x||^2 = ||c||^2 - 2 c.x + ||x||^2 with cached norms
-        d2 += self._norm2[arm, :n]
+        d2 += self._norm2[arm][s:s + n]
         d2 += xx
         np.maximum(d2, 0.0, out=d2)
-        # Stable sorts: equal distances keep column order, which is round order.
+        # Stable sorts: equal distances keep window order, which is round order.
         if k < n:  # only the entries no farther than the k-th distance, ties included
             cut = d2.copy()
             cut.partition(k - 1)
@@ -223,7 +222,7 @@ class NeighborBank(_cstep.Cached):
             sel = near[d2[near].argsort(kind="stable")[:k]]
         else:
             sel = d2.argsort(kind="stable")
-        return np.add.reduce(self._rewards[arm][sel]) / k, d2[sel[-1]]
+        return np.add.reduce(self._rewards[arm][s:s + n][sel]) / k, d2[sel[-1]]
 
 
 class KnnBatch(NamedTuple):
@@ -284,7 +283,7 @@ class NeighborStore:
 
     @property
     def rewards(self) -> np.ndarray:
-        return self._bank._rewards[self._arm, :len(self)]
+        return self._window(self._bank._rewards)
 
     @property
     def rounds(self) -> np.ndarray:
@@ -297,7 +296,7 @@ def reward_variance(store: NeighborStore) -> float:
 
 
 def _variance(r: np.ndarray) -> float:
-    """reward_variance of the rewards r, a row slice as update_round reads it."""
+    """reward_variance of the rewards r, a window as update_round reads it."""
     n = len(r)
     if n < 2:
         return 0.0
@@ -316,7 +315,12 @@ def select_k(variance: float, theta_min: int, theta_max: int) -> int:
         raise ValueError("need 1 <= theta_min <= theta_max")
     if not variance >= 0:  # +inf, like every variance >= 1, gives theta_max
         raise ValueError("variance must be >= 0")
-    v = min(max(float(variance), 0.0), 1.0)
+    return _pick_k(float(variance), theta_min, theta_max)
+
+
+def _pick_k(variance: float, theta_min: int, theta_max: int) -> int:
+    """select_k for checked arguments, the formula C's pick_k mirrors."""
+    v = min(max(variance, 0.0), 1.0)
     k = math.floor(theta_min + (theta_max - theta_min) * v + 0.5)
     return min(max(k, theta_min), theta_max)
 

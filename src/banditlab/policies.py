@@ -30,7 +30,7 @@ class _Compiled(_cstep.Cached):
         return None if self._c is None or args is None else (self._c, args)
 
     def _done(self, arm: int, code: int) -> None:
-        """After update_round's code for the arm: grow the row its add filled
+        """After update_round's code for the arm: grow the arm its add filled
         (4), then run the drift check it left due (1, or 2: a lost diagonal)."""
         if code & 4:
             self.bank._grow(arm)
@@ -51,7 +51,7 @@ class _Compiled(_cstep.Cached):
         run = _cstep.struct("run_t", xs=contexts, rw=rewards, out=out, log=log, at=at, t=t,
                             n=len(out), arms=arms)
         while _cstep.STEP.lib.run_rounds(run, *self._compiled()):
-            self._done(run.arm, run.code)  # a grown row rebuilds the bank_t
+            self._done(run.arm, run.code)  # _grow re-points the bank_t
         return run.t
 
 

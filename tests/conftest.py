@@ -64,16 +64,15 @@ def held(obj, path="policy"):
     """(path, value) of every array, int array and number a policy holds,
     through its banditlab objects, lists and tuples.  The compiled steps'
     pointers and output buffers, the pass kept for update() and the
-    generator reseeded every round are scratch; a bank's contexts and
-    rounds count over their windows."""
+    generator reseeded every round are scratch; a bank's four per-arm
+    arrays count over their windows."""
     if isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             yield from held(v, f"{path}[{i}]")
     elif isinstance(obj, NeighborBank):
         for k, v in vars(obj).items():
-            if k in ("_ctx", "_rounds"):
-                v = [getattr(obj.store(a), k[1:].replace("ctx", "contexts"))
-                     for a in range(obj.n_arms)]
+            if k in ("_ctx", "_rounds", "_norm2", "_rewards"):
+                v = [obj.store(a)._window(v) for a in range(obj.n_arms)]
             if k not in ("_c", "_res"):
                 yield from held(v, f"{path}.{k}")
     elif type(obj).__module__.startswith("banditlab."):

@@ -78,8 +78,9 @@ def knn_score_bruteforce(store: NeighborStore, x, k: int) -> KnnScore:
     n = len(store)
     if n < k:
         return KnnScore.not_applied()
-    norm2 = store._bank._norm2[store._arm, :n]
-    d2 = norm2 - 2.0 * (store.contexts @ x) + float(x @ x)
+    contexts = store.contexts
+    norm2 = np.array([c.dot(c) for c in contexts])
+    d2 = norm2 - 2.0 * (contexts @ x) + float(x @ x)
     np.maximum(d2, 0.0, out=d2)
     order = np.lexsort((store.rounds, d2))
     sel = order[:k]

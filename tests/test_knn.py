@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banditlab import _cstep, core, knn, policies
@@ -318,24 +318,33 @@ def test_bank_pass_equals_per_store_oracle(n_arms, d, n, capped, strict, seed):
     n=st.integers(0, 300),
     seed=st.integers(0, 100_000),
 )
+@example(capacity=1, thetas=(1, 5), scale=4.0, levels=(0.0, 0.5, 1.0), n=40, seed=1)
+@example(capacity=2, thetas=(2, 7), scale=2.0, levels=(0.1, 0.3), n=60, seed=2)
+@example(capacity=3, thetas=(1, 2), scale=50.0, levels=(-1.0, 0.25, 2.0), n=80, seed=3)
+@example(capacity=7, thetas=(1, 5), scale=1.0, levels=(0.1, 0.3, 0.7), n=120, seed=4)
 def test_incremental_k_equals_the_exact_rule(capacity, thetas, scale, levels,
                                              n, seed):
     # Rewards from a small set put the interpolated k exactly on .5
     # boundaries (0.1 and 0.3, inexact in binary, land within rounding of
-    # one); runs up to 12x a capacity copy capped windows back often.
-    # Under each round; the two keep the same ks.
+    # one); runs up to 12x a capacity copy capped windows back often (from
+    # 6 capacities and 3 adds on, at least 3 times).  Under each round; the
+    # two hold byte-equal windows of all four arrays, and the same ks, after
+    # every add.
     runs = []
     for step in PASS_STEPS:
-        rng, ks = np.random.default_rng(seed), []
+        rng, states, copies = np.random.default_rng(seed), [], 0
         with compiled_step(blas=step):
             bank = NeighborBank(2, 2, capacity, thetas[0], thetas[1], scale)
             for _ in range(n):
                 arm = int(rng.integers(2))
+                start = bank._start[arm]
                 bank._add(arm, rng.standard_normal(2), float(rng.choice(levels)))
+                copies += bank._start[arm] < start
                 v = reward_variance(bank.store(arm)) * scale
                 assert bank._ks[arm] == select_k(v, *thetas)
-                ks.append(list(bank._ks))
-        runs.append(ks)
+                states.append(held_bytes(bank))
+        assert capacity is None or n < 6 * capacity + 3 or copies >= 3
+        runs.append(states)
     assert runs[-1] == runs[0]
 
 
@@ -385,11 +394,14 @@ def test_reward_at_the_overflow_boundary_changes_nothing(capacity, step, monkeyp
 
 @pytest.mark.usefixtures("each_pass")
 def test_an_uncapped_row_grows_once_an_add_fills_it():
-    # Under either round a row doubles right after the add that fills it, so
-    # both rounds hold arrays of the same shapes after every add, and the
-    # compiled add never meets a full row.  An add rejected where it would
-    # fill the row changes nothing: growth follows a committed add only.
+    # Under either round an arm's four arrays double right after the add
+    # that fills them, so both rounds hold arrays of the same lengths after
+    # every add, and the compiled add never meets a full arm.  An add
+    # rejected where it would fill the arm changes nothing: growth follows a
+    # committed add only.  The compiled round keeps its bank_t: a growth
+    # points it at the grown arrays.
     bank = NeighborBank(2, 3, None, 1, 3)
+    c = bank._args()  # None under numpy's round
     for t in range(33):
         if t == 15:
             before = held_bytes(bank)
@@ -398,9 +410,11 @@ def test_an_uncapped_row_grows_once_an_add_fills_it():
             assert held_bytes(bank) == before
         bank.add(0, [float(t), 1.0, 0.0], 0.5 * (t % 3), t)
         want = 16 if t < 15 else 32 if t < 31 else 64
-        assert len(bank._rounds[0]) == len(bank._ctx[0]) == bank._norm2.shape[1] == want
-        assert len(bank._rounds[1]) == 16
+        assert [len(bufs[0]) for bufs in bank._arrays()] == [want] * 4
+        assert [len(bufs[1]) for bufs in bank._arrays()] == [16] * 4
+        assert bank._c is c and (c is None or list(c.lens[0:2]) == [want, 16])
     assert np.array_equal(bank.store(0).rounds, np.arange(33))
+    assert np.array_equal(bank.store(0).rewards, 0.5 * (np.arange(33) % 3))
 
 
 @pytest.mark.parametrize("pid", ["knn-ucb", "lin-knn-ucb", "lnucb-ta"])

@@ -611,16 +611,17 @@ class TestMakePolicy:
 
 
 def hybrid_state(policy):
-    """The bytes of an LNUCBTA's bank, ridges, stats and scores."""
+    """The bytes of an LNUCBTA's bank (its four arrays' windows and lengths),
+    ridges, stats and scores."""
     bank = policy.bank
-    arrays = [bank._norm2, bank._rewards, *bank._rounds,
-              *(bank.store(a).contexts for a in range(bank.n_arms)),
-              policy.stats.per_arm_sum, policy.stats.per_arm_count,
-              policy.scores([0.3, 0.1], 1)]
+    arrays = [bank.store(a)._window(bufs) for bufs in bank._arrays()
+              for a in range(bank.n_arms)]
+    arrays += [policy.stats.per_arm_sum, policy.stats.per_arm_count, policy.scores([0.3, 0.1], 1)]
     for r in policy.ridges:
         arrays += [r.sigma, r.b, r.mu_hat, r.chol]
-    return ([a.tobytes() for a in arrays], *map(list, (bank._start, bank._end, bank._ks)),
-            bank._adds, [r._scale for r in policy.ridges])
+    return ([a.tobytes() for a in arrays], [len(b) for bufs in bank._arrays() for b in bufs],
+            *map(list, (bank._start, bank._end, bank._ks)), bank._adds,
+            [r._scale for r in policy.ridges])
 
 
 def assert_rejected_update_changes_nothing(pid, bad, match, primer=None, **params):
@@ -665,10 +666,9 @@ EDGE = math.sqrt(sys.float_info.max / 8.0) * (1.0 - 1e-9)
 )
 def test_hostile_update_is_finite_or_changes_nothing(pid, n, capped, hostile, seed):
     # After a random history, one hostile update either succeeds and leaves
-    # every stored value finite (the k-NN padding's inf norms aside), or
-    # raises ValueError (LinAlgError is one) and leaves the policy byte-equal
-    # to a twin that never saw it, under each score pass.  A RuntimeWarning
-    # fails the test.
+    # every stored value finite, or raises ValueError (LinAlgError is one)
+    # and leaves the policy byte-equal to a twin that never saw it, under
+    # each score pass.  A RuntimeWarning fails the test.
     keys = POLICY_PARAM_KEYS[pid]
     params = {"store_capacity": 3} if capped and "store_capacity" in keys else {}
     if hostile == "tiny-lam":
@@ -694,9 +694,6 @@ def test_hostile_update_is_finite_or_changes_nothing(pid, n, capped, hostile, se
                 assert policy.scores(x, n).tobytes() == twin.scores(x, n).tobytes()
                 continue
             for path, v in held(policy):
-                if path.endswith("._norm2"):
-                    sizes = np.subtract(list(policy.bank._end), list(policy.bank._start))
-                    v = np.where(np.arange(v.shape[1]) < sizes[:, None], v, 0.0)
                 if isinstance(v, (float, np.ndarray)) and not path.endswith("._selected"):
                     assert np.isfinite(v).all(), (path, v)
 
