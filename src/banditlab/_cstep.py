@@ -1,6 +1,6 @@
 """The compiled steps, loaded once as ``STEP`` and ``BLAS`` (below): a round's
 ``score_pass`` and ``update_round``, which need both, whole runs of them for
-four policy ids (``run_rounds``), ``news_parse`` and ``round_seed`` (below)."""
+seven policy ids (``run_rounds``), ``news_parse`` and ``round_seed`` (below)."""
 import ctypes
 import functools
 import hashlib
@@ -36,16 +36,23 @@ typedef void gemv_t(int, int, int64_t, int64_t, double, const double *, int64_t,
 typedef double ddot_t(int64_t, const double *, int64_t, const double *, int64_t);
 typedef void trtrs_t(char *, char *, char *, int *, int *, double *, int *,
                      double *, int *, int *);
+/* numpy's distributions on a bitgen_t (libnpyrandom), weak: NULL unless linked. */
+__attribute__((weak)) double random_uniform(void *, double, double),
+    random_beta(void *, double, double);
+__attribute__((weak)) void random_bounded_uint64_fill(void *, uint64_t, uint64_t, intptr_t, _Bool,
+                                                      uint64_t *);
 /* A policy's stacks (n arms of d x d or d), stats (stat_sum NULL: none) and
    table: rows linear, knn, alpha, width, ucb, then n x d scratch.  Widths: 1
    from L, 2 inverses.  Per ridge: its running bound (scales) and its rank-one
    updates since the last drift check (drift), which falls due at every.
-   flags 8 is knn-ucb's kind: a table of ucb alone, with rho in alpha0. */
+   flags 8 is knn-ucb's kind: a table of ucb alone, with rho in alpha0; 16, 32
+   and 64 the drawing kinds (see draw_arm), whose scales are NULL. */
 typedef struct {
-    double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, *scales, scale_max, gamma,
-        alpha0, kappa;
+    double *table, *mu, *squares, *sigmas, *bs, *v, *stat_sum, *scales, *succ, *fail,
+        scale_max, gamma, alpha0, kappa;
     int64_t *stat_count, *drift, n, d, widths, flags, every;
-    intptr_t trtrs, potrf, potrs, gemv, ddot;
+    intptr_t trtrs, potrf, potrs, gemv, ddot, bitgen;
+    uint64_t seed;
 } round_t;
 
 /* A knn.NeighborBank (see its _args): per arm, contexts, rounds, squared
@@ -233,26 +240,29 @@ static int64_t pick_k(double v, int64_t lo, int64_t hi)  /* knn._pick_k */
    fails or sigma does not factor (the numpy update then raises); else the
    sum of 4 where the add filled an uncapped arm, which Python grows before
    the next add, and, for an inverse, 1 where its drift check falls due or 2
-   where it lost a diagonal entry (see _rank_one_done). */
+   where it lost a diagonal entry (see _rank_one_done).  A p without scales
+   has no ridge: stats and Beta counts (of min(max(r, 0.0), 1.0)) alone. */
 int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_max,
                      int64_t round, int add, round_t *p, bank_t *bk)
 {
     const int64_t d = bk ? bk->d : p->d;
     const intptr_t ddot = bk ? bk->ddot : p->ddot;
     const double *x = (const double *)xs, resid = r - knn, e = u_max * u_max;
-    const double xx = ((ddot_t *)ddot)(d, x, 1, x, 1);
+    const int ridge = p && p->scales;
+    const double xx = ridge || add ? ((ddot_t *)ddot)(d, x, 1, x, 1) : 0.0;
     const double total = p && p->stat_sum ? p->stat_sum[a] + r : 0.0;
-    const double next = p ? p->scales[a] + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
+    const double lo = 0.0 > r ? 0.0 : r, clip = 1.0 < lo ? 1.0 : lo;
+    const double next = ridge ? p->scales[a] + xx + d * (p->gamma * e) + fabs(resid) * sqrt(xx) : 0.0;
     double *r2 = bk ? bk->scratch : NULL;  /* the kept rewards' squares */
     int64_t due = 0;
-    if ((p && !(next <= p->scale_max)) || !isfinite(total)) return -1;
+    if ((ridge && !(next <= p->scale_max)) || !isfinite(total)) return -1;
     if (add) {  /* knn.NeighborBank._check_reward */
         const int64_t n = bk->end[a] - bk->start[a], full = n == bk->cap;
         const double *rw = bk->rewards[a] + bk->start[a] + full;
         for (int64_t i = 0; i < n - full; i++) r2[i] = rw[i] * rw[i];
         if (!isfinite(8.0 * ((0.0 + pairwise(r2, n - full)) + r * r))) return -1;
     }
-    if (p) {
+    if (ridge) {
         double *sig = p->sigmas + a * d * d, *b = p->bs + a * d, *sq = p->squares + a * d * d;
         if (p->gamma > 0.0) {
             if (ridge_factor(x, sig, b, sq, p->mu + a * d, (int)d, resid, p->gamma * e,
@@ -267,8 +277,9 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
             matvec(d, d, sq, b, p->mu + a * d, p->gemv, ddot);
         }
         p->scales[a] = next;
-        if (p->stat_sum) p->stat_sum[a] = total, p->stat_count[a]++;
     }
+    if (p && p->stat_sum) p->stat_sum[a] = total, p->stat_count[a]++;
+    if (p && p->succ) p->succ[a] += clip, p->fail[a] += 1.0 - clip;
     if (add) {  /* a full capped arm drops its oldest entry, a window at the end moves to 0 */
         int64_t st = bk->start[a], en = bk->end[a], n = en - st;
         double *nr = bk->norm2[a], *rw = bk->rewards[a];
@@ -292,6 +303,59 @@ int64_t update_round(int64_t a, const char *xs, double r, double knn, double u_m
     return due;
 }
 
+static inline uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)  /* SeedSequence's */
+{
+    return v ^= *h, *h *= mult, v *= *h, v ^ v >> 16;
+}
+
+/* default_rng([seed, round])'s PCG64 state into the pcg64_state at state (a
+   PCG64's ctypes.state_address): SeedSequence's entropy words (0 is one word
+   0, else the 32-bit words up to the top non-zero one, low first), mix_entropy
+   into a pool of 4, generate_state(4, uint64), pcg_setseq_128_srandom_r, and
+   no buffered half word.  Without 128-bit integers it writes nothing. */
+void round_seed(intptr_t state, uint64_t seed, uint64_t round)
+{
+#if defined(__SIZEOF_INT128__)
+    struct { __uint128_t *pcg; int has_uint32; uint32_t uinteger; } *g = (void *)state;
+    uint32_t words[4] = {0}, pool[4], out[8], h = 0x43b0d7e5, m;
+    __uint128_t w[4];
+    for (int i = 0, n = 0; i < 2; i++)  /* each value's words, at least one */
+        for (uint64_t v = i ? round : seed, more = 1; more; more = v >>= 32) words[n++] = v;
+    for (int i = 0; i < 4; i++) pool[i] = hashmix(words[i], &h, 0x931e8875);
+    for (int s = 0; s < 4; s++)  /* pool[d] = mix(pool[d], hashmix(pool[s])), d != s */
+        for (int d = 0; d < 4; d++)
+            if (s != d)
+                m = 0xca01f9dd * pool[d] - 0x4973f715 * hashmix(pool[s], &h, 0x931e8875),
+                pool[d] = m ^ m >> 16;
+    h = 0x8b51f9dd;
+    for (int i = 0; i < 8; i++) out[i] = hashmix(pool[i % 4], &h, 0x58f38ded);
+    for (int k = 0; k < 4; k++) w[k] = out[2 * k] | (uint64_t)out[2 * k + 1] << 32;
+    g->pcg[1] = (w[2] << 64 | w[3]) << 1 | 1;  /* inc, then state: two steps from 0 */
+    g->pcg[0] = (g->pcg[1] + (w[0] << 64 | w[1]))
+        * ((__uint128_t)2549297995355413924ULL << 64 | 4865540595714422341ULL) + g->pcg[1];
+    g->has_uint32 = 0, g->uinteger = 0;
+#endif
+}
+
+/* A drawing kind's arm for round t (flags 16 eps-greedy, eps in alpha0; 32
+   beta-thompson, priors in alpha0 and kappa; 64 random): Policy._rng's reseed
+   of the bitgen_t g, then its draws into table; -1 without the distributions. */
+int64_t draw_arm(const round_t *p, uint64_t t)
+{
+    void *g = (void *)p->bitgen;
+    uint64_t arm;
+    if (!random_uniform || !random_beta || !random_bounded_uint64_fill) return -1;
+    round_seed((intptr_t)*(void **)g, p->seed, t);  /* a bitgen_t's state */
+    for (int64_t a = 0; a < p->n; a++)  /* local means, beta(a + succ, b + fail), uniform() */
+        p->table[a] = p->flags & 16
+            ? p->stat_sum[a] / (double)(p->stat_count[a] > 1 ? p->stat_count[a] : 1)
+            : p->flags & 32 ? random_beta(g, p->alpha0 + p->succ[a], p->kappa + p->fail[a])
+            : random_uniform(g, 0.0, 1.0);
+    if (p->flags & 16 && p->alpha0 > 0.0 && random_uniform(g, 0.0, 1.0) < p->alpha0)
+        return random_bounded_uint64_fill(g, 0, p->n - 1, 1, 0, &arm), (int64_t)arm;
+    return argmax(p->table, p->n);
+}
+
 /* A run (_Compiled._run): round t of n, the episode's contexts xs, rewards rw
    and arm count, a replay log's logged arms and at (its cursor and row count;
    NULL for an array episode), the reward buffer out, and the (code, arm) of
@@ -304,12 +368,12 @@ typedef struct {
 } run_t;
 
 /* Policy p's rounds of run r: the context certified (finite, its squared
-   norm far from overflow), score_pass's arm, update_round, the reward into
-   out.  An LNUCBTA p passes the strict k and, with k-NN scores (flags 1),
-   adds; knn-ucb's (flags 9) passes the non-strict k, and its update is the
-   bank add alone.  Round t's context is row t of xs and its reward
-   rw[t * arms + a]; a replay's is the cursor's row and the click of the
-   first row from there logged with a, just past which the cursor moves.
+   norm far from overflow), score_pass's or draw_arm's arm, update_round, the
+   reward into out.  An LNUCBTA p passes the strict k and, with k-NN scores
+   (flags 1), adds; knn-ucb's (flags 9) passes the non-strict k, and its
+   update is the bank add alone.  Round t's context is row t of xs and its
+   reward rw[t * arms + a]; a replay's is the cursor's row and the click of
+   the first row from there logged with a, just past which the cursor moves.
    Returns 0 at n; at the round Python takes, unchanged, whose context or
    reward is not certified, whose arm is at or past arms or whose update
    declines; or at the round the log runs out at (a scan without a match
@@ -317,7 +381,7 @@ typedef struct {
    drift check due or an arm to grow, update_round's code, with the arm. */
 int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
 {
-    const int add = p->flags & 1, knn_ucb = p->flags & 8;
+    const int add = p->flags & 1, knn_ucb = p->flags & 8, draws = p->flags & 112;
     const int64_t d = p->d, m = add ? p->n : 0;
     for (r->code = 0; r->t < r->n; r->t++) {
         const int64_t row = r->log ? r->at[0] : r->t;
@@ -326,14 +390,16 @@ int64_t run_rounds(run_t *r, round_t *p, bank_t *bk)
         double xx = 0.0, v;
         for (int64_t i = 0; i < d; i++) xx += x[i] * x[i];
         if (!(xx <= 0x1p1000)) return 0;  /* NaN, inf or near as_context's bound */
-        const int64_t a = score_pass((const char *)x, m, NULL, NULL, !knn_ucb, p, bk);
-        if (a >= r->arms) return 0;  /* replay_step raises */
+        const int64_t a = draws ? draw_arm(p, r->t)
+                                : score_pass((const char *)x, m, NULL, NULL, !knn_ucb, p, bk);
+        if (a < 0 || a >= r->arms) return 0;  /* replay_step raises */
         int64_t i = r->log ? row : r->t * r->arms + a;
         while (r->log && i < r->at[1] && r->log[i] != a) i++;  /* replay_step's scan */
         if (r->log && i == r->at[1]) return r->at[0] = i, 0;
         if (!isfinite(v = r->rw[i])) return 0;
         r->code = update_round(a, (const char *)x, v, m ? bk->res[a] : 0.0,
-                               m ? bk->res[m + a] : 0.0, *bk->adds, add, knn_ucb ? NULL : p, bk);
+                               m ? bk->res[m + a] : 0.0, add ? *bk->adds : 0, add,
+                               knn_ucb ? NULL : p, bk);
         if (r->code < 0) return r->code = 0;
         r->out[r->t] = v;
         if (r->log) r->at[0] = i + 1;
@@ -406,40 +472,6 @@ int64_t news_parse(const char *s, int64_t len, int64_t max_rows, int64_t *arms,
         clicks[n] = v[1];
     }
     return -1;
-}
-
-static inline uint32_t hashmix(uint32_t v, uint32_t *h, uint32_t mult)  /* SeedSequence's */
-{
-    return v ^= *h, *h *= mult, v *= *h, v ^ v >> 16;
-}
-
-/* default_rng([seed, round])'s PCG64 state into the pcg64_state at state (a
-   PCG64's ctypes.state_address): SeedSequence's entropy words (0 is one word
-   0, else the 32-bit words up to the top non-zero one, low first), mix_entropy
-   into a pool of 4, generate_state(4, uint64), pcg_setseq_128_srandom_r, and
-   no buffered half word.  Without 128-bit integers it writes nothing. */
-void round_seed(intptr_t state, uint64_t seed, uint64_t round)
-{
-#if defined(__SIZEOF_INT128__)
-    struct { __uint128_t *pcg; int has_uint32; uint32_t uinteger; } *g = (void *)state;
-    uint32_t words[4] = {0}, pool[4], out[8], h = 0x43b0d7e5, m;
-    __uint128_t w[4];
-    for (int i = 0, n = 0; i < 2; i++)  /* each value's words, at least one */
-        for (uint64_t v = i ? round : seed, more = 1; more; more = v >>= 32) words[n++] = v;
-    for (int i = 0; i < 4; i++) pool[i] = hashmix(words[i], &h, 0x931e8875);
-    for (int s = 0; s < 4; s++)  /* pool[d] = mix(pool[d], hashmix(pool[s])), d != s */
-        for (int d = 0; d < 4; d++)
-            if (s != d)
-                m = 0xca01f9dd * pool[d] - 0x4973f715 * hashmix(pool[s], &h, 0x931e8875),
-                pool[d] = m ^ m >> 16;
-    h = 0x8b51f9dd;
-    for (int i = 0; i < 8; i++) out[i] = hashmix(pool[i % 4], &h, 0x58f38ded);
-    for (int k = 0; k < 4; k++) w[k] = out[2 * k] | (uint64_t)out[2 * k + 1] << 32;
-    g->pcg[1] = (w[2] << 64 | w[3]) << 1 | 1;  /* inc, then state: two steps from 0 */
-    g->pcg[0] = (g->pcg[1] + (w[0] << 64 | w[1]))
-        * ((__uint128_t)2549297995355413924ULL << 64 | 4865540595714422341ULL) + g->pcg[1];
-    g->has_uint32 = 0, g->uinteger = 0;
-#endif
 }
 """
 # The exported functions' prototypes.
@@ -575,28 +607,53 @@ def checked_seeding(round_seed):
     return round_seed
 
 
+def checked_draws(draw_arm):
+    """draw_arm (``draw_arm``'s signature) if at round 7 of each SEED_CASES seed
+    eps-greedy (eps 1), beta-thompson (a Beta of each branch) and random leave
+    the arm, table and generator state of their numpy calls, else None."""
+    gen, table, ab = np.random.default_rng(0), np.zeros(5), np.array(
+        [[0.3, 0.55, 1.8, 7.3, 40.3], [1.2, 0.7, 30.7, 2.7, 0.8]])
+    for seed, flags in itertools.product(SEED_CASES, (16, 32, 64)):
+        p = struct("round_t", table=table, stat_sum=ab[0], stat_count=np.ones(5, np.int64),
+                   succ=ab[0], fail=ab[1], alpha0=float(flags == 16), n=5, flags=flags, seed=seed,
+                   bitgen=gen.bit_generator.ctypes.bit_generator.value)
+        arm, g = draw_arm(p, 7), np.random.default_rng([seed, 7])
+        want = {16: lambda: ab[0], 32: lambda: g.beta(*ab), 64: lambda: g.uniform(size=5)}[flags]()
+        best = g.integers(5) if flags == 16 and g.uniform() < 1.0 else want.argmax()
+        if (arm, table.tobytes(), gen.bit_generator.state) != (best, want.tobytes(),
+                                                               g.bit_generator.state):
+            return None
+    return draw_arm
+
+
 _BUILD = """import os, sys, cffi
-cdef, source, tmp, target = sys.argv[1:]
-ffi = cffi.FFI()
-ffi.cdef(cdef)
-ffi.set_source("_csteps", source, extra_compile_args=["-O3", "-ffp-contract=off"])
-try:
-    os.replace(ffi.compile(tmpdir=tmp), target)
-except cffi.VerificationError as error:  # the compiler rejected the source
-    open(target + ".failed", "w").write(str(error))
+cdef, source, tmp, target, lib = sys.argv[1:]
+for link in (["-L" + lib, "-Wl,--whole-archive", "-lnpyrandom", "-Wl,--no-whole-archive"], []):
+    ffi = cffi.FFI()  # without libnpyrandom, draw_arm's distributions are NULL
+    ffi.cdef(cdef)
+    ffi.set_source("_csteps", source, extra_compile_args=["-O3", "-ffp-contract=off"],
+                   extra_link_args=link + ["-lm"])
+    try:
+        os.replace(ffi.compile(tmpdir=tmp), target)
+        break
+    except cffi.VerificationError as error:  # the compiler or linker rejected it
+        if not link:
+            open(target + ".failed", "w").write(str(error))
 """
 
 
-def load(cache: Path = Path(__file__).parent / "__pycache__"):
+def load(cache: Path = Path(__file__).parent / "__pycache__",
+         lib: Path = Path(np.__file__).parent / "random" / "lib"):
     """The compiled steps, built into ``cache`` first if need be, or None.
 
     Nothing is built without cffi and a C compiler.  A fresh interpreter
-    builds it within 120 s, named by source hash and ABI tag, and moves it
-    into place whole, so concurrent builders do not race and this one never
-    imports cffi; a build removes other sources' artifacts.  Only a source
-    the compiler rejects leaves a marker (its output) against retries.
+    builds it within 120 s (with ``lib``'s libnpyrandom.a where that links),
+    named by source hash, ``lib`` and ABI tag, and moves it into place whole,
+    so concurrent builders do not race and this one never imports cffi; a
+    build removes other sources' artifacts.  Only a source the compiler
+    rejects leaves a marker (its output) against retries.
     """
-    key = hashlib.sha256((SOURCE + _BUILD).encode()).hexdigest()[:16]
+    key = hashlib.sha256((SOURCE + _BUILD + str(lib)).encode()).hexdigest()[:16]
     target = Path(cache) / f"_csteps.{key}{sysconfig.get_config_var('EXT_SUFFIX')}"
     try:
         if not (target.exists() or target.with_name(target.name + ".failed").exists()):
@@ -606,7 +663,7 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
             target.parent.mkdir(parents=True, exist_ok=True)
             with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
                 subprocess.run([sys.executable, "-c", _BUILD, CDEF, SOURCE, tmp,
-                                str(target)], capture_output=True, timeout=120)
+                                str(target), str(lib)], capture_output=True, timeout=120)
             for old in target.parent.glob("_csteps.*"):
                 if not old.name.startswith(target.name):
                     old.unlink(missing_ok=True)
@@ -620,4 +677,13 @@ def load(cache: Path = Path(__file__).parent / "__pycache__"):
 
 STEP = load()  # the compiled steps, or None
 BLAS = with_blas(STEP)  # the (dgemv, ddot) STEP's round calls, or None for the numpy round
-ROUND_SEED = STEP and checked_seeding(STEP.lib.round_seed)  # Policy._rng's, or None: round_rng
+
+
+def __getattr__(name: str):
+    """ROUND_SEED (Policy._rng's, or None: round_rng) and DRAWS (draw_arm, or None),
+    checked at first use: the checks import numpy.random, and banditlab does not."""
+    if name not in ("ROUND_SEED", "DRAWS"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = STEP and (checked_seeding(STEP.lib.round_seed) if name == "ROUND_SEED"
+                                        else checked_draws(STEP.lib.draw_arm))
+    return value

@@ -18,8 +18,8 @@ from .linear import DRIFT_CHECK_EVERY, RidgeState, _lapack, widths_sq
 
 class _Compiled(_cstep.Cached):
     """What the compiled steps take of a policy: its ``round_t``, cached from its
-    ``_fields()`` (None: numpy's round only), and its bank's ``bank_t``.  LNUCBTA
-    and KnnUCB run whole runs through them too."""
+    ``_fields()`` (None: numpy's round only), and its bank's ``bank_t``.  LNUCBTA,
+    KnnUCB and the drawing kinds run whole runs through them too."""
 
     def _compiled(self) -> Optional[tuple]:
         """(round_t, bank_t or NULL) for the compiled steps, or None for numpy's."""
@@ -40,8 +40,18 @@ class _Compiled(_cstep.Cached):
     def _runs_in_c(self) -> bool:
         """Whether _run can take rounds: the compiled steps, the lowest-index
         rule and no subclass, whose methods a run must call."""
-        return (type(self) in (LNUCBTA, KnnUCB) and self.tie_break == "lowest-index"
-                and self._compiled() is not None)
+        return (type(self) in (LNUCBTA, KnnUCB, EpsilonGreedy, BetaThompson, RandomPolicy)
+                and self.tie_break == "lowest-index" and self._compiled() is not None)
+
+    def _draws(self, flags: int, **fields) -> Optional[dict]:
+        """A drawing kind's fields (``_cstep.draw_arm``'s: C reseeds the generator
+        ``_rng`` keeps and draws on it), or None where it keeps none or the draws
+        are not checked."""
+        if not (_cstep.ROUND_SEED and _cstep.DRAWS and self.seed < 2 ** 64):
+            return None
+        self._table_rows = np.zeros(self.n_arms)
+        return dict(table=self._table_rows, n=self.n_arms, d=self.dim, flags=flags, seed=self.seed,
+                    bitgen=self._rng(0).bit_generator.ctypes.bit_generator.value, **fields)
 
     def _run(self, contexts: np.ndarray, rewards: np.ndarray, arms: int,
              log: Optional[np.ndarray], at: Optional[np.ndarray], t: int, out: np.ndarray) -> int:
@@ -309,7 +319,7 @@ class KLUCB(Policy):
         self.stats.record(arm, reward)
 
 
-class EpsilonGreedy(Policy):
+class EpsilonGreedy(_Compiled, Policy):
     """Greedy on empirical means; explores uniformly with probability eps."""
 
     name = "eps-greedy"
@@ -319,6 +329,11 @@ class EpsilonGreedy(Policy):
         super().__init__(n_arms, dim, seed, tie_break)
         self.eps = as_nonneg(eps, "eps", 1.0)
         self.stats = RewardStats(n_arms)
+        self._compiled()  # here, outside a run's clock
+
+    def _fields(self) -> Optional[dict]:
+        return self._draws(16, alpha0=self.eps, stat_sum=self.stats.per_arm_sum,
+                           stat_count=self.stats.per_arm_count)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self.stats.local_means()
@@ -348,7 +363,7 @@ class _BetaCounts:
         self._fail[arm] += 1.0 - r
 
 
-class BetaThompson(Policy, _BetaCounts):
+class BetaThompson(_Compiled, Policy, _BetaCounts):
     """Beta-Bernoulli Thompson sampling; rewards are clipped into [0, 1]."""
 
     name = "beta-thompson"
@@ -358,6 +373,11 @@ class BetaThompson(Policy, _BetaCounts):
                  tie_break: str = "lowest-index"):
         super().__init__(n_arms, dim, seed, tie_break)
         self._init_counts(prior_a, prior_b)
+        self._compiled()
+
+    def _fields(self) -> Optional[dict]:
+        return self._draws(32, alpha0=self.prior_a, kappa=self.prior_b, succ=self._succ,
+                           fail=self._fail)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         rng = self._rng(round)
@@ -465,13 +485,17 @@ class KnnKLUCB(KnnUCB):
         return out
 
 
-class RandomPolicy(Policy):
+class RandomPolicy(_Compiled, Policy):
     """Uniform-random arm choice; the sanity anchor for regret diagnostics."""
 
     name = "random"
 
     def __init__(self, n_arms: int, dim: int = 1, seed: int = 0):
         super().__init__(n_arms, dim, seed)
+        self._compiled()
+
+    def _fields(self) -> Optional[dict]:
+        return self._draws(64)
 
     def _scores(self, x: np.ndarray, round: int) -> np.ndarray:
         return self._rng(round).uniform(size=self.n_arms)

@@ -181,9 +181,9 @@ def _record(episode, policy: Policy, T: int):
 
 def _in_c(policy: Policy, rounds) -> bool:
     """Whether ``policy._run`` takes the rounds: the policy's context width
-    and arms, its ``_runs_in_c()`` (an lnucb-ta, linucb, lin-knn-ucb or
-    knn-ucb that can run in C), and Policy's own select and update (not a
-    subclass's, nor a wrapper with __wrapped__)."""
+    and arms, its ``_runs_in_c()`` (one of the seven ids, where it can run
+    in C), and Policy's own select and update (not a subclass's, nor a
+    wrapper with __wrapped__)."""
     own = all(getattr(getattr(policy, v), "__func__", None) is getattr(Policy, v)
               and not hasattr(getattr(Policy, v), "__wrapped__") for v in ("select", "update"))
     return (own and policy._runs_in_c() and rounds[0].shape[1] == policy.dim

@@ -907,6 +907,8 @@ def test_c_data_lives_only_in_the_struct_caches(pid):
     _run_rounds(policy, 0, rng.standard_normal((40, 2)), rng.uniform(size=(40, 3)))
     policy.select(rng.standard_normal(2), 40)  # after a row growth dropped a bank_t
     assert list(c_data(policy)) == []
-    # The walk saw built caches: a ridge policy's round_t and every bank_t.
-    assert (getattr(policy, "_c", None) is not None) == isinstance(policy, _Ridges)
+    # The walk saw built caches: a ridge policy's or a drawing kind's round_t
+    # (built when it is made) and every bank_t.
+    assert (getattr(policy, "_c", None) is not None) == isinstance(
+        policy, (_Ridges, EpsilonGreedy, BetaThompson, RandomPolicy))
     assert not hasattr(policy, "bank") or policy.bank._c is not None

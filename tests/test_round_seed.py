@@ -13,7 +13,7 @@ from banditlab import _cstep, core
 from banditlab.env import two_class_bumps
 from banditlab.policies import POLICIES, POLICY_PARAM_KEYS, make_policy
 from banditlab.runner import build_env, run_policy
-from conftest import CAN_BUILD, PASS_IDS, PASS_STEPS, SUITE_SPEC, compiled_step
+from conftest import CAN_BUILD, PASS_IDS, PASS_STEPS, SUITE_SPEC, compiled_step, held_bytes
 
 needs_seeding = pytest.mark.skipif(_cstep.ROUND_SEED is None,
                                    reason="the compiled seeding is not built or declined")
@@ -88,7 +88,9 @@ def test_seeds_and_rounds_past_64_bits_build_round_rng(seed, round):
     policy = make_policy("random", 3, 1, seed=seed)
     for kind in DRAWS:
         assert draws(policy._rng(round), kind) == draws(core.round_rng(seed, round), kind)
-    assert getattr(policy, "_gen", None) is None
+    # A fresh round_rng: the generator a policy keeps (at a seed below 2**64,
+    # from when it is made) is not reseeded.
+    assert policy._rng(round) is not getattr(policy, "_gen", None)
 
 
 def test_a_negative_round_raises_as_round_rng_does():
@@ -127,14 +129,24 @@ def test_the_seeded_tie_rule_gives_the_same_bits_under_both_rounds(seeded_runs, 
                                          ("random", {}), ("ucb", {"tie_break": "seeded-random"})])
 def test_a_copied_policy_draws_alone(pid, params, how):
     # A copy mid-run picks what the original picks; each reseeds its own
-    # generator, so a reseed of one does not move the other's draws.
+    # generator, so a reseed of one does not move the other's draws.  Where
+    # the compiled run takes the id, a second copy goes on in run_rounds with
+    # the original's rewards and state.
     rng = np.random.default_rng(6)
     xs, rewards = rng.standard_normal((100, 2)), rng.uniform(size=(100, 3))
     policy = make_policy(pid, 3, 2, seed=5, **params)
     selections(policy, 0, xs[:50], rewards[:50])
-    twin = copy.deepcopy(policy) if how == "deepcopy" else pickle.loads(pickle.dumps(policy))
-    assert selections(twin, 50, xs[50:], rewards[50:]) == selections(
-        policy, 50, xs[50:], rewards[50:])
+    copies = [copy.deepcopy(policy) if how == "deepcopy" else pickle.loads(pickle.dumps(policy))
+              for _ in range(2)]
+    twin, out = copies[0], np.zeros(100)
+    arms = selections(policy, 50, xs[50:], rewards[50:])
+    assert selections(twin, 50, xs[50:], rewards[50:]) == arms
+    if policy._runs_in_c():
+        assert copies[1]._run(xs, rewards, 3, None, None, 50, out) == 100
+        assert out[50:].tobytes() == rewards[np.arange(50, 100), arms].tobytes()
+        assert [h for h in held_bytes(copies[1]) if h[0] != "policy._selected"] == [
+            h for h in held_bytes(policy) if h[0] != "policy._selected"]
+        assert copies[1]._gen.bit_generator.state == policy._gen.bit_generator.state
     mine, theirs = policy._rng(7), twin._rng(8)
     assert mine is not theirs
     assert draws(mine, "uniform_size") == draws(core.round_rng(5, 7), "uniform_size")

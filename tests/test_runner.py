@@ -502,11 +502,13 @@ def test_a_k_at_the_theta_max_bound_runs_alike_under_both_rounds(pid):
 
 
 @needs_run
-def test_an_episode_of_arrays_alone_runs_in_c_and_in_python_alike(monkeypatch):
+@pytest.mark.parametrize("pid, params", [("lnucb-ta", HYBRID), ("eps-greedy", {}),
+                                         ("beta-thompson", {}), ("random", {})])
+def test_an_episode_of_arrays_alone_runs_in_c_and_in_python_alike(pid, params, monkeypatch):
     # The one episode protocol: an episode that offers only arrays(T,
     # n_arms), a suite stream's, runs untraced in C with no Python select,
     # and traced through the per-round loop; both runs and a run of the
-    # suite env itself give byte-equal results.
+    # suite env itself give byte-equal results.  So do the drawing kinds.
     stream = build_env(SUITE).episode(3, 300)
     arrays_env = SimpleNamespace(episode=lambda seed, T: SimpleNamespace(arrays=stream.arrays))
     select, selects = Policy.select, []
@@ -519,7 +521,7 @@ def test_an_episode_of_arrays_alone_runs_in_c_and_in_python_alike(monkeypatch):
     runs = []
     for env, trace in ((arrays_env, False), (arrays_env, True), (build_env(SUITE), False)):
         selects.append(0)
-        policy = make_policy("lnucb-ta", 5, 10, seed=3, **HYBRID)
+        policy = make_policy(pid, 5, 10, seed=3, **params)
         result, _ = run_policy(env, policy, 300, 3, trace=trace)
         runs.append(result_bits(result))
     assert selects == [0, 300, 0]
@@ -534,9 +536,14 @@ def test_only_the_compiled_steps_and_the_lowest_index_rule_run_in_c():
         with pytest.raises(ValueError, match=r"theta_max <= 2\*\*53"):
             make_policy(pid, 3, 2, theta_max=2 ** 53 + 1)
     assert not make_policy("knn-kl-ucb", 3, 2)._runs_in_c()  # a subclass
+    for pid in ("eps-greedy", "beta-thompson", "random"):  # where C's draws passed their check
+        assert make_policy(pid, 3, 2)._runs_in_c() == (_cstep.DRAWS is not None)
+        assert not make_policy(pid, 3, 2, seed=2 ** 64)._runs_in_c()  # round_rng's seeds
+        if pid != "random":
+            assert not make_policy(pid, 3, 2, tie_break="seeded-random")._runs_in_c()
     for step, blas in ((None, None), (_cstep.STEP, None)):
         with compiled_step(step, blas):
-            for pid in ("linucb", "knn-ucb"):
+            for pid in ("linucb", "knn-ucb", "eps-greedy", "beta-thompson", "random"):
                 assert not make_policy(pid, 3, 2)._runs_in_c()
 
 
